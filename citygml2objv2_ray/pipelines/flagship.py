@@ -1,12 +1,16 @@
 """The flagship pipeline (north rule): spatial-join + tile assignment over
 the images fact table.
 
-    read_parquet(images)                      # pruned columns
-    → map_batches(cell_encode)                # H3/S2-analog cell, vectorized
-    → [resume filter]                         # drop completed partitions
-    → map_batches(SpatialJoin, actor pool)    # broadcast index: PIP + kNN
-    → map_batches(DecodeVerify, actor pool)   # decode + per-row invariants
-    → map_batches(RasterClip, actor pool)     # raster↔vector clip vs roof tris
+    read_parquet(images)                      # pruned columns; on resume the
+                                              # hive `part` filter skips
+                                              # completed partitions
+    → map_batches(process, task pool)         # ONE fused stage per batch:
+        cell_encode                           #   H3/S2-analog cell, vectorized
+        → part_of_cell                        #   output partition id
+        → [resume filter]                     #   unpartitioned inputs only
+        → spatial join                        #   broadcast index: PIP + kNN
+        → DecodeClip                          #   decode + phash verify +
+                                              #   raster↔vector clip vs roof tris
     → map_batches(PartitionedWriter)          # per-partition atomic files +
                                               # lineage rows (resumable)
     → tile stats: partial per-batch agg → tiny groupby (skew-safe)
@@ -31,7 +35,7 @@ import ray
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, EngineConfig
-from ..spatial import build_index
+from ..spatial import build_index, part_of_cell
 from ..stages.images import cell_encode, make_decode_clip_task
 from ..stages.join import make_join_task
 from ..state.checkpoint import CheckpointLog, make_partitioned_writer
@@ -173,12 +177,8 @@ def run_flagship(
         import pyarrow.compute as pc
 
         batch = cell_encode(batch, cfg)
-        cell = np.asarray(batch["cell"], dtype=np.int64)
-        # splitmix-style mix so adjacent cells spread over partitions
-        z = cell.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        part = ((z ^ (z >> np.uint64(31))) % np.uint64(cfg.n_output_parts)).astype(np.int64)
+        # the hive-layout / resume-prune partition contract
+        part = part_of_cell(np.asarray(batch["cell"], dtype=np.int64), cfg.n_output_parts)
         batch = batch.append_column("part", pa.array(part, pa.int64()))
         if done is not None:
             batch = batch.filter(pc.invert(pc.is_in(batch["part"], value_set=done)))

@@ -14,20 +14,14 @@ import numpy as np
 
 import ray.data as rd
 
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer — stable 64-bit hash of int64 values."""
-    z = np.asarray(x, dtype=np.int64).astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+from .dedup import splitmix64
 
 
 def hash_values(values) -> np.ndarray:
     """Values → uint64 hashes. Ints hash via splitmix; strings via FNV-1a."""
     arr = np.asarray(values)
     if arr.dtype.kind in "iu":
-        return _mix64(arr.astype(np.int64))
+        return splitmix64(arr.astype(np.int64).astype(np.uint64))
     out = np.empty(len(arr), dtype=np.uint64)
     for i, v in enumerate(arr):
         h = 1469598103934665603
@@ -36,7 +30,7 @@ def hash_values(values) -> np.ndarray:
         out[i] = h
     # FNV-1a avalanches poorly in the HIGH bits (which HLL uses for the
     # register index) — finalize with splitmix64
-    return _mix64(out.view(np.int64))
+    return splitmix64(out)
 
 
 class HLL:

@@ -24,19 +24,18 @@ import numpy as np
 import pyarrow as pa
 
 from .config import DEFAULT_CONFIG, EngineConfig
+from .dedup import splitmix64
 from .geom import point_in_ring_2d
 from .synth import grid_cell
 
 
 def part_of_cell(cell: np.ndarray, n_parts: int) -> np.ndarray:
-    """Output partition id of a cell: splitmix64-style mix so adjacent
+    """Output partition id of a cell: splitmix64 mix so adjacent
     cells spread across partitions. Shared by the data layout (hive
     partition dirs of the images table) and the engine (resume pruning),
     so completed partitions can be pruned at the READ."""
-    z = np.asarray(cell, dtype=np.int64).astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return ((z ^ (z >> np.uint64(31))) % np.uint64(n_parts)).astype(np.int64)
+    z = splitmix64(np.asarray(cell, dtype=np.int64).astype(np.uint64))
+    return (z % np.uint64(n_parts)).astype(np.int64)
 
 
 def cell_xy(cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

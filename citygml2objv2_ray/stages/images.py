@@ -1,4 +1,6 @@
-"""Image stages: cell encode (stateless) and decode/verify/clip (actor pool).
+"""Image stages: cell encode and decode/verify/clip, both run as task-pool
+``map_batches`` functions (the decode stage's state lives in a per-worker
+module-global cache, ``make_decode_clip_task``).
 
 The images table has wide binary rows — decode stages run with small
 ``batch_size`` (EngineConfig.image_batch_size) so batch x concurrency fits
@@ -33,7 +35,8 @@ def cell_encode(batch: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> pa.Table
 
 
 class DecodeVerify:
-    """Actor-pool decode stage with an LRU decoded-tile cache.
+    """Decode stage with an LRU decoded-tile cache (held per worker process
+    inside ``DecodeClip``).
 
     Per row: decode ``bytes`` per ``fmt``, recompute the perceptual hash and
     compare to the ``phash`` column (the in-pipeline form of the per-row

@@ -39,25 +39,50 @@ gives the streaming path a DuckDB SQL oracle for free
 (q_stream_window_hourly). Sharding preserves that equality exactly: a
 key's events all land in one shard and are processed in arrival order, and
 a subsequence's disorder never exceeds the full stream's.
+
+Adding an operator: ``run_sharded`` is the one runner (read → start seq →
+spawn shards → route by key hash → drain → stats sum → spill or collect,
+with every shard killed and the spill dir removed on failure). A new
+operator is a ``_Shard`` subclass (``_WatermarkShard`` for event-time
+ones) that supplies only ``_apply``/``_finish``/``stats``, plus a public
+function that calls ``run_sharded`` with its columns, ``prep`` and key —
+never another hand-rolled routing loop.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pandas as pd
 
 import ray
 
+# the dense arrival-sequence column every routed source carries
+SEQ_COL = "event_id"
+# emitted rows a shard buffers before writing a spill part (spill mode)
+SPILL_ROWS = 65536
 
-class _ReorderBuffer:
-    """Mixin: apply range-stamped micro-batch slices in arrival-sequence
-    order regardless of the order the routing tasks deliver them."""
 
-    def _init_order(self, start_seq: int | None) -> None:
+class _Shard:
+    """Base of every shard actor: applies range-stamped micro-batch slices
+    in arrival-sequence order regardless of the order the routing tasks
+    deliver them, and owns the emitted-row buffer — spilled to per-shard
+    parquet parts when the shard has a ``spill_dir``, kept in memory for
+    ``drain`` otherwise. Subclasses supply only the operator: ``_apply``
+    (one in-order slice; emitted rows go through ``_emit``), ``_finish``
+    (end of stream) and ``stats``."""
+
+    def __init__(self, start_seq: int | None = None, spill_dir: str | None = None, shard_id: int = 0):
         self._next = None if start_seq is None else int(start_seq)
         self._pending: dict[int, tuple[int, object]] = {}
+        self.spill_dir = spill_dir
+        self.shard_id = int(shard_id)
+        self._emitted: list = []
+        self._emitted_rows = 0
+        self._paths: list[str] = []
 
     def ingest_range(self, lo: int, hi: int, df) -> bool:
         """One stamped slice of the stream (this shard's rows of the
@@ -79,25 +104,64 @@ class _ReorderBuffer:
             self._next = nxt + 1
         return True
 
-    def _drain_pending(self) -> None:
-        """End of stream: apply any slices still buffered (a gap here
-        means the source's seq column wasn't dense — apply in order
-        anyway rather than losing data)."""
+    def _emit(self, out: pd.DataFrame) -> None:
+        if len(out):
+            self._emitted.append(out)
+            self._emitted_rows += len(out)
+            if self.spill_dir is not None and self._emitted_rows >= SPILL_ROWS:
+                self._spill()
+
+    def _output(self, out: pd.DataFrame) -> pd.DataFrame:
+        """Hook: emitted rows → the operator's output schema."""
+        return out
+
+    def _rows(self):
+        return self._output(pd.concat(self._emitted, ignore_index=True)) if self._emitted else None
+
+    def _spill(self) -> None:
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        # no makedirs: the runner owns the dir, and a shard still spilling
+        # after a failed run's cleanup must not re-create it
+        path = os.path.join(
+            self.spill_dir, f"shard{self.shard_id:03d}-part{len(self._paths):05d}.parquet"
+        )
+        pq.write_table(pa.Table.from_pandas(self._rows(), preserve_index=False), path)
+        self._paths.append(path)
+        self._emitted, self._emitted_rows = [], 0
+
+    def _finish(self) -> None:
+        """Hook: end of stream — finalize whatever state is still open."""
+
+    def drain(self) -> dict:
+        """Routed-path terminal call: apply any slices still buffered (a gap
+        here means the source's seq column wasn't dense — apply in order
+        anyway rather than losing data), finalize, then return the
+        spill-part paths (spill mode) or the in-memory rows, plus stats."""
         for lo in sorted(self._pending):
             _, d = self._pending.pop(lo)
             if d is not None and len(d):
                 self._apply(d)
+        self._finish()
+        rows = None
+        if self.spill_dir is None:
+            rows, self._emitted = self._rows(), []
+        elif self._emitted:
+            self._spill()
+        return {"rows": rows, "paths": self._paths, "stats": self.stats()}
 
 
 @ray.remote(num_cpus=0)
-class WindowedStreamAggregator(_ReorderBuffer):
+class WindowedStreamAggregator(_Shard):
     """Shard actor holding open tumbling-window aggregates keyed by
     (event_type, window_start) FOR ITS KEY RANGE, with its own watermark;
     emits finalized windows as the watermark advances. ``num_cpus=0``:
     the routing tasks own the CPU slots; shard work is short bursts
     (in a real cluster these would be a dedicated pool)."""
 
-    def __init__(self, width_us: int, allowed_lateness_us: int, start_seq: int | None = None):
+    def __init__(self, width_us: int, allowed_lateness_us: int, **shard):
+        super().__init__(**shard)
         self.width = int(width_us)
         self.lateness = int(allowed_lateness_us)
         self.open: dict[tuple, list] = {}  # (etype, wstart) → [n, sum_value]
@@ -105,11 +169,17 @@ class WindowedStreamAggregator(_ReorderBuffer):
         self.finalized_max = np.iinfo(np.int64).min  # highest finalized window end
         self.late_dropped = 0
         self.n_processed = 0
-        self._emitted: list[dict] = []
-        self._init_order(start_seq)
 
+    # window output is key-bounded (never spills): emitted rows stay the
+    # dicts of the direct API below
     def _apply(self, df) -> None:
         self._emitted.extend(self.ingest(df))
+
+    def _finish(self) -> None:
+        self._emitted.extend(self.flush())
+
+    def _rows(self) -> list[dict]:
+        return self._emitted
 
     def ingest(self, df: pd.DataFrame) -> list[dict]:
         """One arrival-order micro-batch (event_type, ts_us, value) →
@@ -149,13 +219,6 @@ class WindowedStreamAggregator(_ReorderBuffer):
         self.watermark = np.iinfo(np.int64).max
         return self._emit_ready()
 
-    def drain(self) -> dict:
-        """Routed-path terminal call: apply leftovers, flush, and hand the
-        driver ONLY the finalized window rows + stats."""
-        self._drain_pending()
-        self._emitted.extend(self.flush())
-        return {"rows": self._emitted, "stats": self.stats()}
-
     def stats(self) -> dict:
         return {
             "late_dropped": self.late_dropped,
@@ -165,68 +228,35 @@ class WindowedStreamAggregator(_ReorderBuffer):
 
 
 @ray.remote(num_cpus=0)
-class StreamingDeduper(_ReorderBuffer):
+class StreamingDeduper(_Shard):
     """Actor pool shard for streaming exact dedup: holds the seen-key set
     for ITS hash range and emits only first occurrences, incrementally.
     Keys are sharded by hash so each actor's state is ~(distinct keys /
     n_shards) — the 100 TB form is this same pool with more shards (state
     never concentrates), exactly the brief's "shared mutable index" case
-    that a stateless map can't express. In routed mode, kept rows SPILL to
-    per-shard parquet parts once the buffer passes ``spill_rows`` — the
-    driver receives file paths, never the row stream."""
+    that a stateless map can't express."""
 
-    def __init__(
-        self,
-        start_seq: int | None = None,
-        spill_dir: str | None = None,
-        shard_id: int = 0,
-        spill_rows: int = 65536,
-        etype_names: list[str] | None = None,
-    ):
+    def __init__(self, etype_names: list[str] | None = None, **shard):
+        super().__init__(**shard)
         self._seen_sorted = np.empty(0, dtype=np.int64)
         self._recent = np.empty(0, dtype=np.int64)
         self.n_dropped = 0
-        self.spill_dir = spill_dir
-        self.shard_id = int(shard_id)
-        self.spill_rows = int(spill_rows)
         # dictionary-decode hook: routed frames carry event_type as a
         # small-int code (all-int frames serialize ~10x faster through the
         # object store than per-row object strings); the string column is
         # reconstructed only at the spill/drain boundary
         self.etype_names = list(etype_names) if etype_names is not None else None
-        self._buf: list[pd.DataFrame] = []
-        self._buf_rows = 0
-        self._paths: list[str] = []
-        self._init_order(start_seq)
 
-    def _decode(self, out: pd.DataFrame) -> pd.DataFrame:
-        if self.etype_names is not None and "etype_code" in out.columns:
-            codes = out.etype_code.to_numpy()
-            out = out.drop(columns=["etype_code"]).assign(
-                event_type=np.asarray(self.etype_names, dtype=object)[codes]
-            )
-        return out.drop(columns=["key"], errors="ignore")
+    def _output(self, out: pd.DataFrame) -> pd.DataFrame:
+        if self.etype_names is None:
+            return out
+        codes = out.etype_code.to_numpy()
+        return out.drop(columns=["etype_code", "key"]).assign(
+            event_type=np.asarray(self.etype_names, dtype=object)[codes]
+        )
 
     def _apply(self, df) -> None:
-        kept = self.ingest(df)
-        if len(kept):
-            self._buf.append(kept)
-            self._buf_rows += len(kept)
-            if self.spill_dir is not None and self._buf_rows >= self.spill_rows:
-                self._spill()
-
-    def _spill(self) -> None:
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        os.makedirs(self.spill_dir, exist_ok=True)
-        path = os.path.join(
-            self.spill_dir, f"shard{self.shard_id:03d}-part{len(self._paths):05d}.parquet"
-        )
-        out = self._decode(pd.concat(self._buf, ignore_index=True))
-        pq.write_table(pa.Table.from_pandas(out, preserve_index=False), path)
-        self._paths.append(path)
-        self._buf, self._buf_rows = [], 0
+        self._emit(self.ingest(df))
 
     def ingest(self, df: pd.DataFrame) -> pd.DataFrame:
         """One arrival-order micro-batch slice (this shard's keys only) →
@@ -261,64 +291,42 @@ class StreamingDeduper(_ReorderBuffer):
                 mask |= tier[pos] == arr
         return mask
 
-    def drain(self) -> dict:
-        """Routed-path terminal call: spill/return the remaining kept rows;
-        the driver gets parquet paths (spill mode) or the small in-memory
-        frame (no spill dir), plus stats."""
-        self._drain_pending()
-        rows = None
-        if self.spill_dir is not None:
-            if self._buf_rows:
-                self._spill()
-        else:
-            rows = pd.concat(self._buf, ignore_index=True) if self._buf else pd.DataFrame()
-            if self.etype_names is not None and len(rows):
-                rows = self._decode(rows)
-            self._buf, self._buf_rows = [], 0
-        return {"paths": self._paths, "rows": rows, "stats": self.stats()}
-
     def stats(self) -> dict:
         return {"n_seen": int(len(self._seen_sorted) + len(self._recent)), "n_dropped": self.n_dropped}
 
 
-def routed_start_seq(path: str, col: str = "event_id") -> int:
+def routed_start_seq(path: str) -> int:
     """First arrival-seq value for a ROUTED pipeline. Raises instead of
-    returning None: the _ReorderBuffer first-stamp fallback is safe only
+    returning None: the reorder buffer's first-stamp fallback is safe only
     for direct single-caller/test use — under parallel routers an
     out-of-order first delivery would strand early ranges until drain and
     then apply them past the watermark (silent late-drop corruption)."""
     from .ops import parquet_col_min
 
-    start = parquet_col_min(path, col)
+    start = parquet_col_min(path, SEQ_COL)
     if start is None:
         raise ValueError(
-            f"routed streaming needs the stream's first {col!r}; both the "
+            f"routed streaming needs the stream's first {SEQ_COL!r}; both the "
             f"parquet-footer stats and the fallback scan failed for {path}"
         )
     return start
 
 
-def route_stream(
-    ds,
-    shards: list,
-    shard_of,
-    prep=None,
-    seq_col: str = "event_id",
-    batch_size: int = 8192,
-) -> int:
+def route_stream(ds, shards: list, key: str, prep=None, batch_size: int = 8192) -> int:
     """Push an arrival-ordered Dataset into a shard-actor pool from INSIDE
     ``map_batches`` tasks — the driver never touches the row stream. Each
-    batch must be a contiguous range of the dense ``seq_col``; the router
-    stamps every shard's slice with that range (``None`` for shards owning
-    no rows of it) so the reorder buffers can apply slices in exact stream
-    order under any task interleaving. Router tasks ``ray.get`` the acks,
-    which both guarantees full completion before the terminal aggregate
-    returns and gives the pool natural backpressure. Returns total rows
-    routed (the terminal ``sum`` that drives execution)."""
-    n_shards = len(shards)
+    batch must be a contiguous range of the dense ``SEQ_COL``; after
+    ``prep``, rows go to shard ``hash(key) % n_shards`` and the router
+    stamps every shard's slice with the batch's range (``None`` for shards
+    owning no rows of it) so the reorder buffers can apply slices in exact
+    stream order under any task interleaving. Router tasks ``ray.get`` the
+    acks, which both guarantees full completion before the terminal
+    aggregate returns and gives the pool natural backpressure. Returns
+    total rows routed (the terminal ``sum`` that drives execution)."""
+    n_shards = np.uint64(len(shards))
 
     def route(df: pd.DataFrame) -> pd.DataFrame:
-        seq = df[seq_col].to_numpy()
+        seq = df[SEQ_COL].to_numpy()
         if not len(seq):
             return pd.DataFrame({"n_routed": [0]})
         lo, hi = int(seq.min()), int(seq.max())
@@ -331,18 +339,82 @@ def route_stream(
             df = df.iloc[np.argsort(seq, kind="stable")].reset_index(drop=True)
         if prep is not None:
             df = prep(df)
-        s = shard_of(df)
+        s = pd.util.hash_pandas_object(df[key], index=False).to_numpy() % n_shards
         acks = []
-        for i in range(n_shards):
+        for i, shard in enumerate(shards):
             sub = df[s == i]
-            acks.append(
-                shards[i].ingest_range.remote(lo, hi, sub if len(sub) else None)
-            )
+            acks.append(shard.ingest_range.remote(lo, hi, sub if len(sub) else None))
         ray.get(acks)
         return pd.DataFrame({"n_routed": [len(df)]})
 
     acks_ds = ds.map_batches(route, batch_format="pandas", batch_size=batch_size)
     return int(acks_ds.sum(on="n_routed") or 0)
+
+
+def run_sharded(
+    events_path: str,
+    columns: list[str],
+    make_shard,
+    prep,
+    key: str,
+    n_shards: int = 4,
+    batch_size: int = 8192,
+    collect: bool = True,
+):
+    """The one runner behind every streaming operator: read ``columns`` of
+    the arrival-ordered parquet source, start ``n_shards`` actors via
+    ``make_shard(start_seq=, spill_dir=, shard_id=)``, route ``prep``-ed
+    batches to them by ``key`` hash (``route_stream``), drain, and sum the
+    shards' stats (plus ``n_shards``).
+
+    ``collect=True`` returns (list of non-empty per-shard rows, stats) —
+    rows stay in shard memory until the drain. ``collect=False`` has the
+    shards spill to per-shard parquet parts under a fresh ``mkdtemp`` dir
+    and returns (part paths, stats); the dir is removed when no part was
+    written. On ANY failure every shard is killed and the spill dir
+    removed before the error propagates."""
+    import ray.data as rd
+
+    ds = rd.read_parquet(events_path, columns=columns)
+    start = routed_start_seq(events_path)
+    spill_dir = None if collect else tempfile.mkdtemp(prefix="stream_spill_")
+    shards: list = []
+    try:
+        shards = [
+            make_shard(start_seq=start, spill_dir=spill_dir, shard_id=i) for i in range(n_shards)
+        ]
+        route_stream(ds, shards, key, prep=prep, batch_size=batch_size)
+        drains = ray.get([s.drain.remote() for s in shards])
+    except BaseException:
+        if spill_dir is not None:
+            shutil.rmtree(spill_dir, ignore_errors=True)
+        raise
+    finally:
+        for s in shards:
+            ray.kill(s)
+    stats = {k: int(sum(d["stats"][k] for d in drains)) for k in drains[0]["stats"]}
+    stats["n_shards"] = n_shards
+    if collect:
+        return [d["rows"] for d in drains if d["rows"] is not None and len(d["rows"])], stats
+    paths = [p for d in drains for p in d["paths"]]
+    if not paths:
+        shutil.rmtree(spill_dir, ignore_errors=True)
+    return paths, stats
+
+
+def _int_frame(*columns: str) -> pd.DataFrame:
+    return pd.DataFrame({c: np.empty(0, np.int64) for c in columns})
+
+
+def _epoch_us(ts: pd.Series) -> np.ndarray:
+    return ts.values.astype("datetime64[us]").astype(np.int64)
+
+
+def _collected(parts: list[pd.DataFrame], columns: list[str], order: list[str]) -> pd.DataFrame:
+    """Collect-mode output: the shards' rows as one frame in ``columns``
+    order, sorted by ``order``."""
+    df = pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(columns=columns)
+    return df[columns].sort_values(order).reset_index(drop=True)
 
 
 def stream_window(
@@ -358,50 +430,28 @@ def stream_window(
     shard-ward from map_batches tasks; the driver collects only the
     finalized window rows at drain. With default lateness >= the table's
     disorder, the result equals the batch tumbling window."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(
-        events_path, columns=["event_id", "event_type", "ts", "value"]
-    )
-    start = routed_start_seq(events_path, "event_id")
-    shards = [
-        WindowedStreamAggregator.remote(width_us, allowed_lateness_us, start_seq=start)
-        for _ in range(n_shards)
-    ]
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
-            {
-                "event_type": df.event_type,
-                "ts_us": df.ts.values.astype("datetime64[us]").astype(np.int64),
-                "value": df.value,
-            }
+            {"event_type": df.event_type, "ts_us": _epoch_us(df.ts), "value": df.value}
         )
 
-    def shard_of(df: pd.DataFrame) -> np.ndarray:
-        h = pd.util.hash_pandas_object(df.event_type, index=False).to_numpy()
-        return (h % np.uint64(n_shards)).astype(np.int64)
-
-    route_stream(ds, shards, shard_of, prep=prep, seq_col="event_id", batch_size=batch_size)
-    drains = ray.get([s.drain.remote() for s in shards])
-    for s in shards:
-        ray.kill(s)
-    emitted = [r for d in drains for r in d["rows"]]
-    stats = {
-        "late_dropped": int(sum(d["stats"]["late_dropped"] for d in drains)),
-        "open_windows": int(sum(d["stats"]["open_windows"] for d in drains)),
-        "n_processed": int(sum(d["stats"]["n_processed"] for d in drains)),
-        "n_shards": n_shards,
-    }
+    parts, stats = run_sharded(
+        events_path,
+        ["event_id", "event_type", "ts", "value"],
+        lambda **kw: WindowedStreamAggregator.remote(width_us, allowed_lateness_us, **kw),
+        prep,
+        "event_type",
+        n_shards=n_shards,
+        batch_size=batch_size,
+    )
+    emitted = [r for rows in parts for r in rows]
     df = pd.DataFrame(emitted, columns=["event_type", "window_start", "n", "sum_value"])
     if len(df):
         df["window_start"] = (df.window_start // 1_000_000).astype(np.int64)  # epoch s
         df["n"] = df.n.astype(np.int64)
         df["sum_value"] = df.sum_value.round(4)
-    return (
-        df.sort_values(["event_type", "window_start"]).reset_index(drop=True),
-        stats,
-    )
+    return df.sort_values(["event_type", "window_start"]).reset_index(drop=True), stats
 
 
 def stream_window_hourly(
@@ -414,13 +464,7 @@ def stream_window_hourly(
     """`stream_window` over the driver events table of ``sf_dir``."""
     from .relational import _t
 
-    return stream_window(
-        _t(sf_dir, "events"),
-        width_us=width_us,
-        allowed_lateness_us=allowed_lateness_us,
-        batch_size=batch_size,
-        n_shards=n_shards,
-    )
+    return stream_window(_t(sf_dir, "events"), width_us, allowed_lateness_us, batch_size, n_shards)
 
 
 from .relational import query  # noqa: E402
@@ -442,8 +486,7 @@ def q_stream_window_hourly(sf_dir: str) -> pd.DataFrame:
     to exactly the batch tumbling-window answer when allowed_lateness
     covers the stream's disorder — the DuckDB twin is the batch window
     SQL."""
-    df, _ = stream_window_hourly(sf_dir)
-    return df
+    return stream_window_hourly(sf_dir)[0]
 
 
 def stream_dedup_first(
@@ -453,9 +496,7 @@ def stream_dedup_first(
     (user_id, event_type) — see ``stream_dedup_path``."""
     from .relational import _t
 
-    return stream_dedup_path(
-        _t(sf_dir, "events"), n_shards=n_shards, batch_size=batch_size, collect=collect
-    )
+    return stream_dedup_path(_t(sf_dir, "events"), n_shards, batch_size, collect)
 
 
 def stream_dedup_path(
@@ -464,30 +505,21 @@ def stream_dedup_path(
     """Streaming exact dedup of an events table on (user_id, event_type)
     in ARRIVAL order, sharded by key hash across the actor pool and FED
     FROM map_batches tasks (no driver data loop): every shard emits its
-    first occurrences incrementally and spills them to per-shard parquet
-    parts; the union of the parts is the keep-first dedup of the whole
-    stream. With arrival order == table order, the finalized output EQUALS
-    the batch keep-first-by-arrival dedup — a free SQL oracle, like the
-    windowed stream above.
+    first occurrences incrementally; the union of the shards' output is
+    the keep-first dedup of the whole stream. With arrival order == table
+    order, the finalized output EQUALS the batch keep-first-by-arrival
+    dedup — a free SQL oracle, like the windowed stream above.
 
-    ``collect=True`` returns (DataFrame sorted by arrival, stats) and
-    removes the spill dir; ``collect=False`` returns (spill paths, stats)
-    — the 100-TB form, where the output stays a partitioned parquet
-    dataset."""
-    import shutil
-    import tempfile
+    ``collect=True`` returns (DataFrame sorted by arrival, stats);
+    ``collect=False`` has the shards spill to per-shard parquet parts and
+    returns (spill paths, stats) — the 100-TB form, where the output stays
+    a partitioned parquet dataset."""
+    import duckdb
 
-    import ray.data as rd
-
-    ds = rd.read_parquet(events_path, columns=["event_id", "user_id", "event_type"])
-    start = routed_start_seq(events_path, "event_id")
-    spill_dir = tempfile.mkdtemp(prefix="stream_dedup_", dir="/tmp")
     # dictionary-encode event_type ONCE (driver-side distinct scan of the
     # one column) so every routed frame is all-int: the original per-row
     # string key build + object-dtype slices through the object store were
     # the measured bottleneck at 10M rows (0.16M rows/s; int frames ~1M)
-    import duckdb
-
     etypes = sorted(
         r[0]
         for r in duckdb.sql(
@@ -496,12 +528,6 @@ def stream_dedup_path(
     )
     et_arr = np.array(etypes, dtype=object)
     n_et = len(etypes)
-    shards = [
-        StreamingDeduper.remote(
-            start_seq=start, spill_dir=spill_dir, shard_id=i, etype_names=etypes
-        )
-        for i in range(n_shards)
-    ]
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         code = np.searchsorted(et_arr, df.event_type.to_numpy())
@@ -515,38 +541,21 @@ def stream_dedup_path(
             }
         )
 
-    def shard_of(df: pd.DataFrame) -> np.ndarray:
-        # splitmix64-style mix of the int key
-        z = df.key.to_numpy().astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return ((z ^ (z >> np.uint64(31))) % np.uint64(n_shards)).astype(np.int64)
-
-    route_stream(ds, shards, shard_of, prep=prep, seq_col="event_id", batch_size=batch_size)
-    drains = ray.get([s.drain.remote() for s in shards])
-    for s in shards:
-        ray.kill(s)
-    stats = {
-        "n_seen": int(sum(d["stats"]["n_seen"] for d in drains)),
-        "n_dropped": int(sum(d["stats"]["n_dropped"] for d in drains)),
-        "n_shards": n_shards,
-    }
-    paths = [p for d in drains for p in d["paths"]]
-    if not collect:
-        return paths, stats
-    import pyarrow.parquet as pq
-
-    parts = [pq.read_table(p).to_pandas() for p in paths]
-    out = (
-        pd.concat(parts, ignore_index=True)
-        if parts
-        else pd.DataFrame(columns=["event_id", "user_id", "event_type"])
+    parts, stats = run_sharded(
+        events_path,
+        ["event_id", "user_id", "event_type"],
+        lambda **kw: StreamingDeduper.remote(etype_names=etypes, **kw),
+        prep,
+        "key",
+        n_shards=n_shards,
+        batch_size=batch_size,
+        collect=collect,
     )
-    shutil.rmtree(spill_dir, ignore_errors=True)
+    if not collect:
+        return parts, stats
     # each key's first arrival is unique, so sorting by the arrival seq
     # (event_id) restores global arrival order across shards
-    out = out.sort_values("event_id").reset_index(drop=True)
-    return out[["event_id", "user_id", "event_type"]], stats
+    return _collected(parts, ["event_id", "user_id", "event_type"], ["event_id"]), stats
 
 
 @query(
@@ -562,17 +571,51 @@ def stream_dedup_path(
 )
 def q_stream_dedup(sf_dir: str) -> pd.DataFrame:
     """Streaming keep-first dedup (sharded stateful actor pool fed from
-    map_batches tasks, per-shard spill, incremental emission) must equal
-    the batch keep-first-by-arrival-order dedup. Arrival order is the
-    parquet read order, which for the events table is event_id order — so
-    the SQL twin anchors ROW_NUMBER on event_id (deterministic under any
-    DuckDB scan parallelism)."""
-    df, _ = stream_dedup_first(sf_dir)
-    return df.sort_values("event_id").reset_index(drop=True)
+    map_batches tasks, incremental emission) must equal the batch
+    keep-first-by-arrival-order dedup. Arrival order is the parquet read
+    order, which for the events table is event_id order — so the SQL twin
+    anchors ROW_NUMBER on event_id (deterministic under any DuckDB scan
+    parallelism)."""
+    return stream_dedup_first(sf_dir)[0]
+
+
+class _WatermarkShard(_Shard):
+    """Event-time shard: events below the shard watermark (max ``e`` seen
+    minus ``allowed_lateness``) are dropped and counted; the rest go to
+    ``_buffer`` and ``_finalize_ready`` emits what the watermark has made
+    final. Finalizing runs in WATERMARK QUANTA (once the watermark has
+    advanced by >= ``quantum_us``, and at end of stream), not per slice:
+    a finalize pass re-sorts the pending backlog (bounded by the lateness
+    horizon), and running it less often changes NO output — late drops
+    depend on the watermark alone and finality is monotone in it."""
+
+    def __init__(self, quantum_us: int, allowed_lateness_us: int, **shard):
+        super().__init__(**shard)
+        self.quantum = int(quantum_us)
+        self.lateness = int(allowed_lateness_us)
+        self.watermark = np.iinfo(np.int64).min
+        self._last_finalize_wm = np.iinfo(np.int64).min
+        self.late_dropped = 0
+        self.n_processed = 0
+
+    def _apply(self, df: pd.DataFrame) -> None:
+        self.n_processed += len(df)
+        e = df.e.to_numpy()
+        late = e < self.watermark
+        self.late_dropped += int(late.sum())
+        self._buffer(df[~late])
+        self.watermark = max(self.watermark, int(e.max()) - self.lateness)
+        if self.watermark - self._last_finalize_wm >= self.quantum:
+            self._finalize_ready()
+            self._last_finalize_wm = self.watermark
+
+    def _finish(self) -> None:
+        self.watermark = np.iinfo(np.int64).max
+        self._finalize_ready()
 
 
 @ray.remote(num_cpus=0)
-class StreamingSessionizer(_ReorderBuffer):
+class StreamingSessionizer(_WatermarkShard):
     """Shard actor for streaming SESSION windows (30-min inactivity gap):
     holds the pending (not-yet-finalizable) events of ITS user-hash range
     plus a per-user emitted-session counter, and finalizes a session as
@@ -587,72 +630,19 @@ class StreamingSessionizer(_ReorderBuffer):
     events within (watermark, max_ts] plus open session tails — nothing
     grows with stream length."""
 
-    def __init__(
-        self,
-        gap_us: int,
-        allowed_lateness_us: int,
-        start_seq: int | None = None,
-        spill_dir: str | None = None,
-        shard_id: int = 0,
-        spill_rows: int = 131072,
-    ):
+    def __init__(self, gap_us: int, allowed_lateness_us: int, **shard):
+        super().__init__(gap_us, allowed_lateness_us, **shard)
         self.gap = int(gap_us)
-        self.lateness = int(allowed_lateness_us)
-        self.watermark = np.iinfo(np.int64).min
-        self.late_dropped = 0
-        self.n_processed = 0
-        self._pending_df: pd.DataFrame | None = None
+        self._pending_df = _int_frame("user_id", "event_id", "e")
         self._sess_count: dict = {}  # user_id → sessions emitted so far
-        self._last_finalize_wm = np.iinfo(np.int64).min
-        self._emitted: list[pd.DataFrame] = []
-        self._emitted_rows = 0
-        self.spill_dir = spill_dir
-        self.shard_id = int(shard_id)
-        self.spill_rows = int(spill_rows)
-        self._paths: list[str] = []
-        self._init_order(start_seq)
 
-    def _spill(self) -> None:
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        os.makedirs(self.spill_dir, exist_ok=True)
-        path = os.path.join(
-            self.spill_dir, f"shard{self.shard_id:03d}-part{len(self._paths):05d}.parquet"
-        )
-        out = pd.concat(self._emitted, ignore_index=True)
-        pq.write_table(pa.Table.from_pandas(out, preserve_index=False), path)
-        self._paths.append(path)
-        self._emitted, self._emitted_rows = [], 0
-
-    def _apply(self, df: pd.DataFrame) -> None:
-        # df: (user_id, event_id, e) — e = event-time epoch µs
-        self.n_processed += len(df)
-        e = df.e.to_numpy()
-        late = e < self.watermark
-        self.late_dropped += int(late.sum())
-        live = df[~late]
-        self._pending_df = (
-            live
-            if self._pending_df is None
-            else pd.concat([self._pending_df, live], ignore_index=True)
-        )
-        if len(e):
-            self.watermark = max(self.watermark, int(e.max()) - self.lateness)
-        # finalize in WATERMARK QUANTA, not per slice: each finalize pass
-        # re-sorts the whole pending backlog (bounded by the lateness
-        # horizon), so running it only when the watermark has advanced by
-        # >= gap amortizes the sort without changing ANY output — late
-        # drops depend on the watermark alone, a run's finality condition
-        # is monotone in the watermark, and per-user numbering stays in
-        # time order because runs finalize at non-decreasing watermarks.
-        if self.watermark - self._last_finalize_wm >= self.gap:
-            self._finalize_ready()
-            self._last_finalize_wm = self.watermark
+    def _buffer(self, live: pd.DataFrame) -> None:
+        # live: (user_id, event_id, e) — e = event-time epoch µs
+        self._pending_df = pd.concat([self._pending_df, live], ignore_index=True)
 
     def _finalize_ready(self) -> None:
         g = self._pending_df
-        if g is None or not len(g):
+        if not len(g):
             return
         g = g.sort_values(["user_id", "e", "event_id"], kind="stable").reset_index(drop=True)
         u = g.user_id.to_numpy()
@@ -684,7 +674,7 @@ class StreamingSessionizer(_ReorderBuffer):
             nxt = self._sess_count.get(user, 0) + 1
             self._sess_count[user] = nxt
             sid[j] = nxt
-        self._emitted.append(
+        self._emit(
             pd.DataFrame(
                 {
                     "user_id": fu,
@@ -695,41 +685,12 @@ class StreamingSessionizer(_ReorderBuffer):
                 }
             )
         )
-        self._emitted_rows += len(starts)
-        if self.spill_dir is not None and self._emitted_rows >= self.spill_rows:
-            self._spill()
 
-    def flush(self) -> None:
-        self.watermark = np.iinfo(np.int64).max
-        self._finalize_ready()
-
-    def drain(self) -> dict:
-        """Terminal call: spill/return the finalized sessions — parquet
-        paths in spill mode (the 100-TB form: session output is
-        corpus-scale and never transits the driver), else the in-memory
-        frame."""
-        self._drain_pending()
-        self.flush()
-        rows = None
-        if self.spill_dir is not None:
-            if self._emitted_rows:
-                self._spill()
-        else:
-            rows = (
-                pd.concat(self._emitted, ignore_index=True)
-                if self._emitted
-                else pd.DataFrame(
-                    columns=["user_id", "session_id", "n_events", "session_start", "session_end"]
-                )
-            )
+    def stats(self) -> dict:
         return {
-            "rows": rows,
-            "paths": self._paths,
-            "stats": {
-                "late_dropped": self.late_dropped,
-                "n_processed": self.n_processed,
-                "pending": 0 if self._pending_df is None else int(len(self._pending_df)),
-            },
+            "late_dropped": self.late_dropped,
+            "n_processed": self.n_processed,
+            "pending": len(self._pending_df),
         }
 
 
@@ -748,56 +709,28 @@ def stream_sessionize_path(
     ``collect=False`` has the shards SPILL finalized sessions to per-shard
     parquet and returns (paths, stats) — the 100-TB form, since session
     output is corpus-scale."""
-    import tempfile
-
-    import ray.data as rd
-
-    ds = rd.read_parquet(events_path, columns=["event_id", "user_id", "ts"])
-    start = routed_start_seq(events_path, "event_id")
-    spill_dir = None if collect else tempfile.mkdtemp(prefix="stream_sess_", dir="/tmp")
-    shards = [
-        StreamingSessionizer.remote(
-            gap_us, allowed_lateness_us, start_seq=start, spill_dir=spill_dir, shard_id=i
-        )
-        for i in range(n_shards)
-    ]
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "user_id": df.user_id,
-                "event_id": df.event_id,
-                "e": df.ts.values.astype("datetime64[us]").astype(np.int64),
-            }
-        )
+        return pd.DataFrame({"user_id": df.user_id, "event_id": df.event_id, "e": _epoch_us(df.ts)})
 
-    def shard_of(df: pd.DataFrame) -> np.ndarray:
-        h = pd.util.hash_pandas_object(df.user_id, index=False).to_numpy()
-        return (h % np.uint64(n_shards)).astype(np.int64)
-
-    route_stream(ds, shards, shard_of, prep=prep, seq_col="event_id", batch_size=batch_size)
-    drains = ray.get([s.drain.remote() for s in shards])
-    for s in shards:
-        ray.kill(s)
-    stats = {
-        "late_dropped": int(sum(d["stats"]["late_dropped"] for d in drains)),
-        "n_processed": int(sum(d["stats"]["n_processed"] for d in drains)),
-        "n_shards": n_shards,
-    }
-    if not collect:
-        return [p for d in drains for p in d["paths"]], stats
-    parts = [d["rows"] for d in drains if d["rows"] is not None and len(d["rows"])]
-    df = (
-        pd.concat(parts, ignore_index=True)
-        if parts
-        else pd.DataFrame(
-            columns=["user_id", "session_id", "n_events", "session_start", "session_end"]
-        )
+    parts, stats = run_sharded(
+        events_path,
+        ["event_id", "user_id", "ts"],
+        lambda **kw: StreamingSessionizer.remote(gap_us, allowed_lateness_us, **kw),
+        prep,
+        "user_id",
+        n_shards=n_shards,
+        batch_size=batch_size,
+        collect=collect,
     )
-    df = df.sort_values(["user_id", "session_id"]).reset_index(drop=True)
-    for c in ("session_id", "n_events", "session_start", "session_end"):
-        df[c] = df[c].astype(np.int64)
-    return df, stats
+    if not collect:
+        return parts, stats
+    df = _collected(
+        parts,
+        ["user_id", "session_id", "n_events", "session_start", "session_end"],
+        ["user_id", "session_id"],
+    )
+    return df.astype({c: np.int64 for c in df.columns[1:]}), stats
 
 
 def stream_sessionize(
@@ -811,11 +744,7 @@ def stream_sessionize(
     from .relational import _t
 
     return stream_sessionize_path(
-        _t(sf_dir, "events"),
-        gap_us=gap_us,
-        allowed_lateness_us=allowed_lateness_us,
-        batch_size=batch_size,
-        n_shards=n_shards,
+        _t(sf_dir, "events"), gap_us, allowed_lateness_us, batch_size, n_shards
     )
 
 
@@ -839,12 +768,11 @@ def q_stream_sessionize(sf_dir: str) -> pd.DataFrame:
     sessions, exactly-once emission) must finalize to exactly the batch
     sessionization when allowed_lateness covers the stream's disorder —
     the DuckDB twin is q_sessionize's batch SQL."""
-    df, _ = stream_sessionize(sf_dir)
-    return df
+    return stream_sessionize(sf_dir)[0]
 
 
 @ray.remote(num_cpus=0)
-class StreamingIntervalJoiner(_ReorderBuffer):
+class StreamingIntervalJoiner(_WatermarkShard):
     """Shard actor for a STREAM-STREAM windowed (interval) join: count the
     left-stream events ('click') in the ``window_us`` up to each
     right-stream event ('purchase'), per user — the streaming form of
@@ -865,98 +793,29 @@ class StreamingIntervalJoiner(_ReorderBuffer):
     emitted rows EQUAL the batch interval join — q_interval_join's SQL
     twin checks the streaming path for free."""
 
-    def __init__(
-        self,
-        window_us: int,
-        allowed_lateness_us: int,
-        start_seq: int | None = None,
-        spill_dir: str | None = None,
-        shard_id: int = 0,
-        spill_rows: int = 65536,
-    ):
+    def __init__(self, window_us: int, allowed_lateness_us: int, **shard):
+        super().__init__(window_us, allowed_lateness_us, **shard)
         self.window = int(window_us)
-        self.lateness = int(allowed_lateness_us)
-        self.watermark = np.iinfo(np.int64).min
-        self.late_dropped = 0
-        self.n_processed = 0
-        self._clicks: pd.DataFrame | None = None
-        self._purchases: pd.DataFrame | None = None
-        self._last_finalize_wm = np.iinfo(np.int64).min
-        # emitted output scales with the purchase stream — same per-shard
-        # parquet spill contract as StreamingDeduper/StreamingSessionizer
-        # so a long run never concentrates output in actor memory
-        self._emitted: list[pd.DataFrame] = []
-        self._emitted_rows = 0
-        self.spill_dir = spill_dir
-        self.shard_id = int(shard_id)
-        self.spill_rows = int(spill_rows)
-        self._paths: list[str] = []
-        self._init_order(start_seq)
+        self._clicks = _int_frame("user_id", "e")
+        self._purchases = _int_frame("user_id", "event_id", "e")
 
-    def _apply(self, df: pd.DataFrame) -> None:
-        # df: (user_id, event_id, event_type, e)
-        self.n_processed += len(df)
-        e = df.e.to_numpy()
-        late = e < self.watermark
-        self.late_dropped += int(late.sum())
-        live = df[~late]
+    def _buffer(self, live: pd.DataFrame) -> None:
+        # live: (user_id, event_id, event_type, e)
         ck = live[live.event_type == "click"][["user_id", "e"]]
         pu = live[live.event_type == "purchase"][["user_id", "event_id", "e"]]
-        if len(ck):
-            self._clicks = (
-                ck if self._clicks is None else pd.concat([self._clicks, ck], ignore_index=True)
-            )
-        if len(pu):
-            self._purchases = (
-                pu
-                if self._purchases is None
-                else pd.concat([self._purchases, pu], ignore_index=True)
-            )
-        if len(e):
-            self.watermark = max(self.watermark, int(e.max()) - self.lateness)
-        if self.watermark - self._last_finalize_wm >= self.window:
-            self._finalize_ready()
-            self._last_finalize_wm = self.watermark
+        self._clicks = pd.concat([self._clicks, ck], ignore_index=True)
+        self._purchases = pd.concat([self._purchases, pu], ignore_index=True)
 
     def _finalize_ready(self) -> None:
         pur = self._purchases
-        if pur is None or not len(pur):
-            self._prune_clicks()
-            return
         fin_mask = pur.e.to_numpy() < self.watermark
-        fin = pur[fin_mask]
         self._purchases = pur[~fin_mask]
-        if len(fin):
-            out = self._count_window(fin)
-            self._emitted.append(out)
-            self._emitted_rows += len(out)
-            if self.spill_dir is not None and self._emitted_rows >= self.spill_rows:
-                self._spill()
+        if fin_mask.any():
+            self._emit(self._count_window(pur[fin_mask]))
         self._prune_clicks()
 
-    def _spill(self) -> None:
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        os.makedirs(self.spill_dir, exist_ok=True)
-        path = os.path.join(
-            self.spill_dir, f"shard{self.shard_id:03d}-part{len(self._paths):05d}.parquet"
-        )
-        out = pd.concat(self._emitted, ignore_index=True)
-        pq.write_table(pa.Table.from_pandas(out, preserve_index=False), path)
-        self._paths.append(path)
-        self._emitted, self._emitted_rows = [], 0
-
     def _count_window(self, pur: pd.DataFrame) -> pd.DataFrame:
-        clicks = self._clicks
-        if clicks is None or not len(clicks):
-            return pd.DataFrame(
-                {
-                    "purchase_id": pur.event_id.to_numpy(np.int64),
-                    "n_recent_clicks": np.zeros(len(pur), np.int64),
-                }
-            )
-        ck = clicks.sort_values(["e", "user_id"], kind="stable")
+        ck = self._clicks.sort_values(["e", "user_id"], kind="stable")
         ck = ck.assign(cum=ck.groupby("user_id", sort=False).cumcount().to_numpy() + 1)
         hi = pur.sort_values("e", kind="stable")
         a1 = pd.merge_asof(hi, ck, on="e", by="user_id", direction="backward")
@@ -972,41 +831,14 @@ class StreamingIntervalJoiner(_ReorderBuffer):
         )
 
     def _prune_clicks(self) -> None:
-        if self._clicks is not None and len(self._clicks):
-            keep = self._clicks.e.to_numpy() >= self.watermark - self.window
-            self._clicks = self._clicks[keep]
+        keep = self._clicks.e.to_numpy() >= self.watermark - self.window
+        self._clicks = self._clicks[keep]
 
-    def flush(self) -> None:
-        self.watermark = np.iinfo(np.int64).max
-        self._finalize_ready()
-
-    def drain(self) -> dict:
-        self._drain_pending()
-        self.flush()
-        rows = None
-        if self.spill_dir is not None:
-            if self._emitted_rows:
-                self._spill()
-        else:
-            rows = (
-                pd.concat(self._emitted, ignore_index=True)
-                if self._emitted
-                else pd.DataFrame(
-                    {
-                        "purchase_id": pd.Series(dtype=np.int64),
-                        "n_recent_clicks": pd.Series(dtype=np.int64),
-                    }
-                )
-            )
-            self._emitted, self._emitted_rows = [], 0
+    def stats(self) -> dict:
         return {
-            "rows": rows,
-            "paths": self._paths,
-            "stats": {
-                "late_dropped": self.late_dropped,
-                "n_processed": self.n_processed,
-                "clicks_buffered": 0 if self._clicks is None else int(len(self._clicks)),
-            },
+            "late_dropped": self.late_dropped,
+            "n_processed": self.n_processed,
+            "clicks_buffered": len(self._clicks),
         }
 
 
@@ -1022,11 +854,7 @@ def stream_interval_join(
     from .relational import _t
 
     return stream_interval_join_path(
-        _t(sf_dir, "events"),
-        window_us=window_us,
-        allowed_lateness_us=allowed_lateness_us,
-        batch_size=batch_size,
-        n_shards=n_shards,
+        _t(sf_dir, "events"), window_us, allowed_lateness_us, batch_size, n_shards
     )
 
 
@@ -1044,25 +872,6 @@ def stream_interval_join_path(
     so with ``collect=False`` each shard spills them to per-shard parquet
     and the driver receives only file paths (the 100-TB form, same spill
     contract as dedup/sessionize)."""
-    import tempfile
-
-    import ray.data as rd
-
-    ds = rd.read_parquet(
-        events_path, columns=["event_id", "user_id", "event_type", "ts"]
-    )
-    start = routed_start_seq(events_path, "event_id")
-    spill_dir = None if collect else tempfile.mkdtemp(prefix="stream_ij_", dir="/tmp")
-    shards = [
-        StreamingIntervalJoiner.remote(
-            window_us,
-            allowed_lateness_us,
-            start_seq=start,
-            spill_dir=spill_dir,
-            shard_id=i,
-        )
-        for i in range(n_shards)
-    ]
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -1070,37 +879,23 @@ def stream_interval_join_path(
                 "user_id": df.user_id,
                 "event_id": df.event_id,
                 "event_type": df.event_type,
-                "e": df.ts.values.astype("datetime64[us]").astype(np.int64),
+                "e": _epoch_us(df.ts),
             }
         )
 
-    def shard_of(df: pd.DataFrame) -> np.ndarray:
-        h = pd.util.hash_pandas_object(df.user_id, index=False).to_numpy()
-        return (h % np.uint64(n_shards)).astype(np.int64)
-
-    route_stream(ds, shards, shard_of, prep=prep, seq_col="event_id", batch_size=batch_size)
-    drains = ray.get([s.drain.remote() for s in shards])
-    for s in shards:
-        ray.kill(s)
-    stats = {
-        "late_dropped": int(sum(d["stats"]["late_dropped"] for d in drains)),
-        "n_processed": int(sum(d["stats"]["n_processed"] for d in drains)),
-        "n_shards": n_shards,
-    }
-    if not collect:
-        return [p for d in drains for p in d["paths"]], stats
-    parts = [d["rows"] for d in drains if len(d["rows"])]
-    df = (
-        pd.concat(parts, ignore_index=True)
-        if parts
-        else pd.DataFrame(
-            {"purchase_id": pd.Series(dtype=np.int64), "n_recent_clicks": pd.Series(dtype=np.int64)}
-        )
+    parts, stats = run_sharded(
+        events_path,
+        ["event_id", "user_id", "event_type", "ts"],
+        lambda **kw: StreamingIntervalJoiner.remote(window_us, allowed_lateness_us, **kw),
+        prep,
+        "user_id",
+        n_shards=n_shards,
+        batch_size=batch_size,
+        collect=collect,
     )
-    df = df.sort_values("purchase_id").reset_index(drop=True)
-    df["purchase_id"] = df.purchase_id.astype(np.int64)
-    df["n_recent_clicks"] = df.n_recent_clicks.astype(np.int64)
-    return df, stats
+    if not collect:
+        return parts, stats
+    return _collected(parts, ["purchase_id", "n_recent_clicks"], ["purchase_id"]).astype(np.int64), stats
 
 
 @query(
@@ -1123,8 +918,7 @@ def q_stream_interval_join(sf_dir: str) -> pd.DataFrame:
     emission) must equal the batch interval join when allowed_lateness
     covers the stream's disorder — the DuckDB twin is q_interval_join's
     batch SQL."""
-    df, _ = stream_interval_join(sf_dir)
-    return df
+    return stream_interval_join(sf_dir)[0]
 
 
 def synth_events(

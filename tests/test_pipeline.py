@@ -121,6 +121,51 @@ class TestFlagship:
         assert set(stats.cell) == set(adf.cell)
         assert stats.n.sum() == len(imgs)
 
+    def test_partition_hash_pinned(self, world, tmp_path):
+        """The hive layout and the resume prune both key on
+        ``part_of_cell``, and cached worlds on disk were written with it:
+        its values (and the shared splitmix64 / HLL hashes) must never
+        drift. Expected values recorded before the hash copies were
+        folded into ``dedup.splitmix64``."""
+        import pyarrow.parquet as pq
+
+        from citygml2objv2_ray.config import DEFAULT_CONFIG
+        from citygml2objv2_ray.dedup import splitmix64
+        from citygml2objv2_ray.pipelines.flagship import run_flagship
+        from citygml2objv2_ray.sketch import hash_values
+        from citygml2objv2_ray.spatial import part_of_cell
+
+        x = np.array(
+            [0, 1, -1, 42, -(1 << 40), (1 << 32) | 7, -(1 << 63), (1 << 63) - 1],
+            dtype=np.int64,
+        )
+        want = [
+            16294208416658607535, 10451216379200822465, 16490336266968443936,
+            13679457532755275413, 9134131081349316203, 2868536809827192863,
+            5196802822362493915, 3055647633038352039,
+        ]
+        assert [int(v) for v in splitmix64(x.astype(np.uint64))] == want
+        assert [int(v) for v in hash_values(x)] == want
+        assert [int(v) for v in hash_values(np.array(["a", "bc", ""], dtype=object))] == [
+            5667979809800783955, 18187932125845110417, 5665620140241705579,
+        ]
+        assert part_of_cell(x, 16).tolist() == [15, 1, 0, 5, 11, 15, 11, 7]
+
+        res = run_flagship(
+            world["images"],
+            pq.read_table(world["surfaces"]),
+            pq.read_table(world["footprints"]),
+            str(tmp_path / "out"),
+            concurrency=2,
+            decode=False,
+        )
+        adf = res.assignments().to_pandas()
+        assert len(adf) and (adf.cell < 0).any()  # negative cells covered
+        np.testing.assert_array_equal(
+            adf.part.astype(np.int64).to_numpy(),
+            part_of_cell(adf.cell.to_numpy(np.int64), DEFAULT_CONFIG.n_output_parts),
+        )
+
     def test_resume_skips_completed(self, world, tmp_path):
         import pyarrow.parquet as pq
 

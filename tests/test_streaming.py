@@ -11,6 +11,35 @@ import pytest
 SF = "/root/testdata/sf0.001"
 
 
+def _alive(class_name: str) -> set:
+    """Ids of the actors of a class that are not DEAD: ALIVE, or still
+    being created (a run can fail before its shards finish starting)."""
+    from ray._private import state
+
+    return {
+        aid
+        for aid, a in state.actors().items()
+        # a class defined in a function is named "f.<locals>.Cls"
+        if a["ActorClassName"].split(".")[-1] == class_name and a["State"] != "DEAD"
+    }
+
+
+def _assert_cleaned_up(alive_before: dict, spill_root) -> None:
+    """No actor started by the failed run is left ALIVE or starting
+    (``ray.kill`` is asynchronous, so poll briefly) and nothing is left
+    under the spill root."""
+    import time
+
+    deadline = time.monotonic() + 30
+    while True:
+        leaked = {c: _alive(c) - before for c, before in alive_before.items()}
+        if not any(leaked.values()) or time.monotonic() > deadline:
+            break
+        time.sleep(0.2)
+    assert not any(leaked.values()), leaked
+    assert list(spill_root.iterdir()) == []
+
+
 class TestStreamWindow:
     def test_equals_batch_window(self, ray_session):
         from citygml2objv2_ray.relational import REGISTRY
@@ -247,13 +276,17 @@ class TestRouteStreamInputShapes:
         want = want.sort_values(["event_type", "window_start"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
-    def test_non_dense_seq_rejected(self, ray_session, tmp_path):
+    def test_non_dense_seq_rejected(self, ray_session, tmp_path, monkeypatch):
         """A source whose arrival-seq column has gaps must fail loudly —
-        silent gaps would stall or misorder every shard."""
+        silent gaps would stall or misorder every shard — and clean up
+        after itself: no shard actor left alive, no spill dir left on
+        disk (collect and spill mode)."""
+        import tempfile
+
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from citygml2objv2_ray.streaming import stream_window
+        from citygml2objv2_ray.streaming import stream_dedup_path, stream_window
 
         ids = np.array([0, 1, 3, 4], dtype=np.int64)  # gap at 2
         pq.write_table(
@@ -261,6 +294,7 @@ class TestRouteStreamInputShapes:
                 {
                     "event_id": pa.array(ids),
                     "event_type": pa.array(["a"] * 4),
+                    "user_id": pa.array(ids),
                     "ts": pa.array(
                         np.full(4, 1_700_000_000_000_000, dtype=np.int64),
                         type=pa.timestamp("us"),
@@ -270,8 +304,102 @@ class TestRouteStreamInputShapes:
             ),
             str(tmp_path / "gap.parquet"),
         )
-        with pytest.raises(Exception, match="DENSE arrival-seq|dense"):
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spill))
+        before = {c: _alive(c) for c in ("WindowedStreamAggregator", "StreamingDeduper")}
+        with pytest.raises(Exception, match="DENSE arrival-seq|dense") as w_failed:
             stream_window(str(tmp_path / "gap.parquet"), n_shards=2, batch_size=16)
+        with pytest.raises(Exception, match="DENSE arrival-seq|dense") as d_failed:
+            stream_dedup_path(
+                str(tmp_path / "gap.parquet"), n_shards=2, batch_size=16, collect=False
+            )
+        _assert_cleaned_up(before, spill)  # tracebacks still held: no GC help
+        assert w_failed.traceback and d_failed.traceback
+
+
+class TestShardedRunnerFailure:
+    def test_shard_failure_kills_shards_and_removes_spill(
+        self, ray_session, tmp_path, monkeypatch
+    ):
+        """A shard that fails mid-stream (after a spill part is already on
+        disk) makes ``run_sharded`` raise, and the runner kills every
+        shard and removes the spill dir before the error propagates."""
+        import tempfile
+
+        import ray
+
+        from citygml2objv2_ray.streaming import _Shard, run_sharded
+
+        @ray.remote(num_cpus=0)
+        class FailingShard(_Shard):
+            def __init__(self, **shard):
+                super().__init__(**shard)
+                self.n_slices = 0
+
+            def _apply(self, df):
+                self.n_slices += 1
+                if self.n_slices >= 2:
+                    raise RuntimeError("injected shard failure")
+                self._emit(df)
+                self._spill()  # a part is on disk before the failure
+
+            def stats(self):
+                return {"n_slices": self.n_slices}
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        before = {"FailingShard": _alive("FailingShard")}
+        # hold the traceback (and with it the runner's frame and its actor
+        # handles) so the check sees the runner's own cleanup, not GC
+        with pytest.raises(Exception, match="injected shard failure") as failed:
+            run_sharded(
+                f"{SF}/events.parquet",
+                ["event_id", "user_id"],
+                lambda **kw: FailingShard.remote(**kw),
+                None,
+                "user_id",
+                n_shards=2,
+                batch_size=64,
+                collect=False,
+            )
+        _assert_cleaned_up(before, tmp_path)
+        assert failed.traceback
+
+
+class TestSpillEqualsCollect:
+    def test_spill_union_equals_collected(self, ray_session, tmp_path, monkeypatch):
+        """collect=False (per-shard parquet parts) and collect=True (rows
+        kept in shard memory) are the same output for every spilling
+        operator."""
+        import tempfile
+
+        import pyarrow.parquet as pq
+
+        from citygml2objv2_ray.streaming import (
+            stream_dedup_path,
+            stream_interval_join_path,
+            stream_sessionize_path,
+        )
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        ev = f"{SF}/events.parquet"
+        for fn, order in (
+            (stream_dedup_path, ["event_id"]),
+            (stream_sessionize_path, ["user_id", "session_id"]),
+            (stream_interval_join_path, ["purchase_id"]),
+        ):
+            want, wstats = fn(ev, n_shards=3)
+            paths, stats = fn(ev, n_shards=3, collect=False)
+            assert stats == wstats, fn.__name__
+            assert paths and all(p.startswith(str(tmp_path)) for p in paths)
+            got = (
+                pd.concat([pq.read_table(p).to_pandas() for p in paths], ignore_index=True)
+                .sort_values(order)
+                .reset_index(drop=True)
+            )
+            pd.testing.assert_frame_equal(
+                got[want.columns], want, check_dtype=False, obj=fn.__name__
+            )
 
 
 class TestStreamIntervalJoin:
