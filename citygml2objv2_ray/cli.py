@@ -12,7 +12,7 @@ Flag mapping (reference file:line → engine behaviour):
   openings anti-joined away (``pipelines.convert``).
 - ``-g/--grouping``    (:204) ``o <building>`` group markers in the OBJ.
 - ``-v/--validation``  (:209) accepted for parity; validation is ALWAYS on
-  in this engine (clean_validate flags + skips invalid polygons — the
+  in this engine (the flat-ring kernel skips invalid polygons — the
   reference's -v 0 path feeds unvalidated rings to the triangulator and
   crashes on the corrupt fixtures; there is no useful "off").
 - ``-t/--translate``   (:212) subtract the global lexicographic min vertex.

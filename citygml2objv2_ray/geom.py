@@ -37,7 +37,9 @@ from .config import DEFAULT_CONFIG, EngineConfig
 # ---------------------------------------------------------------------------
 
 
-def clean_ring(ring: np.ndarray, decimals: int = 9) -> np.ndarray:
+def clean_ring(
+    ring: np.ndarray, decimals: int = DEFAULT_CONFIG.vertex_round_decimals
+) -> np.ndarray:
     """Remove *consecutive* duplicate vertices, preserving the closure point.
 
     Parity: ``remove_reccuring`` (CityGML2OBJs.py:87-96) drops repeats while
@@ -534,16 +536,26 @@ def triangulate_polygon(
 
     Returns (T, 3, 3) float64.
     """
+    dec = cfg.vertex_round_decimals
+    return triangulate_clean(
+        clean_ring(exterior, dec), [clean_ring(h, dec) for h in interiors or []], cfg
+    )
+
+
+def triangulate_clean(
+    ext: np.ndarray, holes: list[np.ndarray], cfg: EngineConfig = DEFAULT_CONFIG
+) -> np.ndarray:
+    """``triangulate_polygon`` of rings that are already ``clean_ring``
+    output (the Triangulator's fallback takes its exteriors from the
+    flat-ring kernel)."""
     try:
-        ext = clean_ring(np.asarray(exterior, dtype=np.float64))
         if len(ext) < 4:
             return np.zeros((0, 3, 3))
         normal = newell_normal(ext)
         if not normal.any():
             return np.zeros((0, 3, 3))
         axis = projection_axis(normal, ext, cfg)
-        holes3d = [clean_ring(np.asarray(h, dtype=np.float64)) for h in interiors or []]
-        holes3d = [h for h in holes3d if len(h) >= 4]
+        holes3d = [h for h in holes if len(h) >= 4]
 
         if not holes3d:
             fan = convex_fan(ext[:-1], axis)
@@ -620,7 +632,9 @@ def mtl_bucketize(
     return np.round(norm * steps) / steps
 
 
-def vertex_key(points: np.ndarray, decimals: int = 9) -> np.ndarray:
+def vertex_key(
+    points: np.ndarray, decimals: int = DEFAULT_CONFIG.vertex_round_decimals
+) -> np.ndarray:
     """Stable string keys for exact vertex dedup (D1): rounded xyz joined —
     mirrors the reference's stringified-point membership test
     (CityGML2OBJs.py:87-96)."""

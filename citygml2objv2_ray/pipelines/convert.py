@@ -6,7 +6,8 @@ becomes ``convert(in_dir, out_dir, semantics=True, translate=True, ...)``.
     read_citygml(*.gml)               # A1-A12 (exploded per-polygon rows)
     → [opening anti-join]             # D4 when semantics off: drop openings
     → [global min / translate]        # -t: B20/D5, exact fixed point
-    → clean_validate → Triangulator   # B1/B2/C1
+    → Triangulator                    # B1/B2/C1: flat-ring kernel + fan/ear clip
+      (-p: flat-ring kernel → valid)  #   B1/B2 only, polygons stay n-gons
     → OBJ per semantic class (+MTL)   # C4/D1/E1/E8
 
 Run as a script:  python -m citygml2objv2_ray.pipelines.convert IN_DIR OUT_DIR
@@ -17,12 +18,14 @@ from __future__ import annotations
 import glob
 import os
 
+import pyarrow as pa
 import ray
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, EngineConfig
 from ..sinks.obj import write_mtl, write_obj_per_class
 from ..sources.citygml import read_citygml
+from ..stages.geometry import ring_kernel
 from .geometry import (
     global_min_vertex,
     opening_anti_join,
@@ -61,17 +64,12 @@ def convert(
         delta = global_min_vertex(surfaces)
         surfaces = translate_surfaces(surfaces, delta)
     if preserve:
-        # -p / SKIPTRI (CityGML2OBJs.py:137-141): validate, keep valid
-        # polygons as n-gon faces, no triangulation
-        import pyarrow.compute as pc
-
-        from ..stages.geometry import clean_validate
-
-        validated = surfaces.map_batches(
-            clean_validate, batch_format="pyarrow", batch_size=cfg.geometry_batch_size
-        )
-        rows = validated.map_batches(
-            lambda b: b.filter(b["valid"].combine_chunks()), batch_format="pyarrow"
+        # -p / SKIPTRI (CityGML2OBJs.py:137-141): keep the valid polygons
+        # as n-gon faces, no triangulation
+        rows = surfaces.map_batches(
+            lambda b: b.filter(pa.array(ring_kernel(b, cfg).valid)),
+            batch_format="pyarrow",
+            batch_size=cfg.geometry_batch_size,
         )
         out = write_obj_per_class(
             rows, out_dir, name=name, cfg=cfg, preserve=True, group_markers=group_markers

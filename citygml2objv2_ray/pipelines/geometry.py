@@ -1,9 +1,11 @@
 """Geometry pipelines — the reference's conversion lifecycle (SURVEY.md §3)
 as streaming Dataset transforms.
 
-``triangulate_surfaces`` is the §3.1 main path: clean → validate →
-triangulate → (optionally) per-semantic partitioned parquet (the per-class
-OBJ fan-out, CityGML2OBJs.py:544-580,807-822).
+``triangulate_surfaces`` is the §3.1 main path: one ``Triangulator``
+stage (clean → validate → triangulate over the flat-ring kernel of
+``stages.geometry``) turns surfaces into triangle rows, which
+``sinks.obj.write_obj_per_class`` fans out per semantic class
+(CityGML2OBJs.py:544-580,807-822).
 
 ``opening_anti_join`` is D4: exclude Window/Door polygons from wall/roof
 processing via a broadcast key-set filter instead of the reference's
@@ -22,45 +24,26 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from .. import geom
 from ..arrow_utils import ring_column
 from ..config import DEFAULT_CONFIG, OPENING_CLASSES, EngineConfig
-from ..stages.geometry import Triangulator, clean_validate
+from ..stages.geometry import Triangulator
 
 
-def surfaces_dataset(table: pa.Table, num_blocks: int | None = None) -> rd.Dataset:
+def surfaces_dataset(table: pa.Table) -> rd.Dataset:
     """In-memory surfaces table → Dataset split into enough blocks to
     parallelize downstream stages (``rd.from_arrow`` yields ONE block,
     which would serialize the whole triangulation — measured 9s -> 2s on
     the sf0.1 convert)."""
-    nb = num_blocks or max(8, min(64, table.num_rows // 256 or 1))
-    return rd.from_arrow(table).repartition(nb)
+    return rd.from_arrow(table).repartition(max(8, min(64, table.num_rows // 256 or 1)))
 
 
-def triangulate_surfaces(
-    surfaces: rd.Dataset,
-    cfg: EngineConfig = DEFAULT_CONFIG,
-    concurrency: int | tuple[int, int] | None = None,
-    out_dir: str | None = None,
-) -> rd.Dataset:
-    """surfaces → validated → exploded triangles (one row per triangle).
-    With ``out_dir``, also writes parquet partitioned by semantic class.
-
-    Both stages run as TASK pools (the triangulator's only state is the
-    config dataclass — an actor pool's fixed slots throttled the stage;
-    CLAUDE.md perf rule: task pools beat actor pools for cheap state)."""
-    validated = surfaces.map_batches(
-        clean_validate, batch_format="pyarrow", batch_size=cfg.geometry_batch_size
+def triangulate_surfaces(surfaces: rd.Dataset, cfg: EngineConfig = DEFAULT_CONFIG) -> rd.Dataset:
+    """surfaces → exploded triangles of the valid polygons (one row per
+    triangle), as a TASK pool: the triangulator's only state is the config
+    dataclass, and task pools beat actor pools for cheap state."""
+    return surfaces.map_batches(
+        Triangulator(cfg), batch_format="pyarrow", batch_size=cfg.geometry_batch_size
     )
-    tris = validated.map_batches(
-        Triangulator(cfg),
-        batch_format="pyarrow",
-        batch_size=cfg.geometry_batch_size,
-    )
-    if out_dir:
-        tris.write_parquet(out_dir, partition_cols=["semantic"])
-        return rd.read_parquet(out_dir)
-    return tris
 
 
 def opening_anti_join(
@@ -140,48 +123,31 @@ def building_bboxes(
     return df.sort_values("building_id").reset_index(drop=True)
 
 
-def _roof_tri2d_batch(batch: pa.Table, cfg: EngineConfig) -> pd.DataFrame:
-    """One surfaces batch → rows (building_id, flat 2-D triangle coords)."""
-    out_b: list[str] = []
-    out_c: list[list[float]] = []
-    sem = batch["semantic"].to_pylist()
-    bids = batch["building_id"].to_pylist()
-    pts, off = ring_column(batch["exterior"])
-    for i in range(batch.num_rows):
-        if sem[i] not in ("RoofSurface", "GroundSurface"):
-            continue
-        ring = geom.clean_ring(pts[off[i] : off[i + 1]])
-        ok, _ = geom.is_valid_ring(ring, cfg)
-        if not ok:
-            continue
-        tris = geom.triangulate_polygon(ring, [], cfg)
-        if len(tris):
-            out_b.append(bids[i])
-            out_c.append(tris[:, :, :2].ravel().tolist())
-    return pd.DataFrame({"building_id": out_b, "coords": out_c})
-
-
 def roof_tri2d(surfaces: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> dict[str, np.ndarray]:
     """Small-side prep for the raster clip stages: per-building 2-D (z
-    dropped) triangles of Roof+Ground surfaces → {building_id: (T,3,2)}.
+    dropped) triangles of the valid Roof+Ground exterior rings (holes
+    ignored) → {building_id: (T,3,2)}, in row order.
 
-    Triangulation runs DISTRIBUTED via map_batches (the sequential
-    driver-side loop was a ~4.5s serial Amdahl head on every sf0.4 run —
-    23% of the 16-CPU wall time); the driver only concatenates the compact
-    per-polygon coordinate rows it must hold anyway (this dict is the
-    ray.put broadcast side). Small tables skip Ray (stage overhead would
-    exceed the loop)."""
-    if surfaces.num_rows < 2000:
-        df = _roof_tri2d_batch(surfaces, cfg)
-    else:
-        ds = surfaces_dataset(surfaces)
-        df = ds.map_batches(
-            lambda b: _roof_tri2d_batch(b, cfg), batch_format="pyarrow"
-        ).to_pandas()
-    out: dict[str, list[np.ndarray]] = {}
-    for bid, coords in zip(df.building_id, df.coords):
-        out.setdefault(bid, []).append(np.asarray(coords, dtype=np.float64).reshape(-1, 3, 2))
-    return {b: np.concatenate(v) for b, v in out.items()}
+    One in-process ``Triangulator`` call over the whole table: the
+    flat-ring kernel takes under 0.1 s at 4,000 buildings, less than a Ray
+    stage's scheduling cost. The dict is the ray.put broadcast side."""
+    import pyarrow.compute as pc
+
+    roofs = surfaces.filter(
+        pc.is_in(surfaces["semantic"], value_set=pa.array(["RoofSurface", "GroundSurface"]))
+    )
+    no_holes = pa.ListArray.from_arrays(
+        pa.array(np.zeros(roofs.num_rows + 1, np.int32)),
+        pa.array([], roofs.schema.field("interiors").type.value_type),
+    )
+    roofs = roofs.set_column(roofs.column_names.index("interiors"), "interiors", no_holes)
+    df = Triangulator(cfg)(roofs).select(["building_id", "p0", "p1", "p2"]).to_pandas()
+    if df.empty:
+        return {}
+    xy = np.stack([np.stack(df[c].to_numpy())[:, :2] for c in ("p0", "p1", "p2")], axis=1)
+    codes, bids = pd.factorize(df.building_id)  # first-appearance order
+    order = np.argsort(codes, kind="stable")
+    return dict(zip(bids, np.split(xy[order], np.cumsum(np.bincount(codes))[:-1])))
 
 
 def global_min_vertex(surfaces: rd.Dataset) -> np.ndarray:

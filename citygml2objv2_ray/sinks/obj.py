@@ -3,14 +3,16 @@
 - **exact vertex dedup + 1-based index assignment** (C4/D1,
   CityGML2OBJs.py:68-77): per semantic class, vertices are interned in
   first-appearance order. The reference does a sequential O(n) list scan
-  per vertex; here it's a two-phase distributed assignment: per-building
-  interning in parallel (building-local scope, as the reference's
-  ``local_vertices``), then a tiny driver-side offset cumsum in
-  ``building_seq`` order and a distributed re-offset (the local→global
-  merge at CityGML2OBJs.py:767-770).
+  per vertex; here it's a two-phase distributed assignment: one interning
+  core (``_intern``) numbers each building's vertices locally (the
+  reference's ``local_vertices`` scope), vectorized over coarse buckets of
+  buildings in parallel, for triangles and ``-p`` rings alike; then a tiny
+  offset cumsum in ``building_seq`` order in the calling process and a
+  distributed re-offset (the local→global merge at
+  CityGML2OBJs.py:767-770).
 - **per-class OBJ writer** (E1, CityGML2OBJs.py:61-65,80-84,807-822): one
   ``<name>-<class>.obj`` per nonempty semantic class, with ``o <id>``
-  group markers and optional ``usemtl`` per bucketized attribute (B18).
+  group markers.
 - **MTL writer** (E8, generateMTL.py:31-52): 101-material afmhot colormap.
 
 Determinism: output depends only on (building_seq, poly_seq, tri_seq)
@@ -24,286 +26,134 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, EngineConfig
-from ..geom import mtl_bucketize, vertex_key
+from ..stages.geometry import clean_rings
 
 
-def _intern_building(g: pd.DataFrame, decimals: int) -> pd.DataFrame:
-    """Phase 1 (parallel, per building×class): first-appearance vertex
-    interning in (poly_seq, tri_seq, corner) order. Emits one summary row:
-    the building's vertex block + faces with building-LOCAL 0-based indices."""
-    g = g.sort_values(["poly_seq", "tri_seq"], kind="stable")
-    # corner order per triangle: p0, p1, p2 (columns are arrays-of-xyz —
-    # stack whole columns, no per-cell Python conversion)
-    tri_pts = np.stack(
-        [np.stack(g[c].to_numpy()).astype(np.float64) for c in ("p0", "p1", "p2")],
-        axis=1,
-    )  # (T, 3, 3)
-    flat = tri_pts.reshape(-1, 3)
-    keys = vertex_key(flat, decimals)
-    uniq, first_idx, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first_idx, kind="stable")  # first-appearance order
-    rank_of = np.empty(len(order), dtype=np.int64)
-    rank_of[order] = np.arange(len(order))
-    local_index = rank_of[inverse]  # 0-based local index per corner
-    verts = flat[first_idx[order]]
-    return pd.DataFrame(
-        [
-            dict(
-                building_id=g.building_id.iloc[0],
-                building_seq=int(g.building_seq.iloc[0]),
-                n_vertices=len(verts),
-                verts=verts.ravel().tolist(),
-                faces=local_index.tolist(),
-                n_faces=len(flat) // 3,
-            )
-        ]
+def _intern(flat: np.ndarray, grp: np.ndarray, n_groups: int, decimals: int):
+    """First-appearance vertex interning of many groups in ONE vectorized
+    pass. ``flat`` (M,3) holds every group's corner points in order, groups
+    contiguous, and ``grp`` (M,) their non-decreasing group ids. Dedup key =
+    byte view of the rounded (-0.0-folded) xyz triple — the same
+    equivalence classes as ``geom.vertex_key``'s repr strings (both
+    injective on float64), with no per-point string building.
+
+    Returns per group: vertex count, flat xyz of its vertices in
+    first-appearance order, and its points' 0-based group-local indices."""
+    r = np.round(flat, decimals) + 0.0  # fold -0.0 (same as vertex_key)
+    rb = np.ascontiguousarray(r).view(np.dtype((np.void, 24))).ravel()
+    kcode, _ = pd.factorize(rb, sort=False)
+    K = int(kcode.max()) + 1 if len(kcode) else 1
+    uniq, first_idx, inverse = np.unique(
+        grp.astype(np.int64) * K + kcode, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first_idx, kind="stable")  # first appearance, group-major
+    g_of_u = uniq[order] // K
+    vert_counts = np.bincount(g_of_u, minlength=n_groups)
+    rank = np.empty(len(order), np.int64)
+    rank[order] = np.arange(len(order)) - (np.cumsum(vert_counts) - vert_counts)[g_of_u]
+    return (
+        vert_counts,
+        _split(flat[first_idx[order]].ravel(), vert_counts * 3),
+        _split(rank[inverse], np.bincount(grp, minlength=n_groups)),
     )
 
 
-def _intern_building_rings(g: pd.DataFrame, decimals: int) -> pd.DataFrame:
-    """Phase 1 for polypreserve mode (``-p`` / SKIPTRI,
-    CityGML2OBJs.py:137-141): each polygon becomes ONE face over its
-    cleaned ring minus the closure point; vertex interning is the same
-    first-appearance scheme as the triangle path. Emits ``face_lens`` so
-    the renderer can split the ragged face index list."""
-    from .. import geom
+def _split(values: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    return np.split(values, np.cumsum(counts)[:-1])
 
-    g = g.sort_values("poly_seq", kind="stable")
-    rings: list[np.ndarray] = []
-    for ext in g.exterior:
-        ring = geom.clean_ring(np.asarray([list(p) for p in ext], dtype=np.float64))
-        if len(ring) >= 4:
-            rings.append(ring[:-1])
-    if not rings:
-        return pd.DataFrame(
-            [
-                dict(
-                    building_id=g.building_id.iloc[0],
-                    building_seq=int(g.building_seq.iloc[0]),
-                    n_vertices=0, verts=[], faces=[], face_lens=[], n_faces=0,
-                )
-            ]
-        )
-    flat = np.concatenate(rings)
-    lens = [len(r) for r in rings]
-    keys = vertex_key(flat, decimals)
-    uniq, first_idx, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first_idx, kind="stable")
-    rank_of = np.empty(len(order), dtype=np.int64)
-    rank_of[order] = np.arange(len(order))
-    local_index = rank_of[inverse]
-    verts = flat[first_idx[order]]
+
+def _groups(g: pd.DataFrame, keys: list[str]):
+    """Row order that makes each (semantic, building_seq) group of ``g``
+    contiguous, rows inside a group sorted on ``keys``; returns that order
+    and the group id per ordered row."""
+    sem = pd.factorize(g.semantic.to_numpy())[0]
+    seq = g.building_seq.to_numpy()
+    order = np.lexsort([g[k].to_numpy() for k in reversed(keys)] + [seq, sem])
+    sem, seq = sem[order], seq[order]
+    new = np.ones(len(g), bool)
+    new[1:] = (sem[1:] != sem[:-1]) | (seq[1:] != seq[:-1])
+    return order, np.cumsum(new) - 1
+
+
+def _interned_frame(g: pd.DataFrame, order, grp, interned, **extra) -> pd.DataFrame:
+    """One row per group: its vertex block and its faces as group-LOCAL
+    0-based indices, plus the ``extra`` per-group columns."""
+    first = order[np.flatnonzero(np.diff(grp, prepend=-1))]
+    vert_counts, verts, faces = interned
     return pd.DataFrame(
-        [
-            dict(
-                building_id=g.building_id.iloc[0],
-                building_seq=int(g.building_seq.iloc[0]),
-                n_vertices=len(verts),
-                verts=verts.ravel().tolist(),
-                faces=local_index.tolist(),
-                face_lens=lens,
-                n_faces=len(lens),
-            )
-        ]
+        {
+            "building_id": g.building_id.to_numpy()[first],
+            "building_seq": g.building_seq.to_numpy()[first].astype(np.int64),
+            "n_vertices": vert_counts,
+            "verts": verts,
+            "faces": faces,
+            "semantic": g.semantic.to_numpy()[first],
+            **extra,
+        }
     )
 
 
 def _intern_bucket_vectorized(g: pd.DataFrame, decimals: int) -> pd.DataFrame:
-    """All (class, building) groups of one bucket interned in ONE
-    vectorized pass (the per-group loop paid pandas sort/stack/unique
-    overhead ~4850 times per sf0.1 convert). Dedup key = byte view of the
-    rounded (-0.0-folded) xyz triple — the same equivalence classes as
-    ``geom.vertex_key``'s repr strings (both injective on float64), with
-    no per-point string building. First-appearance order per group falls
-    out of one global ``np.unique`` + stable argsort."""
-    g = g.sort_values(
-        ["semantic", "building_seq", "poly_seq", "tri_seq"], kind="stable"
-    ).reset_index(drop=True)
-    T = len(g)
-    tri_pts = np.stack(
-        [np.stack(g[c].to_numpy()).astype(np.float64) for c in ("p0", "p1", "p2")],
+    """Phase 1 (parallel): every (class, building) group of one bucket of
+    triangle rows interned at once, corners in (poly_seq, tri_seq, p0..p2)
+    order."""
+    order, grp = _groups(g, ["poly_seq", "tri_seq"])
+    flat = np.stack(
+        [np.stack(g[c].to_numpy()[order]).astype(np.float64) for c in ("p0", "p1", "p2")],
         axis=1,
-    )  # (T, 3, 3)
-    flat = tri_pts.reshape(-1, 3)
-    r = np.round(flat, decimals) + 0.0  # fold -0.0 (same as vertex_key)
-    rb = np.ascontiguousarray(r).view(np.dtype((np.void, 24))).ravel()
-    kcode, _ = pd.factorize(rb, sort=False)
-    # contiguous group id per triangle (rows are group-sorted)
-    sem = g.semantic.to_numpy()
-    seq = g.building_seq.to_numpy()
-    new_grp = np.concatenate(
-        [[True], (sem[1:] != sem[:-1]) | (seq[1:] != seq[:-1])]
+    ).reshape(-1, 3)
+    G = int(grp[-1]) + 1 if len(grp) else 0
+    return _interned_frame(g, order, grp, _intern(flat, np.repeat(grp, 3), G, decimals))
+
+
+def _intern_bucket_rings(g: pd.DataFrame, decimals: int) -> pd.DataFrame:
+    """Phase 1 for polypreserve mode (``-p`` / SKIPTRI,
+    CityGML2OBJs.py:137-141): every (class, building) group of one bucket
+    of polygon rows interned at once. Each polygon whose cleaned ring has
+    4+ points becomes ONE face over that ring minus its closure point (one
+    ``clean_rings`` pass over the bucket); ``face_lens`` lets the renderer
+    split each group's ragged face index list."""
+    order, grp = _groups(g, ["poly_seq"])
+    G = int(grp[-1]) + 1 if len(grp) else 0
+    ext = g.exterior.to_numpy()[order]
+    off = np.zeros(len(ext) + 1, np.int64)
+    np.cumsum(np.fromiter(map(len, ext), np.int64, len(ext)), out=off[1:])
+    pts = np.stack(np.concatenate(ext)).astype(np.float64) if off[-1] else np.zeros((0, 3))
+    body, boff, _ = clean_rings(pts, off, decimals)
+    lens = np.diff(boff)
+    face = lens >= 3
+    keep = np.repeat(face, lens)
+    pgrp = np.repeat(grp, lens)[keep]
+    return _interned_frame(
+        g, order, grp, _intern(body[keep], pgrp, G, decimals),
+        face_lens=_split(lens[face], np.bincount(grp[face], minlength=G)),
     )
-    grp_t = np.cumsum(new_grp) - 1  # (T,)
-    grp = np.repeat(grp_t, 3)
-    K = int(kcode.max()) + 1 if len(kcode) else 1
-    pcode = grp.astype(np.int64) * K + kcode
-    uniq, first_idx, inverse = np.unique(pcode, return_index=True, return_inverse=True)
-    order = np.argsort(first_idx, kind="stable")  # global first-appearance
-    # unique pairs in `order` are group-contiguous (groups are row-contiguous)
-    g_of_u = (uniq // K)[order]
-    u_new_grp = np.concatenate([[True], g_of_u[1:] != g_of_u[:-1]])
-    grp_start = np.maximum.accumulate(np.where(u_new_grp, np.arange(len(g_of_u)), 0))
-    rank_sorted = np.arange(len(g_of_u)) - grp_start  # local 0-based index
-    rank_of = np.empty(len(order), dtype=np.int64)
-    rank_of[order] = rank_sorted
-    local_index = rank_of[inverse]  # per corner
-    verts_all = flat[first_idx[order]]  # group-major first-appearance verts
-
-    # per-group slices
-    tri_counts = np.bincount(grp_t, minlength=grp_t[-1] + 1 if T else 0)
-    vert_counts = np.bincount(g_of_u.astype(np.int64), minlength=len(tri_counts))
-    tri_bounds = np.concatenate([[0], np.cumsum(tri_counts) * 3])
-    vert_bounds = np.concatenate([[0], np.cumsum(vert_counts)])
-    first_rows = np.concatenate([[0], np.cumsum(tri_counts)])[:-1]
-    rows = []
-    bids = g.building_id.to_numpy()
-    for j in range(len(tri_counts)):
-        i0 = int(first_rows[j])
-        rows.append(
-            dict(
-                building_id=bids[i0],
-                building_seq=int(seq[i0]),
-                n_vertices=int(vert_counts[j]),
-                verts=verts_all[vert_bounds[j] : vert_bounds[j + 1]].ravel().tolist(),
-                faces=local_index[tri_bounds[j] : tri_bounds[j + 1]].tolist(),
-                semantic=sem[i0],
-            )
-        )
-    return pd.DataFrame(rows)
 
 
-def _render_blocks(
-    interned: rd.Dataset,
-    cfg: EngineConfig,
-    group_markers: bool,
-    mtl_values: dict[str, float] | None,
-    mtl_range: tuple[float, float] | None,
-) -> rd.Dataset | None:
-    """Phase 2 (distributed): per-building OBJ text blocks with GLOBAL
-    1-based face indices. The driver touches only the tiny
-    (building_seq, n_vertices) projection — the offset cumsum — which is
-    broadcast back for the distributed render; full verts/faces never
-    reach the driver (CityGML2OBJs.py:767-770 local→global merge)."""
-    import ray
-
-    counts = interned.select_columns(["building_seq", "n_vertices"]).to_pandas()
-    if counts.empty:
-        return None
-    counts = counts.sort_values("building_seq").reset_index(drop=True)
-    offsets = np.concatenate([[0], np.cumsum(counts.n_vertices.to_numpy())])[:-1]
-    off_ref = ray.put(dict(zip(counts.building_seq.tolist(), offsets.tolist())))
-    mtl_ref = ray.put(mtl_values) if mtl_values is not None else None
-
-    def render(df: pd.DataFrame) -> pd.DataFrame:
-        offs = ray.get(off_ref) if isinstance(off_ref, ray.ObjectRef) else off_ref
-        mvals = None
-        if mtl_ref is not None:
-            mvals = ray.get(mtl_ref) if isinstance(mtl_ref, ray.ObjectRef) else mtl_ref
-        texts = []
-        for row in df.itertuples():
-            lines: list[str] = []
-            if group_markers:
-                lines.append(f"o {row.building_id}")
-            v = np.asarray(row.verts, dtype=np.float64).reshape(-1, 3)
-            for p in v:
-                # full-precision shortest repr: exact float round-trip (the
-                # reference also writes str(float) — CityGML2OBJs.py:61-65)
-                lines.append(f"v {p[0]!r} {p[1]!r} {p[2]!r}")
-            if mvals is not None and mtl_range is not None:
-                val = mvals.get(row.building_id)
-                if val is not None:
-                    b = mtl_bucketize(
-                        np.array([val]), mtl_range[0], mtl_range[1], cfg.mtl_bins
-                    )[0]
-                    lines.append(f"usemtl m{round(b * (cfg.mtl_bins - 1)):03d}")
-            fidx = np.asarray(row.faces, dtype=np.int64) + 1 + offs[int(row.building_seq)]
-            if hasattr(row, "face_lens") and row.face_lens is not None:
-                # polypreserve: ragged faces (one per polygon)
-                pos = 0
-                for ln in row.face_lens:
-                    lines.append("f " + " ".join(str(i) for i in fidx[pos : pos + ln]))
-                    pos += ln
-            else:
-                for a, b_, c in fidx.reshape(-1, 3):
-                    lines.append(f"f {a} {b_} {c}")
-            texts.append("\n".join(lines))
-        return pd.DataFrame({"building_seq": df.building_seq.to_numpy(), "text": texts})
-
-    return interned.map_batches(render, batch_format="pandas")
-
-
-def write_obj_class(
-    tris: rd.Dataset,
-    fh,
-    cfg: EngineConfig = DEFAULT_CONFIG,
-    group_markers: bool = True,
-    mtl_values: dict[str, float] | None = None,
-    mtl_range: tuple[float, float] | None = None,
-    preserve: bool = False,
-) -> None:
-    """Assemble one semantic class's triangle rows into OBJ text, STREAMED
-    to ``fh`` in ``building_seq`` order.
-
-    Phase 1 (distributed): per-building first-appearance vertex interning.
-    Phase 2 (driver): offset cumsum over the tiny (building_seq,
-    n_vertices) projection. Phase 3 (distributed): per-building text
-    render with broadcast offsets. The driver only streams finished text
-    to the sink — it never holds the class geometry."""
-    # two-level grouping: shuffle on a COARSE bucket (~64 buildings per
-    # group) and loop per building inside — per-group scheduling overhead
-    # is paid ~n_buildings/64 times, not once per building (measured 3x
-    # on the sf0.1 OBJ convert). building_id grouping semantics unchanged:
-    # the bucket is a pure function of building_seq.
-    intern_fn = _intern_building_rings if preserve else _intern_building
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(_bucket=(df.building_seq.to_numpy() // 64))
-
-    def intern_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        out = [
-            intern_fn(bg, cfg.vertex_round_decimals)
-            for _, bg in g.groupby("building_id", sort=False)
-        ]
-        return pd.concat(out).drop(columns=["_bucket"], errors="ignore")
-
-    interned = (
-        tris.map_batches(add_bucket, batch_format="pandas")
-        .groupby("_bucket")
-        .map_groups(intern_bucket, batch_format="pandas")
-    )
-    interned = interned.materialize()
-    blocks = _render_blocks(interned, cfg, group_markers, mtl_values, mtl_range)
-    if blocks is None:
-        fh.write("# empty\n")
-        return
-    fh.write("# citygml2objv2_ray OBJ export\n")
-    if mtl_values is not None:
-        fh.write("mtllib colormap.mtl\n")
-    for batch in blocks.sort("building_seq").iter_batches(batch_format="pandas"):
-        for t in batch["text"]:
-            fh.write(t)
-            fh.write("\n")
+# the name perfbench's traced pass calls with one building's polygon rows
+# of one class (one row out)
+_intern_building_rings = _intern_bucket_rings
 
 
 def assemble_obj_class(
-    tris: rd.Dataset,
-    cfg: EngineConfig = DEFAULT_CONFIG,
-    group_markers: bool = True,
-    mtl_values: dict[str, float] | None = None,
-    mtl_range: tuple[float, float] | None = None,
+    tris: rd.Dataset, cfg: EngineConfig = DEFAULT_CONFIG, group_markers: bool = True
 ) -> str:
-    """In-memory convenience wrapper over the streaming writer (tests /
-    small classes)."""
-    import io
+    """One semantic class's triangle rows as OBJ text, in memory (tests /
+    small classes) — the ``write_obj_per_class`` file of that class."""
+    import tempfile
 
-    buf = io.StringIO()
-    write_obj_class(tris, buf, cfg, group_markers, mtl_values, mtl_range)
-    return buf.getvalue()
+    with tempfile.TemporaryDirectory() as d:
+        paths = write_obj_per_class(tris, d, cfg=cfg, group_markers=group_markers)
+        if not paths:
+            return "# empty\n"
+        (path,) = paths.values()
+        with open(path) as f:
+            return f.read()
 
 
 def write_obj_per_class(
@@ -319,39 +169,36 @@ def write_obj_per_class(
     ``preserve=True`` the input is the VALIDATED SURFACES table and each
     polygon becomes one n-gon face (``-p`` / SKIPTRI parity).
 
-    ONE shuffle interns every (class, building) at once — the round-2
-    shape looped classes serially, each with its own shuffle+materialize
-    over the shared input (VERDICT r2 item 7). Offsets are a per-class
-    cumsum over the tiny (semantic, building_seq, n_vertices) projection;
-    the rendered blocks are sorted once on (semantic, building_seq) and
-    streamed to the per-class files in a single pass. Output bytes are
-    identical to the per-class path."""
+    ONE shuffle on a coarse (class, 64-building) bucket; each bucket's
+    (class, building) groups are interned in one vectorized pass, in both
+    modes. Offsets are a per-class cumsum over the tiny (semantic,
+    building_seq, n_vertices) projection; the rendered blocks are sorted
+    once on (semantic, building_seq) and streamed to the per-class files
+    in a single pass."""
     import ray
 
     os.makedirs(out_dir, exist_ok=True)
-    intern_fn = _intern_building_rings if preserve else _intern_building
+    if preserve:
+        intern_bucket, geometry = _intern_bucket_rings, ["exterior"]
+    else:
+        intern_bucket, geometry = _intern_bucket_vectorized, ["tri_seq", "p0", "p1", "p2"]
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
+    def add_bucket(b: pa.Table) -> pa.Table:
         # composite coarse bucket per (class, 64-building block): all
-        # classes ride one shuffle; per-group overhead stays ~n/64
-        return df.assign(
-            _bucket=df.semantic.astype(str) + "|" + (df.building_seq // 64).astype(str)
-        )
-
-    def intern_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if preserve:
-            out = []
-            for (sem, _), bg in g.groupby(["semantic", "building_id"], sort=False):
-                r = intern_fn(bg, cfg.vertex_round_decimals)
-                r["semantic"] = sem
-                out.append(r)
-            return pd.concat(out).drop(columns=["_bucket"], errors="ignore")
-        return _intern_bucket_vectorized(g, cfg.vertex_round_decimals)
+        # classes ride one shuffle; per-group overhead stays ~n/64. Built
+        # in Arrow: a pandas round trip turns the point columns into Ray
+        # tensor columns, which tripled the shuffle's cost.
+        block = pc.cast(pc.divide(b["building_seq"], 64), pa.string())
+        key = pc.binary_join_element_wise(b["semantic"], block, "|")
+        cols = ["semantic", "building_id", "building_seq", "poly_seq"] + geometry
+        return b.select(cols).append_column("_bucket", key)
 
     interned = (
-        tris.map_batches(add_bucket, batch_format="pandas")
+        tris.map_batches(add_bucket, batch_format="pyarrow")
         .groupby("_bucket")
-        .map_groups(intern_bucket, batch_format="pandas")
+        .map_groups(
+            lambda g: intern_bucket(g, cfg.vertex_round_decimals), batch_format="pandas"
+        )
         .materialize()
     )
     counts = interned.select_columns(["semantic", "building_seq", "n_vertices"]).to_pandas()

@@ -1,12 +1,19 @@
 """Geometry stages for ``map_batches`` — the Ray-native forms of the
 reference's per-polygon loop (``CityGML2OBJs.py:99-193``).
 
-``clean_validate`` is a stateless batch fn (cheap, elastic tasks);
-``Triangulator`` is an actor-pool class (C1 is the heavy kernel —
-SURVEY.md §7.2).
+Both stages are stateless batch functions (task pools) over ONE flat-ring
+kernel, ``ring_kernel``: ring clean (B1), closure test, validity reasons
+(B2), Newell normal (B9) and planarity for every polygon of a batch in one
+segment-vectorized pass over the ``ring_column`` points and offsets.
+``clean_validate`` projects the kernel to per-polygon columns;
+``Triangulator`` fans the kernel's cleaned convex rings and ear-clips the
+rest. ``pipelines.geometry.roof_tri2d`` and the ``-p`` convert path use
+the same kernel.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -15,47 +22,189 @@ from .. import geom
 from ..arrow_utils import ring_column, rings_column
 from ..config import DEFAULT_CONFIG, EngineConfig
 
+# invalid_reason per kernel reason code; 0 = valid (geom.is_valid_ring's
+# reasons, in the order it tests them)
+REASONS = (
+    "", "too_few_points", "not_closed", "repeated_consecutive", "not_planar",
+    "degenerate_normal", "self_intersecting",
+)
 
-def _iter_polys(batch: pa.Table):
-    """Yield (row, exterior (n,3), [interiors]) from an Arrow surfaces batch
-    using flat offset slicing (no per-row pylist materialization)."""
+
+def clean_rings(pts: np.ndarray, off: np.ndarray, decimals: int):
+    """``geom.clean_ring`` over every ring of a flat ``ring_column`` at once.
+
+    Returns ``(body, boff, closed)``: row i's cleaned ring minus its last
+    point is ``body[boff[i]:boff[i+1]]``, and ``closed[i]`` says whether the
+    cleaned ring ends on its first point. On a closed ring that last point
+    is the closure, so ``body`` is the open ring that ``-p`` faces and the
+    fan triangulation take."""
+    R = len(off) - 1
+    counts = np.diff(off)
+    rowid = np.repeat(np.arange(R), counts)
+    first, last = off[:-1], off[1:] - 1
+    has = np.flatnonzero(counts > 0)
+    closed = np.zeros(R, bool)
+    closed[has] = (counts[has] >= 2) & np.all(pts[first[has]] == pts[last[has]], axis=1)
+    keep = np.ones(len(pts), bool)
+    if len(pts) > 1:
+        rr = np.round(pts, decimals)
+        keep[1:] = np.any(rr[1:] != rr[:-1], axis=1)
+    keep[first[has]] = True
+    keep[last[closed]] = False  # the input closure point
+    # an open input ring: its last kept point ends the cleaned ring, which
+    # is closed when that point repeats the first one exactly
+    kept = np.flatnonzero(keep)
+    kc = np.bincount(rowid[kept], minlength=R)
+    tail_rows = np.flatnonzero(~closed & (kc > 0))
+    tail = kept[np.cumsum(kc)[tail_rows] - 1]
+    closed[tail_rows] = (kc[tail_rows] >= 2) & np.all(
+        pts[tail] == pts[first[tail_rows]], axis=1
+    )
+    keep[tail] = False
+    boff = np.zeros(R + 1, np.int64)
+    np.cumsum(np.bincount(rowid[keep], minlength=R), out=boff[1:])
+    return pts[keep], boff, closed
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Row norms of (R,3), bit-equal to ``np.linalg.norm`` of each row (its
+    BLAS dot rounds differently from ``sqrt(x*x + y*y + z*z)``)."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None]).ravel())
+
+
+def _ring_next(off: np.ndarray):
+    """For flat rings with offsets ``off``: the ring of each point and the
+    index of the next point around its ring."""
+    row = np.repeat(np.arange(len(off) - 1), np.diff(off))
+    idx = np.arange(off[-1])
+    return row, np.where(idx + 1 < off[1:][row], idx + 1, off[:-1][row])
+
+
+def _ring_areas(P: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """``geom.ring_area_3d`` of every ring ``P[off[i]:off[i+1]]``, open or
+    closed: a closure point adds only the exact zero p × p, and rings of
+    fewer than 3 points sum to exactly zero, so neither needs a branch."""
+    row, nxt = _ring_next(off)
+    c = np.cross(P, P[nxt])
+    s = np.column_stack([np.bincount(row, c[:, k], len(off) - 1) for k in range(3)])
+    return 0.5 * _norm(s)
+
+
+class FlatRings(NamedTuple):
+    """``ring_kernel`` output for a batch of R polygons."""
+
+    body: np.ndarray    # (n,3) cleaned open exterior rings, row-major
+    boff: np.ndarray    # (R+1,) row i's ring is body[boff[i]:boff[i+1]]
+    brow: np.ndarray    # (n,) row of each body point
+    nxt: np.ndarray     # (n,) index of the next point around its ring
+    normal: np.ndarray  # (R,3) unit Newell normal, zeros when degenerate
+    reason: np.ndarray  # (R,) index into REASONS, 0 = valid
+
+    @property
+    def valid(self) -> np.ndarray:
+        return self.reason == 0
+
+
+def ring_kernel(batch: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> FlatRings:
+    """Clean (B1) + validity predicate (B2) + Newell normal (B9) for every
+    exterior ring of ``batch``, equal row for row to ``geom.clean_ring``
+    followed by ``geom.is_valid_ring``. Newell sums accumulate in ring
+    order, where ``np.sum`` pairs terms up from 8 points on, so a normal of
+    a ring with 8+ points can differ from ``geom.newell_normal`` in the
+    last bit."""
     pts, off = ring_column(batch["exterior"])
-    ipts, iring_off, irow_off = rings_column(batch["interiors"])
-    for i in range(batch.num_rows):
-        ext = pts[off[i] : off[i + 1]]
-        holes = [
-            ipts[iring_off[r] : iring_off[r + 1]]
-            for r in range(irow_off[i], irow_off[i + 1])
-        ]
-        yield i, ext, holes
+    body, boff, closed = clean_rings(pts, off, cfg.vertex_round_decimals)
+    R = len(boff) - 1
+    bc = np.diff(boff)
+    brow, nxt = _ring_next(boff)
+    P, Pn = body, body[nxt]
+    raw = np.column_stack([
+        np.bincount(brow, (P[:, 1] - Pn[:, 1]) * (P[:, 2] + Pn[:, 2]), R),
+        np.bincount(brow, (P[:, 2] - Pn[:, 2]) * (P[:, 0] + Pn[:, 0]), R),
+        np.bincount(brow, (P[:, 0] - Pn[:, 0]) * (P[:, 1] + Pn[:, 1]), R),
+    ])
+    mag = _norm(raw)
+    normal = raw / np.where(mag > 0, mag, 1.0)[:, None]
+
+    # planarity: max |(p - centroid) . unit normal| per ring <= eps
+    c = np.column_stack([np.bincount(brow, P[:, k], R) for k in range(3)])
+    c = c / np.maximum(bc, 1)[:, None]
+    nb, cb = normal[brow], c[brow]
+    d = np.abs(
+        (P[:, 0] - cb[:, 0]) * nb[:, 0]
+        + (P[:, 1] - cb[:, 1]) * nb[:, 1]
+        + (P[:, 2] - cb[:, 2]) * nb[:, 2]
+    )
+    dmax = np.zeros(R)
+    ne = bc > 0
+    if ne.any():
+        dmax[ne] = np.maximum.reduceat(d, boff[:-1][ne])
+    rep = np.zeros(R, bool)
+    if len(body) > 1:
+        same = np.all(body[1:] == body[:-1], axis=1) & (brow[1:] == brow[:-1])
+        rep[brow[1:][same]] = True
+
+    reason = np.select(
+        [
+            bc < 3,
+            ~closed,
+            rep,
+            (bc >= 4) & ((mag == 0) | (dmax > cfg.planarity_eps)),
+            mag == 0,
+        ],
+        [1, 2, 3, 4, 5],
+        0,
+    ).astype(np.int8)
+    if cfg.strict_valid:
+        # the opt-in self-intersection clause stays per ring (O(n^2) pairs)
+        for i in np.flatnonzero(reason == 0):
+            ring = body[boff[i] : boff[i + 1]]
+            if geom.ring_self_intersects(np.vstack([ring, ring[:1]])):
+                reason[i] = 6
+    return FlatRings(body, boff, brow, nxt, normal, reason)
+
+
+def _round3(x: np.ndarray) -> np.ndarray:
+    """Python's ``round(v, 3)`` elementwise. ``np.round`` differs from it
+    only where ``v * 1000`` rounds to an exact half-integer; those values
+    are re-rounded in Python."""
+    out = np.round(x, 3)
+    p = x * 1000.0
+    tie = np.flatnonzero(p - np.floor(p) == 0.5)
+    out[tie] = [round(float(v), 3) for v in x[tie]]
+    return out
 
 
 def clean_validate(batch: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> pa.Table:
     """Ring clean (B1) + validity predicate (B2) + per-polygon derived
-    columns: area (B10), Newell normal (B9), azimuth/tilt (B11).
+    columns: area minus hole areas (B10), Newell normal (B9), azimuth/tilt
+    (B11) — a column projection of ``ring_kernel``.
 
-    Invalid polygons are kept, flagged ``valid=False`` with a reason — the
-    filter+metrics decision happens downstream (the reference prints and
-    skips, CityGML2OBJs.py:163-170)."""
-    n = batch.num_rows
-    valid = np.zeros(n, dtype=bool)
-    reason = np.empty(n, dtype=object)
-    area = np.zeros(n, dtype=np.float64)
-    normal = np.zeros((n, 3), dtype=np.float64)
-    azimuth = np.zeros(n, dtype=np.float64)
-    tilt = np.zeros(n, dtype=np.float64)
-    for i, ext, holes in _iter_polys(batch):
-        ext = geom.clean_ring(ext, cfg.vertex_round_decimals)
-        ok, why = geom.is_valid_ring(ext, cfg)
-        valid[i], reason[i] = ok, why
-        if ok:
-            area[i] = geom.gml_area(ext, holes)
-            nrm = geom.newell_normal(ext)
-            normal[i] = nrm
-            azimuth[i], tilt[i] = geom.azimuth_tilt(nrm)
+    Invalid polygons are kept, flagged ``valid=False`` with a reason and
+    zeros in the derived columns — the filter+metrics decision happens
+    downstream (the reference prints and skips, CityGML2OBJs.py:163-170)."""
+    k = ring_kernel(batch, cfg)
+    valid = k.valid
+    R = len(valid)
+    area = np.where(valid, _ring_areas(k.body, k.boff), 0.0)
+    # holes are subtracted unclean, one at a time (geom.gml_area)
+    hpts, hoff, hrow_off = rings_column(batch["interiors"])
+    hole_area = _ring_areas(hpts, hoff)
+    nholes = np.diff(hrow_off)
+    for j in range(int(nholes.max(initial=0))):
+        rows = np.flatnonzero(valid & (nholes > j))
+        area[rows] -= hole_area[hrow_off[rows] + j]
+
+    normal = np.where(valid[:, None], k.normal, 0.0)
+    azimuth, tilt = np.zeros(R), np.zeros(R)
+    if valid.any():
+        n = normal[valid] / _norm(normal[valid])[:, None]
+        azimuth[valid] = _round3(np.degrees(np.arctan2(n[:, 0], n[:, 1])) % 360.0)
+        tilt[valid] = _round3(np.degrees(np.arccos(np.clip(n[:, 2], -1.0, 1.0))))
+    reasons = pa.array(REASONS, pa.string()).take(pa.array(k.reason.astype(np.int64)))
     return (
         batch.append_column("valid", pa.array(valid))
-        .append_column("invalid_reason", pa.array(reason, pa.string()))
+        .append_column("invalid_reason", reasons)
         .append_column("area", pa.array(area))
         .append_column("nx", pa.array(normal[:, 0]))
         .append_column("ny", pa.array(normal[:, 1]))
@@ -66,13 +215,12 @@ def clean_validate(batch: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> pa.Ta
 
 
 class Triangulator:
-    """Actor-pool triangulation stage (C1, polygon3dmodule.py:551-716).
+    """Triangulation stage (C1, polygon3dmodule.py:551-716).
 
-    One actor instance per pool slot; per-batch it explodes each valid
-    polygon row into one row per triangle (TRIANGLES_SCHEMA). Invalid
-    polygons triangulate to zero rows (silent-empty parity,
-    polygon3dmodule.py:679-687) — callers join back to ``clean_validate``
-    output for the skip metrics.
+    Per batch it explodes each valid polygon row into one row per triangle
+    (TRIANGLES_SCHEMA). Invalid polygons triangulate to zero rows
+    (silent-empty parity, polygon3dmodule.py:679-687); ``clean_validate``
+    over the same rows gives the reasons.
     """
 
     def __init__(self, cfg: EngineConfig = DEFAULT_CONFIG):
@@ -133,100 +281,47 @@ class Triangulator:
         """Returns (list of row-index arrays, list of (t,3,3) arrays) in
         ascending row order with per-row emission order preserved.
 
-        Fully segment-vectorized fast path (clean → validity → Newell →
-        projection → strict-convexity gate → fan emission) over flat ring
-        arrays; only rows with holes, non-convex rings, or degenerate
-        projections fall back to the per-polygon kernel
-        (``geom.triangulate_polygon``). The fan equals the ear-clip output
-        on gated rows (see ``geom.convex_fan``), so batch and per-polygon
-        paths are interchangeable triangle-for-triangle."""
+        Fully segment-vectorized fast path (``ring_kernel`` → projection →
+        strict-convexity gate → fan emission) over flat ring arrays; only
+        rows with holes, non-convex rings, or degenerate projections fall
+        back to the per-polygon ear clip (``geom.triangulate_clean``). The
+        fan equals the ear-clip output on gated rows (see
+        ``geom.convex_fan``), so batch and per-polygon paths are
+        interchangeable triangle-for-triangle."""
         cfg = self.cfg
         R = batch.num_rows
         if R == 0:
             return [], []
-        if getattr(cfg, "strict_valid", False):
-            return self._rows_fallback(batch, np.arange(R))
-
-        pts, off = ring_column(batch["exterior"])
+        k = ring_kernel(batch, cfg)
+        valid = k.valid
+        if not valid.any():
+            return [], []
         _, _, irow_off = rings_column(batch["interiors"])
-        nholes = irow_off[1:] - irow_off[:-1]
-        counts = off[1:] - off[:-1]
-        rowids = np.repeat(np.arange(R), counts)
-
-        # ---- vectorized clean_ring (consecutive rounded-dup removal) ----
-        dec = cfg.vertex_round_decimals
-        first, last = off[:-1], off[1:] - 1
-        has = counts > 0
-        closed = np.zeros(R, bool)
-        hs = np.flatnonzero(has)
-        closed[hs] = (counts[hs] >= 2) & np.all(pts[first[hs]] == pts[last[hs]], axis=1)
-        keep = np.ones(len(pts), bool)
-        if len(pts) > 1:
-            rr = np.round(pts, dec)
-            keep[1:] = np.any(rr[1:] != rr[:-1], axis=1)
-        keep[first[hs]] = True
-        keep[last[np.flatnonzero(closed)]] = False  # open the ring
-        body_counts = np.bincount(rowids[keep], minlength=R).astype(np.int64)
-        bpts = pts[keep]
-        boff = np.zeros(R + 1, np.int64)
-        np.cumsum(body_counts, out=boff[1:])
-        brow = np.repeat(np.arange(R), body_counts)
-
-        valid = closed & (body_counts >= 3)
-        if not valid.any():
-            return [], []
-
-        n = len(bpts)
-        idx = np.arange(n)
-        pos = idx - boff[brow]
-        seg_n = body_counts[brow]
+        nholes = np.diff(irow_off)
+        bpts, boff, brow, nxt = k.body, k.boff, k.brow, k.nxt
+        body_counts = np.diff(boff)
+        idx = np.arange(len(bpts))
         seg_first = boff[brow]
-        nxt = np.where(pos + 1 < seg_n, idx + 1, seg_first)
+        seg_n = body_counts[brow]
+        pos = idx - seg_first
         prv = np.where(pos > 0, idx - 1, seg_first + seg_n - 1)
-
-        P, Pn = bpts, bpts[nxt]
-        nx = np.bincount(brow, (P[:, 1] - Pn[:, 1]) * (P[:, 2] + Pn[:, 2]), R)
-        ny = np.bincount(brow, (P[:, 2] - Pn[:, 2]) * (P[:, 0] + Pn[:, 0]), R)
-        nz = np.bincount(brow, (P[:, 0] - Pn[:, 0]) * (P[:, 1] + Pn[:, 1]), R)
-        mag = np.sqrt(nx * nx + ny * ny + nz * nz)
-        valid &= mag > 0.0
-        safe = np.where(mag > 0, mag, 1.0)
-        un_x, un_y, un_z = nx / safe, ny / safe, nz / safe
-
-        # planarity: max |(p - centroid) . unit_normal| per row <= eps
-        denom = np.maximum(body_counts, 1)
-        cx = np.bincount(brow, P[:, 0], R) / denom
-        cy = np.bincount(brow, P[:, 1], R) / denom
-        cz = np.bincount(brow, P[:, 2], R) / denom
-        d = np.abs(
-            (P[:, 0] - cx[brow]) * un_x[brow]
-            + (P[:, 1] - cy[brow]) * un_y[brow]
-            + (P[:, 2] - cz[brow]) * un_z[brow]
-        )
-        dmax = np.zeros(R)
         ne = body_counts > 0
-        if ne.any():
-            red = np.maximum.reduceat(d, boff[:-1][ne]) if len(d) else np.zeros(0)
-            dmax[ne] = red
-        valid &= dmax <= cfg.planarity_eps
-        if not valid.any():
-            return [], []
 
         # ---- projection axis (geom.projection_axis, vectorized) ----
         ptp_x = np.zeros(R)
         if ne.any():
-            mx = np.maximum.reduceat(P[:, 0], boff[:-1][ne])
-            mn = np.minimum.reduceat(P[:, 0], boff[:-1][ne])
+            mx = np.maximum.reduceat(bpts[:, 0], boff[:-1][ne])
+            mn = np.minimum.reduceat(bpts[:, 0], boff[:-1][ne])
             ptp_x[ne] = mx - mn
         axis = np.where(
-            np.abs(un_z) >= cfg.vertical_nz_tol,
+            np.abs(k.normal[:, 2]) >= cfg.vertical_nz_tol,
             geom.AXIS_XY,
             np.where(ptp_x < 1e-12, geom.AXIS_YZ, geom.AXIS_XZ),
         )
         UCOL = np.array([0, 0, 1])  # AXIS_XY, AXIS_XZ, AXIS_YZ
         VCOL = np.array([1, 2, 2])
-        u = P[idx, UCOL[axis[brow]]]
-        v = P[idx, VCOL[axis[brow]]]
+        u = bpts[idx, UCOL[axis[brow]]]
+        v = bpts[idx, VCOL[axis[brow]]]
         area2 = np.bincount(brow, u * v[nxt] - u[nxt] * v, R)
 
         # ---- strict-convexity gate in CCW space (geom.convex_fan) ----
@@ -267,7 +362,7 @@ class Triangulator:
         tris_f = np.stack([w3[i0], w3[i1], w3[i2]], axis=1)
         # winding flip against the original (pre-reversal) Newell normal
         tn = np.cross(tris_f[:, 1] - tris_f[:, 0], tris_f[:, 2] - tris_f[:, 0])
-        nrm = np.column_stack([un_x, un_y, un_z])[trow_f]
+        nrm = k.normal[trow_f]
         flip = np.einsum("ij,ij->i", tn, nrm) < 0
         tris_f[flip] = tris_f[flip][:, ::-1, :]
 
@@ -275,7 +370,7 @@ class Triangulator:
             return [trow_f], [tris_f]
 
         # ---- fallback rows + ordered merge ----
-        srow_list, stris_list = self._rows_fallback(batch, slow_rows)
+        srow_list, stris_list = self._rows_fallback(batch, slow_rows, k)
         if not stris_list:
             return [trow_f], [tris_f]
         # merge the two row-sorted streams
@@ -286,23 +381,19 @@ class Triangulator:
         # fast/slow rows are disjoint so the interleave is exact
         return [trows[order]], [tris[order]]
 
-    def _rows_fallback(self, batch: pa.Table, rows: np.ndarray):
-        """Per-polygon kernel for the rows the batch path can't take."""
-        pts, off = ring_column(batch["exterior"])
+    def _rows_fallback(self, batch: pa.Table, rows: np.ndarray, k: FlatRings):
+        """Per-polygon ear clip for the valid rows the fan can't take; the
+        exteriors are the kernel's cleaned rings, closed again."""
+        dec = self.cfg.vertex_round_decimals
         ipts, iring_off, irow_off = rings_column(batch["interiors"])
         trow_list, tri_list = [], []
         for i in rows:
-            i = int(i)
-            ext = pts[off[i] : off[i + 1]]
+            ring = k.body[k.boff[i] : k.boff[i + 1]]
             holes = [
-                ipts[iring_off[r] : iring_off[r + 1]]
+                geom.clean_ring(ipts[iring_off[r] : iring_off[r + 1]], dec)
                 for r in range(irow_off[i], irow_off[i + 1])
             ]
-            ext = geom.clean_ring(ext, self.cfg.vertex_round_decimals)
-            ok, _ = geom.is_valid_ring(ext, self.cfg)
-            if not ok:
-                continue
-            tris = geom.triangulate_polygon(ext, holes, self.cfg)
+            tris = geom.triangulate_clean(np.vstack([ring, ring[:1]]), holes, self.cfg)
             if len(tris):
                 trow_list.append(np.full(len(tris), i, np.int64))
                 tri_list.append(tris)

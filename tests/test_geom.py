@@ -303,15 +303,14 @@ class TestBatchedTriangulatorParity:
 
         from citygml2objv2_ray import worlds
         from citygml2objv2_ray.stages.geometry import Triangulator
+        from reference_oracle import triangulate_rowwise
 
         _, surfaces, _ = worlds.load_world(worlds.sf_of_dir("/root/testdata/sf0.001"))
-        tri = Triangulator()
-        got = tri(surfaces)
-        rows = np.arange(surfaces.num_rows)
-        trl, til = tri._rows_fallback(surfaces, rows)
-        want_rows = np.concatenate(trl) if trl else np.zeros(0, np.int64)
-        want_tris = np.concatenate(til) if til else np.zeros((0, 3, 3))
+        got = Triangulator()(surfaces)
+        want_rows, want_tris = triangulate_rowwise(surfaces)
         assert got.num_rows == len(want_rows) > 0
+        ids = surfaces["poly_id"].to_pylist()
+        assert got["poly_id"].to_pylist() == [ids[i] for i in want_rows]
         got_p = np.stack(
             [
                 np.asarray(got["p0"].combine_chunks().flatten()).reshape(-1, 3),
