@@ -52,7 +52,7 @@ def _flagship_result(sf_dir: str):
         return _FLAGSHIP_CACHE[sf]
     images_path, surfaces, footprints = worlds.load_world(sf)
     out_root = os.path.join("/tmp/citygml2objv2_ray_runs", f"sf{sf:g}-{uuid.uuid4().hex[:8]}")
-    res = run_flagship(images_path, surfaces, footprints, out_root, concurrency=8)
+    res = run_flagship(images_path, surfaces, footprints, out_root)
     _FLAGSHIP_CACHE[sf] = res
     return res
 

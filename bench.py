@@ -88,7 +88,7 @@ def run_bench() -> dict:
         out_root = f"/tmp/citygml2objv2_ray_bench/{uuid.uuid4().hex[:8]}"
         t0 = time.perf_counter()
         res = run_flagship(
-            images_path, surfaces, footprints, out_root, concurrency=max(2, NUM_CPUS - 4), resume=False
+            images_path, surfaces, footprints, out_root, resume=False
         )
         dt = time.perf_counter() - t0
         headline = dt if headline is None else min(headline, dt)
@@ -371,8 +371,7 @@ def run_scaling_child() -> dict:
         out_root = f"/tmp/citygml2objv2_ray_bench/{_uuid.uuid4().hex[:8]}"
         t0 = _time.perf_counter()
         res = run_flagship(
-            images_path, surfaces, footprints, out_root,
-            concurrency=max(2, NUM_CPUS - 4), resume=False,
+            images_path, surfaces, footprints, out_root, resume=False,
         )
         dt = _time.perf_counter() - t0
         rows = res.rows_written

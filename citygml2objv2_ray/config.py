@@ -92,11 +92,13 @@ class EngineConfig:
     # 12.8 s) and 1M docs (47.9 vs 55.5 s) with identical output
     broadcast_verify_rows: int = 1_000_000
 
-    # batching — join batch also sets downstream BLOCK granularity: the
-    # decode pool's parallelism is bounded by upstream block count (tuned
-    # via ds.stats(): 8192 starved the decode pool to 13 tasks)
+    # batching. Ray fuses the flagship's process (join + decode/clip) and
+    # writer map_batches into one operator whose input bundles hold the
+    # LARGER of the two batch sizes (operator_fusion's
+    # _derive_bundle_min_num_rows), so write_batch_size, not
+    # join_batch_size, sets how many fused tasks there are;
+    # join_batch_size is the rows per process call inside a task
     geometry_batch_size: int = 2048
-    image_batch_size: int = 1024         # wide binary rows → smallish batches
     join_batch_size: int = 1024          # small is fine: per-cell kNN sets cached
     write_batch_size: int = 8192         # per write task (32k bundling stalled the stream)
     n_output_parts: int = 16             # output partition fan-out (resume unit)

@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="ignore an existing checkpoint log instead of resuming",
     )
-    p.add_argument("--concurrency", type=int, default=0, help="0 = derive from cluster CPUs")
     return p
 
 
@@ -86,7 +85,6 @@ def run_job(args) -> dict:
     import ray
 
     n_cpus = int(ray.cluster_resources().get("CPU", 4))
-    conc = args.concurrency or max(2, n_cpus - 4)
     rec: dict = {
         "run_id": uuid.uuid4().hex[:12],
         "pipeline": args.pipeline,
@@ -105,7 +103,6 @@ def run_job(args) -> dict:
             surfaces,
             footprints,
             args.out,
-            concurrency=conc,
             resume=not args.no_resume,
         )
         rec.update(rows=res.rows_written, out=res.out_root)

@@ -101,7 +101,6 @@ def run_flagship(
     footprints: pa.Table,
     out_root: str,
     cfg: EngineConfig = DEFAULT_CONFIG,
-    concurrency: int = 8,
     resume: bool = True,
     decode: bool = True,
 ) -> FlagshipResult:

@@ -1,15 +1,17 @@
-"""Image stages: cell encode and decode/verify/clip, both run as task-pool
-``map_batches`` functions (the decode stage's state lives in a per-worker
-module-global cache, ``make_decode_clip_task``).
+"""Image stages: cell encode and decode/verify/clip, both called from the
+flagship's fused task-pool ``map_batches`` function (the decode stage's
+state lives in a per-worker module-global cache, ``make_decode_clip_task``).
 
-The images table has wide binary rows — decode stages run with small
-``batch_size`` (EngineConfig.image_batch_size) so batch x concurrency fits
-worker heaps (SURVEY.md §7.4 "wide binary rows").
+The raster↔vector clip is the row-interval kernel ``_clip_masks``: per
+pixel row, each roof triangle's covered column range comes from its three
+edge functions, the ranges are unioned, and only pixels in a thin band
+along the edges are re-tested with the exact f64 edge test.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -89,73 +91,12 @@ class DecodeVerify:
         )
 
 
-class RasterClip:
-    """Raster↔vector clip (SURVEY.md §2.F): for each image assigned to a
-    building, rasterize the building's triangulated roof faces over the
-    image's ground extent and emit pixel coverage + masked mean intensity.
-
-    The per-building 2-D triangle arrays are broadcast once (``ray.put`` on
-    the driver) and fetched per actor in ``__init__`` — never per batch.
-    Unassigned images pass through with coverage 0.
-    """
-
-    def __init__(self, tri2d_ref, cfg: EngineConfig = DEFAULT_CONFIG):
-        self.tri2d: dict[str, np.ndarray] = (
-            ray.get(tri2d_ref) if isinstance(tri2d_ref, ray.ObjectRef) else tri2d_ref
-        )
-        self.cfg = cfg
-        self._edges: dict = {}  # building_id → edge_entry (worker lifetime)
-
-    def _entry(self, bid):
-        e = self._edges.get(bid)
-        if e is None:
-            tris = self.tri2d.get(bid)
-            e = self._edges[bid] = (
-                edge_entry(tris) if tris is not None and len(tris) else False
-            )
-        return e
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cov = np.zeros(n, dtype=np.float64)
-        masked = np.full(n, np.nan, dtype=np.float64)
-        bids = batch["building_id"].to_pylist()
-        cx = np.asarray(batch["cx"], dtype=np.float64)
-        cy = np.asarray(batch["cy"], dtype=np.float64)
-        w = np.asarray(batch["w"], dtype=np.int64)
-        h = np.asarray(batch["h"], dtype=np.int64)
-        mean_i = (
-            np.asarray(batch["mean_intensity"], dtype=np.float64)
-            if "mean_intensity" in batch.column_names
-            else np.zeros(n)
-        )
-        for i in range(n):
-            bid = bids[i]
-            if bid is None:
-                continue
-            entry = self._entry(bid)
-            if entry is False:
-                continue
-            # pixel-center grid of the tile's ground extent
-            half_w = w[i] * PIXEL_SIZE / 2
-            half_h = h[i] * PIXEL_SIZE / 2
-            xs = cx[i] - half_w + (np.arange(w[i]) + 0.5) * PIXEL_SIZE
-            ys = cy[i] - half_h + (np.arange(h[i]) + 0.5) * PIXEL_SIZE
-            cov[i] = float(_coverage_mask_entry(xs, ys, entry).mean())
-            if cov[i] > 0:
-                masked[i] = mean_i[i]  # proxy: per-pixel values not retained here
-        return batch.append_column("roof_coverage", pa.array(cov)).append_column(
-            "masked_mean", pa.array(masked)
-        )
-
-
 class DecodeClip:
-    """Truly fused decode + verify + raster↔vector clip: each tile is
-    decoded ONCE; the phash invariant, mean intensity, roof coverage AND
-    the masked mean over the ACTUAL pixels inside the clipped faces all
-    come from that single decode (the separate RasterClip stage only sees
-    aggregate features; fusing gives the real per-pixel masked statistics
-    the north star's raster↔vector clip calls for)."""
+    """Fused decode + verify + raster↔vector clip: each tile is decoded
+    ONCE; the phash invariant, mean intensity, roof coverage AND the masked
+    mean over the ACTUAL pixels inside the clipped faces all come from that
+    single decode. The clip runs per (image shape, building) group through
+    ``_clip_masks``; unassigned images keep coverage 0."""
 
     def __init__(self, tri2d_ref, cfg: EngineConfig = DEFAULT_CONFIG, cache_size: int = 256):
         self.decode = DecodeVerify(cfg, cache_size)
@@ -216,41 +157,31 @@ class DecodeClip:
             else:
                 hashes = np.array([codecs.phash64(decoded[i]) for i in idxs])
             ok[idxs] = hashes == phash[idxs]
-            mean_i[idxs] = stack.mean(axis=(1, 2, 3))
-        # group the clip by BUILDING: all images of one building share the
-        # edge matrix, so their bbox-pruned pixel grids concatenate into a
-        # single f32 GEMM (+ shared f64 border re-test) instead of one
-        # GEMM dispatch per image (VERDICT r3 item 7 — the stage's last
-        # per-row Python hot loop)
-        by_bid: dict = {}
-        for i in range(n):
-            if decoded[i] is None or bids[i] is None:
-                continue
-            if self._entry(bids[i]) is not False:
-                by_bid.setdefault(bids[i], []).append(i)
-        for bid, idxs in by_bid.items():
-            entry = self._edges[bid]
-            pts_blocks, metas = [], []
-            for i in idxs:
-                rgb = decoded[i]
-                h_px, w_px = rgb.shape[0], rgb.shape[1]
-                half_w = w_px * PIXEL_SIZE / 2
-                half_h = h_px * PIXEL_SIZE / 2
-                xs = cx[i] - half_w + (np.arange(w_px) + 0.5) * PIXEL_SIZE
-                ys = cy[i] - half_h + (np.arange(h_px) + 0.5) * PIXEL_SIZE
-                pts, mx, my = _grid_points(xs, ys, entry)
-                pts_blocks.append(pts)
-                metas.append((i, mx, my, h_px, w_px))
-            insides = _inside_any_multi(pts_blocks, entry)
-            for (i, mx, my, h_px, w_px), inside in zip(metas, insides):
-                mask = np.zeros((h_px, w_px), dtype=bool)
-                if len(inside):
-                    mask[np.ix_(my, mx)] = inside.reshape(
-                        int(my.sum()), int(mx.sum())
-                    )
-                cov[i] = float(mask.mean())
-                if mask.any():
-                    masked[i] = float(decoded[i][mask].mean())  # TRUE masked mean
+            # integer channel sums: exact, so the means below equal the
+            # float means over the same pixels bit for bit
+            chs = stack[..., 0].astype(np.uint16) + stack[..., 1] + stack[..., 2]
+            n_px = shape[0] * shape[1]
+            mean_i[idxs] = chs.sum(axis=(1, 2)) / (3 * n_px)
+            # clip per building: its images of this shape share one
+            # row-interval pass
+            by_bid: dict = {}
+            for j, i in enumerate(idxs):
+                if bids[i] is not None and self._entry(bids[i]) is not False:
+                    by_bid.setdefault(bids[i], []).append(j)
+            h_px, w_px = shape[0], shape[1]
+            rows = np.asarray(idxs)
+            xgrid = (np.arange(w_px) + 0.5) * PIXEL_SIZE
+            ygrid = (np.arange(h_px) + 0.5) * PIXEL_SIZE
+            for bid, js in by_bid.items():
+                ii = rows[js]
+                xs = cx[ii, None] - w_px * PIXEL_SIZE / 2 + xgrid
+                ys = cy[ii, None] - h_px * PIXEL_SIZE / 2 + ygrid
+                mask = _clip_masks(self._edges[bid], xs, ys)
+                n_in = mask.sum(axis=(1, 2))
+                cov[ii] = n_in / n_px
+                hit = n_in > 0
+                total = (chs[js] * mask).sum(axis=(1, 2))
+                masked[ii[hit]] = total[hit] / (3 * n_in[hit])
         out = batch.drop_columns(["bytes"])
         return (
             out.append_column("pixel_ok", pa.array(ok))
@@ -305,6 +236,8 @@ class Resize:
         return batch
 
 
+# one entry, the current broadcast: a task of a new job replaces the last
+# job's DecodeClip (its raster LRU and edge cache) instead of adding to it
 _WORKER_CACHE: dict = {}
 
 
@@ -318,135 +251,150 @@ def make_decode_clip_task(tri2d_ref, cfg: EngineConfig = DEFAULT_CONFIG):
     def decode_clip_task(batch: pa.Table) -> pa.Table:
         dc = _WORKER_CACHE.get(key)
         if dc is None:
+            _WORKER_CACHE.clear()
             dc = _WORKER_CACHE[key] = DecodeClip(tri2d_ref, cfg)
         return dc(batch)
 
     return decode_clip_task
 
 
-def _coverage(xs: np.ndarray, ys: np.ndarray, tris: np.ndarray) -> float:
-    """Fraction of the pixel grid covered by any triangle."""
-    return float(_coverage_mask(xs, ys, tris).mean())
+class _Edges(NamedTuple):
+    """Edge-function form of one building's (T, 3, 2) roof triangles,
+    centred on their bbox. ``E`` (3, 3T) holds the exact f64 coefficients:
+    ``[x, y, 1] @ E`` gives edge ``k`` of triangle ``t`` in column
+    ``3t + k``. ``A``/``B``/``C`` (3, T) are the same values, edge-major,
+    with each triangle's sign flipped so that its area is not negative."""
+
+    E: np.ndarray
+    center: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
 
 
-def edge_entry(tris: np.ndarray):
-    """Precompute the per-building edge-function form of a (T, 3, 2)
-    triangle set: one float32 coefficient matrix E (3, 3T) such that
-    ``[px, py, 1] @ E`` gives all 3 edge functions of all T triangles in a
-    single GEMM. Coordinates are CENTERED on the triangle bbox first so
-    float32 keeps ~1e-4 absolute precision at the pixel scale (raw UTM-like
-    magnitudes would push float32 eps past the 0.25-unit pixel spacing).
+# Edge values within this band of zero are re-tested exactly. The row
+# intervals carry f64 rounding of about 1e-16 x (bbox size)^2, many orders
+# of magnitude below it for any building, so a pixel outside the band keeps
+# the sign the exact test ``[x, y, 1] @ E`` gives it.
+_EDGE_TOL = 1e-2
 
-    Reused across every image of the building (cached per worker in the
-    clip stages) — the naive broadcast version re-derived these per image
-    and burned ~9 full (pixels × triangles) float64 passes; this is one
-    float32 GEMM + two reductions, the measured memory-bandwidth hot spot
-    of the fused decode stage."""
+
+def edge_entry(tris: np.ndarray) -> _Edges:
+    """Edge form of a (T, 3, 2) triangle set, reused across every image of
+    the building (cached per worker in ``DecodeClip``). Coordinates are
+    centred on the triangle bbox first."""
     lo = tris.min(axis=(0, 1))
     hi = tris.max(axis=(0, 1))
     center = (lo + hi) / 2.0
     t = (tris - center).astype(np.float64)
-    a, b, c = t[:, 0], t[:, 1], t[:, 2]  # (T,2) each
-    T = len(t)
-    E = np.empty((3, 3 * T), dtype=np.float64)
-    for k, (p, q) in enumerate(((a, b), (b, c), (c, a))):
-        # d = (px - q0)*(p1 - q1) - (p0 - q0)*(py - q1)
-        A = p[:, 1] - q[:, 1]
-        B = -(p[:, 0] - q[:, 0])
-        C = -q[:, 0] * A - B * q[:, 1]
-        E[0, k::3] = A
-        E[1, k::3] = B
-        E[2, k::3] = C
-    # keep the exact f64 coefficients alongside the GEMM-fast f32 copy:
-    # borderline pixels are re-tested in f64 (see _coverage_mask_entry)
-    return E.astype(np.float32), center.astype(np.float64), lo, hi, T, E
+    p = t  # edge k runs from vertex k to vertex k + 1
+    q = t[:, [1, 2, 0]]
+    # d = (px - q0)*(p1 - q1) - (p0 - q0)*(py - q1)
+    A = p[..., 1] - q[..., 1]
+    B = -(p[..., 0] - q[..., 0])
+    C = -q[..., 0] * A - B * q[..., 1]
+    E = np.stack([A.ravel(), B.ravel(), C.ravel()])
+    # a triangle's three C's sum to twice its signed area, and so do its
+    # three edge values at any pixel. Flipped to a non-negative area, a
+    # pixel with one value < -tol has another > 0 and is outside, whatever
+    # the area (zero included); a pixel inside has all three > -tol.
+    sign = np.where(C.sum(axis=1) > 0, 1.0, -1.0)[:, None]
+    return _Edges(E, center, lo, hi, (A * sign).T, (B * sign).T, (C * sign).T)
 
 
-# f32 edge values carry ~1e-4 absolute error at these (centered) coordinate
-# magnitudes; anything inside this band gets an exact f64 re-test so the
-# inclusion decision never depends on f32 rounding (or BLAS config)
-_F32_EDGE_TOL = 1e-2
+def _row_union(start: np.ndarray, end: np.ndarray, W: int) -> np.ndarray:
+    """(R, W) bool: per row, the union of the column ranges
+    ``[start, end)`` (R, K). A column is covered when the furthest end among
+    the ranges starting at or before it lies past it."""
+    dt = np.min_scalar_type(W)
+    reach = np.zeros((start.shape[0], W + 1), dtype=dt)
+    at = (np.arange(start.shape[0]) * (W + 1))[:, None] + start
+    np.maximum.at(reach.ravel(), at.ravel(), end.ravel().astype(dt))
+    return np.maximum.accumulate(reach, axis=1)[:, :W] > np.arange(W, dtype=dt)
 
 
-def _inside_any_multi(pt_blocks: list, entry) -> list:
-    """Point-in-any-triangle test for SEVERAL point sets sharing one
-    ``edge_entry`` (all images of one building): the sets concatenate into
-    ONE f32 GEMM + border f64 re-test, then split back — the per-image
-    GEMM dispatch loop this replaces was the flagship clip stage's
-    remaining per-row Python (VERDICT r3 item 7). Each block is a
-    (P_i, 2) float64 array of CENTERED pixel coordinates; returns one
-    (P_i,) bool array per block."""
-    E, center, lo, hi, T, E64 = entry
-    sizes = [len(p) for p in pt_blocks]
-    P = int(sum(sizes))
-    if P == 0:
-        return [np.zeros(0, dtype=bool) for _ in pt_blocks]
-    pts = pt_blocks[0] if len(pt_blocks) == 1 else np.concatenate(pt_blocks)
-    inside_any = np.empty(P, dtype=bool)
-    # slab the GEMM so the (slab, 3T) edge matrix + its reduction
-    # temporaries stay cache-resident: one unchunked pass over a
-    # many-image building was measured memory-bandwidth-BOUND (the D
-    # matrix spills to RAM and each .any() streams it back), 1.5x slower
-    # than per-image dispatch; ~2 MB slabs beat both
-    slab = max(1024, (1 << 19) // max(3 * T, 1))  # ≈0.5M f32 elements
-    for s0 in range(0, P, slab):
-        s1 = min(P, s0 + slab)
-        hom = np.empty((s1 - s0, 3), dtype=np.float32)
-        hom[:, :2] = pts[s0:s1]
-        hom[:, 2] = 1.0
-        D = (hom @ E).reshape(s1 - s0, T, 3)
-        neg = (D < 0).any(axis=2)
-        pos = (D > 0).any(axis=2)
-        inside_any[s0:s1] = (~(neg & pos)).any(axis=1)
-        border = np.flatnonzero((np.abs(D) < _F32_EDGE_TOL).any(axis=(1, 2)))
-        if len(border):
-            hom64 = np.empty((len(border), 3), dtype=np.float64)
-            hom64[:, :2] = pts[s0:s1][border]
-            hom64[:, 2] = 1.0
-            D64 = (hom64 @ E64).reshape(len(border), T, 3)
-            neg64 = (D64 < 0).any(axis=2)
-            pos64 = (D64 > 0).any(axis=2)
-            inside_any[s0 + border] = (~(neg64 & pos64)).any(axis=1)
-    out = []
-    off = 0
-    for s in sizes:
-        out.append(inside_any[off : off + s])
-        off += s
+def _clip_masks(entry: _Edges, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(n, H, W) bool masks of the pixel centres covered by any triangle of
+    ``entry``, for n images with centres ``xs`` (n, W), evenly spaced and
+    increasing, and ``ys`` (n, H). Only pixels inside the triangle bbox
+    are tested.
+
+    Row-interval (scanline) clip: in each pixel row, each oriented
+    triangle certainly covers the column range where its three edge values
+    are all >= tol, and may cover the wider range where all are >= -tol.
+    The union of the certain ranges is the mask; the columns of the wider
+    ranges outside it (a thin band along the edges) are re-tested exactly
+    with the point-in-any-triangle test ``[x, y, 1] @ E``. The mask equals
+    that test on every pixel, at O(rows x T) interval work plus O(band)
+    exact work."""
+    E, center, lo, hi, A, B, C = entry
+    n, W = xs.shape
+    H = ys.shape[1]
+    T = A.shape[1]
+    out = np.zeros((n, H, W), dtype=bool)
+    # the bbox columns of an image are one range, as xs increases
+    jx0 = (xs < lo[0]).sum(axis=1)[:, None]
+    jx1 = np.maximum((xs <= hi[0]).sum(axis=1)[:, None], jx0)
+    row_out = (ys < lo[1]) | (ys > hi[1])
+    xc = xs - center[0]
+    yc = ys - center[1]
+    # column u of an image lies at xc[:, :1] + u * step; the arrays below
+    # are (edge, triangle, image, row)
+    step = (xc[:, -1:] - xc[:, :1]) / max(W - 1, 1)
+    A4, B4, C4 = (v[:, :, None, None] for v in (A, B, C))
+    # images per slab: keeps the (3, T, m, H) temporaries near 2 MB
+    m = max(1, (1 << 21) // (H * A.size * 8))
+    for s0 in range(0, n, m):
+        sl = slice(s0, min(n, s0 + m))
+        slope = A4 * step[sl]
+        base = B4 * yc[sl] + C4 + A4 * xc[sl, :1]
+        # edge k is 0 at column u0 = -base / slope and +-tol at u0 +- du: a
+        # lower bound on u where the slope is positive, an upper one where
+        # it is negative; a zero slope holds on all or none of a row
+        flat = slope == 0
+        run = np.where(flat, 1.0, slope)
+        u0 = -base / run
+        du = _EDGE_TOL / np.abs(run)
+        rise = np.where(slope > 0, u0, -np.inf)
+        fall = np.where(slope < 0, u0, np.inf)
+        b_min = np.where(flat, base, np.inf).min(axis=0)
+        ranges = []
+        for sgn in (1.0, -1.0):  # the certain (>= tol) and possible (>= -tol) range
+            u_lo = (rise + sgn * du).max(axis=0)
+            u_hi = (fall - sgn * du).min(axis=0)
+            u_lo[b_min < sgn * _EDGE_TOL] = np.inf
+            start = np.clip(np.ceil(u_lo), jx0[sl], jx1[sl])
+            end = np.clip(np.floor(u_hi) + 1, start, jx1[sl])
+            end[:, row_out[sl]] = 0
+            # (row, triangle) layout for the union
+            start = start.astype(np.int64).reshape(T, -1).T
+            ranges += [start, np.maximum(end.astype(np.int64).reshape(T, -1).T, start)]
+        ps, pe = ranges[2:]
+        cs = np.clip(ranges[0], ps, pe)  # certain range within the possible one
+        ce = np.clip(ranges[1], cs, pe)
+        mask = _row_union(cs, ce, W)
+        # the band: columns of [ps, cs) and [ce, pe) outside the mask
+        start = np.concatenate([ps, ce]).ravel()
+        size = np.concatenate([cs - ps, pe - ce]).ravel()
+        row = np.tile(np.repeat(np.arange(len(ps)) * W, T), 2)
+        band = np.repeat(row + start - (np.cumsum(size) - size), size) + np.arange(size.sum())
+        band = np.unique(band[~mask.ravel()[band]])
+        if len(band):
+            rr, jj = np.divmod(band, W)
+            ii, rr = np.divmod(rr, H)
+            hom = np.empty((len(band), 3), dtype=np.float64)
+            hom[:, 0] = xc[sl][ii, jj]
+            hom[:, 1] = yc[sl][ii, rr]
+            hom[:, 2] = 1.0
+            D = (hom @ E).reshape(len(band), T, 3)
+            mask.ravel()[band] = (~((D < 0).any(axis=2) & (D > 0).any(axis=2))).any(axis=1)
+        out[sl] = mask.reshape(-1, H, W)
     return out
 
 
-def _grid_points(xs: np.ndarray, ys: np.ndarray, entry):
-    """Bbox-pruned, centered pixel-center point set of one image grid:
-    returns (points (P,2) f64, mx, my) — ``P`` may be 0 when the grid
-    misses the building bbox entirely."""
-    _, center, lo, hi, _, _ = entry
-    mx = (xs >= lo[0]) & (xs <= hi[0])
-    my = (ys >= lo[1]) & (ys <= hi[1])
-    if not mx.any() or not my.any():
-        return np.zeros((0, 2), dtype=np.float64), mx, my
-    gx, gy = np.meshgrid((xs[mx] - center[0]), (ys[my] - center[1]))
-    pts = np.empty((gx.size, 2), dtype=np.float64)
-    pts[:, 0] = gx.ravel()
-    pts[:, 1] = gy.ravel()
-    return pts, mx, my
-
-
-def _coverage_mask_entry(xs: np.ndarray, ys: np.ndarray, entry) -> np.ndarray:
-    """(len(ys), len(xs)) bool mask of pixel centers covered by any
-    triangle, from a precomputed ``edge_entry``. The bulk test is one f32
-    GEMM; pixels with any edge value inside ``_F32_EDGE_TOL`` are re-tested
-    in f64, making the mask exact (ADVICE r2: borderline pixels could flip
-    inclusion vs a f64 test)."""
-    full = np.zeros((len(ys), len(xs)), dtype=bool)
-    pts, mx, my = _grid_points(xs, ys, entry)
-    if not len(pts):
-        return full
-    inside_any = _inside_any_multi([pts], entry)[0]
-    sub = inside_any.reshape(int(my.sum()), int(mx.sum()))
-    full[np.ix_(my, mx)] = sub
-    return full
-
-
 def _coverage_mask(xs: np.ndarray, ys: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Uncached form (tests / one-off callers)."""
-    return _coverage_mask_entry(xs, ys, edge_entry(tris))
+    """(len(ys), len(xs)) bool mask of one image's pixel centres covered by
+    any of the (T, 3, 2) triangles ``tris``."""
+    return _clip_masks(edge_entry(tris), xs[None], ys[None])[0]

@@ -14,6 +14,12 @@ kernels must reproduce EXACTLY:
   polygon at a time through the ``geom`` scalar kernels.
 - ``roof_tri2d_rowwise``: per-building 2-D Roof/Ground triangles, one
   polygon at a time.
+- ``coverage_mask_gemm``: the per-pixel clip the row-interval kernel
+  replaced (``stages/images.py`` before it): every pixel centre of the
+  building bbox against every edge of every triangle in one f32 GEMM, with
+  an exact f64 re-test of the pixels near an edge.
+- ``decode_clip_rowwise``: ``DecodeClip``'s output columns, one image at a
+  time: decode, f64 phash, and the clip through ``coverage_mask_gemm``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import dataclasses
 import numpy as np
 import pyarrow as pa
 
-from citygml2objv2_ray import geom
+from citygml2objv2_ray import codecs, geom
 from citygml2objv2_ray.arrow_utils import ring_column, rings_column
 from citygml2objv2_ray.config import DEFAULT_CONFIG
 
@@ -143,3 +149,150 @@ def roof_tri2d_rowwise(surfaces: pa.Table, cfg=DEFAULT_CONFIG) -> dict[str, np.n
             if len(tris):
                 out.setdefault(bids[i], []).append(tris[:, :, :2])
     return {b: np.concatenate(v) for b, v in out.items()}
+
+
+# ---------------------------------------------------------------------------
+# raster clip: the per-pixel edge GEMM (verbatim from stages/images.py
+# before the row-interval kernel)
+# ---------------------------------------------------------------------------
+
+PIXEL_SIZE = 0.25
+
+
+def edge_entry(tris: np.ndarray):
+    """Precompute the per-building edge-function form of a (T, 3, 2)
+    triangle set: one float32 coefficient matrix E (3, 3T) such that
+    ``[px, py, 1] @ E`` gives all 3 edge functions of all T triangles in a
+    single GEMM. Coordinates are CENTERED on the triangle bbox first so
+    float32 keeps ~1e-4 absolute precision at the pixel scale."""
+    lo = tris.min(axis=(0, 1))
+    hi = tris.max(axis=(0, 1))
+    center = (lo + hi) / 2.0
+    t = (tris - center).astype(np.float64)
+    a, b, c = t[:, 0], t[:, 1], t[:, 2]  # (T,2) each
+    T = len(t)
+    E = np.empty((3, 3 * T), dtype=np.float64)
+    for k, (p, q) in enumerate(((a, b), (b, c), (c, a))):
+        # d = (px - q0)*(p1 - q1) - (p0 - q0)*(py - q1)
+        A = p[:, 1] - q[:, 1]
+        B = -(p[:, 0] - q[:, 0])
+        C = -q[:, 0] * A - B * q[:, 1]
+        E[0, k::3] = A
+        E[1, k::3] = B
+        E[2, k::3] = C
+    # keep the exact f64 coefficients alongside the GEMM-fast f32 copy:
+    # borderline pixels are re-tested in f64 (see _coverage_mask_entry)
+    return E.astype(np.float32), center.astype(np.float64), lo, hi, T, E
+
+
+# f32 edge values carry ~1e-4 absolute error at these (centered) coordinate
+# magnitudes; anything inside this band gets an exact f64 re-test so the
+# inclusion decision never depends on f32 rounding (or BLAS config)
+_F32_EDGE_TOL = 1e-2
+
+
+def _inside_any_multi(pt_blocks: list, entry) -> list:
+    """Point-in-any-triangle test for SEVERAL point sets sharing one
+    ``edge_entry``: the sets concatenate into ONE f32 GEMM + border f64
+    re-test, then split back. Each block is a (P_i, 2) float64 array of
+    CENTERED pixel coordinates; returns one (P_i,) bool array per block."""
+    E, center, lo, hi, T, E64 = entry
+    sizes = [len(p) for p in pt_blocks]
+    P = int(sum(sizes))
+    if P == 0:
+        return [np.zeros(0, dtype=bool) for _ in pt_blocks]
+    pts = pt_blocks[0] if len(pt_blocks) == 1 else np.concatenate(pt_blocks)
+    inside_any = np.empty(P, dtype=bool)
+    slab = max(1024, (1 << 19) // max(3 * T, 1))  # ≈0.5M f32 elements
+    for s0 in range(0, P, slab):
+        s1 = min(P, s0 + slab)
+        hom = np.empty((s1 - s0, 3), dtype=np.float32)
+        hom[:, :2] = pts[s0:s1]
+        hom[:, 2] = 1.0
+        D = (hom @ E).reshape(s1 - s0, T, 3)
+        neg = (D < 0).any(axis=2)
+        pos = (D > 0).any(axis=2)
+        inside_any[s0:s1] = (~(neg & pos)).any(axis=1)
+        border = np.flatnonzero((np.abs(D) < _F32_EDGE_TOL).any(axis=(1, 2)))
+        if len(border):
+            hom64 = np.empty((len(border), 3), dtype=np.float64)
+            hom64[:, :2] = pts[s0:s1][border]
+            hom64[:, 2] = 1.0
+            D64 = (hom64 @ E64).reshape(len(border), T, 3)
+            neg64 = (D64 < 0).any(axis=2)
+            pos64 = (D64 > 0).any(axis=2)
+            inside_any[s0 + border] = (~(neg64 & pos64)).any(axis=1)
+    out = []
+    off = 0
+    for s in sizes:
+        out.append(inside_any[off : off + s])
+        off += s
+    return out
+
+
+def _grid_points(xs: np.ndarray, ys: np.ndarray, entry):
+    """Bbox-pruned, centered pixel-center point set of one image grid:
+    returns (points (P,2) f64, mx, my) — ``P`` may be 0 when the grid
+    misses the building bbox entirely."""
+    _, center, lo, hi, _, _ = entry
+    mx = (xs >= lo[0]) & (xs <= hi[0])
+    my = (ys >= lo[1]) & (ys <= hi[1])
+    if not mx.any() or not my.any():
+        return np.zeros((0, 2), dtype=np.float64), mx, my
+    gx, gy = np.meshgrid((xs[mx] - center[0]), (ys[my] - center[1]))
+    pts = np.empty((gx.size, 2), dtype=np.float64)
+    pts[:, 0] = gx.ravel()
+    pts[:, 1] = gy.ravel()
+    return pts, mx, my
+
+
+def _coverage_mask_entry(xs: np.ndarray, ys: np.ndarray, entry) -> np.ndarray:
+    """(len(ys), len(xs)) bool mask of pixel centers covered by any
+    triangle, from a precomputed ``edge_entry``. The bulk test is one f32
+    GEMM; pixels with any edge value inside ``_F32_EDGE_TOL`` are re-tested
+    in f64, making the mask exact."""
+    full = np.zeros((len(ys), len(xs)), dtype=bool)
+    pts, mx, my = _grid_points(xs, ys, entry)
+    if not len(pts):
+        return full
+    inside_any = _inside_any_multi([pts], entry)[0]
+    sub = inside_any.reshape(int(my.sum()), int(mx.sum()))
+    full[np.ix_(my, mx)] = sub
+    return full
+
+
+def coverage_mask_gemm(xs: np.ndarray, ys: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """The per-pixel GEMM clip of one image grid against (T, 3, 2) ``tris``."""
+    return _coverage_mask_entry(xs, ys, edge_entry(tris))
+
+
+def decode_clip_rowwise(batch: pa.Table, tri2d: dict) -> pa.Table:
+    """``DecodeClip``'s ``pixel_ok``, ``mean_intensity``, ``roof_coverage``
+    and ``masked_mean`` columns, one image at a time: decode, f64
+    ``phash64``, ``coverage_mask_gemm`` on the image's pixel-centre grid."""
+    n = batch.num_rows
+    ok = np.zeros(n, dtype=bool)
+    mean_i = np.zeros(n)
+    cov = np.zeros(n)
+    masked = np.full(n, np.nan)
+    rows = batch.select(["bytes", "fmt", "phash", "building_id", "cx", "cy"]).to_pylist()
+    for i, r in enumerate(rows):
+        try:
+            rgb = codecs.decode_image(r["bytes"], r["fmt"])
+        except (ValueError, NotImplementedError):
+            continue
+        ok[i] = codecs.phash64(rgb) == r["phash"]
+        mean_i[i] = float(rgb.mean())
+        tris = tri2d.get(r["building_id"]) if r["building_id"] is not None else None
+        if tris is None or not len(tris):
+            continue
+        h, w = rgb.shape[:2]
+        xs = r["cx"] - w * PIXEL_SIZE / 2 + (np.arange(w) + 0.5) * PIXEL_SIZE
+        ys = r["cy"] - h * PIXEL_SIZE / 2 + (np.arange(h) + 0.5) * PIXEL_SIZE
+        mask = coverage_mask_gemm(xs, ys, tris)
+        cov[i] = float(mask.mean())
+        if mask.any():
+            masked[i] = float(rgb[mask].mean())
+    return pa.table(
+        {"pixel_ok": ok, "mean_intensity": mean_i, "roof_coverage": cov, "masked_mean": masked}
+    )

@@ -34,11 +34,11 @@ class TestRunDeterminism:
         footprints = pq.read_table(world["footprints"])
         outs = []
         for i, cfg in enumerate(
-            [EngineConfig(), EngineConfig(join_batch_size=256, image_batch_size=128)]
+            [EngineConfig(), EngineConfig(join_batch_size=256)]
         ):
             res = run_flagship(
                 world["images"], surfaces, footprints, str(tmp_path / f"o{i}"),
-                cfg=cfg, concurrency=2, resume=False,
+                cfg=cfg, resume=False,
             )
             df = res.assignments().to_pandas().sort_values("image_id").reset_index(drop=True)
             df["nn_ids"] = df.nn_ids.map(tuple)

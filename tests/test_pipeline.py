@@ -99,7 +99,7 @@ class TestFlagship:
         surfaces = pq.read_table(world["surfaces"])
         footprints = pq.read_table(world["footprints"])
         res = run_flagship(
-            world["images"], surfaces, footprints, str(tmp_path / "out"), concurrency=2
+            world["images"], surfaces, footprints, str(tmp_path / "out")
         )
         adf = res.assignments().to_pandas()
         imgs = pq.read_table(world["images"]).to_pandas()
@@ -156,7 +156,6 @@ class TestFlagship:
             pq.read_table(world["surfaces"]),
             pq.read_table(world["footprints"]),
             str(tmp_path / "out"),
-            concurrency=2,
             decode=False,
         )
         adf = res.assignments().to_pandas()
@@ -174,9 +173,9 @@ class TestFlagship:
         surfaces = pq.read_table(world["surfaces"])
         footprints = pq.read_table(world["footprints"])
         out = str(tmp_path / "out")
-        r1 = run_flagship(world["images"], surfaces, footprints, out, concurrency=2, decode=False)
+        r1 = run_flagship(world["images"], surfaces, footprints, out, decode=False)
         assert r1.rows_written > 0
-        r2 = run_flagship(world["images"], surfaces, footprints, out, concurrency=2, decode=False)
+        r2 = run_flagship(world["images"], surfaces, footprints, out, decode=False)
         assert r2.rows_written == 0  # everything committed → all pruned
         # output rows are not duplicated
         adf = r2.assignments().to_pandas()
@@ -190,7 +189,7 @@ class TestFlagship:
         surfaces = pq.read_table(world["surfaces"])
         footprints = pq.read_table(world["footprints"])
         res = run_flagship(
-            world["images"], surfaces, footprints, str(tmp_path / "o2"), concurrency=2, decode=False
+            world["images"], surfaces, footprints, str(tmp_path / "o2"), decode=False
         )
         adf = res.assignments().to_pandas()
         hit = adf[adf.building_id.notna()]
@@ -245,6 +244,58 @@ class TestMaskedMean:
             checked += 1
         assert checked > 5
 
+    def test_decode_clip_equals_rowwise_oracle(self, world, ray_session):
+        """``DecodeClip`` over the whole test world gives, bit for bit, the
+        columns of the per-image oracle (f64 phash, per-pixel GEMM clip)."""
+        import glob
+
+        import pyarrow.parquet as pq
+
+        from citygml2objv2_ray.pipelines.geometry import roof_tri2d
+        from citygml2objv2_ray.spatial import build_index
+        from citygml2objv2_ray.stages.images import DecodeClip, cell_encode
+        from citygml2objv2_ray.stages.join import SpatialJoin
+        from reference_oracle import decode_clip_rowwise
+
+        files = sorted(glob.glob(world["images"] + "/**/*.parquet", recursive=True))
+        batch = cell_encode(pa.concat_tables(pq.read_table(f) for f in files).combine_chunks())
+        batch = SpatialJoin(build_index(pq.read_table(world["footprints"])))(batch)
+        tri2d = roof_tri2d(pq.read_table(world["surfaces"]))
+        got = DecodeClip(tri2d)(batch)
+        want = decode_clip_rowwise(batch, tri2d)
+        assert (np.asarray(want["roof_coverage"]) > 0).sum() > 50
+        for col in ("pixel_ok", "mean_intensity", "roof_coverage", "masked_mean"):
+            g, w = np.asarray(got[col]), np.asarray(want[col])
+            if g.dtype == np.float64:
+                g, w = g.view(np.int64), w.view(np.int64)
+            np.testing.assert_array_equal(g, w, err_msg=col)
+
+
+class TestWorkerCache:
+    def test_one_broadcast_per_worker_cache(self, world, ray_session):
+        """The per-worker caches of the join and decode tasks hold only the
+        current broadcast: a task built from a new job's ref replaces the
+        entry of the last one."""
+        import glob
+
+        import pyarrow.parquet as pq
+        import ray
+
+        from citygml2objv2_ray.pipelines.geometry import roof_tri2d
+        from citygml2objv2_ray.spatial import build_index
+        from citygml2objv2_ray.stages import images, join
+
+        f = sorted(glob.glob(world["images"] + "/**/*.parquet", recursive=True))[0]
+        batch = images.cell_encode(pq.read_table(f).slice(0, 16))
+        index = build_index(pq.read_table(world["footprints"]))
+        tri2d = roof_tri2d(pq.read_table(world["surfaces"]))
+        for _ in range(2):  # two jobs, two broadcasts
+            index_ref, tri2d_ref = ray.put(index), ray.put(tri2d)
+            out = images.make_decode_clip_task(tri2d_ref)(join.make_join_task(index_ref)(batch))
+            assert out.num_rows == batch.num_rows
+            assert list(join._WORKER_CACHE) == [("join", index_ref.hex())]
+            assert list(images._WORKER_CACHE) == [("dc", tri2d_ref.hex())]
+
 
 class TestOrphanSweepWithoutLineage:
     def test_partial_dir_no_lineage_is_wiped_not_appended(self, world, tmp_path):
@@ -265,7 +316,7 @@ class TestOrphanSweepWithoutLineage:
 
         clean_out = str(tmp_path / "clean")
         r_clean = run_flagship(
-            world["images"], surfaces, footprints, clean_out, concurrency=2, decode=False
+            world["images"], surfaces, footprints, clean_out, decode=False
         )
         want = (
             r_clean.assignments()
@@ -283,7 +334,7 @@ class TestOrphanSweepWithoutLineage:
             os.path.join(part_dir, "stale-partial.parquet"),
         )
         r = run_flagship(
-            world["images"], surfaces, footprints, out, concurrency=2, decode=False
+            world["images"], surfaces, footprints, out, decode=False
         )
         got = (
             r.assignments().to_pandas().sort_values("image_id").reset_index(drop=True)
