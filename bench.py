@@ -3,10 +3,12 @@
 
 Default: run the headline pipelines over $GRAFT_SF_DIR (default
 /root/testdata/sf0.1) with ray.init(num_cpus=$RAY_GRAFT_CPUS or 32) and
-print ONE JSON line:
+write the full record (every query timing) as JSON under .bench_records/,
+then print ONE short JSON line (at most 1500 characters), headline first:
 
     {"metric": ..., "value": <headline sec>, "unit": "sec",
-     "queries": {...}, "sf": ..., "num_cpus": N, "throughput_rows_s": ...}
+     "throughput_rows_s": ..., "sf": ..., "num_cpus": N, "rows": ...,
+     "queries": <count>, "record": "<path of the full record>"}
 
 --scaling: run the headline pipeline in FRESH processes at N and 4N CPUs
 (default 4 vs 16) on the same (pre-generated, page-warmed) input,
@@ -34,6 +36,7 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 # ~3s fixed pipeline head/tail otherwise dwarfs the 32-cpu level; at 100TB
 # the fixed cost is irrelevant, so the proxy must amortize it too)
 SCALING_SF = float(os.environ.get("GRAFT_SCALING_SF", "0.4"))
+RECORD_DIR = os.path.join(REPO, ".bench_records")
 
 
 def _init_ray():
@@ -351,6 +354,30 @@ def run_bench() -> dict:
     }
 
 
+def write_record(result: dict) -> str:
+    """The full result as JSON under RECORD_DIR; returns its path."""
+    os.makedirs(RECORD_DIR, exist_ok=True)
+    path = os.path.join(
+        RECORD_DIR, f"bench-{time.strftime('%Y%m%d-%H%M%S')}-{uuid.uuid4().hex[:6]}.json"
+    )
+    with open(path, "w") as f:
+        json.dump(result, f)
+    return path
+
+
+def headline_line(result: dict, record_path: str) -> str:
+    """The final stdout line: the headline fields first, the query count
+    and the full record's path; no per-query timings, so its length does
+    not grow with the number of queries."""
+    head = {
+        k: result.get(k)
+        for k in ("metric", "value", "unit", "throughput_rows_s", "sf", "num_cpus", "rows")
+    }
+    head["queries"] = len(result.get("queries", {}))
+    head["record"] = record_path
+    return json.dumps(head)
+
+
 def run_scaling_child() -> dict:
     """One scaling level: the flagship at GRAFT_SCALING_SF in this fresh
     process (run 1 warms worker processes + page cache; the best of the
@@ -479,4 +506,4 @@ if __name__ == "__main__":
         import ray
 
         ray.shutdown()
-        print(json.dumps(result))
+        print(headline_line(result, write_record(result)))

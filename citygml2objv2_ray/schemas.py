@@ -68,6 +68,7 @@ FOOTPRINTS_SCHEMA = pa.schema(
 # triangulated output (exploded, one row per triangle)
 TRIANGLES_SCHEMA = pa.schema(
     [
+        ("doc_id", pa.string()),
         ("building_id", pa.string()),
         ("poly_id", pa.string()),
         ("semantic", pa.string()),

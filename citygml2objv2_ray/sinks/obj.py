@@ -3,30 +3,28 @@
 - **exact vertex dedup + 1-based index assignment** (C4/D1,
   CityGML2OBJs.py:68-77): per semantic class, vertices are interned in
   first-appearance order. The reference does a sequential O(n) list scan
-  per vertex; here it's a two-phase distributed assignment: one interning
-  core (``_intern``) numbers each building's vertices locally (the
-  reference's ``local_vertices`` scope), vectorized over coarse buckets of
-  buildings in parallel, for triangles and ``-p`` rings alike; then a tiny
-  offset cumsum in ``building_seq`` order in the calling process and a
-  distributed re-offset (the local→global merge at
-  CityGML2OBJs.py:767-770).
+  per vertex; here one interning core (``_intern``) numbers the vertices of
+  every (class, document, building) group locally (the reference's
+  ``local_vertices`` scope) in one vectorized pass, for triangles and
+  ``-p`` rings alike, and a per-class offset cumsum shifts them to global
+  indices (the local→global merge at CityGML2OBJs.py:767-770).
 - **per-class OBJ writer** (E1, CityGML2OBJs.py:61-65,80-84,807-822): one
   ``<name>-<class>.obj`` per nonempty semantic class, with ``o <id>``
-  group markers.
+  group markers, interned, rendered and written in the calling process.
 - **MTL writer** (E8, generateMTL.py:31-52): 101-material afmhot colormap.
 
-Determinism: output depends only on (building_seq, poly_seq, tri_seq)
-ordering columns, never on execution order (SURVEY.md D9).
+Determinism: output depends only on the (doc_id, building_seq, poly_seq,
+tri_seq) ordering columns, never on execution order (SURVEY.md D9).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray.data as rd
 
@@ -63,20 +61,24 @@ def _intern(flat: np.ndarray, grp: np.ndarray, n_groups: int, decimals: int):
     )
 
 
+_GROUP = ("semantic", "doc_id", "building_seq")
+
+
 def _split(values: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
     return np.split(values, np.cumsum(counts)[:-1])
 
 
 def _groups(g: pd.DataFrame, keys: list[str]):
-    """Row order that makes each (semantic, building_seq) group of ``g``
-    contiguous, rows inside a group sorted on ``keys``; returns that order
-    and the group id per ordered row."""
-    sem = pd.factorize(g.semantic.to_numpy())[0]
-    seq = g.building_seq.to_numpy()
-    order = np.lexsort([g[k].to_numpy() for k in reversed(keys)] + [seq, sem])
-    sem, seq = sem[order], seq[order]
+    """Row order that makes each (semantic, doc_id, building_seq) group of
+    ``g`` contiguous, groups in that order and rows inside a group sorted
+    on ``keys``; returns that order and the group id per ordered row.
+    ``building_seq`` restarts in every document, so a building is named by
+    its document AND its sequence number."""
+    gkeys = [pd.factorize(g[c].to_numpy(), sort=True)[0] for c in _GROUP]
+    order = np.lexsort([g[k].to_numpy() for k in reversed(keys)] + gkeys[::-1])
+    gk = np.stack(gkeys, axis=1)[order]
     new = np.ones(len(g), bool)
-    new[1:] = (sem[1:] != sem[:-1]) | (seq[1:] != seq[:-1])
+    new[1:] = np.any(gk[1:] != gk[:-1], axis=1)
     return order, np.cumsum(new) - 1
 
 
@@ -87,6 +89,7 @@ def _interned_frame(g: pd.DataFrame, order, grp, interned, **extra) -> pd.DataFr
     vert_counts, verts, faces = interned
     return pd.DataFrame(
         {
+            "doc_id": g.doc_id.to_numpy()[first],
             "building_id": g.building_id.to_numpy()[first],
             "building_seq": g.building_seq.to_numpy()[first].astype(np.int64),
             "n_vertices": vert_counts,
@@ -99,9 +102,9 @@ def _interned_frame(g: pd.DataFrame, order, grp, interned, **extra) -> pd.DataFr
 
 
 def _intern_bucket_vectorized(g: pd.DataFrame, decimals: int) -> pd.DataFrame:
-    """Phase 1 (parallel): every (class, building) group of one bucket of
-    triangle rows interned at once, corners in (poly_seq, tri_seq, p0..p2)
-    order."""
+    """Every (class, document, building) group of ``g``'s triangle rows
+    interned at once, corners in (poly_seq, tri_seq, p0..p2) order; one
+    row out per group, in (class, document, building) order."""
     order, grp = _groups(g, ["poly_seq", "tri_seq"])
     flat = np.stack(
         [np.stack(g[c].to_numpy()[order]).astype(np.float64) for c in ("p0", "p1", "p2")],
@@ -112,12 +115,12 @@ def _intern_bucket_vectorized(g: pd.DataFrame, decimals: int) -> pd.DataFrame:
 
 
 def _intern_bucket_rings(g: pd.DataFrame, decimals: int) -> pd.DataFrame:
-    """Phase 1 for polypreserve mode (``-p`` / SKIPTRI,
-    CityGML2OBJs.py:137-141): every (class, building) group of one bucket
-    of polygon rows interned at once. Each polygon whose cleaned ring has
-    4+ points becomes ONE face over that ring minus its closure point (one
-    ``clean_rings`` pass over the bucket); ``face_lens`` lets the renderer
-    split each group's ragged face index list."""
+    """Polypreserve mode (``-p`` / SKIPTRI, CityGML2OBJs.py:137-141): every
+    (class, document, building) group of ``g``'s polygon rows interned at
+    once. Each polygon whose cleaned ring has 4+ points becomes ONE face
+    over that ring minus its closure point (one ``clean_rings`` pass);
+    ``face_lens`` lets the renderer split each group's ragged face index
+    list."""
     order, grp = _groups(g, ["poly_seq"])
     G = int(grp[-1]) + 1 if len(grp) else 0
     ext = g.exterior.to_numpy()[order]
@@ -169,105 +172,64 @@ def write_obj_per_class(
     ``preserve=True`` the input is the VALIDATED SURFACES table and each
     polygon becomes one n-gon face (``-p`` / SKIPTRI parity).
 
-    ONE shuffle on a coarse (class, 64-building) bucket; each bucket's
-    (class, building) groups are interned in one vectorized pass, in both
-    modes. Offsets are a per-class cumsum over the tiny (semantic,
-    building_seq, n_vertices) projection; the rendered blocks are sorted
-    once on (semantic, building_seq) and streamed to the per-class files
-    in a single pass."""
-    import ray
-
+    The upstream runs once and its needed columns come back as Arrow
+    blocks; one interning call numbers every (class, document, building)
+    group, a per-class cumsum gives each group its vertex offset, and each
+    class file is rendered in (document, building) order by this process.
+    Every file is written to a sibling ``.tmp`` path and renamed into place
+    once all of them are complete; on any failure the temp files are
+    removed and no class file is published."""
     os.makedirs(out_dir, exist_ok=True)
     if preserve:
-        intern_bucket, geometry = _intern_bucket_rings, ["exterior"]
+        intern, geometry = _intern_bucket_rings, ["exterior"]
     else:
-        intern_bucket, geometry = _intern_bucket_vectorized, ["tri_seq", "p0", "p1", "p2"]
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        # composite coarse bucket per (class, 64-building block): all
-        # classes ride one shuffle; per-group overhead stays ~n/64. Built
-        # in Arrow: a pandas round trip turns the point columns into Ray
-        # tensor columns, which tripled the shuffle's cost.
-        block = pc.cast(pc.divide(b["building_seq"], 64), pa.string())
-        key = pc.binary_join_element_wise(b["semantic"], block, "|")
-        cols = ["semantic", "building_id", "building_seq", "poly_seq"] + geometry
-        return b.select(cols).append_column("_bucket", key)
-
-    interned = (
-        tris.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(
-            lambda g: intern_bucket(g, cfg.vertex_round_decimals), batch_format="pandas"
-        )
-        .materialize()
-    )
-    counts = interned.select_columns(["semantic", "building_seq", "n_vertices"]).to_pandas()
-    if counts.empty:
+        intern, geometry = _intern_bucket_vectorized, ["tri_seq", "p0", "p1", "p2"]
+    cols = [*_GROUP, "building_id", "poly_seq", *geometry]
+    blocks = [
+        b
+        for b in tris.select_columns(cols).iter_batches(batch_format="pyarrow", batch_size=None)
+        if b.num_rows
+    ]
+    if not blocks:
         return {}
-    counts = counts.sort_values(["semantic", "building_seq"]).reset_index(drop=True)
-    counts["off"] = counts.groupby("semantic").n_vertices.cumsum() - counts.n_vertices
-    off_ref = ray.put(
-        {
-            (s, int(b)): int(o)
-            for s, b, o in zip(counts.semantic, counts.building_seq, counts.off)
-        }
-    )
-
-    def render(df: pd.DataFrame) -> pd.DataFrame:
-        offs = ray.get(off_ref) if isinstance(off_ref, ray.ObjectRef) else off_ref
-        texts = []
-        for row in df.itertuples():
-            lines: list[str] = []
-            if group_markers:
-                lines.append(f"o {row.building_id}")
-            v = np.asarray(row.verts, dtype=np.float64).reshape(-1, 3)
-            for p in v:
-                lines.append(f"v {p[0]!r} {p[1]!r} {p[2]!r}")
-            fidx = (
-                np.asarray(row.faces, dtype=np.int64)
-                + 1
-                + offs[(row.semantic, int(row.building_seq))]
-            )
-            if hasattr(row, "face_lens") and row.face_lens is not None:
-                pos = 0
-                for ln in row.face_lens:
-                    lines.append("f " + " ".join(str(i) for i in fidx[pos : pos + ln]))
-                    pos += ln
-            else:
-                for a, b_, c in fidx.reshape(-1, 3):
-                    lines.append(f"f {a} {b_} {c}")
-            texts.append("\n".join(lines))
-        return pd.DataFrame(
-            {
-                "semantic": df.semantic.to_numpy(),
-                "building_seq": df.building_seq.to_numpy(),
-                "text": texts,
-            }
-        )
-
-    blocks = interned.map_batches(render, batch_format="pandas").sort(
-        ["semantic", "building_seq"]
-    )
+    groups = intern(pa.concat_tables(blocks).to_pandas(), cfg.vertex_round_decimals)
+    offs = (groups.groupby("semantic").n_vertices.cumsum() - groups.n_vertices).to_numpy()
     out: dict[str, str] = {}
-    fh = None
-    cur = None
     try:
-        for batch in blocks.iter_batches(batch_format="pandas"):
-            for sem, text in zip(batch["semantic"], batch["text"]):
-                if sem != cur:
-                    if fh is not None:
-                        fh.close()
-                    cur = sem
-                    path = os.path.join(out_dir, f"{name}-{sem}.obj")
-                    out[sem] = path
-                    fh = open(path, "w")
-                    fh.write("# citygml2objv2_ray OBJ export\n")
-                fh.write(text)
-                fh.write("\n")
-    finally:
-        if fh is not None:
-            fh.close()
+        for sem, g in groups.groupby("semantic", sort=False):
+            out[sem] = os.path.join(out_dir, f"{name}-{sem}.obj")
+            with open(out[sem] + ".tmp", "w") as fh:
+                fh.write("# citygml2objv2_ray OBJ export\n")
+                for text in _render(g, offs[g.index], group_markers):
+                    fh.write(text)
+                    fh.write("\n")
+        for path in out.values():
+            os.replace(path + ".tmp", path)
+    except BaseException:
+        for path in out.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path + ".tmp")
+        raise
     return out
+
+
+def _render(g: pd.DataFrame, offs: np.ndarray, group_markers: bool):
+    """Per (document, building) group of one class, in order: its ``o``
+    marker, its vertices and its faces, shifted by the group's offset to
+    the class's 1-based indices."""
+    ragged = "face_lens" in g
+    for row, off in zip(g.itertuples(), offs.tolist()):
+        lines = [f"o {row.building_id}"] if group_markers else []
+        lines += ["v %r %r %r" % tuple(p) for p in row.verts.reshape(-1, 3).tolist()]
+        fidx = (row.faces + (1 + off)).tolist()
+        if ragged:
+            pos = 0
+            for ln in row.face_lens.tolist():
+                lines.append("f " + " ".join(map(str, fidx[pos : pos + ln])))
+                pos += ln
+        else:
+            lines += ["f %d %d %d" % tuple(fidx[i : i + 3]) for i in range(0, len(fidx), 3)]
+        yield "\n".join(lines)
 
 
 def parse_obj(text: str) -> tuple[np.ndarray, np.ndarray]:

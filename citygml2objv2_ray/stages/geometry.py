@@ -17,10 +17,12 @@ from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import geom
 from ..arrow_utils import ring_column, rings_column
 from ..config import DEFAULT_CONFIG, EngineConfig
+from ..schemas import TRIANGLES_SCHEMA
 
 # invalid_reason per kernel reason code; 0 = valid (geom.is_valid_ring's
 # reasons, in the order it tests them)
@@ -241,13 +243,10 @@ class Triangulator:
         np.cumsum(tseq_counts, out=cum[1:])
         out_tseq = np.arange(len(trow)) - cum[trow]
         take = pa.array(trow, pa.int64())
-        import pyarrow.compute as pc
-
-        out_bid = pc.take(batch["building_id"], take)
-        out_pid = pc.take(batch["poly_id"], take)
-        out_sem = pc.take(batch["semantic"], take)
-        out_bseq = pc.take(batch["building_seq"], take)
-        out_pseq = pc.take(batch["poly_seq"], take)
+        meta = {
+            c: pc.take(batch[c], take).cast(TRIANGLES_SCHEMA.field(c).type)
+            for c in ("doc_id", "building_id", "poly_id", "semantic", "building_seq", "poly_seq")
+        }
         tn = (
             np.cross(allt[:, 1] - allt[:, 0], allt[:, 2] - allt[:, 0])
             if len(allt)
@@ -262,11 +261,7 @@ class Triangulator:
 
         return pa.table(
             {
-                "building_id": out_bid.cast(pa.string()) if out_bid.type != pa.string() else out_bid,
-                "poly_id": out_pid.cast(pa.string()) if out_pid.type != pa.string() else out_pid,
-                "semantic": out_sem.cast(pa.string()) if out_sem.type != pa.string() else out_sem,
-                "building_seq": out_bseq.cast(pa.int32()),
-                "poly_seq": out_pseq.cast(pa.int32()),
+                **meta,
                 "tri_seq": pa.array(out_tseq.astype(np.int32), pa.int32()),
                 "p0": fsl(allt[:, 0]),
                 "p1": fsl(allt[:, 1]),

@@ -10,7 +10,6 @@ along the edges are re-tested with the exact f64 edge test.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
@@ -37,58 +36,17 @@ def cell_encode(batch: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> pa.Table
 
 
 class DecodeVerify:
-    """Decode stage with an LRU decoded-tile cache (held per worker process
-    inside ``DecodeClip``).
+    """Image decode per ``fmt``, held per worker process inside
+    ``DecodeClip``. Every ``image_id`` is decoded once per job, so nothing
+    is cached: ``misses`` counts decodes and ``hits`` stays 0."""
 
-    Per row: decode ``bytes`` per ``fmt``, recompute the perceptual hash and
-    compare to the ``phash`` column (the in-pipeline form of the per-row
-    decoded-pixel invariant — exact for png; the fake-lossy codec decodes
-    to its quantized raster deterministically so the stored phash matches
-    bit-for-bit), and emit mean intensity features. Drops the heavy
-    ``bytes`` column from its output.
-    """
-
-    def __init__(self, cfg: EngineConfig = DEFAULT_CONFIG, cache_size: int = 256):
-        self.cfg = cfg
-        self.cache: OrderedDict[str, np.ndarray] = OrderedDict()
-        self.cache_size = cache_size
+    def __init__(self):
         self.hits = 0
         self.misses = 0
 
-    def _decode(self, image_id: str, data, fmt: str) -> np.ndarray:
-        rgb = self.cache.get(image_id)
-        if rgb is not None:
-            self.cache.move_to_end(image_id)
-            self.hits += 1
-            return rgb
+    def decode(self, data, fmt: str) -> np.ndarray:
         self.misses += 1
-        rgb = codecs.decode_image(data, fmt)
-        self.cache[image_id] = rgb
-        if len(self.cache) > self.cache_size:
-            self.cache.popitem(last=False)
-        return rgb
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..arrow_utils import binary_views
-
-        n = batch.num_rows
-        ids = batch["image_id"].to_pylist()
-        fmts = batch["fmt"].to_pylist()
-        blobs = binary_views(batch["bytes"])  # zero-copy views, no bytes copies
-        phash = np.asarray(batch["phash"])
-        ok = np.zeros(n, dtype=bool)
-        mean_i = np.zeros(n, dtype=np.float64)
-        for i in range(n):
-            try:
-                rgb = self._decode(ids[i], blobs[i], fmts[i])
-            except (ValueError, NotImplementedError):
-                continue
-            ok[i] = codecs.phash64(rgb) == int(phash[i])
-            mean_i[i] = float(rgb.mean())
-        out = batch.drop_columns(["bytes"])
-        return out.append_column("pixel_ok", pa.array(ok)).append_column(
-            "mean_intensity", pa.array(mean_i)
-        )
+        return codecs.decode_image(data, fmt)
 
 
 class DecodeClip:
@@ -98,8 +56,8 @@ class DecodeClip:
     single decode. The clip runs per (image shape, building) group through
     ``_clip_masks``; unassigned images keep coverage 0."""
 
-    def __init__(self, tri2d_ref, cfg: EngineConfig = DEFAULT_CONFIG, cache_size: int = 256):
-        self.decode = DecodeVerify(cfg, cache_size)
+    def __init__(self, tri2d_ref, cfg: EngineConfig = DEFAULT_CONFIG):
+        self.decode = DecodeVerify()
         self.tri2d: dict[str, np.ndarray] = (
             ray.get(tri2d_ref) if isinstance(tri2d_ref, ray.ObjectRef) else tri2d_ref
         )
@@ -116,12 +74,9 @@ class DecodeClip:
         return e
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from .. import codecs
-
         from ..arrow_utils import binary_views
 
         n = batch.num_rows
-        ids = batch["image_id"].to_pylist()
         fmts = batch["fmt"].to_pylist()
         blobs = binary_views(batch["bytes"])  # zero-copy views, no bytes copies
         bids = batch["building_id"].to_pylist()
@@ -138,7 +93,7 @@ class DecodeClip:
         decoded: list[np.ndarray | None] = [None] * n
         for i in range(n):
             try:
-                decoded[i] = self.decode._decode(ids[i], blobs[i], fmts[i])
+                decoded[i] = self.decode.decode(blobs[i], fmts[i])
             except (ValueError, NotImplementedError):
                 continue
         by_shape: dict[tuple, list[int]] = {}

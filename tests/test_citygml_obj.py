@@ -199,6 +199,97 @@ class TestOBJ:
         assert (tmp_path / "obj" / "colormap.mtl").exists()
 
 
+    @pytest.mark.parametrize("preserve", [False, True])
+    def test_two_documents_keep_their_buildings(self, tmp_path, preserve, ray_session):
+        """building_seq restarts in every document: two documents whose
+        building_seq ranges overlap must give one ``o`` group per building,
+        and each class file must be document A's sequential assembly
+        followed by document B's, B's face indices shifted by A's vertex
+        count."""
+        import pyarrow as pa
+
+        from reference_oracle import sequential_obj_assembly
+
+        from citygml2objv2_ray import synth
+        from citygml2objv2_ray.pipelines.convert import convert
+        from citygml2objv2_ray.sources.citygml import (
+            parse_citygml_document,
+            surfaces_to_gml,
+        )
+
+        surfaces, _ = synth.make_city(10, seed=3, corruption=0.0)
+        bids = surfaces.column("building_id").to_pylist()
+        order = list(dict.fromkeys(bids))
+        gdir = tmp_path / "gml"
+        gdir.mkdir()
+        docs = []
+        for fname, chunk in (("a.gml", order[:5]), ("b.gml", order[5:])):
+            gml = surfaces_to_gml(surfaces.filter(pa.array([b in chunk for b in bids])))
+            (gdir / fname).write_bytes(gml)
+            docs.append(pd.DataFrame(parse_citygml_document(gml, doc_id=fname)))
+        a, b = docs
+        assert set(a.building_seq) == set(b.building_seq)
+        assert not set(a.building_id) & set(b.building_id)
+
+        out = convert(str(gdir), str(tmp_path / "obj"), preserve=preserve)
+        assert set(out) == set(a.semantic) | set(b.semantic)
+        for sem, path in out.items():
+            groups, verts, faces = [], [], []
+            for line in open(path).read().splitlines():
+                tag, *rest = line.split()
+                if tag == "o":
+                    groups.append(rest[0])
+                elif tag == "v":
+                    verts.append(tuple(map(float, rest)))
+                elif tag == "f":
+                    faces.append(tuple(map(int, rest)))
+            want_groups = [
+                bid for d in docs for bid in dict.fromkeys(d[d.semantic == sem].building_id)
+            ]
+            assert groups == want_groups, sem
+            av, af = sequential_obj_assembly(a, sem, preserve=preserve)
+            bv, bf = sequential_obj_assembly(b, sem, preserve=preserve)
+            assert verts == av + bv, sem
+            assert faces == af + [tuple(i + len(av) for i in f) for f in bf], sem
+
+    def test_failed_write_publishes_nothing(self, city, tmp_path, monkeypatch):
+        """A write that fails once a class file is open leaves neither that
+        class file nor any temp file behind (a truncated OBJ would look
+        complete)."""
+        import builtins
+
+        from citygml2objv2_ray.pipelines.geometry import triangulate_surfaces
+        from citygml2objv2_ray.sinks import obj
+
+        class FailAfterHeader:
+            def __init__(self, f):
+                self.f = f
+
+            def write(self, text):
+                if self.f.tell():
+                    raise OSError("disk full")
+                return self.f.write(text)
+
+            def close(self):
+                self.f.close()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.close()
+
+        monkeypatch.setattr(
+            obj, "open", lambda *a, **k: FailAfterHeader(builtins.open(*a, **k)), raising=False
+        )
+        surfaces, _ = city
+        with pytest.raises(OSError, match="disk full"):
+            obj.write_obj_per_class(
+                triangulate_surfaces(rd.from_arrow(surfaces)), str(tmp_path), name="m"
+            )
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestExactTranslation:
     def test_utm_scale_exact_roundtrip(self, ray_session):
         import pyarrow as pa

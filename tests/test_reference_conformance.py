@@ -1,6 +1,6 @@
-"""Conformance: the distributed two-phase OBJ assembly reproduces the
-sequential reference-semantics oracle EXACTLY (vertices, order, 1-based
-face indices)."""
+"""Conformance: the per-class OBJ assembly (``write_obj_per_class``)
+reproduces the sequential reference-semantics oracle EXACTLY (vertices,
+order, 1-based face indices)."""
 
 from __future__ import annotations
 
