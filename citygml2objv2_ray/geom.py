@@ -15,7 +15,8 @@ scipy / triangle / open3d in this environment):
 - ear-clipping triangulation w/holes (polygon3dmodule.py:551-716 — the
   reference uses constrained Delaunay via the C `triangle` lib; ear clipping
   is triangulation-equivalent for conformance because we compare triangle
-  SETS and summed areas, not triangle order — SURVEY.md §7.4)
+  SETS and summed areas, not triangle order — SURVEY.md §7.4), batched
+  over every polygon of a call (``triangulate_flat``)
 - winding orientation fix            (polygon3dmodule.py:416-439,707-715)
 - buffered bbox                      (componentseparationmodule.py:63-121)
 - centroid / weighted centroid       (polygon3dmodule.py:338-358,449-471)
@@ -253,25 +254,6 @@ def centroid(ring: np.ndarray) -> np.ndarray:
     return pts.mean(axis=0)
 
 
-def interior_point_2d(ring2d: np.ndarray) -> np.ndarray:
-    """A point strictly inside a simple 2-D ring — hole-seed for
-    triangulation (polygon3dmodule.py:574-586 uses the hole centroid; for
-    non-convex holes we fall back to an ear midpoint)."""
-    pts = np.asarray(ring2d, dtype=np.float64)
-    body = pts[:-1] if len(pts) > 1 and np.all(pts[0] == pts[-1]) else pts
-    c = body.mean(axis=0)
-    if point_in_ring_2d(c[None, :], body)[0]:
-        return c
-    # fallback: centroid of the first valid ear
-    n = len(body)
-    for i in range(n):
-        tri = body[[i, (i + 1) % n, (i + 2) % n]]
-        c = tri.mean(axis=0)
-        if point_in_ring_2d(c[None, :], body)[0]:
-            return c
-    return body.mean(axis=0)
-
-
 # ---------------------------------------------------------------------------
 # 2-D projection choice (triangulation pre-step)
 # ---------------------------------------------------------------------------
@@ -306,13 +288,8 @@ def project_ring(ring: np.ndarray, axis: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# ear-clipping triangulation (with holes)
+# triangulation (C1): one batched kernel over flat rings
 # ---------------------------------------------------------------------------
-
-
-def _signed_area_2d(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def point_in_ring_2d(points: np.ndarray, ring2d: np.ndarray) -> np.ndarray:
@@ -333,192 +310,451 @@ def point_in_ring_2d(points: np.ndarray, ring2d: np.ndarray) -> np.ndarray:
     return np.sum(crossing, axis=1) % 2 == 1
 
 
-def _pts_in_tri(p: np.ndarray, a, b, c, eps=1e-12) -> np.ndarray:
-    """Which of points p (M,2) lie strictly inside triangle abc."""
-    d1 = (p[:, 0] - b[0]) * (a[1] - b[1]) - (a[0] - b[0]) * (p[:, 1] - b[1])
-    d2 = (p[:, 0] - c[0]) * (b[1] - c[1]) - (b[0] - c[0]) * (p[:, 1] - c[1])
-    d3 = (p[:, 0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (p[:, 1] - a[1])
-    has_neg = (d1 < -eps) | (d2 < -eps) | (d3 < -eps)
-    has_pos = (d1 > eps) | (d2 > eps) | (d3 > eps)
-    return ~(has_neg & has_pos)
+_FAN_EPS = 1e-6  # strict-convexity margin, far above the ear clip's 1e-12/1e-14
+_EAR_EPS = 1e-14  # an ear's turn cross must exceed this
+_IN_EPS = 1e-12  # point-in-ear margin: a point on an ear's edge blocks it
+_CORNER_D2 = 1e-24  # a point this close to an ear corner does not block it
+_CHUNK = 4  # ear / bridge candidates tested per polygon per step
+_PAIRS = 1 << 15  # (candidate, point) pairs per slab: ~2 MB of f64 temporaries
+_UCOL, _VCOL = np.array([0, 0, 1]), np.array([1, 2, 2])  # by AXIS_XY / XZ / YZ
+_NONE = np.iinfo(np.int64).max
 
 
-def _earcut_simple(poly: np.ndarray) -> list[tuple[int, int, int]]:
-    """O(n^2) ear clipping of a simple CCW 2-D polygon (open ring).
-    Returns index triples into ``poly``."""
-    n = len(poly)
-    if n < 3:
-        return []
-    if n == 3:
-        return [(0, 1, 2)]
-    idx = list(range(n))
-    tris: list[tuple[int, int, int]] = []
-    guard = 0
-    while len(idx) > 3 and guard < 2 * n * n:
-        guard += 1
-        m = len(idx)
-        clipped = False
-        for k in range(m):
-            i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % m]
-            a, b, c = poly[i0], poly[i1], poly[i2]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cross <= 1e-14:  # reflex or degenerate
-                continue
-            others = np.array(
-                [poly[j] for j in idx if j not in (i0, i1, i2)], dtype=np.float64
-            )
-            if len(others):
-                # bridge construction duplicates vertices: a point that
-                # coincides with a triangle corner must not block the ear
-                corner = (
-                    (np.sum((others - a) ** 2, axis=1) < 1e-24)
-                    | (np.sum((others - b) ** 2, axis=1) < 1e-24)
-                    | (np.sum((others - c) ** 2, axis=1) < 1e-24)
-                )
-                others = others[~corner]
-            if len(others) and np.any(_pts_in_tri(others, a, b, c)):
-                continue
-            tris.append((i0, i1, i2))
-            del idx[k]
-            clipped = True
-            break
-        if not clipped:
-            # numerically stuck (collinear runs): clip the least-degenerate ear
-            best_k, best_cross = -1, -np.inf
-            for k in range(m):
-                i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % m]
-                a, b, c = poly[i0], poly[i1], poly[i2]
-                cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-                if cross > best_cross:
-                    best_cross, best_k = cross, k
-            if best_k < 0:
-                break
-            k = best_k
-            i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % m]
-            if best_cross > 1e-14:
-                tris.append((i0, i1, i2))
-            del idx[k]
-    if len(idx) == 3:
-        a, b, c = poly[idx[0]], poly[idx[1]], poly[idx[2]]
-        cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if cross > 1e-14:
-            tris.append((idx[0], idx[1], idx[2]))
-    return tris
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    off = np.zeros(len(counts) + 1, np.int64)
+    np.cumsum(counts, out=off[1:])
+    return off
 
 
-def _bridge_holes(
-    outer: np.ndarray, holes: list[np.ndarray]
-) -> tuple[np.ndarray, None]:
-    """Merge holes into the outer ring via bridges (the standard
-    eliminate-hole construction used by mapbox-earcut): connect each hole's
-    rightmost vertex to a visible outer vertex, splicing the hole (with two
-    duplicated bridge vertices) into the outer loop. Outer must be CCW,
-    holes CW, all open rings. Returns the combined simple polygon."""
-    outer = list(map(np.asarray, outer))
-    poly = [np.asarray(p, dtype=np.float64) for p in outer]
-    for hole in sorted(holes, key=lambda h: -float(np.max(h[:, 0]))):
-        hi = int(np.argmax(hole[:, 0]))
-        hp = hole[hi]
-        # find visible outer vertex: the one minimizing distance among those
-        # where the segment hp->v crosses no outer edge "in front"; simple
-        # robust heuristic: nearest outer vertex with x >= hp.x, falling back
-        # to nearest overall, validated by midpoint-in-polygon minus holes.
-        P = np.array(poly)
-        d2 = np.sum((P - hp) ** 2, axis=1)
-        order = np.argsort(d2)
-        bridge_j = int(order[0])
-        for j in order:
-            mid = (P[j] + hp) / 2.0
-            if point_in_ring_2d(mid[None, :], np.array(poly))[0] and not point_in_ring_2d(
-                mid[None, :], hole
-            )[0]:
-                bridge_j = int(j)
-                break
-        rolled = np.roll(hole, -hi, axis=0)
-        spliced = (
-            poly[: bridge_j + 1]
-            + [rolled[k] for k in range(len(rolled))]
-            + [rolled[0], P[bridge_j]]
-            + poly[bridge_j + 1 :]
+def _expand(counts: np.ndarray):
+    """Segment, and position within it, of every item of consecutive
+    segments of ``counts`` items."""
+    counts = np.asarray(counts, np.int64)
+    seg = np.repeat(np.arange(len(counts)), counts)
+    return seg, np.arange(len(seg)) - (np.cumsum(counts) - counts)[seg]
+
+
+def take_segments(off: np.ndarray, rows: np.ndarray):
+    """Flat indices of segments ``rows`` of an array with segment offsets
+    ``off``, and the offsets of the taken segments."""
+    n = off[1:][rows] - off[:-1][rows]
+    seg, pos = _expand(n)
+    return off[:-1][rows][seg] + pos, _offsets(n)
+
+
+def _seg_first(hit: np.ndarray, key: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Per non-empty segment, ``key`` of its first ``hit`` item (``_NONE``
+    when there is none)."""
+    return np.minimum.reduceat(np.where(hit, key, _NONE), off[:-1])
+
+
+def _seg_sum(vals: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """``np.sum`` of every segment, bit-equal to summing the slice alone:
+    numpy adds pairwise from 8 terms on, which a row of a same-length
+    matrix reproduces and ``np.bincount`` does not."""
+    n = np.diff(off)
+    out = np.zeros(len(n))
+    for L in np.unique(n[n > 0]):
+        rows = np.flatnonzero(n == L)
+        out[rows] = vals[off[:-1][rows][:, None] + np.arange(L)].sum(axis=1)
+    return out
+
+
+def _ring_area2d(x: np.ndarray, y: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Signed shoelace area of every open ring ``x/y[off[i]:off[i+1]]``."""
+    seg, pos = _expand(np.diff(off))
+    i = np.arange(len(x))
+    nx = np.where(pos + 1 < np.diff(off)[seg], i + 1, off[:-1][seg])
+    return 0.5 * _seg_sum(x * y[nx] - x[nx] * y, off)
+
+
+def _pip(qx, qy, qr, rx, ry, roff) -> np.ndarray:
+    """``point_in_ring_2d`` of each query point against ring ``qr`` of the
+    flat rings ``rx/ry[roff[i]:roff[i+1]]``."""
+    first = roff[:-1]
+    n = np.diff(roff)
+    last = np.maximum(roff[1:] - 1, 0)
+    n = n - ((n > 1) & (rx[last] == rx[first]) & (ry[last] == ry[first]))
+    out = np.zeros(len(qx), bool)
+    step = max(1, _PAIRS // max(int(n.max(initial=1)), 1))
+    for q0 in range(0, len(qx), step):
+        q1 = min(q0 + step, len(qx))
+        q, e = _expand(n[qr[q0:q1]])
+        r = qr[q0 + q]
+        i1 = first[r] + e
+        i2 = first[r] + (e + 1) % n[r]
+        x1, y1, x2, y2 = rx[i1], ry[i1], rx[i2], ry[i2]
+        x, y = qx[q0 + q], qy[q0 + q]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        crossing = ((y1 > y) != (y2 > y)) & (x < xint)
+        out[q0:q1] = np.bincount(q, crossing, q1 - q0) % 2 == 1
+    return out
+
+
+def _bridge(lx, ly, P, poff, H, hoff, hpoly):
+    """Splice every hole into its polygon's outer ring (the eliminate-hole
+    construction of mapbox-earcut): the hole's first max-x vertex is joined
+    to the nearest ring vertex whose bridge midpoint lies inside the ring
+    and outside the hole (else to the nearest), and the hole is spliced in
+    after that vertex with both bridge ends repeated.
+
+    ``P``/``poff`` are the CCW outer rings and ``H``/``hoff`` the CW holes,
+    as indices into the coordinates ``lx``/``ly``; hole h belongs to ring
+    ``hpoly[h]``. A ring takes its holes by descending max x, ties in input
+    order, and round r bridges the r-th hole of every ring. Candidates are
+    tried ``_CHUNK`` at a time in ``np.argsort`` order of their squared
+    distance, ties included: rings of one length are argsorted together,
+    row by row. Returns the merged rings ``(P, poff)``."""
+    hx, hy = lx[H], ly[H]
+    hseg, hpos = _expand(np.diff(hoff))
+    mx = np.maximum.reduceat(hx, hoff[:-1])
+    hi = _seg_first(hx == mx[hseg], hpos, hoff)
+    order = np.lexsort((-mx, hpoly))
+    sp = hpoly[order]
+    rank = np.arange(len(order)) - np.searchsorted(sp, sp)
+    for r in range(int(rank.max(initial=-1)) + 1):
+        h = order[rank == r]
+        p = hpoly[h]
+        hv = H[hoff[:-1][h] + hi[h]]
+        bx, by = lx[hv], ly[hv]
+        g, goff = take_segments(poff, p)
+        m = np.diff(goff)
+        px, py = lx[P[g]], ly[P[g]]
+        seg, _ = _expand(m)
+        d2 = (px - bx[seg]) ** 2 + (py - by[seg]) ** 2
+        cand = np.empty(len(g), np.int64)
+        for L in np.unique(m):
+            at = goff[:-1][m == L][:, None] + np.arange(L)
+            cand[at] = np.argsort(d2[at], axis=1)
+        bj = cand[goff[:-1]]
+        act, c0 = np.arange(len(p)), 0
+        while len(act):
+            cnt = np.minimum(m[act] - c0, _CHUNK)
+            cs, t = _expand(cnt)
+            q = act[cs]
+            j = goff[:-1][q] + cand[goff[:-1][q] + c0 + t]
+            midx, midy = (px[j] + bx[q]) / 2.0, (py[j] + by[q]) / 2.0
+            ok = _pip(midx, midy, q, px, py, goff) & ~_pip(midx, midy, h[q], hx, hy, hoff)
+            k = _seg_first(ok, c0 + t, _offsets(cnt))
+            hit = k < _NONE
+            bj[act[hit]] = cand[goff[:-1][act[hit]] + k[hit]]
+            c0 += _CHUNK
+            act = act[~hit & (m[act] > c0)]
+        # ring p becomes P[:bj+1], the hole from its bridge vertex round to
+        # that vertex again, P[bj], P[bj+1:]
+        n = np.diff(poff)
+        b, nh, hs, hb = n.copy(), np.zeros_like(n), np.zeros_like(n), np.zeros_like(n)
+        b[p], nh[p], hs[p], hb[p] = bj, np.diff(hoff)[h], hoff[:-1][h], hi[h]
+        grow = np.where(b < n, nh + 2, 0)
+        seg, t = _expand(n + grow)
+        bs, ks = b[seg], nh[seg]
+        ring = (t > bs) & (t <= bs + ks + 1)
+        src = np.where(t <= bs, t, np.where(t == bs + ks + 2, bs, t - ks - 2))
+        new = P[poff[:-1][seg] + np.where(ring, 0, src)]
+        s = seg[ring]
+        new[ring] = H[hs[s] + (hb[s] + t[ring] - bs[ring] - 1) % ks[ring]]
+        P, poff = new, _offsets(n + grow)
+    return P, poff
+
+
+def _ears(x, y, R, m, k):
+    """The ears at positions ``k`` of rings ``R`` (row i holds ``m[i]``
+    point indices, then padding): whether k is on the ring, the corner
+    coordinates ``(ax, ay, bx, by, cx, cy)`` and the turn cross."""
+    on = k < m
+    k = np.minimum(k, m - 1)
+    r = np.arange(len(R))[:, None]
+    a, b, c = R[r, (k - 1) % m], R[r, k], R[r, (k + 1) % m]
+    ax, ay, bx, by, cx, cy = x[a], y[a], x[b], y[b], x[c], y[c]
+    return on, (ax, ay, bx, by, cx, cy), (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _ear_blocked(px, py, m, ax, ay, bx, by, cx, cy) -> np.ndarray:
+    """For each candidate ear with corners ``a``/``b``/``c`` on a ring
+    whose ``m`` points are ``px/py[i, :m]``: does any ring point that is not
+    a corner lie in the ear, edges included? The ear's own three points
+    are corners, so excluding corners excludes them too."""
+    out = np.empty(len(m), bool)
+    j = np.arange(px.shape[1])
+    step = max(1, _PAIRS // max(px.shape[1], 1))
+    for lo in range(0, len(m), step):
+        s = slice(lo, lo + step)
+        qx, qy = px[s], py[s]
+        ax_, ay_, bx_, by_ = ax[s, None], ay[s, None], bx[s, None], by[s, None]
+        cx_, cy_ = cx[s, None], cy[s, None]
+        pax, pay, pbx, pby, pcx, pcy = qx - ax_, qy - ay_, qx - bx_, qy - by_, qx - cx_, qy - cy_
+        corner = (
+            (pax**2 + pay**2 < _CORNER_D2)
+            | (pbx**2 + pby**2 < _CORNER_D2)
+            | (pcx**2 + pcy**2 < _CORNER_D2)
         )
-        poly = spliced
-    return np.array(poly, dtype=np.float64), None
+        d1 = pbx * (ay_ - by_) - (ax_ - bx_) * pby
+        d2 = pcx * (by_ - cy_) - (bx_ - cx_) * pcy
+        d3 = pax * (cy_ - ay_) - (cx_ - ax_) * pay
+        neg = (d1 < -_IN_EPS) | (d2 < -_IN_EPS) | (d3 < -_IN_EPS)
+        pos = (d1 > _IN_EPS) | (d2 > _IN_EPS) | (d3 > _IN_EPS)
+        out[s] = ((j < m[s, None]) & ~corner & ~(neg & pos)).any(axis=1)
+    return out
 
 
-def triangulate_2d(
-    exterior2d: np.ndarray, holes2d: list[np.ndarray] | None = None
-) -> np.ndarray:
-    """Triangulate a 2-D polygon (closed or open rings) with optional holes.
-    Returns (T,3,2) triangle coordinate array (not indices — bridging
-    duplicates vertices)."""
-    ext = np.asarray(exterior2d, dtype=np.float64)
-    if len(ext) > 1 and np.all(ext[0] == ext[-1]):
-        ext = ext[:-1]
-    if len(ext) < 3:
-        return np.zeros((0, 3, 2))
-    if _signed_area_2d(ext) < 0:
-        ext = ext[::-1]
-    holes = []
-    for h in holes2d or []:
-        h = np.asarray(h, dtype=np.float64)
-        if len(h) > 1 and np.all(h[0] == h[-1]):
-            h = h[:-1]
-        if len(h) < 3:
+def _cross(x, y, a, b, c) -> np.ndarray:
+    return (x[b] - x[a]) * (y[c] - y[a]) - (y[b] - y[a]) * (x[c] - x[a])
+
+
+def _earclip(x: np.ndarray, y: np.ndarray, off: np.ndarray):
+    """Ear clip every simple CCW open ring ``x/y[off[i]:off[i+1]]``.
+
+    Each round, every live ring of m > 3 points clips its first valid ear
+    in ring order: the ear at the k-th remaining point, between its
+    remaining neighbours, turning by more than ``_EAR_EPS`` and holding no
+    other remaining point off its corners. Candidates are tested
+    ``_CHUNK`` at a time, so a round costs O(chunk * m) per ring. A ring
+    with no valid ear (collinear runs) drops the point of its ear that
+    turns most (the first such), emitting that ear only if it turns by
+    more than ``_EAR_EPS``;
+    a ring whose every turn is NaN stops. A ring of 3 points emits its
+    last triangle if it turns by more than ``_EAR_EPS``, and a ring given
+    with 3 points emits it as is. The 2n² round cap is the reference
+    implementation's loop guard.
+
+    Rings run as rows of a padded (rings, points) index matrix, sorted by
+    size and cut into groups of at most ``_PAIRS * 8`` cells. Returns
+    ``(ring, i0, i1, i2)``: point indices of every ear, each ring's ears
+    in clipping order."""
+    n = np.diff(off)
+    three = np.flatnonzero(n == 3)
+    ears = [(three, off[three], off[three] + 1, off[three] + 2)]
+    big = np.flatnonzero(n > 3)
+    big = big[np.argsort(-n[big], kind="stable")]
+    while len(big):
+        cut = max(1, _PAIRS * 8 // int(n[big[0]]))
+        ears += _earclip_group(x, y, off, big[:cut])
+        big = big[cut:]
+    ring, i0, i1, i2 = (np.concatenate(col) for col in zip(*ears))
+    o = np.argsort(ring, kind="stable")
+    return ring[o], i0[o], i1[o], i2[o]
+
+
+def _earclip_group(x, y, off, live):
+    """``_earclip``'s rounds for the rings ``live`` (4+ points each), as
+    rows of one padded index matrix; returns their ears, round by round."""
+    ears = []
+    m = np.diff(off)[live]
+    cap = 2 * m * m
+    col = np.arange(m.max())
+    V = np.where(col < m[:, None], off[:-1][live][:, None] + col, 0)
+    chunk = np.arange(_CHUNK)
+    rounds = 0
+    while len(live):
+        end = m == 3
+        if end.any():
+            a, b, c = V[end, 0], V[end, 1], V[end, 2]
+            last = _cross(x, y, a, b, c) > _EAR_EPS
+            ears.append((live[end][last], a[last], b[last], c[last]))
+        go = (m > 3) & (rounds < cap)
+        if not go.all():
+            live, m, cap, V = live[go], m[go], cap[go], V[go]
+            if not len(live):
+                break
+        found = np.full(len(live), -1)
+        act, c0 = np.arange(len(live)), 0
+        while len(act):
+            R, ma = V[act], m[act][:, None]
+            on, corners, cross = _ears(x, y, R, ma, c0 + chunk)
+            ok = on & (cross > _EAR_EPS)
+            ci, cj = np.nonzero(ok)
+            ok[ci, cj] = ~_ear_blocked(
+                x[R[ci]], y[R[ci]], ma[ci, 0], *(v[ci, cj] for v in corners)
+            )
+            hit = ok.any(axis=1)
+            found[act[hit]] = c0 + ok.argmax(axis=1)[hit]
+            c0 += _CHUNK
+            act = act[~hit & (m[act] > c0)]
+        kd, emit = found, found >= 0
+        stuck = np.flatnonzero(found < 0)
+        if len(stuck):
+            # no valid ear: drop the point of the ear that turns most, the
+            # first such in ring order, emitting it only if it turns enough
+            on, _, cross = _ears(x, y, V[stuck], m[stuck][:, None], col[: V.shape[1]])
+            cr = np.where(on & ~np.isnan(cross), cross, -np.inf)
+            j = cr.argmax(axis=1)
+            top = cr[np.arange(len(stuck)), j]
+            kd[stuck] = np.where(top > -np.inf, j, -1)
+            emit[stuck] = top > _EAR_EPS
+        alive = kd >= 0
+        e = np.flatnonzero(emit)
+        k, me = kd[e], m[e]
+        ears.append((live[e], V[e, (k - 1) % me], V[e, k], V[e, (k + 1) % me]))
+        V, kd = V[alive], kd[alive]
+        V = np.where(col[: V.shape[1] - 1] < kd[:, None], V[:, :-1], V[:, 1:])
+        live, m, cap = live[alive], m[alive] - 1, cap[alive]
+        rounds += 1
+    return ears
+
+
+def triangulate_flat(body, boff, normal, axis, hbody, hoff, hrow_off):
+    """Triangulate R polygons given as flat rings (the C1 kernel,
+    polygon3dmodule.py:551-716). Polygon i's cleaned open exterior is
+    ``body[boff[i]:boff[i+1]]`` (3+ points, unit normal ``normal[i]``, 2-D
+    projection ``axis[i]``); its holes are rings ``hrow_off[i]`` to
+    ``hrow_off[i+1]`` of the cleaned open rings ``hbody[hoff[j]:hoff[j+1]]``,
+    and holes of under 3 points are ignored.
+
+    A strictly convex polygon with no hole is fanned around its last
+    vertex: that is its ear clip, since the first ear is always valid
+    there, and every turn and fan-triangle cross must clear ``_FAN_EPS``,
+    10^6 above the ear clip's own margins. Every other polygon is ear
+    clipped as a batch: exterior and holes are projected, a closing point
+    equal to the first is dropped, the exterior wound CCW and the holes CW
+    (signed areas summed as ``np.sum`` does), holes of 3+ points bridged in
+    (``_bridge``) and the merged rings clipped (``_earclip``). Ear clipping
+    adds no point, so each 2-D corner lifts to the first input vertex that
+    projects onto it. Every triangle is then wound to the normal
+    (polygon3dmodule.py:707-715).
+
+    Returns ``(row, tris)``: the polygon of each triangle and (T,3,3)
+    triangles, rows ascending, each row's triangles in emission order."""
+    R = len(boff) - 1
+    if R == 0:
+        return np.zeros(0, np.int64), np.zeros((0, 3, 3))
+    bn = np.diff(boff)
+    brow, pos = _expand(bn)
+    first, last = boff[:-1][brow], boff[1:][brow] - 1
+    idx = np.arange(len(body))
+    nxt = np.where(idx < last, idx + 1, first)
+    prv = np.where(idx > first, idx - 1, last)
+    u = body[idx, _UCOL[axis[brow]]]
+    v = body[idx, _VCOL[axis[brow]]]
+    hn = np.diff(hoff)
+    hrow = np.repeat(np.arange(R), np.diff(hrow_off))
+    kept = np.flatnonzero(hn >= 3)
+
+    # ---- strict-convexity gate in CCW space, fan around the last vertex
+    area2 = np.bincount(brow, u * v[nxt] - u[nxt] * v, R)
+    perm = np.where(area2[brow] < 0, first + last - idx, idx)
+    uw, vw = u[perm], v[perm]
+    tc = (uw - uw[prv]) * (vw[nxt] - vw) - (vw - vw[prv]) * (uw[nxt] - uw)
+    fu, fv = uw - uw[last], vw - vw[last]
+    g = fu * fv[nxt] - fu[nxt] * fv
+    gate = np.minimum.reduceat(np.where(pos <= bn[brow] - 3, np.minimum(tc, g), tc), boff[:-1])
+    fan = (np.bincount(hrow[kept], minlength=R) == 0) & (area2 != 0.0) & (gate > _FAN_EPS)
+    trow, tk = _expand(np.where(fan, bn - 2, 0))
+    base, n = boff[:-1][trow], bn[trow]
+    lastm = tk == n - 3
+    i0 = base + np.where(lastm, n - 3, n - 1)
+    i1 = base + np.where(lastm, n - 2, tk)
+    i2 = base + np.where(lastm, n - 1, tk + 1)
+    w3 = body[perm]
+    rows, tris = [trow], [np.stack([w3[i0], w3[i1], w3[i2]], axis=1)]
+
+    # ---- ear clip: lookup = each polygon's exterior, then its holes
+    ec = np.flatnonzero(~fan)
+    if len(ec):
+        r, t = _earclip_polygons(body, boff, axis, hbody, hoff, hrow, kept, ec)
+        rows.append(r)
+        tris.append(t)
+    row = np.concatenate(rows)
+    o = np.argsort(row, kind="stable")
+    row, tris = row[o], np.concatenate(tris)[o]
+    tn = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    flip = np.einsum("ij,ij->i", tn, normal[row]) < 0
+    tris[flip] = tris[flip][:, ::-1, :]
+    return row, tris
+
+
+def _earclip_polygons(body, boff, axis, hbody, hoff, hrow, kept, ec):
+    """``triangulate_flat``'s rows ``ec``, ear clipped with their ``kept``
+    holes: returns (row, (T,3,3) triangles before the winding fix)."""
+    E = len(ec)
+    loc = np.full(len(boff) - 1, -1)
+    loc[ec] = np.arange(E)
+    en, hsz, hr = np.diff(boff)[ec], np.diff(hoff)[kept], loc[hrow[kept]]
+    loff = _offsets(en + np.bincount(hr, hsz, E).astype(np.int64))
+    within = np.cumsum(hsz) - hsz
+    within -= within[np.searchsorted(hr, hr)]
+    hstart = loff[:-1][hr] + en[hr] + within
+    L3 = np.empty((loff[-1], 3))
+    seg, t = _expand(en)
+    L3[loff[:-1][seg] + t] = body[take_segments(boff, ec)[0]]
+    seg, t = _expand(hsz)
+    L3[hstart[seg] + t] = hbody[take_segments(hoff, kept)[0]]
+    lrow, _ = _expand(np.diff(loff))
+    lax = axis[ec][lrow]
+    li = np.arange(len(L3))
+    lu, lv = L3[li, _UCOL[lax]], L3[li, _VCOL[lax]]
+
+    def ring(start, n, ccw):
+        """Rings of ``n`` lookup points from ``start``, closing point equal
+        to the first dropped, reversed where their signed area's sign is
+        not ``ccw``'s."""
+        e = start + n - 1
+        n = n - ((n > 1) & (lu[e] == lu[start]) & (lv[e] == lv[start]))
+        seg, t = _expand(n)
+        roff = _offsets(n)
+        a = _ring_area2d(lu[start[seg] + t], lv[start[seg] + t], roff)
+        rev = (a < 0) if ccw else (a > 0)
+        return start[seg] + np.where(rev[seg], n[seg] - 1 - t, t), n
+
+    P, pn = ring(loff[:-1], en, True)
+    H, qn = ring(hstart, hsz, False)
+    ok = pn >= 3
+    P, poff = P[take_segments(_offsets(pn), np.flatnonzero(ok))[0]], _offsets(pn[ok])
+    rid = np.cumsum(ok) - 1  # ear-clip row -> ring
+    hk = np.flatnonzero((qn >= 3) & ok[hr])
+    H, hoff2 = H[take_segments(_offsets(qn), hk)[0]], _offsets(qn[hk])
+    if len(hk):
+        P, poff = _bridge(lu, lv, P, poff, H, hoff2, rid[hr[hk]])
+    rr, i0, i1, i2 = _earclip(lu[P], lv[P], poff)
+    # lift: the first lookup point of the polygon with equal 2-D coordinates
+    o = np.lexsort((lv, lu, lrow))
+    new = np.ones(len(o), bool)
+    new[1:] = (lrow[o][1:] != lrow[o][:-1]) | (lu[o][1:] != lu[o][:-1]) | (lv[o][1:] != lv[o][:-1])
+    canon = np.empty(len(o), np.int64)
+    canon[o] = o[new][np.cumsum(new) - 1]
+    tri = L3[canon[P[np.stack([i0, i1, i2], axis=1)]]]
+    return ec[np.flatnonzero(ok)[rr]], tri
+
+
+def triangulate_polygons(
+    exteriors: list, interiors: list | None = None, cfg: EngineConfig = DEFAULT_CONFIG
+) -> list[np.ndarray]:
+    """``triangulate_polygon`` of many polygons in one ``triangulate_flat``
+    call. ``interiors[i]`` lists polygon i's holes."""
+    dec = cfg.vertex_round_decimals
+    interiors = interiors if interiors is not None else [[]] * len(exteriors)
+    out = [np.zeros((0, 3, 3)) for _ in exteriors]
+    rows, bodies, normals, axes, holes, nholes = [], [], [], [], [], []
+    for i, (ext, hs) in enumerate(zip(exteriors, interiors)):
+        ext = clean_ring(ext, dec)
+        if len(ext) < 4:
             continue
-        if _signed_area_2d(h) > 0:
-            h = h[::-1]
-        holes.append(h)
-    if holes:
-        poly, _ = _bridge_holes(ext, holes)
-    else:
-        poly = ext
-    tris = _earcut_simple(poly)
-    return np.array([[poly[a], poly[b], poly[c]] for a, b, c in tris]).reshape(-1, 3, 2)
-
-
-_FAN_EPS = 1e-6  # strict-convexity margin, far above earcut's 1e-12/1e-14
-
-
-def convex_fan(body3d: np.ndarray, axis: int) -> np.ndarray | None:
-    """Fast path for STRICTLY convex hole-free polygons: the ear-clip loop
-    on a strictly convex CCW ring always clips at k=0, producing the fan
-    (n-1, 0, 1), (n-1, 1, 2), ..., ending with the tuple (n-3, n-2, n-1)
-    — so the fan IS the ear-clip output, emitted here without the O(n^2)
-    scan, the 2-D lift, or any per-ear allocation. Returns None (caller
-    falls through to the full ear clip) unless every turning cross AND
-    every fan-triangle cross clears ``_FAN_EPS`` — margins 10^6 above the
-    ear clip's decision epsilons, so in the disagreement band both
-    algorithms produce identical triangles anyway.
-
-    ``body3d`` is the cleaned OPEN exterior ring (n >= 3)."""
-    uv = project_ring(body3d, axis)
-    u, v = uv[:, 0], uv[:, 1]
-    un, vn = np.roll(u, -1), np.roll(v, -1)
-    area2 = float(np.sum(u * vn - un * v))
-    if area2 == 0.0:
-        return None
-    if area2 < 0:
-        body3d = body3d[::-1]
-        uv = uv[::-1]
-        u, v = uv[:, 0], uv[:, 1]
-        un, vn = np.roll(u, -1), np.roll(v, -1)
-    up, vp = np.roll(u, 1), np.roll(v, 1)
-    tc = (u - up) * (vn - v) - (v - vp) * (un - u)
-    if not np.all(tc > _FAN_EPS):
-        return None
-    fu, fv = u - u[-1], v - v[-1]
-    g = fu[:-1] * fv[1:] - fu[1:] * fv[:-1]
-    if len(g) > 1:
-        g = g[:-1]  # last entry is the degenerate (n-2, n-1) pair
-    if not np.all(g > _FAN_EPS):
-        return None
-    n = len(u)
-    tris = np.empty((n - 2, 3, 3), dtype=np.float64)
-    tris[:, 0] = body3d[n - 1]
-    tris[:, 1] = body3d[0 : n - 2]
-    tris[:, 2] = body3d[1 : n - 1]
-    tris[-1] = body3d[[n - 3, n - 2, n - 1]]
-    return tris
+        normal = newell_normal(ext)
+        if not normal.any():
+            continue  # silent-empty parity (polygon3dmodule.py:679-687)
+        hb = [clean_ring(h, dec)[:-1] for h in hs or []]
+        rows.append(i)
+        bodies.append(ext[:-1])
+        normals.append(normal)
+        axes.append(projection_axis(normal, ext, cfg))
+        holes.extend(hb)
+        nholes.append(len(hb))
+    if not rows:
+        return out
+    hb = [np.zeros((0, 3))] + [h.reshape(-1, 3) for h in holes]
+    row, tris = triangulate_flat(
+        np.concatenate(bodies),
+        _offsets([len(b) for b in bodies]),
+        np.array(normals),
+        np.array(axes),
+        np.concatenate(hb),
+        _offsets([len(h) for h in holes]),
+        _offsets(nholes),
+    )
+    cut = np.cumsum(np.bincount(row, minlength=len(rows)))[:-1]
+    for i, t in zip(rows, np.split(tris, cut)):
+        out[i] = t
+    return out
 
 
 def triangulate_polygon(
@@ -528,66 +764,15 @@ def triangulate_polygon(
 ) -> np.ndarray:
     """Full 3-D polygon triangulation (the C1 kernel,
     polygon3dmodule.py:551-716): clean rings → Newell normal → projection
-    axis (XY / XZ / YZ) → 2-D ear clip with hole bridging → lift back to 3-D
-    → orient every triangle's winding to the parent normal
-    (polygon3dmodule.py:707-715). Ear clipping adds no Steiner points, so
-    the lift is an exact lookup of the original 3-D vertices. Failures
-    return an empty array (silent-empty parity, polygon3dmodule.py:679-687).
+    axis (XY / XZ / YZ) → ``triangulate_flat`` (convex fan, or 2-D ear clip
+    with hole bridging, lifted back to the input vertices and wound to the
+    normal, polygon3dmodule.py:707-715). Rings of under 3 distinct points
+    and zero normals return an empty array (silent-empty parity,
+    polygon3dmodule.py:679-687).
 
     Returns (T, 3, 3) float64.
     """
-    dec = cfg.vertex_round_decimals
-    return triangulate_clean(
-        clean_ring(exterior, dec), [clean_ring(h, dec) for h in interiors or []], cfg
-    )
-
-
-def triangulate_clean(
-    ext: np.ndarray, holes: list[np.ndarray], cfg: EngineConfig = DEFAULT_CONFIG
-) -> np.ndarray:
-    """``triangulate_polygon`` of rings that are already ``clean_ring``
-    output (the Triangulator's fallback takes its exteriors from the
-    flat-ring kernel)."""
-    try:
-        if len(ext) < 4:
-            return np.zeros((0, 3, 3))
-        normal = newell_normal(ext)
-        if not normal.any():
-            return np.zeros((0, 3, 3))
-        axis = projection_axis(normal, ext, cfg)
-        holes3d = [h for h in holes if len(h) >= 4]
-
-        if not holes3d:
-            fan = convex_fan(ext[:-1], axis)
-            if fan is not None:
-                tri_n = np.cross(fan[:, 1] - fan[:, 0], fan[:, 2] - fan[:, 0])
-                flip = tri_n @ normal < 0
-                fan[flip] = fan[flip][:, ::-1, :]
-                return fan
-
-        # map each projected 2-D vertex back to its 3-D original
-        all3d = [ext[:-1]] + [h[:-1] for h in holes3d]
-        all2d = [project_ring(r, axis) for r in all3d]
-        lookup3d = np.vstack(all3d)
-        lookup2d = np.vstack(all2d)
-
-        tris2d = triangulate_2d(all2d[0], all2d[1:])
-        if len(tris2d) == 0:
-            return np.zeros((0, 3, 3))
-
-        flat2d = tris2d.reshape(-1, 2)
-        # exact nearest-vertex lift (ear clipping reuses input vertices)
-        d2 = np.sum((flat2d[:, None, :] - lookup2d[None, :, :]) ** 2, axis=2)
-        nearest = np.argmin(d2, axis=1)
-        tris3d = lookup3d[nearest].reshape(-1, 3, 3)
-
-        # orient windings to the parent Newell normal (polygon3dmodule.py:707-715)
-        tri_n = np.cross(tris3d[:, 1] - tris3d[:, 0], tris3d[:, 2] - tris3d[:, 0])
-        flip = tri_n @ normal < 0
-        tris3d[flip] = tris3d[flip][:, ::-1, :]
-        return tris3d
-    except Exception:
-        return np.zeros((0, 3, 3))  # silent-empty parity (polygon3dmodule.py:679-687)
+    return triangulate_polygons([exterior], [interiors or []], cfg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -71,21 +71,30 @@ def separate_components(
         # (pairwise-summation np.mean is not SQL-expressible)
         trans = (bbox[:3] + bbox[3:]) / 2 if translate_per_building else np.zeros(3)
 
+        dec = cfg.vertex_round_decimals
+        recs = list(g.itertuples())
+        exts = [
+            geom.clean_ring(np.asarray([list(p) for p in r.exterior], dtype=np.float64), dec)
+            for r in recs
+        ]
+        approx = [bool(r.is_opening and approx_windows) for r in recs]
+        # every polygon past the quad fast path: one batched triangulation
+        full = [i for i, e in enumerate(exts) if len(e) > 4 and not approx[i]]
+        holes = [
+            [np.asarray([list(p) for p in h], dtype=np.float64) for h in recs[i].interiors]
+            for i in full
+        ]
+        full_tris = dict(zip(full, geom.triangulate_polygons([exts[i] for i in full], holes, cfg)))
         rows = []
-        cseq = 0
-        for r in g.itertuples():
-            ext = geom.clean_ring(np.asarray([list(p) for p in r.exterior], dtype=np.float64))
-            holes = [
-                np.asarray([list(p) for p in h], dtype=np.float64) for h in r.interiors
-            ]
-            if r.is_opening and approx_windows:
+        for cseq, (r, ext) in enumerate(zip(recs, exts)):
+            if approx[cseq]:
                 tris = approx_window_hull(ext[:-1] if len(ext) > 1 else ext, seed_key=str(r.poly_id))
             elif len(ext) < 4:  # <3 distinct points → empty (:734-736)
                 tris = np.zeros((0, 3, 3))
             elif len(ext) == 4:  # quad fast-path: first 3 points (:731-733)
                 tris = ext[None, :3, :]
-            else:
-                tris = geom.triangulate_polygon(ext, holes, cfg)
+            else:  # full triangulation (:727-729)
+                tris = full_tris[cseq]
             tris = tris - trans
             lo = tris.reshape(-1, 3).min(axis=0) if len(tris) else np.zeros(3)
             hi = tris.reshape(-1, 3).max(axis=0) if len(tris) else np.zeros(3)
@@ -104,14 +113,13 @@ def separate_components(
                     obj_text=_component_obj(tris),
                 )
             )
-            cseq += 1
         if corner_markers:
             tris = corner_marker_triangles(all_pts, cfg.bbox_buffer) - trans
             rows.append(
                 dict(
                     building_id=g.building_id.iloc[0],
                     building_seq=int(g.building_seq.iloc[0]),
-                    component_seq=cseq,
+                    component_seq=len(recs),
                     feature_id="corner_markers",
                     semantic="Marker",
                     is_opening=False,

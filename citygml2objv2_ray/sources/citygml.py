@@ -313,7 +313,7 @@ def surfaces_to_gml(surfaces: pa.Table) -> bytes:
     return "\n".join(out).encode()
 
 
-def read_citygml(paths, parallelism: int = 8):
+def read_citygml(paths):
     """Directory/list of .gml/.xml files → surfaces Dataset (one row per
     polygon). The file list forms the initial blocks; each document parses
     in its own task (documents are independent, like the reference's

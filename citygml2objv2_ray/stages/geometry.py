@@ -6,9 +6,10 @@ kernel, ``ring_kernel``: ring clean (B1), closure test, validity reasons
 (B2), Newell normal (B9) and planarity for every polygon of a batch in one
 segment-vectorized pass over the ``ring_column`` points and offsets.
 ``clean_validate`` projects the kernel to per-polygon columns;
-``Triangulator`` fans the kernel's cleaned convex rings and ear-clips the
-rest. ``pipelines.geometry.roof_tri2d`` and the ``-p`` convert path use
-the same kernel.
+``Triangulator`` hands the kernel's cleaned valid rings to the batched
+``geom.triangulate_flat`` (convex fan, else hole bridging and ear clip).
+``pipelines.geometry.roof_tri2d`` and the ``-p`` convert path use the same
+kernel.
 """
 
 from __future__ import annotations
@@ -222,20 +223,18 @@ class Triangulator:
     Per batch it explodes each valid polygon row into one row per triangle
     (TRIANGLES_SCHEMA). Invalid polygons triangulate to zero rows
     (silent-empty parity, polygon3dmodule.py:679-687); ``clean_validate``
-    over the same rows gives the reasons.
+    over the same rows gives the reasons. There is no per-polygon Python:
+    ``ring_kernel`` cleans, validates and takes the normals of every
+    exterior, ``clean_rings`` cleans every hole, and one
+    ``geom.triangulate_flat`` call fans the strictly convex rows and ear
+    clips all the others of the batch together.
     """
 
     def __init__(self, cfg: EngineConfig = DEFAULT_CONFIG):
         self.cfg = cfg
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        trow_list, tri_list = self._triangulate_rows(batch)
-        if tri_list:
-            allt = np.concatenate(tri_list)  # (T,3,3)
-            trow = np.concatenate(trow_list)
-        else:
-            allt = np.zeros((0, 3, 3))
-            trow = np.zeros(0, np.int64)
+        trow, allt = self._triangulate_rows(batch)
         # per-row metadata via vectorized take/repeat (rows ascending,
         # triangles per row in emission order)
         tseq_counts = np.bincount(trow, minlength=batch.num_rows)
@@ -247,12 +246,8 @@ class Triangulator:
             c: pc.take(batch[c], take).cast(TRIANGLES_SCHEMA.field(c).type)
             for c in ("doc_id", "building_id", "poly_id", "semantic", "building_seq", "poly_seq")
         }
-        tn = (
-            np.cross(allt[:, 1] - allt[:, 0], allt[:, 2] - allt[:, 0])
-            if len(allt)
-            else np.zeros((0, 3))
-        )
-        areas = 0.5 * np.linalg.norm(tn, axis=1) if len(allt) else np.zeros(0)
+        tn = np.cross(allt[:, 1] - allt[:, 0], allt[:, 2] - allt[:, 0])
+        areas = 0.5 * np.linalg.norm(tn, axis=1)
 
         def fsl(col: np.ndarray) -> pa.Array:
             return pa.FixedSizeListArray.from_arrays(
@@ -270,126 +265,36 @@ class Triangulator:
             }
         )
 
-    # -- batched triangulation core ------------------------------------
-
     def _triangulate_rows(self, batch: pa.Table):
-        """Returns (list of row-index arrays, list of (t,3,3) arrays) in
-        ascending row order with per-row emission order preserved.
+        """Returns (row index per triangle, (T,3,3) triangles), rows
+        ascending and each row's triangles in emission order.
 
-        Fully segment-vectorized fast path (``ring_kernel`` → projection →
-        strict-convexity gate → fan emission) over flat ring arrays; only
-        rows with holes, non-convex rings, or degenerate projections fall
-        back to the per-polygon ear clip (``geom.triangulate_clean``). The
-        fan equals the ear-clip output on gated rows (see
-        ``geom.convex_fan``), so batch and per-polygon paths are
-        interchangeable triangle-for-triangle."""
+        The valid rows' kernel-cleaned exteriors, kernel normals and
+        projection axes (``geom.projection_axis``, vectorized), and their
+        ``clean_rings``-cleaned holes go to ONE ``geom.triangulate_flat``
+        call, whose output equals the per-polygon
+        ``tests/reference_oracle.triangulate_clean`` triangle for
+        triangle."""
         cfg = self.cfg
-        R = batch.num_rows
-        if R == 0:
-            return [], []
         k = ring_kernel(batch, cfg)
-        valid = k.valid
-        if not valid.any():
-            return [], []
-        _, _, irow_off = rings_column(batch["interiors"])
-        nholes = np.diff(irow_off)
-        bpts, boff, brow, nxt = k.body, k.boff, k.brow, k.nxt
-        body_counts = np.diff(boff)
-        idx = np.arange(len(bpts))
-        seg_first = boff[brow]
-        seg_n = body_counts[brow]
-        pos = idx - seg_first
-        prv = np.where(pos > 0, idx - 1, seg_first + seg_n - 1)
-        ne = body_counts > 0
-
+        rows = np.flatnonzero(k.valid)
+        g, boff = geom.take_segments(k.boff, rows)
+        body = k.body[g]
+        normal = k.normal[rows]
         # ---- projection axis (geom.projection_axis, vectorized) ----
-        ptp_x = np.zeros(R)
-        if ne.any():
-            mx = np.maximum.reduceat(bpts[:, 0], boff[:-1][ne])
-            mn = np.minimum.reduceat(bpts[:, 0], boff[:-1][ne])
-            ptp_x[ne] = mx - mn
+        ptp_x = np.zeros(len(rows))
+        if len(rows):
+            ptp_x = np.maximum.reduceat(body[:, 0], boff[:-1]) - np.minimum.reduceat(
+                body[:, 0], boff[:-1]
+            )
         axis = np.where(
-            np.abs(k.normal[:, 2]) >= cfg.vertical_nz_tol,
+            np.abs(normal[:, 2]) >= cfg.vertical_nz_tol,
             geom.AXIS_XY,
             np.where(ptp_x < 1e-12, geom.AXIS_YZ, geom.AXIS_XZ),
         )
-        UCOL = np.array([0, 0, 1])  # AXIS_XY, AXIS_XZ, AXIS_YZ
-        VCOL = np.array([1, 2, 2])
-        u = bpts[idx, UCOL[axis[brow]]]
-        v = bpts[idx, VCOL[axis[brow]]]
-        area2 = np.bincount(brow, u * v[nxt] - u[nxt] * v, R)
-
-        # ---- strict-convexity gate in CCW space (geom.convex_fan) ----
-        cw = area2 < 0
-        perm = np.where(cw[brow], seg_first + (seg_n - 1) - pos, idx)
-        uw, vw = u[perm], v[perm]
-        tc = (uw - uw[prv]) * (vw[nxt] - vw) - (vw - vw[prv]) * (uw[nxt] - uw)
-        lu = uw[seg_first + seg_n - 1]
-        lv = vw[seg_first + seg_n - 1]
-        fu, fv = uw - lu, vw - lv
-        g = fu * fv[nxt] - fu[nxt] * fv
-        gate_pts = np.where(
-            pos <= seg_n - 3, np.minimum(tc, g), np.minimum(tc, np.inf)
-        )
-        min_gate = np.full(R, -np.inf)
-        if ne.any():
-            min_gate[ne] = np.minimum.reduceat(gate_pts, boff[:-1][ne])
-        fast = valid & (nholes == 0) & (area2 != 0.0) & (min_gate > geom._FAN_EPS)
-        slow_rows = np.flatnonzero(valid & ~fast)
-
-        # ---- fan triangles for the fast rows ----
-        w3 = bpts[perm]
-        tri_counts = np.where(fast, body_counts - 2, 0)
-        T = int(tri_counts.sum())
-        trow_f = np.repeat(np.arange(R), tri_counts)
-        cum = np.zeros(R + 1, np.int64)
-        np.cumsum(tri_counts, out=cum[1:])
-        tk = np.arange(T) - cum[trow_f]
-        base = boff[trow_f]
-        bc = body_counts[trow_f]
-        i0 = base + bc - 1
-        i1 = base + tk
-        i2 = base + tk + 1
-        lastm = tk == bc - 3
-        i0[lastm] = base[lastm] + bc[lastm] - 3
-        i1[lastm] = base[lastm] + bc[lastm] - 2
-        i2[lastm] = base[lastm] + bc[lastm] - 1
-        tris_f = np.stack([w3[i0], w3[i1], w3[i2]], axis=1)
-        # winding flip against the original (pre-reversal) Newell normal
-        tn = np.cross(tris_f[:, 1] - tris_f[:, 0], tris_f[:, 2] - tris_f[:, 0])
-        nrm = k.normal[trow_f]
-        flip = np.einsum("ij,ij->i", tn, nrm) < 0
-        tris_f[flip] = tris_f[flip][:, ::-1, :]
-
-        if not len(slow_rows):
-            return [trow_f], [tris_f]
-
-        # ---- fallback rows + ordered merge ----
-        srow_list, stris_list = self._rows_fallback(batch, slow_rows, k)
-        if not stris_list:
-            return [trow_f], [tris_f]
-        # merge the two row-sorted streams
-        trows = np.concatenate([trow_f] + srow_list)
-        tris = np.concatenate([tris_f] + stris_list) if len(tris_f) else np.concatenate(stris_list)
-        order = np.argsort(trows, kind="stable")
-        # stable sort keeps per-row emission order within each source, and
-        # fast/slow rows are disjoint so the interleave is exact
-        return [trows[order]], [tris[order]]
-
-    def _rows_fallback(self, batch: pa.Table, rows: np.ndarray, k: FlatRings):
-        """Per-polygon ear clip for the valid rows the fan can't take; the
-        exteriors are the kernel's cleaned rings, closed again."""
-        dec = self.cfg.vertex_round_decimals
-        ipts, iring_off, irow_off = rings_column(batch["interiors"])
-        trow_list, tri_list = [], []
-        for i in rows:
-            ring = k.body[k.boff[i] : k.boff[i + 1]]
-            holes = [
-                geom.clean_ring(ipts[iring_off[r] : iring_off[r + 1]], dec)
-                for r in range(irow_off[i], irow_off[i + 1])
-            ]
-            tris = geom.triangulate_clean(np.vstack([ring, ring[:1]]), holes, self.cfg)
-            if len(tris):
-                trow_list.append(np.full(len(tris), i, np.int64))
-                tri_list.append(tris)
-        return trow_list, tri_list
+        hpts, hoff, hrow_off = rings_column(batch["interiors"])
+        hbody, hboff, _ = clean_rings(hpts, hoff, cfg.vertex_round_decimals)
+        rings, hroff = geom.take_segments(hrow_off, rows)
+        hg, hboff = geom.take_segments(hboff, rings)
+        trow, tris = geom.triangulate_flat(body, boff, normal, axis, hbody[hg], hboff, hroff)
+        return rows[trow], tris

@@ -9,7 +9,13 @@ kernels must reproduce EXACTLY:
   with ``preserve=True`` each valid polygon is one n-gon face (``-p``,
   CityGML2OBJs.py:137-141).
 - ``triangulate_rowwise``: the Triangulator's triangles, one polygon at
-  a time (``triangulate_row``: clean every ring, validate, ear clip).
+  a time (``triangulate_row``: clean every ring, validate, then
+  ``triangulate_clean``).
+- ``triangulate_clean``: the per-polygon triangulation the batched kernel
+  ``geom.triangulate_flat`` replaced (``geom.py`` before it): convex fan
+  (``convex_fan``) or O(n^2) ear clip (``_earcut_simple``) after hole
+  bridging (``_bridge_holes``, ``triangulate_2d``), nearest-vertex lift
+  and winding fix.
 - ``clean_validate_rowwise``: ring clean + validity + derived columns, one
   polygon at a time through the ``geom`` scalar kernels.
 - ``roof_tri2d_rowwise``: per-building 2-D Roof/Ground triangles, one
@@ -31,7 +37,255 @@ import pyarrow as pa
 
 from citygml2objv2_ray import codecs, geom
 from citygml2objv2_ray.arrow_utils import ring_column, rings_column
-from citygml2objv2_ray.config import DEFAULT_CONFIG
+from citygml2objv2_ray.config import DEFAULT_CONFIG, EngineConfig
+from citygml2objv2_ray.geom import newell_normal, point_in_ring_2d, project_ring, projection_axis
+
+
+# ---------------------------------------------------------------------------
+# triangulation: one polygon at a time (verbatim from geom.py before the
+# batched kernel)
+# ---------------------------------------------------------------------------
+
+
+def _signed_area_2d(pts: np.ndarray) -> float:
+    x, y = pts[:, 0], pts[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _pts_in_tri(p: np.ndarray, a, b, c, eps=1e-12) -> np.ndarray:
+    """Which of points p (M,2) lie strictly inside triangle abc."""
+    d1 = (p[:, 0] - b[0]) * (a[1] - b[1]) - (a[0] - b[0]) * (p[:, 1] - b[1])
+    d2 = (p[:, 0] - c[0]) * (b[1] - c[1]) - (b[0] - c[0]) * (p[:, 1] - c[1])
+    d3 = (p[:, 0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (p[:, 1] - a[1])
+    has_neg = (d1 < -eps) | (d2 < -eps) | (d3 < -eps)
+    has_pos = (d1 > eps) | (d2 > eps) | (d3 > eps)
+    return ~(has_neg & has_pos)
+
+
+def _earcut_simple(poly: np.ndarray) -> list[tuple[int, int, int]]:
+    """O(n^2) ear clipping of a simple CCW 2-D polygon (open ring).
+    Returns index triples into ``poly``."""
+    n = len(poly)
+    if n < 3:
+        return []
+    if n == 3:
+        return [(0, 1, 2)]
+    idx = list(range(n))
+    tris: list[tuple[int, int, int]] = []
+    guard = 0
+    while len(idx) > 3 and guard < 2 * n * n:
+        guard += 1
+        m = len(idx)
+        clipped = False
+        for k in range(m):
+            i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % m]
+            a, b, c = poly[i0], poly[i1], poly[i2]
+            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+            if cross <= 1e-14:  # reflex or degenerate
+                continue
+            others = np.array(
+                [poly[j] for j in idx if j not in (i0, i1, i2)], dtype=np.float64
+            )
+            if len(others):
+                # bridge construction duplicates vertices: a point that
+                # coincides with a triangle corner must not block the ear
+                corner = (
+                    (np.sum((others - a) ** 2, axis=1) < 1e-24)
+                    | (np.sum((others - b) ** 2, axis=1) < 1e-24)
+                    | (np.sum((others - c) ** 2, axis=1) < 1e-24)
+                )
+                others = others[~corner]
+            if len(others) and np.any(_pts_in_tri(others, a, b, c)):
+                continue
+            tris.append((i0, i1, i2))
+            del idx[k]
+            clipped = True
+            break
+        if not clipped:
+            # numerically stuck (collinear runs): clip the least-degenerate ear
+            best_k, best_cross = -1, -np.inf
+            for k in range(m):
+                i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % m]
+                a, b, c = poly[i0], poly[i1], poly[i2]
+                cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+                if cross > best_cross:
+                    best_cross, best_k = cross, k
+            if best_k < 0:
+                break
+            k = best_k
+            i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % m]
+            if best_cross > 1e-14:
+                tris.append((i0, i1, i2))
+            del idx[k]
+    if len(idx) == 3:
+        a, b, c = poly[idx[0]], poly[idx[1]], poly[idx[2]]
+        cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        if cross > 1e-14:
+            tris.append((idx[0], idx[1], idx[2]))
+    return tris
+
+
+def _bridge_holes(
+    outer: np.ndarray, holes: list[np.ndarray]
+) -> tuple[np.ndarray, None]:
+    """Merge holes into the outer ring via bridges (the standard
+    eliminate-hole construction used by mapbox-earcut): connect each hole's
+    rightmost vertex to a visible outer vertex, splicing the hole (with two
+    duplicated bridge vertices) into the outer loop. Outer must be CCW,
+    holes CW, all open rings. Returns the combined simple polygon."""
+    outer = list(map(np.asarray, outer))
+    poly = [np.asarray(p, dtype=np.float64) for p in outer]
+    for hole in sorted(holes, key=lambda h: -float(np.max(h[:, 0]))):
+        hi = int(np.argmax(hole[:, 0]))
+        hp = hole[hi]
+        # find visible outer vertex: the one minimizing distance among those
+        # where the segment hp->v crosses no outer edge "in front"; simple
+        # robust heuristic: nearest outer vertex with x >= hp.x, falling back
+        # to nearest overall, validated by midpoint-in-polygon minus holes.
+        P = np.array(poly)
+        d2 = np.sum((P - hp) ** 2, axis=1)
+        order = np.argsort(d2)
+        bridge_j = int(order[0])
+        for j in order:
+            mid = (P[j] + hp) / 2.0
+            if point_in_ring_2d(mid[None, :], np.array(poly))[0] and not point_in_ring_2d(
+                mid[None, :], hole
+            )[0]:
+                bridge_j = int(j)
+                break
+        rolled = np.roll(hole, -hi, axis=0)
+        spliced = (
+            poly[: bridge_j + 1]
+            + [rolled[k] for k in range(len(rolled))]
+            + [rolled[0], P[bridge_j]]
+            + poly[bridge_j + 1 :]
+        )
+        poly = spliced
+    return np.array(poly, dtype=np.float64), None
+
+
+def triangulate_2d(
+    exterior2d: np.ndarray, holes2d: list[np.ndarray] | None = None
+) -> np.ndarray:
+    """Triangulate a 2-D polygon (closed or open rings) with optional holes.
+    Returns (T,3,2) triangle coordinate array (not indices — bridging
+    duplicates vertices)."""
+    ext = np.asarray(exterior2d, dtype=np.float64)
+    if len(ext) > 1 and np.all(ext[0] == ext[-1]):
+        ext = ext[:-1]
+    if len(ext) < 3:
+        return np.zeros((0, 3, 2))
+    if _signed_area_2d(ext) < 0:
+        ext = ext[::-1]
+    holes = []
+    for h in holes2d or []:
+        h = np.asarray(h, dtype=np.float64)
+        if len(h) > 1 and np.all(h[0] == h[-1]):
+            h = h[:-1]
+        if len(h) < 3:
+            continue
+        if _signed_area_2d(h) > 0:
+            h = h[::-1]
+        holes.append(h)
+    if holes:
+        poly, _ = _bridge_holes(ext, holes)
+    else:
+        poly = ext
+    tris = _earcut_simple(poly)
+    return np.array([[poly[a], poly[b], poly[c]] for a, b, c in tris]).reshape(-1, 3, 2)
+
+
+_FAN_EPS = 1e-6  # strict-convexity margin, far above earcut's 1e-12/1e-14
+
+
+def convex_fan(body3d: np.ndarray, axis: int) -> np.ndarray | None:
+    """Fast path for STRICTLY convex hole-free polygons: the ear-clip loop
+    on a strictly convex CCW ring always clips at k=0, producing the fan
+    (n-1, 0, 1), (n-1, 1, 2), ..., ending with the tuple (n-3, n-2, n-1)
+    — so the fan IS the ear-clip output, emitted here without the O(n^2)
+    scan, the 2-D lift, or any per-ear allocation. Returns None (caller
+    falls through to the full ear clip) unless every turning cross AND
+    every fan-triangle cross clears ``_FAN_EPS`` — margins 10^6 above the
+    ear clip's decision epsilons, so in the disagreement band both
+    algorithms produce identical triangles anyway.
+
+    ``body3d`` is the cleaned OPEN exterior ring (n >= 3)."""
+    uv = project_ring(body3d, axis)
+    u, v = uv[:, 0], uv[:, 1]
+    un, vn = np.roll(u, -1), np.roll(v, -1)
+    area2 = float(np.sum(u * vn - un * v))
+    if area2 == 0.0:
+        return None
+    if area2 < 0:
+        body3d = body3d[::-1]
+        uv = uv[::-1]
+        u, v = uv[:, 0], uv[:, 1]
+        un, vn = np.roll(u, -1), np.roll(v, -1)
+    up, vp = np.roll(u, 1), np.roll(v, 1)
+    tc = (u - up) * (vn - v) - (v - vp) * (un - u)
+    if not np.all(tc > _FAN_EPS):
+        return None
+    fu, fv = u - u[-1], v - v[-1]
+    g = fu[:-1] * fv[1:] - fu[1:] * fv[:-1]
+    if len(g) > 1:
+        g = g[:-1]  # last entry is the degenerate (n-2, n-1) pair
+    if not np.all(g > _FAN_EPS):
+        return None
+    n = len(u)
+    tris = np.empty((n - 2, 3, 3), dtype=np.float64)
+    tris[:, 0] = body3d[n - 1]
+    tris[:, 1] = body3d[0 : n - 2]
+    tris[:, 2] = body3d[1 : n - 1]
+    tris[-1] = body3d[[n - 3, n - 2, n - 1]]
+    return tris
+
+
+def triangulate_clean(
+    ext: np.ndarray, holes: list[np.ndarray], cfg: EngineConfig = DEFAULT_CONFIG
+) -> np.ndarray:
+    """``triangulate_polygon`` of rings that are already ``clean_ring``
+    output (the Triangulator's fallback takes its exteriors from the
+    flat-ring kernel)."""
+    try:
+        if len(ext) < 4:
+            return np.zeros((0, 3, 3))
+        normal = newell_normal(ext)
+        if not normal.any():
+            return np.zeros((0, 3, 3))
+        axis = projection_axis(normal, ext, cfg)
+        holes3d = [h for h in holes if len(h) >= 4]
+
+        if not holes3d:
+            fan = convex_fan(ext[:-1], axis)
+            if fan is not None:
+                tri_n = np.cross(fan[:, 1] - fan[:, 0], fan[:, 2] - fan[:, 0])
+                flip = tri_n @ normal < 0
+                fan[flip] = fan[flip][:, ::-1, :]
+                return fan
+
+        # map each projected 2-D vertex back to its 3-D original
+        all3d = [ext[:-1]] + [h[:-1] for h in holes3d]
+        all2d = [project_ring(r, axis) for r in all3d]
+        lookup3d = np.vstack(all3d)
+        lookup2d = np.vstack(all2d)
+
+        tris2d = triangulate_2d(all2d[0], all2d[1:])
+        if len(tris2d) == 0:
+            return np.zeros((0, 3, 3))
+
+        flat2d = tris2d.reshape(-1, 2)
+        # exact nearest-vertex lift (ear clipping reuses input vertices)
+        d2 = np.sum((flat2d[:, None, :] - lookup2d[None, :, :]) ** 2, axis=2)
+        nearest = np.argmin(d2, axis=1)
+        tris3d = lookup3d[nearest].reshape(-1, 3, 3)
+
+        # orient windings to the parent Newell normal (polygon3dmodule.py:707-715)
+        tri_n = np.cross(tris3d[:, 1] - tris3d[:, 0], tris3d[:, 2] - tris3d[:, 0])
+        flip = tri_n @ normal < 0
+        tris3d[flip] = tris3d[flip][:, ::-1, :]
+        return tris3d
+    except Exception:
+        return np.zeros((0, 3, 3))  # silent-empty parity (polygon3dmodule.py:679-687)
 
 
 def triangulate_row(ext, holes, cfg=DEFAULT_CONFIG) -> np.ndarray:
@@ -42,7 +296,7 @@ def triangulate_row(ext, holes, cfg=DEFAULT_CONFIG) -> np.ndarray:
     if not geom.is_valid_ring(ext, cfg)[0]:
         return np.zeros((0, 3, 3))
     holes = [geom.clean_ring(np.asarray(h, dtype=np.float64), dec) for h in holes]
-    return geom.triangulate_polygon(ext, holes, cfg)
+    return triangulate_clean(ext, holes, cfg)
 
 
 def triangulate_rowwise(batch: pa.Table, cfg=DEFAULT_CONFIG):

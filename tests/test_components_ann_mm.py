@@ -59,6 +59,34 @@ class TestComponents:
         if len(wins):
             assert (wins.n_tri >= 1).all()
 
+    def test_rings_are_cleaned_at_config_decimals(self, ray_session):
+        """The fast-path branch follows ``cfg.vertex_round_decimals``: a
+        triangle with two corners 1e-7 apart has 3 distinct points at 9
+        decimals (the quad fast path's one triangle) and 2 at 6 (empty);
+        an L beside it takes the batched full path at both."""
+        import dataclasses
+
+        from citygml2objv2_ray.config import DEFAULT_CONFIG
+        from citygml2objv2_ray.pipelines.components import separate_components
+        from citygml2objv2_ray.schemas import SURFACES_SCHEMA
+
+        sliver = [[0, 0, 0], [4, 0, 0], [4, 1e-7, 0], [0, 0, 0]]
+        L = [[0, 0, 0], [2, 0, 0], [2, 1, 0], [1, 1, 0], [1, 2, 0], [0, 2, 0], [0, 0, 0]]
+        rows = [
+            dict(
+                doc_id="d", building_id="b", building_seq=0, feature_id=f"f{i}",
+                semantic="RoofSurface", is_opening=False, poly_id=f"p{i}", poly_seq=i,
+                exterior=np.asarray(ring, float).tolist(), interiors=[],
+                attr_irradiation=0.0, truth_valid=True, truth_area=0.0,
+            )
+            for i, ring in enumerate([sliver, L])
+        ]
+        surfaces = rd.from_arrow(pa.Table.from_pylist(rows, schema=SURFACES_SCHEMA))
+        for decimals, n_tri in ((9, [1, 4]), (6, [0, 4])):
+            cfg = dataclasses.replace(DEFAULT_CONFIG, vertex_round_decimals=decimals)
+            comps = separate_components(surfaces, cfg).to_pandas()
+            assert comps.sort_values("component_seq").n_tri.tolist() == n_tri, decimals
+
 
 class TestIVF:
     def test_recall_vs_bruteforce(self, sf_dir):

@@ -37,3 +37,36 @@ def test_every_perfbench_import_resolves():
     assert len(found) >= 20, found  # the parse really saw the benchmark
     missing = [f"{f}: from {m} import {n}" for f, m, n in found if not _resolves(m, n)]
     assert not missing, missing
+
+
+def _config_reads():
+    """``<alias>.<name>`` reads in the benchmark, where ``<alias>`` is the
+    name it imports ``DEFAULT_CONFIG`` or ``EngineConfig`` under."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = {
+            a.asname or a.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "citygml2objv2_ray.config"
+            for a in node.names
+            if a.name in ("DEFAULT_CONFIG", "EngineConfig")
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                yield path.name, node.attr
+
+
+def test_every_perfbench_config_read_is_a_field():
+    import dataclasses
+
+    from citygml2objv2_ray.config import EngineConfig
+
+    fields = {f.name for f in dataclasses.fields(EngineConfig)}
+    found = list(_config_reads())
+    assert {"write_batch_size", "vertex_round_decimals"} <= {n for _, n in found}, found
+    missing = sorted({f"{f}: CFG.{n}" for f, n in found if n not in fields})
+    assert not missing, missing
