@@ -143,9 +143,13 @@ def ivf_build_partitioned(
     hive-partitioned by ``list_id`` — so a search's probe set prunes
     whole partitions at the READ (VERDICT r2 item 1: the old path GEMMed
     the full batch and only masked by probe). Centroids are persisted next
-    to the index (``<index_dir>.centers.npy``). Returns the centers."""
+    to the index (``<index_dir>.centers.npy``), published after the index
+    dir: the marker's existence means a complete index. Returns the
+    centers."""
     import pyarrow as pa
     import ray
+
+    from .state.checkpoint import publish
 
     centers, _ = sample_train_centroids(ds, n_lists, max_train, seed)
     ref = ray.put(centers)
@@ -160,10 +164,15 @@ def ivf_build_partitioned(
     # task emits one file per list it touches (measured 11k tiny files for
     # a 1M x 64-list build — the read then pays per-file costs that wipe
     # out the probe pruning). The all-to-all is the one-time build cost.
-    ds.map_batches(assign, batch_format="pyarrow").sort("list_id").write_parquet(
-        index_dir, partition_cols=["list_id"]
-    )
-    np.save(index_dir.rstrip("/") + ".centers.npy", centers)
+    with publish(index_dir.rstrip("/") + ".centers.npy") as marker:
+        with publish(index_dir) as tmp_dir:
+            ds.map_batches(assign, batch_format="pyarrow").sort("list_id").write_parquet(
+                tmp_dir, partition_cols=["list_id"]
+            )
+        # a builder that lost the race to an identical index still publishes
+        # its marker: a winner killed before its own would otherwise wedge it
+        with open(marker, "wb") as f:  # np.save(path) would append ".npy"
+            np.save(f, centers)
     return centers
 
 
@@ -279,15 +288,11 @@ def ivf_search_partitioned(
 
 def ivf_index_dir_for(source_path: str, n_lists: int, seed: int) -> str:
     """Deterministic /tmp cache location for a source table's partitioned
-    IVF index, keyed by absolute path + mtime + params (same convention as
-    the synthetic-world cache in ``worlds.py``)."""
-    import hashlib
-    import os
+    IVF index (``state.checkpoint.cache_path``: keyed by the source's
+    identity and the params)."""
+    from .state.checkpoint import cache_path
 
-    ap = os.path.abspath(source_path)
-    mtime = int(os.stat(ap).st_mtime)
-    key = hashlib.md5(f"{ap}|{mtime}|{n_lists}|{seed}|ivf-v1".encode()).hexdigest()[:16]
-    return os.path.join("/tmp", "ivf_index-v1", key)
+    return cache_path("ivf_index-v1", source_path, n_lists, seed)
 
 
 def ivf_query_cached(
@@ -307,29 +312,9 @@ def ivf_query_cached(
     import ray.data as rd
 
     index_dir = ivf_index_dir_for(embeddings_path, n_lists, seed)
-    marker = index_dir.rstrip("/") + ".centers.npy"
-    if not os.path.exists(marker):
-        # atomic publish: build under a unique temp dir so a concurrent
-        # builder (bench + driver gate) can't interleave partition files
-        # into the same index; rename is last-wins on the same layout
-        import shutil
-        import uuid as _uuid
-
-        tmp_dir = f"{index_dir.rstrip('/')}.tmp-{_uuid.uuid4().hex[:8]}"
+    if not os.path.exists(index_dir.rstrip("/") + ".centers.npy"):
         ds = rd.read_parquet(embeddings_path, columns=["vec_id", "embedding"])
-        ivf_build_partitioned(ds, tmp_dir, n_lists=n_lists, max_train=max_train, seed=seed)
-        tmp_marker = tmp_dir.rstrip("/") + ".centers.npy"
-        try:
-            os.rename(tmp_dir, index_dir)
-        except OSError:  # lost the race — an identical index is in place
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-            # publish THIS build's identical marker rather than deleting it:
-            # if the winner crashed between its rename and marker publish
-            # (or hasn't published yet), the dir would otherwise be wedged —
-            # every later build loses the race and no marker ever appears.
-            os.replace(tmp_marker, marker)
-        else:
-            os.replace(tmp_marker, marker)  # marker LAST: its existence gates reuse
+        ivf_build_partitioned(ds, index_dir, n_lists=n_lists, max_train=max_train, seed=seed)
     return ivf_search_partitioned(
         index_dir, query_vec_ids, k=k, nprobe=nprobe, query_source=embeddings_path
     )
@@ -415,6 +400,8 @@ def synth_embeddings(
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    from .state.checkpoint import publish
+
     path = os.path.join(out_dir, f"emb-n{n}-d{dim}-c{n_clusters}-s{seed}-v1.parquet")
     if os.path.exists(path):
         return path
@@ -431,9 +418,8 @@ def synth_embeddings(
             "embedding": pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), pa.array(flat)),
         }
     )
-    tmp = path + ".tmp"
-    pq.write_table(tab, tmp, row_group_size=8192)
-    os.replace(tmp, path)
+    with publish(path) as tmp:
+        pq.write_table(tab, tmp, row_group_size=8192)
     return path
 
 

@@ -135,26 +135,11 @@ def jaccard_u64(a: np.ndarray, b: np.ndarray) -> float:
     return inter / u if u else 0.0
 
 
-def word_ngrams(text: str, n: int = 3) -> set[str]:
-    toks = text.lower().split()
-    if len(toks) < n:
-        return {" ".join(toks)} if toks else set()
-    return {" ".join(toks[i : i + n]) for i in range(len(toks) - n + 1)}
-
-
-def jaccard(a: set, b: set) -> float:
-    if not a and not b:
-        return 1.0
-    u = len(a | b)
-    return len(a & b) / u if u else 0.0
-
-
 def word_ngram_list(text: str, n: int = 3) -> list[str]:
     """Distinct word n-grams of lowercased whitespace-split text; EMPTY
-    for docs shorter than n tokens. This (not ``word_ngrams``, whose
-    short-doc fallback emits a partial gram) is the family the exact
-    n-gram-Jaccard query and its DuckDB twin share — the SQL side
-    generates no grams when len(ws) < n either."""
+    for docs shorter than n tokens: the family the exact n-gram-Jaccard
+    query and its DuckDB twin share — the SQL side generates no grams when
+    len(ws) < n either."""
     toks = text.lower().split()
     if len(toks) < n:
         return []
@@ -420,24 +405,6 @@ def mix_band_key(band_hash: np.ndarray, band: np.ndarray) -> np.ndarray:
     return (mixed & np.uint64(0x7FFFFFFFFFFFFFFF)).astype(np.int64)
 
 
-def dedup_pairs(pairs, a_col: str, b_col: str, num_groups: int = 64):
-    """Distributed global pair-dedup: per-batch ``drop_duplicates`` partial,
-    then a shuffle on a coarse hash super-group of the pair (identical
-    pairs land in the same group) with a vectorized in-group
-    ``drop_duplicates`` — never one Python call per pair."""
-
-    def local(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates([a_col, b_col])
-        h = pd.util.hash_pandas_object(df[[a_col, b_col]], index=False).to_numpy()
-        return df.assign(_pg=(h.astype(np.uint64) % np.uint64(num_groups)).astype(np.int64))
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates([a_col, b_col]).drop(columns=["_pg"])
-
-    pre = pairs.map_batches(local, batch_format="pandas")
-    return pre.groupby("_pg").map_groups(merge, batch_format="pandas")
-
-
 # ---------------------------------------------------------------------------
 # embedding near-dup
 # ---------------------------------------------------------------------------
@@ -508,12 +475,13 @@ def synth_documents(
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    from .state.checkpoint import publish
+
     path = os.path.join(
         out_dir, f"docs-n{n}-v{vocab}-w{words_per_doc}-d{dup_rate}-s{seed}-v2"
     )
-    if os.path.isdir(path):  # atomic rename: existing dir == complete
+    if os.path.isdir(path):  # published whole: existing dir == complete
         return path
-    os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
     lens = rng.integers(4, 9, size=vocab)
     letters = rng.integers(97, 123, size=(vocab, 8), dtype=np.uint8)
@@ -540,14 +508,13 @@ def synth_documents(
             ),
         }
     )
-    tmp = path + ".tmp"
-    os.makedirs(tmp, exist_ok=True)
     per_file = 16384
-    for fi, lo in enumerate(range(0, n, per_file)):
-        pq.write_table(
-            tab.slice(lo, per_file),
-            os.path.join(tmp, f"part-{fi:05d}.parquet"),
-            row_group_size=4096,
-        )
-    os.replace(tmp, path)
+    with publish(path) as tmp:
+        os.makedirs(tmp)
+        for fi, lo in enumerate(range(0, n, per_file)):
+            pq.write_table(
+                tab.slice(lo, per_file),
+                os.path.join(tmp, f"part-{fi:05d}.parquet"),
+                row_group_size=4096,
+            )
     return path

@@ -1493,34 +1493,24 @@ def q_partition_pruned_scan(sf_dir: str) -> pd.DataFrame:
     never leave storage. At 100 TB this is the difference between a full
     scan + filter and touching 1/|partitions| of the data; same layout
     the flagship's resume pruning and the IVF centroid partitions use."""
-    import hashlib
     import os
 
     import ray.data as rd
 
     from .ops import derive_num_blocks, parquet_num_rows
-
-    import uuid as _uuid
+    from .state.checkpoint import cache_path, publish
 
     src = os.path.join(sf_dir, "lineitem.parquet")
-    tag = hashlib.md5(src.encode()).hexdigest()[:10]
-    root = f"/tmp/citygml2objv2_ray_part/lineitem-{tag}"
+    root = cache_path("citygml2objv2_ray_part", src)
     if not os.path.isdir(root):
-        # write-once cache, atomic against concurrent processes (bench +
-        # driver gate): build under a unique temp dir, publish via rename;
-        # a lost race means someone else's identical layout is in place
-        tmp = f"{root}.tmp-{_uuid.uuid4().hex[:8]}"
+        # write-once cache, atomic against concurrent processes; a lost
+        # race keeps the other writer's identical layout
         ds = rd.read_parquet(
             src,
             columns=["l_returnflag", "l_linestatus", "l_extendedprice", "l_discount"],
         )
-        ds.write_parquet(tmp, partition_cols=["l_returnflag"])
-        try:
-            os.rename(tmp, root)
-        except OSError:
-            import shutil
-
-            shutil.rmtree(tmp, ignore_errors=True)
+        with publish(root) as tmp:
+            ds.write_parquet(tmp, partition_cols=["l_returnflag"])
 
     part = os.path.join(root, "l_returnflag=R")
     pruned = rd.read_parquet(
@@ -1670,26 +1660,19 @@ def q_string_agg(sf_dir: str) -> pd.DataFrame:
 def _format_cache(sf_dir: str, fmt: str):
     """Write-once (atomic-publish) copy of the events table in another
     wire format, for the multi-format ingestion queries."""
-    import hashlib
     import os
-    import shutil
-    import uuid as _uuid
 
-    src = os.path.join(sf_dir, "events.parquet")
-    tag = hashlib.md5(src.encode()).hexdigest()[:10]
-    root = f"/tmp/citygml2objv2_ray_fmt/events-{fmt}-{tag}"
+    from .state.checkpoint import cache_path, publish
+
+    root = cache_path("citygml2objv2_ray_fmt", os.path.join(sf_dir, "events.parquet"), fmt)
     if os.path.isdir(root):
         return root
-    tmp = f"{root}.tmp-{_uuid.uuid4().hex[:8]}"
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
-    if fmt == "json":
-        ds.write_json(tmp)
-    else:
-        ds.write_csv(tmp)
-    try:
-        os.rename(tmp, root)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
+    with publish(root) as tmp:
+        if fmt == "json":
+            ds.write_json(tmp)
+        else:
+            ds.write_csv(tmp)
     return root
 
 

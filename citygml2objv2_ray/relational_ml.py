@@ -495,8 +495,6 @@ def verify_pairs_jaccard_ds(
     ng: int,
     threshold: float,
     shingle_fn,
-    pre_dedup: bool = False,
-    bloom: bool = False,
     shingle_batch_fn=None,
     pairs_are_halves: bool = False,
     est_blocks: int | None = None,
@@ -530,54 +528,8 @@ def verify_pairs_jaccard_ds(
     measured net loss in the BASELINE optimization log. The kept-pair
     filter compares the ROUNDED (6 dp) Jaccard against ``threshold`` so
     SQL twins can mirror it exactly.
-
-    Optional knobs for corpora where the docs table dwarfs the candidate
-    set (both measured BREAK-EVEN at 100k-300k docs — the barrier each
-    adds costs what it saves at this text size — and left off by default;
-    the always-on attach-time pair-dedup below covers the common win):
-
-    - ``bloom=True``: materialize ``pairs`` once and prefilter the docs
-      stream with a 128 KiB distributed-built Bloom over candidate doc
-      ids, so only candidates (+ ~fp noise, dropped in-group) ship text
-      into the semi-join. Exact: Bloom has false positives only, and
-      ``attach_text`` keeps just the docs a pair references.
-    - ``pre_dedup=True``: a dedicated int-only pair-dedup shuffle before
-      the explode (useful when the per-band duplication factor is so
-      extreme that even int halves dominate the first sort).
     """
-    import ray
-
-    from .ops import bloom_build_distributed, bloom_prefilter
-
     KIND_DOC, KIND_PAIR = _KIND_DOC, _KIND_PAIR
-
-    # OPTIONAL global pair-dedup first: a pair found by several LSH bands
-    # (or several shared index grams) arrives once per band; when the
-    # duplication factor is high, deduping the INT-ONLY pair rows before
-    # anything text-bearing moves shrinks both verify shuffles. (At sf0.1
-    # the candidate set is ~261k pairs and already ~97% distinct, so the
-    # extra shuffle isn't worth it there — attach_text's free in-shuffle
-    # dedup covers the residue; hence default False.)
-    if pairs_are_halves and (pre_dedup or bloom):
-        raise ValueError("pre_dedup/bloom need raw pair rows, not halves")
-    if pre_dedup:
-        pairs = dd.dedup_pairs(pairs, "doc_a", "doc_b", ng)
-    if bloom:
-        pairs = pairs.materialize()
-
-        def both_ids(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "doc_id": np.concatenate(
-                        [df.doc_a.to_numpy(), df.doc_b.to_numpy()]
-                    ).astype(np.int64)
-                }
-            )
-
-        bf = bloom_build_distributed(
-            pairs.map_batches(both_ids, batch_format="pandas"), "doc_id"
-        )
-        docs = bloom_prefilter(docs, "doc_id", ray.put(bf))
 
     def pair_halves(df: pd.DataFrame) -> pd.DataFrame:
         df = df.drop_duplicates(["doc_a", "doc_b"])  # per-batch dedup partial
@@ -709,7 +661,6 @@ def minhash_neardup_pairs(
     docs: rd.Dataset,
     nd: int,
     threshold: float = 0.6,
-    max_bucket: int | None = None,
     verify_mode: str = "auto",
 ) -> pd.DataFrame:
     """MinHash+LSH near-dup core over any ``(doc_id, text)`` dataset,
@@ -747,20 +698,6 @@ def minhash_neardup_pairs(
     def pairs_in_supergroup(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["bkey", "doc_id"], kind="stable").reset_index(drop=True)
         keys = g.bkey.to_numpy()
-        if max_bucket is not None and len(keys):
-            # OPT-IN candidate cap (production-LSH practice, default OFF —
-            # exact LSH semantics for the brute-force parity oracle): drop
-            # band buckets larger than max_bucket before pair expansion.
-            # An oversized bucket of random text carries ~no near-dup
-            # signal but generates size² candidates — the superlinear term
-            # measured at 1M docs. A true near-dup pair lost to one capped
-            # band is almost surely re-found in another of the 16 bands
-            # (planted recall measured 1.0 at 1M with max_bucket=64).
-            starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-            lens = np.diff(np.concatenate([starts, [len(keys)]]))
-            keep = np.repeat(lens <= max_bucket, lens)
-            g = g[keep].reset_index(drop=True)
-            keys = g.bkey.to_numpy()
         A, B = dd.bucket_pair_indices(keys)
         if not len(A):
             return _HALVES_EMPTY if not use_bcast else _PAIRGEN_EMPTY

@@ -30,6 +30,7 @@ import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, EngineConfig
 from ..stages.geometry import clean_rings
+from ..state.checkpoint import publish
 
 
 def _intern(flat: np.ndarray, grp: np.ndarray, n_groups: int, decimals: int):
@@ -176,9 +177,9 @@ def write_obj_per_class(
     blocks; one interning call numbers every (class, document, building)
     group, a per-class cumsum gives each group its vertex offset, and each
     class file is rendered in (document, building) order by this process.
-    Every file is written to a sibling ``.tmp`` path and renamed into place
-    once all of them are complete; on any failure the temp files are
-    removed and no class file is published."""
+    The class files are published together once all of them are complete
+    (``state.checkpoint.publish``); on any failure no class file is
+    published and no temp file is left."""
     os.makedirs(out_dir, exist_ok=True)
     if preserve:
         intern, geometry = _intern_bucket_rings, ["exterior"]
@@ -195,21 +196,14 @@ def write_obj_per_class(
     groups = intern(pa.concat_tables(blocks).to_pandas(), cfg.vertex_round_decimals)
     offs = (groups.groupby("semantic").n_vertices.cumsum() - groups.n_vertices).to_numpy()
     out: dict[str, str] = {}
-    try:
+    with contextlib.ExitStack() as published:
         for sem, g in groups.groupby("semantic", sort=False):
             out[sem] = os.path.join(out_dir, f"{name}-{sem}.obj")
-            with open(out[sem] + ".tmp", "w") as fh:
+            with open(published.enter_context(publish(out[sem])), "w") as fh:
                 fh.write("# citygml2objv2_ray OBJ export\n")
                 for text in _render(g, offs[g.index], group_markers):
                     fh.write(text)
                     fh.write("\n")
-        for path in out.values():
-            os.replace(path + ".tmp", path)
-    except BaseException:
-        for path in out.values():
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path + ".tmp")
-        raise
     return out
 
 

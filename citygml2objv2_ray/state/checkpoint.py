@@ -1,7 +1,18 @@
-"""Checkpoint / lineage log for resumable runs (north rule: "every partition
+"""Durable writes: the one atomic publish, derived-cache keys, and the
+checkpoint / lineage log for resumable runs (north rule: "every partition
 emits lineage + row-count metrics to a checkpoint log so runs resume
 mid-shuffle"; generalizes the reference's JSON sidecar habit,
 componentseparationmodule.py:137-185,245-275).
+
+``publish(path)`` is the only place the package renames anything: every
+write-once output (checkpoint data and lineage files, the /tmp caches of
+derived tables and indexes, the synthetic corpora and worlds, the OBJ
+class files) is written under a unique sibling temp path and moved onto
+its final name once complete, so a reader sees either nothing or the
+whole output, and a killed or failing writer leaves no partial file under
+the final name. ``cache_path`` keys a derived cache on its source's
+absolute path, mtime (ns) and size, so a source rewritten in place is
+never served from a stale copy.
 
 Layout under ``root``:
 
@@ -19,16 +30,21 @@ keeping only rows whose (partition, run) is in the log exactly once per
 task index — in practice, re-running an incomplete partition uses a new
 run_id and prior partial files are deleted first).
 
-Lineage appends are atomic (tmp + rename) and single-writer-per-file, so
+Lineage appends are atomic (``publish``) and single-writer-per-file, so
 concurrent write tasks never contend.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
+import hashlib
 import os
 import shutil
+import tempfile
 import time
 import uuid
+from collections.abc import Iterator
 
 import numpy as np
 import pandas as pd
@@ -36,6 +52,50 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..schemas import LINEAGE_SCHEMA
+
+
+@contextlib.contextmanager
+def publish(path: str) -> Iterator[str]:
+    """Write-once publish of a file or directory: yields a unique sibling
+    temp path (``.<name>.tmp-<uuid>``) for the body to write, and moves it
+    onto ``path`` when the body returns. On any exception (a failed
+    rename included) the temp file or dir is removed and the error
+    re-raised. A directory that another writer published first is kept
+    and this writer's copy discarded: the lost race of two builders of
+    the same write-once cache. Blocks nest: an inner ``publish`` lands
+    before the outer one, which gives "marker last".
+
+    The leading dot hides a temp that a SIGKILL left behind from dataset
+    discovery (pyarrow skips ``.``/``_`` names): a complete but unpublished
+    part file must not count toward the flagship's on-disk resume check."""
+    head, name = os.path.split(path.rstrip("/"))
+    tmp = os.path.join(head, f".{name}.tmp-{uuid.uuid4().hex}")
+    try:
+        yield tmp
+        try:
+            os.replace(tmp, path)
+        except OSError as e:
+            if e.errno not in (errno.ENOTEMPTY, errno.EEXIST) or not os.path.isdir(tmp):
+                raise
+            shutil.rmtree(tmp)
+    except BaseException:
+        if os.path.isdir(tmp):
+            shutil.rmtree(tmp, ignore_errors=True)
+        else:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+
+
+def cache_path(kind: str, src: str, *params) -> str:
+    """``<tempdir>/<kind>/<key>``: where a write-once copy derived from the
+    file ``src`` with ``params`` is cached. The key hashes src's absolute
+    path, mtime in ns and size with the params, so the same relative path
+    from another working directory, or a source rewritten in place, never
+    hits a stale copy."""
+    st = os.stat(src)
+    raw = "|".join(map(str, (os.path.abspath(src), st.st_mtime_ns, st.st_size, *params)))
+    return os.path.join(tempfile.gettempdir(), kind, hashlib.md5(raw.encode()).hexdigest()[:16])
 
 
 class CheckpointLog:
@@ -79,9 +139,8 @@ class CheckpointLog:
         if not rows:
             return
         tab = pa.Table.from_pylist(rows, schema=LINEAGE_SCHEMA)
-        tmp = os.path.join(self.lineage_dir, f".tmp-{uuid.uuid4().hex}")
-        pq.write_table(tab, tmp)
-        os.rename(tmp, os.path.join(self.lineage_dir, f"{uuid.uuid4().hex}.parquet"))
+        with publish(os.path.join(self.lineage_dir, f"{uuid.uuid4().hex}.parquet")) as tmp:
+            pq.write_table(tab, tmp)
 
     def read_lineage(self) -> pa.Table:
         files = [
@@ -114,10 +173,9 @@ class CheckpointLog:
     ) -> str:
         d = os.path.join(self.data_dir, f"part={partition_id}")
         os.makedirs(d, exist_ok=True)
-        tmp = os.path.join(d, f".tmp-{uuid.uuid4().hex}")
-        pq.write_table(table, tmp)
         final = os.path.join(d, f"{run_id}-{uuid.uuid4().hex}.parquet")
-        os.rename(tmp, final)
+        with publish(final) as tmp:
+            pq.write_table(table, tmp)
         return final
 
     def data_files(self) -> list[str]:
@@ -149,7 +207,7 @@ def make_partitioned_writer(root: str, run_id: str, stage: str, part_col: str, h
 class PartitionedWriter:
     """Final ``map_batches`` sink stage: splits each batch by the
     ``part_col`` column, writes one file per (batch, partition) via the
-    checkpoint log (atomic tmp+rename), appends a lineage row per file, and
+    checkpoint log (atomic ``publish``), appends a lineage row per file, and
     returns a tiny ack table so the stream stays consumable. Checksum =
     xor of a stable per-row hash (order-insensitive)."""
 

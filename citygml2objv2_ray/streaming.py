@@ -940,6 +940,8 @@ def synth_events(
     import pyarrow as pa
     import pyarrow.parquet as pq
 
+    from .state.checkpoint import publish
+
     tag = "" if type_names is None else "-" + "_".join(type_names)[:40]
     path = os.path.join(
         out_dir, f"events-n{n}-t{n_types}-u{n_users}-s{seed}{tag}-v2.parquet"
@@ -968,7 +970,6 @@ def synth_events(
             "value": pa.array(rng.random(n)),
         }
     )
-    tmp = path + ".tmp"
-    pq.write_table(t, tmp, row_group_size=65536)
-    os.replace(tmp, path)
+    with publish(path) as tmp:
+        pq.write_table(t, tmp, row_group_size=65536)
     return path

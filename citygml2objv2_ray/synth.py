@@ -347,79 +347,84 @@ def generate_world(
 ) -> dict[str, str]:
     """Materialize the synthetic world under ``out_dir`` as parquet:
     images/ (partitioned, generated via a Ray Data pipeline), surfaces.parquet,
-    footprints.parquet. Idempotent: skips if a _DONE marker exists."""
+    footprints.parquet. Idempotent: skips if a _DONE marker exists. A dir
+    without one (left by a killed run) is cleared, and the world is built
+    in a temp dir and published whole, so a rerun never appends to it."""
     import os
+    import shutil
 
     import pyarrow.parquet as pq
     import ray
     import ray.data as rd
 
-    os.makedirs(out_dir, exist_ok=True)
-    done = os.path.join(out_dir, "_DONE")
+    from .state.checkpoint import publish
+
     paths = {
         "images": os.path.join(out_dir, "images"),
         "surfaces": os.path.join(out_dir, "surfaces.parquet"),
         "footprints": os.path.join(out_dir, "footprints.parquet"),
     }
-    if os.path.exists(done):
+    if os.path.exists(os.path.join(out_dir, "_DONE")):
         return paths
+    shutil.rmtree(out_dir, ignore_errors=True)
+    with publish(out_dir) as tmp:
+        os.makedirs(tmp)
+        n_images, n_buildings = scale_counts(sf)
+        surfaces, footprints = make_city(n_buildings, seed=seed, cfg=cfg)
+        pq.write_table(surfaces, os.path.join(tmp, "surfaces.parquet"))
+        pq.write_table(footprints, os.path.join(tmp, "footprints.parquet"))
 
-    n_images, n_buildings = scale_counts(sf)
-    surfaces, footprints = make_city(n_buildings, seed=seed, cfg=cfg)
-    pq.write_table(surfaces, paths["surfaces"])
-    pq.write_table(footprints, paths["footprints"])
+        fp_ref = ray.put(footprints)
 
-    fp_ref = ray.put(footprints)
+        class ImageGen:
+            def __init__(self):
+                self.fp = ray.get(fp_ref)
 
-    class ImageGen:
-        def __init__(self):
-            self.fp = ray.get(fp_ref)
+            def __call__(self, batch: pa.Table) -> pa.Table:
+                return make_image_rows(np.asarray(batch["id"]), self.fp, seed=seed, cfg=cfg)
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            return make_image_rows(np.asarray(batch["id"]), self.fp, seed=seed, cfg=cfg)
+        def add_part(batch: pa.Table) -> pa.Table:
+            # hive layout key: same part function the engine uses for resume,
+            # so completed output partitions prune at the READ (COVERAGE F)
+            from .spatial import part_of_cell
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        # hive layout key: same part function the engine uses for resume,
-        # so completed output partitions prune at the READ (COVERAGE F)
-        from .spatial import part_of_cell
+            cell = grid_cell(
+                np.asarray(batch["cx"], dtype=np.float64),
+                np.asarray(batch["cy"], dtype=np.float64),
+                cfg.cell_size,
+            )
+            part = part_of_cell(cell, cfg.n_output_parts)
+            return batch.append_column("part", pa.array(part, pa.int64()))
 
-        cell = grid_cell(
-            np.asarray(batch["cx"], dtype=np.float64),
-            np.asarray(batch["cy"], dtype=np.float64),
-            cfg.cell_size,
+        (
+            rd.range(n_images, override_num_blocks=parallelism * 4)
+            .map_batches(
+                ImageGen,
+                batch_format="pyarrow",
+                batch_size=512,
+                # autoscaling with headroom: a fixed pool == num_cpus starves the
+                # read/write task stages (observed deadlock)
+                concurrency=(1, max(1, parallelism - 2)),
+            )
+            .map_batches(add_part, batch_format="pyarrow")
+            # co-locate rows of a partition before the hive write: without this
+            # every generator block fans out one small file PER part (measured
+            # 512 files and a 35% read slowdown at sf0.4). Sorting by part ALONE
+            # gives the range partitioner only 16 cut points and lumps >2GB of
+            # binary into one block (Arrow 32-bit offset overflow at sf1);
+            # image_id as a secondary key yields fine-grained boundaries
+            .sort(["part", "image_id"])
+            .write_parquet(
+                os.path.join(tmp, "images"),
+                partition_cols=["part"],
+                # file/row-group sizing: one giant file per part starves read
+                # parallelism at high CPU counts; per-block one-file-per-part
+                # fans out hundreds of tiny files (35% slower). ~25k rows
+                # (~170MB decoded, ~80MB on disk) per file splits well.
+                max_rows_per_file=4096,
+                row_group_size=4096,
+            )
         )
-        part = part_of_cell(cell, cfg.n_output_parts)
-        return batch.append_column("part", pa.array(part, pa.int64()))
-
-    (
-        rd.range(n_images, override_num_blocks=parallelism * 4)
-        .map_batches(
-            ImageGen,
-            batch_format="pyarrow",
-            batch_size=512,
-            # autoscaling with headroom: a fixed pool == num_cpus starves the
-            # read/write task stages (observed deadlock)
-            concurrency=(1, max(1, parallelism - 2)),
-        )
-        .map_batches(add_part, batch_format="pyarrow")
-        # co-locate rows of a partition before the hive write: without this
-        # every generator block fans out one small file PER part (measured
-        # 512 files and a 35% read slowdown at sf0.4). Sorting by part ALONE
-        # gives the range partitioner only 16 cut points and lumps >2GB of
-        # binary into one block (Arrow 32-bit offset overflow at sf1);
-        # image_id as a secondary key yields fine-grained boundaries
-        .sort(["part", "image_id"])
-        .write_parquet(
-            paths["images"],
-            partition_cols=["part"],
-            # file/row-group sizing: one giant file per part starves read
-            # parallelism at high CPU counts; per-block one-file-per-part
-            # fans out hundreds of tiny files (35% slower). ~25k rows
-            # (~170MB decoded, ~80MB on disk) per file splits well.
-            max_rows_per_file=4096,
-            row_group_size=4096,
-        )
-    )
-    with open(done, "w") as f:
-        f.write("ok")
+        with open(os.path.join(tmp, "_DONE"), "w") as f:  # last: gates reuse
+            f.write("ok")
     return paths

@@ -365,6 +365,52 @@ class TestShardedRunnerFailure:
         _assert_cleaned_up(before, tmp_path)
         assert failed.traceback
 
+    def test_shard_death_kills_shards_and_removes_spill(
+        self, ray_session, tmp_path, monkeypatch
+    ):
+        """A shard PROCESS that dies mid-stream (after a spill part is on
+        disk) — the actor-died path, not a raised exception — also makes
+        ``run_sharded`` raise with every shard killed and the spill dir
+        removed."""
+        import os
+        import tempfile
+
+        import ray
+
+        from citygml2objv2_ray.streaming import _Shard, run_sharded
+
+        @ray.remote(num_cpus=0)
+        class DyingShard(_Shard):
+            def __init__(self, **shard):
+                super().__init__(**shard)
+                self.n_slices = 0
+
+            def _apply(self, df):
+                self.n_slices += 1
+                if self.n_slices >= 2:
+                    os._exit(1)
+                self._emit(df)
+                self._spill()  # a part is on disk before the death
+
+            def stats(self):
+                return {"n_slices": self.n_slices}
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        before = {"DyingShard": _alive("DyingShard")}
+        with pytest.raises(Exception) as failed:
+            run_sharded(
+                f"{SF}/events.parquet",
+                ["event_id", "user_id"],
+                lambda **kw: DyingShard.remote(**kw),
+                None,
+                "user_id",
+                n_shards=2,
+                batch_size=64,
+                collect=False,
+            )
+        _assert_cleaned_up(before, tmp_path)
+        assert failed.traceback
+
 
 class TestSpillEqualsCollect:
     def test_spill_union_equals_collected(self, ray_session, tmp_path, monkeypatch):
