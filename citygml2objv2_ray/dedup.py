@@ -13,13 +13,22 @@ Designed Ray-Data-first:
   within-bucket exact cosine — the scale path; brute-force all-pairs is the
   small-scale oracle.
 
-All hashing is seeded & engine-stable (no Python ``hash``).
+All hashing is seeded & engine-stable (no Python ``hash``). Text is
+tokenized only by ``text`` (W, the words of the DuckDB twins): the kernels
+here take a batch of texts, read its tokens flat from Arrow and loop in
+Python only to md5 batch-unique tokens.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from . import text as tx
 
 _FNV_OFFSET = np.uint64(1469598103934665603)
 _FNV_PRIME = np.uint64(1099511628211)
@@ -36,66 +45,57 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+def _bytes(texts) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of a string column as its Arrow buffers: (data,
+    offsets), row i being ``data[offsets[i]:offsets[i + 1]]``."""
+    arr = tx.as_text(texts)
+    _, off, data = arr.buffers()
+    offs = np.frombuffer(off, np.int64)[arr.offset : arr.offset + len(arr) + 1]
+    return (np.frombuffer(data, np.uint8) if data else np.empty(0, np.uint8)), offs
+
+
 def _stable_token_ids(tokens) -> np.ndarray:
     """FNV-1a 64 of each token string → uint64 ids. Vectorized across
-    tokens: one pass per BYTE POSITION (padded matrix), so cost is
-    O(max_len) numpy kernels instead of a Python loop per byte."""
-    toks = list(tokens)
-    if not toks:
-        return np.empty(0, dtype=np.uint64)
-    bs = [t.encode() for t in toks]
-    lens = np.array([len(b) for b in bs], dtype=np.int64)
-    maxlen = int(lens.max()) if len(lens) else 0
-    arr = np.zeros((len(bs), maxlen), dtype=np.uint8)
-    for i, b in enumerate(bs):
-        arr[i, : len(b)] = np.frombuffer(b, dtype=np.uint8)
-    h = np.full(len(bs), _FNV_OFFSET, dtype=np.uint64)
-    for j in range(maxlen):
-        active = lens > j
-        h[active] = (h[active] ^ arr[active, j].astype(np.uint64)) * _FNV_PRIME
+    tokens straight from the Arrow buffers: one pass per BYTE POSITION, so
+    cost is O(max_len) numpy kernels instead of a Python loop per byte."""
+    data, offs = _bytes(tokens)
+    lens = np.diff(offs)
+    h = np.full(len(lens), _FNV_OFFSET, dtype=np.uint64)
+    for j in range(int(lens.max()) if len(lens) else 0):
+        active = np.flatnonzero(lens > j)
+        h[active] = (h[active] ^ data[offs[active] + j].astype(np.uint64)) * _FNV_PRIME
     return h
 
 
-def char_shingles(text: str, k: int = 5) -> np.ndarray:
-    """k-byte shingle id set of normalized text (unique uint64, sorted).
-
-    Fully vectorized: the normalized text's bytes → sliding k-byte windows
-    → FNV-1a in k numpy passes → ``np.unique``. (Byte windows, not
-    codepoint windows — identical for ASCII, equally valid as a shingle
-    family otherwise.)"""
-    norm = " ".join(text.lower().split())
-    data = norm.encode()
-    if len(data) < k:
-        data = data.ljust(k)
-    a = np.frombuffer(data, dtype=np.uint8)
-    n = len(a) - k + 1
-    h = np.full(n, _FNV_OFFSET, dtype=np.uint64)
-    for j in range(k):
-        h = (h ^ a[j : j + n].astype(np.uint64)) * _FNV_PRIME
-    return np.unique(h)
+def _row_unique(vals: np.ndarray, rows: np.ndarray, n_rows: int) -> list[np.ndarray]:
+    """Sorted-unique values of each of ``n_rows`` rows, one array per row
+    (empty for rows with no values): one (row, value) lexsort +
+    adjacent-unique."""
+    if not n_rows:
+        return []
+    order = np.lexsort((vals, rows))
+    rows, vals = rows[order], vals[order]
+    keep = np.ones(len(vals), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]) | (vals[1:] != vals[:-1])
+    return np.split(vals[keep], np.cumsum(np.bincount(rows[keep], minlength=n_rows))[:-1])
 
 
 def char_shingles_batch(texts, k: int = 5) -> list[np.ndarray]:
-    """Batch form of ``char_shingles`` — byte-identical per-doc results,
-    one vectorized pass for the whole batch: all normalized docs
-    concatenate into ONE byte buffer, the k FNV passes run once over it,
-    valid windows (those fully inside a doc) are gathered by index, and
-    per-doc unique is a single (doc, hash) lexsort + adjacent-unique.
-    Python per doc is just normalize+encode — the per-doc numpy dispatch
-    (~40% of the 1M-doc MinHash stage) is gone."""
-    bufs = []
-    for t in texts:
-        norm = " ".join((t or "").lower().split())
-        b = norm.encode()
-        if len(b) < k:
-            b = b.ljust(k)
-        bufs.append(b)
-    D = len(bufs)
+    """k-byte shingle id sets (unique uint64, sorted) of a batch of texts.
+
+    The normalized text is W joined by ``" "``, padded with spaces to k
+    bytes. All normalized docs are ONE Arrow byte buffer: the k FNV-1a
+    passes run once over it, valid windows (those fully inside a doc) are
+    gathered by index, and per-doc unique is a single (doc, hash) lexsort
+    + adjacent-unique. (Byte windows, not codepoint windows — identical
+    for ASCII, equally valid as a shingle family otherwise.)"""
+    sep = pa.scalar(" ", pa.large_string())
+    norm = pc.fill_null(pc.binary_join(tx.words(texts), sep), "")
+    a, offs = _bytes(pc.ascii_rpad(norm, k, " "))
+    a, offs = a[offs[0] : offs[-1]], offs - offs[0]
+    D = len(offs) - 1
     if not D:
         return []
-    lens = np.array([len(b) for b in bufs], dtype=np.int64)
-    offs = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    a = np.frombuffer(b"".join(bufs), dtype=np.uint8)
     n = len(a) - k + 1
     h = np.full(n, _FNV_OFFSET, dtype=np.uint64)
     for j in range(k):
@@ -103,27 +103,15 @@ def char_shingles_batch(texts, k: int = 5) -> list[np.ndarray]:
     # valid windows = all except the k-1 positions straddling each doc
     # boundary (window starts are position-ordered, so the masked stream
     # is still doc-ordered and aligns with the repeat-built tags)
-    counts = lens - k + 1
-    if D > 1:
-        bad = (offs[1:][:, None] + np.arange(-(k - 1), 0)[None, :]).ravel()
-        mask = np.ones(n, dtype=bool)
-        mask[bad] = False
-        vals = h[mask]
-    else:
-        vals = h
-    tags = np.repeat(np.arange(D, dtype=np.int64), counts)
-    order = np.lexsort((vals, tags))
-    tags, vals = tags[order], vals[order]
-    keep = np.concatenate(
-        [[True], (tags[1:] != tags[:-1]) | (vals[1:] != vals[:-1])]
-    )
-    tags, vals = tags[keep], vals[keep]
-    out: list[np.ndarray] = [np.empty(0, np.uint64)] * D
-    starts = np.flatnonzero(np.concatenate([[True], tags[1:] != tags[:-1]]))
-    ends = np.concatenate([starts[1:], [len(tags)]])
-    for s, e in zip(starts, ends):
-        out[tags[s]] = vals[s:e]
-    return out
+    mask = np.ones(n, dtype=bool)
+    mask[(offs[1:-1, None] + np.arange(-(k - 1), 0)[None, :]).ravel()] = False
+    tags = np.repeat(np.arange(D, dtype=np.int64), np.diff(offs) - k + 1)
+    return _row_unique(h[mask], tags, D)
+
+
+def char_shingles(text: str, k: int = 5) -> np.ndarray:
+    """``char_shingles_batch`` of one text."""
+    return char_shingles_batch([text], k)[0]
 
 
 def jaccard_u64(a: np.ndarray, b: np.ndarray) -> float:
@@ -135,58 +123,43 @@ def jaccard_u64(a: np.ndarray, b: np.ndarray) -> float:
     return inter / u if u else 0.0
 
 
-def word_ngram_list(text: str, n: int = 3) -> list[str]:
-    """Distinct word n-grams of lowercased whitespace-split text; EMPTY
-    for docs shorter than n tokens: the family the exact n-gram-Jaccard
-    query and its DuckDB twin share — the SQL side generates no grams when
-    len(ws) < n either."""
-    toks = text.lower().split()
-    if len(toks) < n:
-        return []
-    seen: set[str] = set()
-    out: list[str] = []
-    for i in range(len(toks) - n + 1):
-        g = " ".join(toks[i : i + n])
-        if g not in seen:
-            seen.add(g)
-            out.append(g)
-    return out
+_NGRAM = 3  # the word n-gram of the n-gram-Jaccard / decontamination twins
 
 
-def word_ngram_ids(text: str, n: int = 3) -> np.ndarray:
-    """Sorted-unique uint64 FNV ids of the distinct word n-grams — the
+def word_ngram_postings(texts) -> tuple[np.ndarray, np.ndarray]:
+    """(row, id) of each DISTINCT word 3-gram of each row, row-sorted — the
+    gram family the exact n-gram-Jaccard query and its DuckDB twin share:
+    the 3-grams of W (a row shorter than 3 words has none; the SQL side
+    generates no grams when len(ws) < 3 either), a gram's id being the
+    FNV-1a 64 of its ``" "``-joined string. Grams are factorized
+    batch-wide, so each distinct gram is joined and hashed once."""
+    toks, row = tx.flat(tx.words(texts))
+    enc = pc.dictionary_encode(toks)
+    codes, V = enc.indices.to_numpy().astype(np.int64), len(enc.dictionary)
+    n = _NGRAM
+    starts = np.arange(len(row) - n + 1)
+    starts = starts[row[starts] == row[starts + n - 1]]  # grams inside one row
+    if not len(starts):
+        return np.empty(0, np.int64), np.empty(0, np.uint64)
+    gram = codes[starts]
+    for j in range(1, n):
+        gram = np.unique(gram * V + codes[starts + j], return_inverse=True)[1]
+    first = np.unique(gram, return_index=True)[1]
+    words = enc.dictionary.take(codes[starts[first][:, None] + np.arange(n)].ravel())
+    grams = pa.ListArray.from_arrays(pa.array(np.arange(0, len(words) + 1, n, dtype=np.int32)), words)
+    ids = _stable_token_ids(pc.binary_join(grams, pa.scalar(" ", words.type)))
+    G = len(first)
+    pair = np.unique(row[starts] * G + gram)
+    return pair // G, ids[pair % G]
+
+
+def word_ngram_ids_batch(texts) -> list[np.ndarray]:
+    """Sorted-unique uint64 ids of each row's distinct word 3-grams — the
     verify-side shingle family for exact n-gram Jaccard
     (``relational_ml.q_ngram_jaccard``). Jaccard over these ids equals
     Jaccard over the gram strings barring 64-bit collisions."""
-    return np.unique(_stable_token_ids(word_ngram_list(text, n)))
-
-
-def word_ngram_ids_batch(texts, n: int = 3) -> list[np.ndarray]:
-    """Batch form of ``word_ngram_ids`` — byte-identical per-doc results.
-    Gram strings are still built per doc (``word_ngram_list`` already
-    dedups in insertion order), but hashing is amortized batch-wide:
-    factorize every gram across the batch and FNV-hash each DISTINCT
-    gram once (one ``_stable_token_ids`` padded-matrix pass instead of
-    one per doc — the same pattern the n-gram explode stage uses)."""
-    grams_all: list[str] = []
-    counts = np.empty(len(texts), dtype=np.int64)
-    for i, t in enumerate(texts):
-        gs = word_ngram_list(t or "", n)
-        grams_all.extend(gs)
-        counts[i] = len(gs)
-    if not grams_all:
-        return [np.empty(0, np.uint64)] * len(texts)
-    import pandas as pd
-
-    codes, uniq = pd.factorize(np.array(grams_all, dtype=object))
-    ids = _stable_token_ids(uniq)[codes]
-    offs = np.concatenate([[0], np.cumsum(counts)])
-    # per-doc grams are already distinct strings; distinct strings hash to
-    # distinct-or-colliding ids exactly as in the per-doc path, and
-    # np.unique matches its sort+dedup
-    return [
-        np.unique(ids[offs[i] : offs[i + 1]]) for i in range(len(texts))
-    ]
+    rows, ids = word_ngram_postings(texts)
+    return _row_unique(ids, rows, len(texts))
 
 
 class MinHasher:
@@ -263,51 +236,25 @@ def md5_token_ids(tokens) -> np.ndarray:
     """First 64 bits of md5 per token → uint64. md5 (not FNV / Python
     hash) so ANY engine can recompute the same ids — the DuckDB SimHash
     oracle relies on it."""
-    import hashlib
-
+    raw = tx.as_text(tokens).cast(pa.large_binary()).to_pylist()
     return np.array(
-        [int(hashlib.md5(t.encode()).hexdigest()[:16], 16) for t in tokens],
-        dtype=np.uint64,
+        [int.from_bytes(hashlib.md5(b).digest()[:8], "big") for b in raw], dtype=np.uint64
     )
-
-
-def simhash64(text: str) -> int:
-    """SimHash: signed bit-vote over md5 token hashes (unique tokens
-    hashed once, votes weighted by count — identical result, fewer
-    hashes). Engine-stable AND SQL-reproducible (see
-    relational_ml.q_simhash's DuckDB twin)."""
-    toks = text.lower().split()
-    if not toks:
-        return 0
-    uniq, counts = np.unique(np.array(toks, dtype=object), return_counts=True)
-    ids = md5_token_ids(uniq)
-    bits = ((ids[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(
-        np.int64
-    )
-    votes = (counts[:, None] * (2 * bits - 1)).sum(axis=0)
-    v = 0
-    for k in np.flatnonzero(votes > 0):
-        v |= 1 << int(k)
-    return v - (1 << 64) if v >= 1 << 63 else v
 
 
 def simhash64_batch(texts) -> np.ndarray:
-    """Vectorized SimHash over a whole batch — identical results to
-    ``simhash64`` per doc, but each batch-UNIQUE token is md5-hashed once
-    (the per-doc path re-hashed shared vocabulary doc by doc; pure-Python
-    md5 dominated the stage) and bit votes accumulate with a single
-    ``np.add.reduceat`` over the concatenated token stream."""
-    toks_per_doc = [t.lower().split() for t in texts]
-    lens = np.array([len(t) for t in toks_per_doc], dtype=np.int64)
-    out = np.zeros(len(toks_per_doc), dtype=np.int64)
-    n_tok = int(lens.sum())
-    if not n_tok:
+    """SimHash per row: signed bit-vote over the md5 ids of its W tokens,
+    engine-stable AND SQL-reproducible (see relational_ml.q_simhash's
+    DuckDB twin). Each batch-UNIQUE token is md5-hashed once (pure-Python
+    md5 dominates the stage) and bit votes accumulate with a single
+    ``np.add.reduceat`` over the token stream."""
+    toks, doc_idx = tx.flat(tx.words(texts))
+    out = np.zeros(len(texts), dtype=np.int64)
+    if not len(toks):
         return out
-    all_toks = np.array([w for ts in toks_per_doc for w in ts], dtype=object)
-    # hash-based factorize, not np.unique: sorting 10^5 object strings is
-    # Python-comparison-bound and was slower than the per-doc md5 it replaced
-    inv, uniq = pd.factorize(all_toks, sort=False)
-    ids = md5_token_ids(uniq)
+    enc = pc.dictionary_encode(toks)
+    inv = enc.indices.to_numpy()
+    ids = md5_token_ids(enc.dictionary)
     signs = (
         2 * ((ids[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(np.int32)
         - 1
@@ -316,7 +263,6 @@ def simhash64_batch(texts) -> np.ndarray:
     # product: the full (N, 64) per-occurrence matrix is ~64x token-stream
     # bytes (1.4 GB on a repetitive 2.7M-token batch); M = per-doc-unique
     # pairs is bounded by vocabulary x docs
-    doc_idx = np.repeat(np.arange(len(toks_per_doc), dtype=np.int64), lens)
     pair = (doc_idx.astype(np.uint64) << np.uint64(32)) | inv.astype(np.uint64)
     upair, counts = np.unique(pair, return_counts=True)
     pd_doc = (upair >> np.uint64(32)).astype(np.int64)
@@ -343,8 +289,7 @@ class MinHashStage:
         self.k = shingle_k
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        texts = batch["text"].fillna("")
-        shingles = char_shingles_batch(list(texts), self.k)
+        shingles = char_shingles_batch(batch["text"], self.k)
         sigs = self.mh.signatures_batch(shingles)
         keys = lsh_band_keys(sigs, self.bands)  # (D, bands)
         D = len(batch)

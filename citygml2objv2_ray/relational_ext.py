@@ -12,6 +12,7 @@ import ray.data as rd
 from ray.data.aggregate import Sum
 
 from . import dedup as dd
+from . import text as tx
 from .ops import derive_join_partitions as _djp
 from .ops import salted_groupby
 from .relational import _nrows, _read, query
@@ -35,15 +36,11 @@ def q_term_counts_salted(sf_dir: str) -> pd.DataFrame:
     reducers, then merged in a tiny final groupby."""
     docs = _read(sf_dir, "documents", ["text"])
 
-    def explode(df: pd.DataFrame) -> pd.DataFrame:
-        stripped = df.text.fillna("").str.strip()
-        stripped = stripped[stripped != ""]
-        terms = stripped.str.split(" ").explode()
-        out = pd.DataFrame({"term": terms})
-        out["n"] = 1
-        return out
+    def explode(batch: pa.Table) -> pa.Table:
+        terms = tx.flat(tx.space_terms(batch["text"]))[0].cast(pa.string())
+        return pa.table({"term": terms, "n": np.ones(len(terms), np.int64)})
 
-    exploded = docs.map_batches(explode, batch_format="pandas")
+    exploded = docs.map_batches(explode, batch_format="pyarrow")
 
     def reduce_batch(df: pd.DataFrame) -> pd.DataFrame:
         keys = ["term", "_salt"] if "_salt" in df.columns else ["term"]
@@ -543,12 +540,11 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
     )
 
     def tf_batch(df: pd.DataFrame) -> pd.DataFrame:
-        toks = df.set_index("doc_id").text.fillna("").str.lower().str.split().explode().dropna()
-        out = (
-            toks.rename("term").reset_index().groupby(["doc_id", "term"], sort=False)
-            .size().rename("tf").reset_index()
+        toks, row = tx.flat(tx.words(df.text))
+        toks = pd.DataFrame(
+            {"doc_id": df.doc_id.to_numpy()[row], "term": toks.to_numpy(zero_copy_only=False)}
         )
-        return out
+        return toks.groupby(["doc_id", "term"], sort=False).size().rename("tf").reset_index()
 
     tf = ds.map_batches(tf_batch, batch_format="pandas")
 

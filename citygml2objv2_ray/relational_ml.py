@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data as rd
 from ray.data.aggregate import Sum
@@ -206,10 +207,8 @@ def q_langid(sf_dir: str) -> pd.DataFrame:
     order wins ties, > 0.03 threshold) and the fingerprint are both
     recomputable in DuckDB."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = ds.map_batches(
-        tx.TextScorer(), batch_format="pandas", batch_size=512
-    ).to_pandas()
-    return out[["doc_id", "lang_pred", "n_tokens", "fingerprint"]].sort_values("doc_id").reset_index(drop=True)
+    out = ds.map_batches(tx.TextScorer(), batch_format="pyarrow", batch_size=512)
+    return out.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 
 _PAIRS_EMPTY = pd.DataFrame(
@@ -272,18 +271,20 @@ def _jaccard_pairs_kernel(
     b: np.ndarray,
     ta: np.ndarray,
     tb: np.ndarray,
+    _unused,
     shingle_fn,
-    shingle_batch_fn,
     threshold: float,
 ) -> pd.DataFrame:
     """Vectorized exact-Jaccard over aligned pair arrays (ids a/b, texts
-    ta/tb) — the shared compute core of both verify paths. Shingle each
-    UNIQUE doc once (one batch call when ``shingle_batch_fn`` is given),
-    then verify ALL pairs in one pass: concatenate both docs' sorted-unique
-    shingle arrays per pair tagged with the pair index, lexsort, and count
-    adjacent equal (tag, value) entries — that count IS |A ∩ B| because
-    each side is unique, so a value appearing twice within one pair's span
-    must come from both sides. Replaces a per-pair intersect1d loop that
+    ta/tb) — the shared compute core of both verify paths. ``shingle_fn``
+    maps a batch of texts to their sorted-unique uint64 id sets; the 5th
+    parameter is unused (it held the per-doc form, and the benchmark's
+    traced near-dup pass still passes one). Shingle each UNIQUE doc once
+    in one batch call, then verify ALL pairs in one pass: concatenate both
+    docs' sorted-unique shingle arrays per pair tagged with the pair
+    index, lexsort, and count adjacent equal (tag, value) entries — that
+    count IS |A ∩ B| because each side is unique, so a value appearing
+    twice within one pair's span must come from both sides. Replaces a per-pair intersect1d loop that
     dominated at 10^6 candidates (87 s → ~4 s).
 
     When candidates heavily SHARE docs (LSH noise: sf0.1 has ~270k
@@ -315,12 +316,7 @@ def _jaccard_pairs_kernel(
     uniq, inv = np.unique(docs_cat, return_inverse=True)
     first = np.zeros(len(uniq), dtype=np.int64)
     first[inv[::-1]] = np.arange(len(docs_cat) - 1, -1, -1)
-    if shingle_batch_fn is not None:
-        # one vectorized call for the whole group's unique docs (4.5x
-        # less shingle CPU than per-doc dispatch, byte-identical)
-        shingles = shingle_batch_fn([texts_cat[i] for i in first])
-    else:
-        shingles = [shingle_fn(texts_cat[i]) for i in first]
+    shingles = shingle_fn(texts_cat[first])
     sizes = np.array([len(s) for s in shingles], dtype=np.int64)
     la, lb = sizes[inv[:npairs]], sizes[inv[npairs:]]
 
@@ -396,7 +392,6 @@ def verify_pairs_broadcast_ds(
     texts_ref,
     threshold: float,
     shingle_fn,
-    shingle_batch_fn=None,
 ) -> rd.Dataset:
     """MAP-SIDE exact-Jaccard verification for SMALL corpora: candidate
     pair batches verify in place against a broadcast ``doc_id -> text``
@@ -451,9 +446,7 @@ def verify_pairs_broadcast_ds(
         b = df.doc_b.to_numpy().astype(np.int64)
         ta = lookup(tab, ids_sorted, a)
         tb = lookup(tab, ids_sorted, b)
-        return _jaccard_pairs_kernel(
-            a, b, ta, tb, shingle_fn, shingle_batch_fn, threshold
-        )
+        return _jaccard_pairs_kernel(a, b, ta, tb, None, shingle_fn, threshold)
 
     # whole blocks as batches: candidates within a block heavily share
     # docs, so one kernel call per block shingles each unique doc once
@@ -495,7 +488,6 @@ def verify_pairs_jaccard_ds(
     ng: int,
     threshold: float,
     shingle_fn,
-    shingle_batch_fn=None,
     pairs_are_halves: bool = False,
     est_blocks: int | None = None,
 ) -> rd.Dataset:
@@ -515,14 +507,12 @@ def verify_pairs_jaccard_ds(
     halves are dropped in-group), so there is no separate dedup shuffle
     and NO driver-side count barrier anywhere.
 
-    ``shingle_fn`` maps text -> sorted-unique uint64 ids and defines the
-    Jaccard family (char shingles for MinHash, word n-grams for the
-    exact index); ``shingle_batch_fn`` is its batch twin (list of texts ->
-    list of id arrays, byte-identical per doc) — when given, the in-group
-    shingle pass runs one vectorized batch call instead of a per-unique-doc
-    Python loop. ``pairs_are_halves=True`` means the caller's pair
-    generator already emitted ``make_pair_halves`` rows, so the tail's own
-    half-explode map is skipped. ``est_blocks`` (estimated block count of
+    ``shingle_fn`` maps a batch of texts -> their sorted-unique uint64 id
+    sets and defines the Jaccard family (char shingles for MinHash, word
+    n-grams for the exact index); the in-group shingle pass is one call
+    over the group's unique docs. ``pairs_are_halves=True`` means the
+    caller's pair generator already emitted ``make_pair_halves`` rows, so
+    the tail's own half-explode map is skipped. ``est_blocks`` (estimated block count of
     the halves union, docs side + pair side) gates the pre-sort coalesces:
     merging blocks below the shuffle fan-out would SPLIT them — the
     measured net loss in the BASELINE optimization log. The kept-pair
@@ -628,9 +618,7 @@ def verify_pairs_jaccard_ds(
         b = g.doc_b.to_numpy()[0::2]
         ta = g.text.to_numpy()[0::2]
         tb = g.text.to_numpy()[1::2]
-        return _jaccard_pairs_kernel(
-            a, b, ta, tb, shingle_fn, shingle_batch_fn, threshold
-        )
+        return _jaccard_pairs_kernel(a, b, ta, tb, None, shingle_fn, threshold)
 
     return (
         halves_txt.map_batches(pair_group_key, batch_format="pandas")
@@ -743,8 +731,7 @@ def minhash_neardup_pairs(
             pairs,
             broadcast_texts_ref(docs),
             threshold,
-            dd.char_shingles,
-            shingle_batch_fn=dd.char_shingles_batch,
+            dd.char_shingles_batch,
         ).to_pandas()
         if not len(kept):
             return _PAIRS_EMPTY
@@ -760,8 +747,7 @@ def minhash_neardup_pairs(
         docs,
         ng,
         threshold,
-        dd.char_shingles,
-        shingle_batch_fn=dd.char_shingles_batch,
+        dd.char_shingles_batch,
         pairs_are_halves=True,
         est_blocks=est_blocks + min(ng, 32),
     )
@@ -835,10 +821,10 @@ def ngram_jaccard_pairs_ds(
     """EXACT word-3-gram Jaccard near-dup — the deterministic sibling of
     MinHash (no LSH approximation, hence fully SQL-checkable):
 
-    1. explode each doc into its DISTINCT word-3-gram ids. Hashing is
-       batch-vectorized: grams are factorized batch-wide and each unique
-       gram is FNV-hashed once (``dedup._stable_token_ids`` — numpy
-       passes per byte position, no per-gram Python hashing);
+    1. explode each doc into its DISTINCT word-3-gram ids
+       (``dedup.word_ngram_postings``: grams are factorized batch-wide and
+       each unique gram is FNV-hashed once, numpy passes per byte
+       position, no per-doc or per-gram Python);
     2. inverted-index candidate generation on the super-group shuffle of
        the gram id with a DOCUMENT-FREQUENCY CAP: grams shared by more
        than ``df_cap`` docs are dropped before pair expansion (a hot
@@ -872,19 +858,13 @@ def ngram_jaccard_pairs_ds(
     )
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
-        grams_all: list[str] = []
-        doc_rep: list[int] = []
-        for doc_id, text in zip(df.doc_id.to_numpy(), df.text.fillna("").to_numpy()):
-            gs = dd.word_ngram_list(text)
-            grams_all.extend(gs)
-            doc_rep.extend([doc_id] * len(gs))
-        if not grams_all:
+        rows, gid = dd.word_ngram_postings(df.text)
+        if not len(gid):
             return GRAM_EMPTY
-        codes, uniq = pd.factorize(np.array(grams_all, dtype=object))
-        gid = dd._stable_token_ids(uniq)[codes].astype(np.int64)
+        gid = gid.astype(np.int64)
         return pd.DataFrame(
             {
-                "doc_id": np.asarray(doc_rep, dtype=np.int64),
+                "doc_id": df.doc_id.to_numpy(np.int64)[rows],
                 "gid": gid,
                 "_sg": dd.supergroup_of(gid, ng),
             }
@@ -975,8 +955,7 @@ def ngram_jaccard_pairs_ds(
                 pairs,
                 broadcast_texts_ref(docs),
                 threshold,
-                dd.word_ngram_ids,
-                shingle_batch_fn=dd.word_ngram_ids_batch,
+                dd.word_ngram_ids_batch,
             ),
             nd,
         )
@@ -986,8 +965,7 @@ def ngram_jaccard_pairs_ds(
             docs,
             ng,
             threshold,
-            dd.word_ngram_ids,
-            shingle_batch_fn=dd.word_ngram_ids_batch,
+            dd.word_ngram_ids_batch,
             pairs_are_halves=True,
             est_blocks=est_blocks + min(ng, 32),
         ),
@@ -1168,12 +1146,12 @@ def q_simhash(sf_dir: str) -> pd.DataFrame:
     DuckDB recompute the identical signed bit-vote signature."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"doc_id": df.doc_id, "simhash": dd.simhash64_batch(df.text.fillna(""))}
+    def fn(batch: pa.Table) -> pa.Table:
+        return pa.table(
+            {"doc_id": batch["doc_id"], "simhash": dd.simhash64_batch(batch["text"])}
         )
 
-    return ds.map_batches(fn, batch_format="pandas").to_pandas().sort_values("doc_id").reset_index(drop=True)
+    return ds.map_batches(fn, batch_format="pyarrow").to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1407,21 +1385,18 @@ def q_corpus_prep(sf_dir: str) -> pd.DataFrame:
     the evidence that chained operators stay exact end-to-end."""
     import hashlib
 
-    from . import text as tx
     from .ops import partial_groupby_sum
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    EN = tx.STOPWORDS["en"]
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         n_tok = tx.token_count(df.text)
-        words = df.text.fillna("").str.findall(tx._WORD_RE)
-        c_en = words.map(lambda ws: sum(1 for w in ws if w.lower() in EN))
+        c_en = tx.stopword_counts(tx.letter_words(df.text))[:, 0]
         h = np.array(
             [int(hashlib.md5(str(d).encode()).hexdigest()[:4], 16) for d in df.doc_id],
             dtype=np.int64,
         )
-        keep = (n_tok >= 5) & (c_en.to_numpy() >= 1) & (h < 58982)
+        keep = (n_tok >= 5) & (c_en >= 1) & (h < 58982)
         out = pd.DataFrame(
             {
                 "split": np.where(h[keep] < 52429, "train", "val"),
@@ -1487,9 +1462,7 @@ def q_decontaminate(sf_dir: str, bench_mod: int = 199) -> pd.DataFrame:
         sub = df[df.doc_id % bench_mod == 0]
         if not len(sub):
             return pd.DataFrame({"gid": pd.array([], dtype=np.uint64)})
-        ids = dd.word_ngram_ids_batch(sub.text.fillna("").tolist(), 3)
-        flat = np.concatenate(ids) if ids else np.empty(0, np.uint64)
-        return pd.DataFrame({"gid": np.unique(flat)})
+        return pd.DataFrame({"gid": np.unique(dd.word_ngram_postings(sub.text)[1])})
 
     bench_df = ds.map_batches(bench_grams, batch_format="pandas").to_pandas()
     bench_ids = np.unique(bench_df.gid.to_numpy(dtype=np.uint64))
@@ -1502,7 +1475,7 @@ def q_decontaminate(sf_dir: str, bench_mod: int = 199) -> pd.DataFrame:
                 {"doc_id": pd.array([], dtype=np.int64), "n_hits": pd.array([], dtype=np.int64)}
             )
         bench = ray.get(bench_ref)
-        ids = dd.word_ngram_ids_batch(df.text.fillna("").tolist(), 3)
+        ids = dd.word_ngram_ids_batch(df.text)
         sizes = np.array([len(s) for s in ids], dtype=np.int64)
         tags = np.repeat(np.arange(len(df)), sizes)
         flat = np.concatenate(ids) if len(df) else np.empty(0, np.uint64)
@@ -1564,12 +1537,8 @@ def q_repetition_quality(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def metrics(df: pd.DataFrame) -> pd.DataFrame:
-        words_all: list[str] = []
-        counts = np.empty(len(df), dtype=np.int64)
-        for i, t in enumerate(df.text.fillna("")):
-            ws = t.lower().split()
-            words_all.extend(ws)
-            counts[i] = len(ws)
+        words, tags = tx.flat(tx.words(df.text))
+        counts = np.bincount(tags, minlength=len(df))
         keep = counts > 0
         if not keep.any():
             return pd.DataFrame(
@@ -1580,10 +1549,9 @@ def q_repetition_quality(sf_dir: str) -> pd.DataFrame:
                     "top2_frac": pd.array([], dtype=float),
                 }
             )
-        codes, uniq = pd.factorize(np.array(words_all, dtype=object))
-        codes = codes.astype(np.int64)
-        K = np.int64(len(uniq) + 1)
-        tags = np.repeat(np.arange(len(df), dtype=np.int64), counts)
+        enc = pc.dictionary_encode(words)
+        codes = enc.indices.to_numpy().astype(np.int64)
+        K = np.int64(len(enc.dictionary) + 1)
         # distinct words per doc: unique (tag, code) pairs
         pair = tags * K + codes
         ndw = np.bincount(

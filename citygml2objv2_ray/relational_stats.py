@@ -24,6 +24,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from . import text as tx
 from .relational import _read, query
 
 QUANTS = (0.25, 0.5, 0.75)
@@ -269,7 +270,7 @@ def q_heavy_hitters(sf_dir: str, phi: float = 0.005) -> pd.DataFrame:
     )
 
     def _tokens(df: pd.DataFrame) -> pd.Series:
-        return df.text.fillna("").str.lower().str.split().explode().dropna()
+        return tx.flat(tx.words(df.text))[0].to_pandas()
 
     def block_summary(df: pd.DataFrame) -> pd.DataFrame:
         toks = _tokens(df)
@@ -664,11 +665,9 @@ def q_cms_counts(sf_dir: str) -> pd.DataFrame:
     docs = _read(sf_dir, "documents", ["text"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        stripped = df.text.fillna("").str.strip()
-        terms = stripped[stripped != ""].str.split(" ").explode()
-        vc = terms.value_counts()
-        uniq = vc.index.to_numpy()
-        cnt = vc.to_numpy(np.int64)
+        vc = pc.value_counts(tx.flat(tx.space_terms(df.text))[0])
+        uniq = vc.field("values").to_pylist()
+        cnt = vc.field("counts").to_numpy()
         out = []
         for j in range(_CMS_D):
             b = np.array(

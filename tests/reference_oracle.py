@@ -26,11 +26,19 @@ kernels must reproduce EXACTLY:
   an exact f64 re-test of the pixels near an edge.
 - ``decode_clip_rowwise``: ``DecodeClip``'s output columns, one image at a
   time: decode, f64 phash, and the clip through ``coverage_mask_gemm``.
+- ``char_shingles`` / ``word_ngram_list`` / ``word_ngram_ids`` /
+  ``simhash64``: the per-doc char shingles, word n-grams, their ids and
+  the SimHash the batch kernels of ``dedup`` replaced, tokenized one doc
+  at a time: ``str.lower``, then a Python regex split on RE2's whitespace
+  class (tab, newline, form feed, carriage return, space), empty pieces
+  dropped; hashed with this module's own FNV-1a and md5 helpers.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import re
 
 import numpy as np
 import pyarrow as pa
@@ -550,3 +558,77 @@ def decode_clip_rowwise(batch: pa.Table, tri2d: dict) -> pa.Table:
     return pa.table(
         {"pixel_ok": ok, "mean_intensity": mean_i, "roof_coverage": cov, "masked_mean": masked}
     )
+
+
+# ---------------------------------------------------------------------------
+# text: one document at a time (from dedup.py before the batch kernels)
+# ---------------------------------------------------------------------------
+
+
+# FNV-1a 64 with the engine's offset basis: 1469598103934665603, the
+# standard basis (14695981039346656037) short of its last digit
+_FNV_OFFSET = 1469598103934665603
+_FNV_PRIME = 1099511628211
+
+
+def _fnv1a64(b: bytes) -> int:
+    h = _FNV_OFFSET
+    for c in b:
+        h = ((h ^ c) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def _md5_64(s: str) -> int:
+    return int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "big")
+
+
+def _words(text: str) -> list[str]:
+    return [w for w in re.split(r"[\t\n\f\r ]+", text.lower()) if w]
+
+
+def char_shingles(text: str, k: int = 5) -> np.ndarray:
+    """Sorted-unique FNV-1a ids of the k-byte windows of the words joined
+    by ``" "``, space-padded to k bytes."""
+    data = " ".join(_words(text)).encode().ljust(k)
+    return np.unique(
+        np.array([_fnv1a64(data[i : i + k]) for i in range(len(data) - k + 1)], dtype=np.uint64)
+    )
+
+
+def word_ngram_list(text: str, n: int = 3) -> list[str]:
+    """Distinct word n-grams in first-appearance order; empty for docs
+    shorter than n words."""
+    toks = _words(text)
+    seen: set[str] = set()
+    out: list[str] = []
+    for i in range(len(toks) - n + 1):
+        g = " ".join(toks[i : i + n])
+        if g not in seen:
+            seen.add(g)
+            out.append(g)
+    return out
+
+
+def word_ngram_ids(text: str, n: int = 3) -> np.ndarray:
+    """Sorted-unique uint64 FNV ids of the distinct word n-grams."""
+    return np.unique(
+        np.array([_fnv1a64(g.encode()) for g in word_ngram_list(text, n)], dtype=np.uint64)
+    )
+
+
+def simhash64(text: str) -> int:
+    """SimHash: signed bit-vote over md5 token hashes (unique tokens
+    hashed once, votes weighted by count)."""
+    toks = _words(text)
+    if not toks:
+        return 0
+    uniq, counts = np.unique(np.array(toks, dtype=object), return_counts=True)
+    ids = np.array([_md5_64(t) for t in uniq], dtype=np.uint64)
+    bits = ((ids[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(
+        np.int64
+    )
+    votes = (counts[:, None] * (2 * bits - 1)).sum(axis=0)
+    v = 0
+    for k in np.flatnonzero(votes > 0):
+        v |= 1 << int(k)
+    return v - (1 << 64) if v >= 1 << 63 else v

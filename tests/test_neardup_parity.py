@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
+import reference_oracle as ro
 
 SF = "/root/testdata/sf0.001"
 
@@ -69,7 +70,7 @@ class TestMinhashNeardupParity:
             .reset_index(drop=True)
         )
         mh = dd.MinHasher(64, 7)
-        shingles = [dd.char_shingles(t) for t in docs.text.fillna("")]
+        shingles = [ro.char_shingles(t) for t in docs.text.fillna("")]
         sigs = mh.signatures_batch(shingles)
         keys = dd.lsh_band_keys(sigs, 16)
         ids = docs.doc_id.to_numpy()
@@ -134,7 +135,7 @@ class TestSimhashBatch:
         fixed = ["", "  ", "the the the", "a b c", "Ünïcode tökens ünïcode", "x"]
         assert np.array_equal(
             dd.simhash64_batch(fixed),
-            np.array([dd.simhash64(t) for t in fixed], dtype=np.int64),
+            np.array([ro.simhash64(t) for t in fixed], dtype=np.int64),
         )
 
         word = st.text(alphabet="abcdefg", min_size=1, max_size=4)
@@ -144,7 +145,7 @@ class TestSimhashBatch:
         @given(st.lists(doc, max_size=20))
         def check(texts):
             got = dd.simhash64_batch(texts)
-            want = np.array([dd.simhash64(t) for t in texts], dtype=np.int64)
+            want = np.array([ro.simhash64(t) for t in texts], dtype=np.int64)
             assert np.array_equal(got, want)
 
         check()
@@ -219,8 +220,6 @@ class TestNgramJaccardParity:
         over pairs sharing >= 2 grams (the query's candidate rule; the
         df-cap can only DROP candidates and at this scale no gram exceeds
         it, so the index must be exhaustive over that rule)."""
-        from citygml2objv2_ray import dedup as dd
-
         got = _registry()["q_ngram_jaccard"](SF)
 
         docs = (
@@ -229,7 +228,7 @@ class TestNgramJaccardParity:
             .sort_values("doc_id")
             .reset_index(drop=True)
         )
-        grams = [set(dd.word_ngram_list(t)) for t in docs.text.fillna("")]
+        grams = [set(ro.word_ngram_list(t)) for t in docs.text.fillna("")]
         ids = docs.doc_id.to_numpy()
         rows = []
         for a in range(len(ids)):
@@ -254,12 +253,10 @@ class TestNgramJaccardParity:
         pd.testing.assert_frame_equal(got.reset_index(drop=True), want)
 
     def test_word_ngram_list_semantics(self):
-        from citygml2objv2_ray import dedup as dd
-
-        assert dd.word_ngram_list("one two") == []
-        assert dd.word_ngram_list("A b c") == ["a b c"]
-        assert dd.word_ngram_list("a b c a b c") == ["a b c", "b c a", "c a b"]
-        ids = dd.word_ngram_ids("a b c d")
+        assert ro.word_ngram_list("one two") == []
+        assert ro.word_ngram_list("A b c") == ["a b c"]
+        assert ro.word_ngram_list("a b c a b c") == ["a b c", "b c a", "c a b"]
+        ids = ro.word_ngram_ids("a b c d")
         assert len(ids) == 2 and np.all(np.diff(ids.astype(np.uint64)) > 0)
 
 
@@ -366,7 +363,7 @@ class TestJaccardKernelBranches:
             for _ in range(120)
         ]
         texts[3] = ""
-        self._check(texts, 0.2, dd.char_shingles, dd.char_shingles_batch)
+        self._check(texts, 0.2, ro.char_shingles, dd.char_shingles_batch)
 
     def test_large_universe(self):
         # long random strings over a wide alphabet -> falls past the bitset
@@ -379,7 +376,7 @@ class TestJaccardKernelBranches:
         alpha = list(string.ascii_letters + string.digits + " ")
         texts = ["".join(rng.choice(alpha, 400).tolist()) for _ in range(80)]
         texts += texts[:8]  # exact dups -> jaccard 1.0 pairs
-        self._check(texts, 0.1, dd.char_shingles, dd.char_shingles_batch)
+        self._check(texts, 0.1, ro.char_shingles, dd.char_shingles_batch)
 
     def test_degenerate_identical_corpus(self):
         # every doc identical -> hot shingles -> expand fallback, all 1.0
@@ -388,7 +385,7 @@ class TestJaccardKernelBranches:
         got = self._check(
             ["the same text in every document of this corpus"] * 100,
             0.5,
-            dd.char_shingles,
+            ro.char_shingles,
             dd.char_shingles_batch,
         )
         assert (got.jaccard == 1.0).all() and len(got)
@@ -402,7 +399,7 @@ class TestJaccardKernelBranches:
             " ".join(rng.choice(vocab, rng.integers(0, 12)).tolist())
             for _ in range(100)
         ]
-        self._check(texts, 0.2, dd.word_ngram_ids, dd.word_ngram_ids_batch)
+        self._check(texts, 0.2, ro.word_ngram_ids, dd.word_ngram_ids_batch)
 
 
 class TestVerifyPathEquality:
