@@ -354,18 +354,18 @@ def _q_pip_assign(sf_dir: str):
     (``world_oracle_sql``)."""
     import numpy as np
     import pandas as pd
-    import ray
     import ray.data as rd
 
     from citygml2objv2_ray import worlds
+    from citygml2objv2_ray.ops import Broadcast
     from citygml2objv2_ray.spatial import build_index
     from citygml2objv2_ray.synth import grid_cell
 
     images_path, _, footprints = worlds.load_world(worlds.sf_of_dir(sf_dir))
-    index_ref = ray.put(build_index(footprints))
+    index = Broadcast("entry_pip", build_index(footprints))
 
     def assign_batch(df: pd.DataFrame) -> pd.DataFrame:
-        idx = ray.get(index_ref) if isinstance(index_ref, ray.ObjectRef) else index_ref
+        idx = index.get()
         cx = df.cx.to_numpy()
         cy = df.cy.to_numpy()
         a = idx.assign(cx, cy)
@@ -390,10 +390,10 @@ def _q_knn_join(sf_dir: str):
     both sides)."""
     import numpy as np
     import pandas as pd
-    import ray
     import ray.data as rd
 
     from citygml2objv2_ray import worlds
+    from citygml2objv2_ray.ops import Broadcast
     from citygml2objv2_ray.spatial import build_index
 
     import dataclasses
@@ -405,10 +405,10 @@ def _q_knn_join(sf_dir: str):
     # engine must find all k neighbours even for far-out open-terrain tiles
     # (the flagship keeps the distance-bounded default)
     cfg = dataclasses.replace(DEFAULT_CONFIG, knn_max_ring=64)
-    index_ref = ray.put(build_index(footprints, cfg))
+    index = Broadcast("entry_knn", build_index(footprints, cfg))
 
     def knn_batch(df: pd.DataFrame) -> pd.DataFrame:
-        idx = ray.get(index_ref) if isinstance(index_ref, ray.ObjectRef) else index_ref
+        idx = index.get()
         ids, dists = idx.knn(df.cx.to_numpy(), df.cy.to_numpy(), k=3)
         n, k = ids.shape
         image_id = np.repeat(df.image_id.to_numpy(), k)
@@ -522,17 +522,17 @@ def _q_range_join(sf_dir: str):
     in pytest): every (image, footprint) pair within a 3 m buffered bbox."""
     import numpy as np
     import pandas as pd
-    import ray
     import ray.data as rd
 
     from citygml2objv2_ray import worlds
+    from citygml2objv2_ray.ops import Broadcast
     from citygml2objv2_ray.spatial import build_index
 
     images_path, _, footprints = worlds.load_world(worlds.sf_of_dir(sf_dir))
-    index_ref = ray.put(build_index(footprints))
+    index = Broadcast("entry_range_join", build_index(footprints))
 
     def join_batch(df: pd.DataFrame) -> pd.DataFrame:
-        idx = ray.get(index_ref) if isinstance(index_ref, ray.ObjectRef) else index_ref
+        idx = index.get()
         pi, fi = idx.range_join(df.cx.to_numpy(), df.cy.to_numpy(), buffer=3.0)
         return pd.DataFrame(
             {

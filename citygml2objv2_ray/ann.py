@@ -147,15 +147,15 @@ def ivf_build_partitioned(
     dir: the marker's existence means a complete index. Returns the
     centers."""
     import pyarrow as pa
-    import ray
 
+    from .ops import Broadcast
     from .state.checkpoint import publish
 
     centers, _ = sample_train_centroids(ds, n_lists, max_train, seed)
-    ref = ray.put(centers)
+    bcast = Broadcast("ivf_assign", centers)
 
     def assign(batch: pa.Table) -> pa.Table:
-        cent = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+        cent = bcast.get()
         Cn = normalize_rows(_list_col_matrix(batch, "embedding"))
         lid = np.argmax(Cn @ cent.T, axis=1).astype(np.int64)
         return batch.append_column("list_id", pa.array(lid))
@@ -195,9 +195,10 @@ def ivf_search_partitioned(
     rows_scanned so pruning is observable."""
     import pandas as pd
     import pyarrow.compute as pc
-    import ray
     import ray.data as rd
     from ray.data.datasource.partitioning import PathPartitionFilter
+
+    from .ops import Broadcast
 
     if centers is None:
         centers = np.load(index_dir.rstrip("/") + ".centers.npy")
@@ -232,10 +233,10 @@ def ivf_search_partitioned(
             lambda kv: int(kv["list_id"]) in probed
         ),
     )
-    ref = ray.put((qtab.vec_id.to_numpy(), Qn, probe, centers))
+    bcast = Broadcast("ivf_search", (qtab.vec_id.to_numpy(), Qn, probe, centers))
 
     def partial_topk(batch) -> pd.DataFrame:
-        qids, Qm, prb, cent = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+        qids, Qm, prb, cent = bcast.get()
         # zero-copy flat-buffer reshape — never a per-row vstack
         Cn = normalize_rows(_list_col_matrix(batch, "embedding"))
         # rows here are ONLY probed partitions; re-derive each row's list
@@ -346,8 +347,9 @@ def brute_search_distributed(path: str, query_vec_ids, k: int = 5):
     one GEMM + partial top-k per batch, k-bounded driver merge."""
     import pandas as pd
     import pyarrow.compute as pc
-    import ray
     import ray.data as rd
+
+    from .ops import Broadcast
 
     qset = sorted(int(q) for q in query_vec_ids)
     qdf = (
@@ -357,10 +359,10 @@ def brute_search_distributed(path: str, query_vec_ids, k: int = 5):
         .reset_index(drop=True)
     )
     Qn = normalize_rows(np.vstack(qdf.embedding.to_numpy()).astype(np.float64))
-    ref = ray.put((qdf.vec_id.to_numpy(), Qn))
+    bcast = Broadcast("brute_search", (qdf.vec_id.to_numpy(), Qn))
 
     def partial_topk(batch) -> pd.DataFrame:
-        qids, Qm = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+        qids, Qm = bcast.get()
         Cn = normalize_rows(_list_col_matrix(batch, "embedding"))
         vids = batch.column("vec_id").to_numpy()
         sims = Qm @ Cn.T

@@ -7,15 +7,13 @@ constructors, so parallel workers can never observe torn state.
 
 Tolerances mirror the reference's scattered constants
 (SURVEY.md §7.4): planarity eps 0.01 (``polygon3dmodule.py:115``),
-segment-intersection eps 1e-5 (``polygon3dmodule.py:185``), normal-compare
-tol 0.1 (``polygon3dmodule.py:418``), vertical-polygon test |n_z| < 0.1
-(``polygon3dmodule.py:603``), bbox buffer 3.0 m
-(``componentseparationmodule.py:103-109``).
+vertical-polygon test |n_z| < 0.1 (``polygon3dmodule.py:603``), bbox
+buffer 3.0 m (``componentseparationmodule.py:103-109``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 # The 11 semantic surface classes of CityGML LOD2+ (CityGML2OBJs.py:559-562)
@@ -50,8 +48,6 @@ BBOX_CLASSES: tuple[str, ...] = (
 class EngineConfig:
     # geometry tolerances (reference parity)
     planarity_eps: float = 0.01          # polygon3dmodule.py:115
-    intersect_eps: float = 1e-5          # polygon3dmodule.py:185
-    normal_compare_tol: float = 0.1      # polygon3dmodule.py:418
     vertical_nz_tol: float = 0.1         # polygon3dmodule.py:603
     bbox_buffer: float = 3.0             # componentseparationmodule.py:103-109
     vertex_round_decimals: int = 9       # exact-dedup key rounding for float64 xyz
@@ -65,10 +61,6 @@ class EngineConfig:
     knn_k: int = 3                       # kNN neighbours per image
     knn_max_ring: int = 4                # max grid rings searched for neighbours
 
-    # skew handling
-    salt_buckets: int = 8                # sub-buckets for hot cells
-    hot_cell_threshold: int = 4096       # rows per cell above which salting kicks in
-
     # super-group shuffles (ops.supergroup_agg / dedup.supergroup_of):
     # num_groups = clamp(n_rows // target, min, max) — 64 reduce tasks is
     # right for this sandbox but caps shuffle parallelism and lets
@@ -78,12 +70,12 @@ class EngineConfig:
     supergroup_max: int = 4096
 
     # broadcast-vs-partition join switch: a materialized selective side at
-    # or under this row count is ray.put once and merged map-side in every
+    # or under this row count is broadcast once and merged map-side in every
     # probe task (no join shuffle); above it, hash-partitioned Dataset.join
     broadcast_join_rows: int = 200_000
 
     # near-dup VERIFY broadcast switch: at or under this many docs the
-    # exact-Jaccard verification runs MAP-SIDE against a ray.put arrow
+    # exact-Jaccard verification runs MAP-SIDE against a broadcast arrow
     # doc->text table instead of the two-shuffle distributed tail. The
     # higher cap (vs broadcast_join_rows) is deliberate: the arrow LUT is
     # ONE zero-copy object-store copy shared by every worker (not a
@@ -105,8 +97,6 @@ class EngineConfig:
 
     # mtl bucketize (CityGML2OBJs.py:383-411): 101 bins over [min, max]
     mtl_bins: int = 101
-
-    semantic_classes: tuple[str, ...] = field(default=SEMANTIC_CLASSES)
 
 
 DEFAULT_CONFIG = EngineConfig()

@@ -31,7 +31,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, EngineConfig
@@ -113,8 +112,8 @@ def run_flagship(
     log = CheckpointLog(out_root)
 
     # ---- small side: broadcast once ------------------------------------
-    index_ref = ray.put(build_index(footprints, cfg))
-    tri2d_ref = ray.put(roof_tri2d(surfaces, cfg))
+    join_task = make_join_task(build_index(footprints, cfg), cfg)
+    decode_task = make_decode_clip_task(roof_tri2d(surfaces, cfg), cfg) if decode else None
 
     # ---- resume bookkeeping --------------------------------------------
     completed: set[str] = set()
@@ -165,11 +164,9 @@ def run_flagship(
     # ONE fused per-batch stage for cell encode + partition id + resume
     # prune + spatial join + decode/clip: the `bytes` column is ~7KB/row
     # and every stage boundary copies blocks through the object store, so
-    # explicit fusion cuts most of the per-row overhead. State is broadcast
-    # refs fetched once per worker process (task pool, not actor pool —
-    # elastic, zero ramp, no pool-sizing hazards).
-    join_task = make_join_task(index_ref, cfg)
-    decode_task = make_decode_clip_task(tri2d_ref, cfg) if decode else None
+    # explicit fusion cuts most of the per-row overhead. State is built
+    # from the broadcasts once per worker process (task pool, not actor
+    # pool — elastic, zero ramp, no pool-sizing hazards).
     done = pa.array([int(p) for p in completed], pa.int64()) if completed else None
 
     def process(batch: pa.Table) -> pa.Table:

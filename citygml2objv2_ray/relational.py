@@ -26,9 +26,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
+
+from .ops import Broadcast, broadcast_semi_anti_filter
 
 REGISTRY: dict[str, Callable[[str], Any]] = {}
 ORACLE: dict[str, str] = {}
@@ -226,15 +227,8 @@ def q_anti_join(sf_dir: str) -> pd.DataFrame:
         .to_pandas()["o_custkey"]
         .tolist()
     )
-    keys_ref = ray.put(keys)
     ds = _read(sf_dir, "customer", ["c_custkey", "c_name"])
-
-    def flt(batch: pa.Table) -> pa.Table:
-        ks = ray.get(keys_ref) if isinstance(keys_ref, ray.ObjectRef) else keys_ref
-        mask = pc.invert(pc.is_in(batch["c_custkey"], value_set=pa.array(list(ks), pa.int64())))
-        return batch.filter(mask)
-
-    return fn_sorted(ds.map_batches(flt, batch_format="pyarrow"), ["c_custkey"])
+    return fn_sorted(broadcast_semi_anti_filter(ds, "c_custkey", keys, anti=True), ["c_custkey"])
 
 
 @query(
@@ -295,13 +289,12 @@ def q_revenue_by_nation(sf_dir: str) -> pd.DataFrame:
     cust = pq.read_table(_t(sf_dir, "customer"), columns=["c_custkey", "c_nationkey"]).to_pandas()
     nat = pq.read_table(_t(sf_dir, "nation"), columns=["n_nationkey", "n_name"]).to_pandas()
     cmap = cust.merge(nat, left_on="c_nationkey", right_on="n_nationkey")[["c_custkey", "n_name"]]
-    lookup_ref = ray.put(dict(zip(cmap.c_custkey, cmap.n_name)))
+    lookup = Broadcast("revenue_by_nation", dict(zip(cmap.c_custkey, cmap.n_name)))
 
     ds = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        lut = ray.get(lookup_ref) if isinstance(lookup_ref, ray.ObjectRef) else lookup_ref
-        df["n_name"] = df["o_custkey"].map(lut)
+        df["n_name"] = df["o_custkey"].map(lookup.get())
         g = df.groupby("n_name", sort=False).agg(
             revenue=("o_totalprice", "sum"), n_orders=("o_totalprice", "size")
         )

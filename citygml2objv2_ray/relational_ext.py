@@ -640,7 +640,7 @@ def q_bloom_join(sf_dir: str) -> pd.DataFrame:
     """Bloom-prefiltered large-large join (revenue of urgent high-value
     orders): the selective side's keys build a 128 KiB mergeable Bloom
     bitmap (one fixed-size partial per batch, OR-reduced streaming —
-    ``ops.bloom_build_distributed``), broadcast once via ``ray.put``; the
+    ``ops.bloom_build_distributed``), broadcast once; the
     big side drops non-candidate rows BEFORE the join shuffle
     (~86% of lineitem at this filter). False positives only — the join
     itself removes them, so the result is exactly the plain SQL join. At
@@ -649,14 +649,12 @@ def q_bloom_join(sf_dir: str) -> pd.DataFrame:
 
     BROADCAST-vs-PARTITION SWITCH (r4): the selective side is materialized
     anyway (it feeds both the Bloom build and the join); if its row count
-    is at or under ``EngineConfig.broadcast_join_rows`` it is ``ray.put``
+    is at or under ``EngineConfig.broadcast_join_rows`` it is broadcast
     once and merged MAP-SIDE inside every probe batch — no join shuffle at
     all (the ``q_anti_join`` broadcast pattern). Above the threshold, the
     hash-partitioned ``Dataset.join`` path runs as before."""
-    import ray
-
     from .config import DEFAULT_CONFIG
-    from .ops import bloom_build_distributed, bloom_prefilter, partial_groupby_sum
+    from .ops import Broadcast, bloom_build_distributed, bloom_prefilter, partial_groupby_sum
 
     import pyarrow.compute as pc
 
@@ -677,10 +675,9 @@ def q_bloom_join(sf_dir: str) -> pd.DataFrame:
     # read+filter lineage for the second consumer
     sel = sel.materialize()
     bloom = bloom_build_distributed(sel, "o_orderkey")
-    bloom_ref = ray.put(bloom)
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
-    cand = bloom_prefilter(li, "l_orderkey", bloom_ref)
+    cand = bloom_prefilter(li, "l_orderkey", bloom)
 
     def rev(df: pd.DataFrame) -> pd.DataFrame:
         return df.assign(revenue=df.l_extendedprice * (1 - df.l_discount))[
@@ -689,12 +686,11 @@ def q_bloom_join(sf_dir: str) -> pd.DataFrame:
 
     n_sel = sel.count()  # free on a materialized dataset
     if n_sel <= DEFAULT_CONFIG.broadcast_join_rows:
-        sel_ref = ray.put(sel.to_pandas())
+        small = Broadcast("bloom_join_sel", sel.to_pandas())
 
         def bcast_join(df: pd.DataFrame) -> pd.DataFrame:
-            s = ray.get(sel_ref)
             out = rev(df).merge(
-                s, left_on="l_orderkey", right_on="o_orderkey", how="inner"
+                small.get(), left_on="l_orderkey", right_on="o_orderkey", how="inner"
             )
             return out[["l_orderkey", "revenue", "o_orderpriority"]]
 

@@ -18,6 +18,7 @@ from ray.data.aggregate import Sum
 
 from . import dedup as dd
 from . import text as tx
+from .ops import Broadcast
 from .relational import ORACLE, REGISTRY, _nrows, _read, _t, query
 
 # ---------------------------------------------------------------------------
@@ -39,16 +40,13 @@ from .relational import ORACLE, REGISTRY, _nrows, _read, _t, query
 def q_token_count(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": df.doc_id,
-                "n_tokens": tx.token_count(df.text),
-                "n_chars": df.text.fillna("").str.len().astype(np.int64),
-            }
+    def fn(b: pa.Table) -> pa.Table:
+        text = tx.as_text(b["text"])
+        return pa.table(
+            {"doc_id": b["doc_id"], "n_tokens": tx.token_count(text), "n_chars": pc.utf8_length(text)}
         )
 
-    return ds.map_batches(fn, batch_format="pandas").to_pandas().sort_values("doc_id").reset_index(drop=True)
+    return ds.map_batches(fn, batch_format="pyarrow").to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 
 @query(
@@ -66,13 +64,11 @@ def q_token_count_bpe(sf_dir: str) -> pd.DataFrame:
     DuckDB RE2 twin produces identical matches."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"doc_id": df.doc_id, "n_tokens_bpe": tx.bpe_token_count(df.text)}
-        )
+    def fn(b: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": b["doc_id"], "n_tokens_bpe": tx.bpe_token_count(b["text"])})
 
     return (
-        ds.map_batches(fn, batch_format="pandas")
+        ds.map_batches(fn, batch_format="pyarrow")
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -94,14 +90,15 @@ def q_token_count_bpe(sf_dir: str) -> pd.DataFrame:
 def q_quality(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        n_chars, n_punct = tx.punct_stats(df.text)
-        ratio = np.round(np.where(n_chars > 0, n_punct / np.maximum(n_chars, 1), 0.0), 6)
-        return pd.DataFrame(
-            {"doc_id": df.doc_id, "n_chars": n_chars, "n_punct": n_punct, "punct_ratio": ratio}
+    def fn(b: pa.Table) -> pa.Table:
+        n_chars, n_punct = tx.punct_stats(b["text"])
+        c, p = n_chars.fill_null(0).to_numpy(), n_punct.fill_null(0).to_numpy()
+        ratio = np.round(np.where(c > 0, p / np.maximum(c, 1), 0.0), 6)
+        return pa.table(
+            {"doc_id": b["doc_id"], "n_chars": n_chars, "n_punct": n_punct, "punct_ratio": ratio}
         )
 
-    return ds.map_batches(fn, batch_format="pandas").to_pandas().sort_values("doc_id").reset_index(drop=True)
+    return ds.map_batches(fn, batch_format="pyarrow").to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 
 @query(
@@ -123,13 +120,13 @@ def q_exact_dedup_docs(sf_dir: str) -> pd.DataFrame:
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df.assign(content_hash=tx.md5_hex(df.text))
-        g = df.groupby("content_hash", sort=False).agg(
+        g = df.groupby("content_hash", sort=False, dropna=False).agg(
             n_docs=("doc_id", "size"), first_doc=("doc_id", "min")
         )
         return g.reset_index()
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("content_hash", sort=False).agg(
+        g = df.groupby("content_hash", sort=False, dropna=False).agg(
             n_docs=("n_docs", "sum"), first_doc=("first_doc", "min")
         )
         g = g.reset_index()
@@ -172,12 +169,12 @@ _STOPLIST_SQL = {
                CASE WHEN trim(text) = '' THEN 0
                     ELSE CAST(array_length(regexp_split_to_array(trim(text), '\\s+')) AS BIGINT)
                END AS n_tokens,
-               len(words) AS nw,
+               COALESCE(len(words), 0) AS nw,
                len(list_filter(words, w -> list_contains({_STOPLIST_SQL['en']}, w))) AS c_en,
                len(list_filter(words, w -> list_contains({_STOPLIST_SQL['de']}, w))) AS c_de,
                len(list_filter(words, w -> list_contains({_STOPLIST_SQL['fr']}, w))) AS c_fr,
                len(list_filter(words, w -> list_contains({_STOPLIST_SQL['es']}, w))) AS c_es,
-               CAST(CONCAT('0x', substr(md5(norm), 1, 16)) AS UBIGINT) AS fp_u
+               CAST('0x' || substr(md5(norm), 1, 16) AS UBIGINT) AS fp_u
         FROM base
     ),
     r AS (
@@ -384,38 +381,25 @@ def _jaccard_pairs_kernel(
 # byte-wise popcount lookup for the kernel's bitset branch
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
-_VERIFY_LUT_CACHE: dict = {}
-
 
 def verify_pairs_broadcast_ds(
     pairs: rd.Dataset,
-    texts_ref,
+    texts,
     threshold: float,
     shingle_fn,
 ) -> rd.Dataset:
     """MAP-SIDE exact-Jaccard verification for SMALL corpora: candidate
-    pair batches verify in place against a broadcast ``doc_id -> text``
-    lookup (``texts_ref`` = ``ray.put`` of a pd.Series), fetched ONCE per
-    worker process via a module-global cache. Zero additional shuffles —
-    the shuffle-free sibling of ``verify_pairs_jaccard_ds``, used when the
-    docs table fits ``EngineConfig.broadcast_join_rows`` (the same
-    broadcast-vs-partition switch as q_bloom_join; above the gate the
-    fully-distributed two-shuffle tail runs instead). Duplicate candidates
-    arriving in DIFFERENT batches are verified twice and must be deduped
-    by the caller if its generator can emit cross-batch duplicates (kept
-    pairs are output-sparse, so a collect-side dedup is free).
-
-    The broadcast payload is an ARROW table (doc_id sorted, large_string
-    text): ``ray.get`` maps it zero-copy from the object store — an
-    object-dtype pandas Series here cost a 100 MB string unpickle per
-    worker per query and, cached without eviction, grew worker heaps by
-    the full corpus per call (measured 13 → 66 s across three sf0.1
-    runs). Only the batch's OWN docs ever materialize as Python strings
-    (arrow ``take`` + to_numpy), and the per-worker cache keeps exactly
-    one payload (cleared on key change)."""
-    import ray
-
-    key = texts_ref.hex() if hasattr(texts_ref, "hex") else id(texts_ref)
+    pair batches verify in place against the broadcast ``doc_id -> text``
+    table ``texts`` (from ``broadcast_texts_ref``). Zero additional
+    shuffles — the shuffle-free sibling of ``verify_pairs_jaccard_ds``,
+    used when the docs table fits ``EngineConfig.broadcast_verify_rows``
+    (the same broadcast-vs-partition switch as q_bloom_join; above the
+    gate the fully-distributed two-shuffle tail runs instead). Duplicate
+    candidates arriving in DIFFERENT batches are verified twice and must
+    be deduped by the caller if its generator can emit cross-batch
+    duplicates (kept pairs are output-sparse, so a collect-side dedup is
+    free). Only the batch's OWN docs ever materialize as Python strings
+    (arrow ``take`` + to_numpy)."""
 
     def lookup(tab: pa.Table, ids_sorted: np.ndarray, want: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(ids_sorted, want)
@@ -432,15 +416,7 @@ def verify_pairs_broadcast_ds(
     def verify_batch(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return _PAIRS_EMPTY
-        hit = _VERIFY_LUT_CACHE.get(key)
-        if hit is None:
-            _VERIFY_LUT_CACHE.clear()  # at most ONE broadcast corpus per worker
-            tab = ray.get(texts_ref)
-            hit = _VERIFY_LUT_CACHE[key] = (
-                tab,
-                tab["doc_id"].to_numpy(zero_copy_only=False),
-            )
-        tab, ids_sorted = hit
+        tab, ids_sorted = texts.get()
         df = df.drop_duplicates(["doc_a", "doc_b"])
         a = df.doc_a.to_numpy().astype(np.int64)
         b = df.doc_b.to_numpy().astype(np.int64)
@@ -454,13 +430,18 @@ def verify_pairs_broadcast_ds(
     return pairs.map_batches(verify_batch, batch_format="pandas", batch_size=None)
 
 
-def broadcast_texts_ref(docs: rd.Dataset):
-    """``ray.put`` a doc_id-sorted ``(doc_id, text)`` ARROW table of a
+def broadcast_texts_ref(docs: rd.Dataset) -> Broadcast:
+    """Broadcast a doc_id-sorted ``(doc_id, text)`` ARROW table of a
     SMALL docs dataset (the caller must have gated on
-    ``EngineConfig.broadcast_verify_rows``). Stays arrow end to end —
-    collecting through pandas materialized every text as a Python string
-    on the driver (~6 s at 1M docs); concatenating the blocks' arrow refs
-    and sorting with pyarrow.compute is a buffer-level operation."""
+    ``EngineConfig.broadcast_verify_rows``); each worker process reads it
+    as ``(table, its doc_id array)``. Stays arrow end to end — collecting
+    through pandas materialized every text as a Python string in the
+    calling process (~6 s at 1M docs); concatenating the blocks' arrow refs and
+    sorting with pyarrow.compute is a buffer-level operation. The table
+    maps zero-copy from the object store: an object-dtype pandas Series
+    here cost a 100 MB string unpickle per worker per query and, cached
+    without eviction, grew worker heaps by the full corpus per call
+    (measured 13 → 66 s across three sf0.1 runs)."""
     import pyarrow.compute as pc
     import ray
 
@@ -472,13 +453,15 @@ def broadcast_texts_ref(docs: rd.Dataset):
     text = tab["text"]
     if text.null_count:
         text = pc.fill_null(text, "")
-    return ray.put(
+    return Broadcast(
+        "verify_texts",
         pa.table(
             {
                 "doc_id": tab["doc_id"].cast(pa.int64()),
                 "text": text.cast(pa.large_string()),
             }
-        )
+        ),
+        build=lambda t: (t, t["doc_id"].to_numpy(zero_copy_only=False)),
     )
 
 
@@ -488,15 +471,15 @@ def verify_pairs_jaccard_ds(
     ng: int,
     threshold: float,
     shingle_fn,
-    pairs_are_halves: bool = False,
-    est_blocks: int | None = None,
+    est_blocks: int,
 ) -> rd.Dataset:
     """Distributed exact-Jaccard verification of candidate pairs — the
     shared tail of every text near-dup query (MinHash LSH, exact n-gram
     index). Nothing corpus- or candidate-scale ever reaches the driver:
 
-    TWO super-group shuffles, no driver broadcast: each pair is exploded
-    into two (doc-keyed) halves and unioned with the (doc_id, text)
+    TWO super-group shuffles, no broadcast: ``pairs`` holds each
+    pair as two (doc-keyed) halves (``make_pair_halves`` rows, emitted by
+    the caller's pair generator), unioned with the (doc_id, text)
     stream; grouping on the doc key attaches each half its text (a
     distributed semi-join — the docs table crosses this shuffle exactly
     once and only pair-halves survive it); a second shuffle on the PAIR
@@ -510,9 +493,7 @@ def verify_pairs_jaccard_ds(
     ``shingle_fn`` maps a batch of texts -> their sorted-unique uint64 id
     sets and defines the Jaccard family (char shingles for MinHash, word
     n-grams for the exact index); the in-group shingle pass is one call
-    over the group's unique docs. ``pairs_are_halves=True`` means the
-    caller's pair generator already emitted ``make_pair_halves`` rows, so
-    the tail's own half-explode map is skipped. ``est_blocks`` (estimated block count of
+    over the group's unique docs. ``est_blocks`` (estimated block count of
     the halves union, docs side + pair side) gates the pre-sort coalesces:
     merging blocks below the shuffle fan-out would SPLIT them — the
     measured net loss in the BASELINE optimization log. The kept-pair
@@ -520,10 +501,6 @@ def verify_pairs_jaccard_ds(
     SQL twins can mirror it exactly.
     """
     KIND_DOC, KIND_PAIR = _KIND_DOC, _KIND_PAIR
-
-    def pair_halves(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates(["doc_a", "doc_b"])  # per-batch dedup partial
-        return make_pair_halves(df.doc_a.to_numpy(), df.doc_b.to_numpy(), ng)
 
     def doc_rows(df: pd.DataFrame) -> pd.DataFrame:
         ids = df.doc_id.to_numpy().astype(np.int64)
@@ -571,12 +548,7 @@ def verify_pairs_jaccard_ds(
             }
         )
 
-    pair_side = (
-        pairs
-        if pairs_are_halves
-        else pairs.map_batches(pair_halves, batch_format="pandas")
-    )
-    halves = pair_side.union(docs.map_batches(doc_rows, batch_format="pandas"))
+    halves = pairs.union(docs.map_batches(doc_rows, batch_format="pandas"))
     # COALESCE before each sort: the union inherits the upstream block
     # fragmentation (hundreds of ~200-row blocks) and Ray's sort pays a
     # per-(input-block x output-partition) slice cost — the measured trap
@@ -587,7 +559,7 @@ def verify_pairs_jaccard_ds(
     # paths: when the union already has ~fan-out blocks the repartition
     # would SPLIT them (measured net loss at sf0.1).
     fanout = min(ng, 32)
-    coalesce = est_blocks is None or est_blocks > 2 * fanout
+    coalesce = est_blocks > 2 * fanout
     if coalesce:
         halves = halves.repartition(fanout, shuffle=False)
     halves_txt = halves.groupby("_sg").map_groups(attach_text, batch_format="pandas")
@@ -627,24 +599,6 @@ def verify_pairs_jaccard_ds(
     )
 
 
-def verify_pairs_jaccard(
-    pairs: rd.Dataset,
-    docs: rd.Dataset,
-    ng: int,
-    threshold: float,
-    shingle_fn,
-    **kw,
-) -> pd.DataFrame:
-    """Collecting wrapper over ``verify_pairs_jaccard_ds`` (kept-pair
-    results are candidate-sparse, so the collect is small by design)."""
-    res = verify_pairs_jaccard_ds(pairs, docs, ng, threshold, shingle_fn, **kw).to_pandas()
-    if not len(res):
-        return _PAIRS_EMPTY
-    res["doc_a"] = res.doc_a.astype(np.int64)
-    res["doc_b"] = res.doc_b.astype(np.int64)
-    return res.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-
-
 def minhash_neardup_pairs(
     docs: rd.Dataset,
     nd: int,
@@ -662,7 +616,7 @@ def minhash_neardup_pairs(
        ``q_phash_neardup`` — per-bucket map_groups and the native join
        were measured 10-40x slower), per-group pair dedup;
     3. exact char-shingle-Jaccard verification via the shared
-       ``verify_pairs_jaccard`` tail (two super-group shuffles, global
+       ``verify_pairs_jaccard_ds`` tail (two super-group shuffles, global
        pair-dedup riding the second, no driver broadcast or barrier).
 
     Super-group fan-out is derived from the corpus row count ``nd``
@@ -742,15 +696,14 @@ def minhash_neardup_pairs(
             .sort_values(["doc_a", "doc_b"])
             .reset_index(drop=True)
         )
-    return verify_pairs_jaccard(
-        pairs,
-        docs,
-        ng,
-        threshold,
-        dd.char_shingles_batch,
-        pairs_are_halves=True,
-        est_blocks=est_blocks + min(ng, 32),
-    )
+    res = verify_pairs_jaccard_ds(
+        pairs, docs, ng, threshold, dd.char_shingles_batch, est_blocks + min(ng, 32)
+    ).to_pandas()
+    if not len(res):
+        return _PAIRS_EMPTY
+    res["doc_a"] = res.doc_a.astype(np.int64)
+    res["doc_b"] = res.doc_b.astype(np.int64)
+    return res.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
 # rows-only: minhash near-dup pairs (brute-force Jaccard parity oracle in
@@ -836,7 +789,7 @@ def ngram_jaccard_pairs_ds(
        and the per-pair shared count is made exact by an int-only
        pair-keyed shuffle summing the per-group partial counts;
     3. exact Jaccard over the full (uncapped) gram sets via the shared
-       distributed ``verify_pairs_jaccard`` tail, threshold on the
+       distributed ``verify_pairs_jaccard_ds`` tail, threshold on the
        6-dp-rounded value exactly as the SQL twin does.
     """
     from .ops import derive_num_blocks, derive_num_groups
@@ -966,8 +919,7 @@ def ngram_jaccard_pairs_ds(
             ng,
             threshold,
             dd.word_ngram_ids_batch,
-            pairs_are_halves=True,
-            est_blocks=est_blocks + min(ng, 32),
+            est_blocks + min(ng, 32),
         ),
         nd,
     )
@@ -1179,19 +1131,18 @@ def q_ann_topk(sf_dir: str) -> pd.DataFrame:
     broadcast; each batch computes a partial top-k against its rows; driver
     merges partials (k-bounded, no global sort)."""
     import pyarrow.parquet as pq
-    import ray
 
     qtab = pq.read_table(_t(sf_dir, "embeddings"), columns=["vec_id", "embedding"])
     qdf = qtab.to_pandas()
     qdf = qdf[qdf.vec_id < 10]
     Q = np.vstack(qdf.embedding.to_numpy()).astype(np.float64)
     qids = qdf.vec_id.to_numpy()
-    q_ref = ray.put((qids, dd.normalize_rows(Q)))
+    queries = Broadcast("ann_topk", (qids, dd.normalize_rows(Q)))
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def partial_topk(df: pd.DataFrame) -> pd.DataFrame:
-        qi, qn = ray.get(q_ref) if isinstance(q_ref, ray.ObjectRef) else q_ref
+        qi, qn = queries.get()
         C = np.vstack(df.embedding.to_numpy()).astype(np.float64)
         cn = dd.normalize_rows(C)
         sims = qn @ cn.T  # (Q, rows)
@@ -1267,16 +1218,14 @@ def q_embedding_neardup(sf_dir: str) -> pd.DataFrame:
 class LinearScorer:
     """Batched model-inference stage in the brief's canonical actor-pool
     shape: the 'model' (a weight vector + bias here; a real checkpoint in
-    production) is fetched from the object store ONCE per actor in
-    ``__init__``, and ``__call__`` scores each batch with one f64 GEMV —
+    production) is read from its broadcast ONCE per actor in ``__init__``,
+    and ``__call__`` scores each batch with one f64 GEMV —
     never per row, never re-fetched per batch. Swap the weight vector for
     any batched model and the plumbing (schema, concurrency, zero-copy
     batch flow) is unchanged."""
 
-    def __init__(self, weights_ref):
-        import ray as _ray
-
-        w = _ray.get(weights_ref)
+    def __init__(self, weights: Broadcast):
+        w = weights.get()
         self.w = np.asarray(w["w"], dtype=np.float64)
         self.b = float(w["b"])
 
@@ -1309,7 +1258,7 @@ def _q_model_score_sql() -> str:
 @query("q_model_score", _q_model_score_sql())
 def q_model_score(sf_dir: str) -> pd.DataFrame:
     """Top-20 vectors under a broadcast linear model — the batched-
-    inference pattern as a first-class query: weights ``ray.put`` once,
+    inference pattern as a first-class query: weights broadcast once,
     ``map_batches(LinearScorer, concurrency=4)`` actor pool (init-once
     model load), per-batch partial top-k so only k rows per batch reach
     the driver. The SQL twin embeds the identical seeded weight constants
@@ -1318,7 +1267,7 @@ def q_model_score(sf_dir: str) -> pd.DataFrame:
     import ray
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    wref = ray.put(_scorer_weights())
+    weights = Broadcast("model_score", _scorer_weights())
     K = 20
 
     # size the pool BELOW the session's CPU count: an actor pool that
@@ -1328,7 +1277,7 @@ def q_model_score(sf_dir: str) -> pd.DataFrame:
     pool = max(1, min(4, n_cpus - 2))
     scored = ds.map_batches(
         LinearScorer,
-        fn_constructor_kwargs={"weights_ref": wref},
+        fn_constructor_kwargs={"weights": weights},
         batch_format="pandas",
         concurrency=pool,
     )
@@ -1390,7 +1339,7 @@ def q_corpus_prep(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
-        n_tok = tx.token_count(df.text)
+        n_tok = tx.token_count(df.text).fill_null(0).to_numpy()
         c_en = tx.stopword_counts(tx.letter_words(df.text))[:, 0]
         h = np.array(
             [int(hashlib.md5(str(d).encode()).hexdigest()[:4], 16) for d in df.doc_id],
@@ -1450,12 +1399,10 @@ def q_decontaminate(sf_dir: str, bench_mod: int = 199) -> pd.DataFrame:
     100-TB shape: the benchmark gram set is EVAL-scale (bounded by the
     benchmark corpus, not the training corpus), so it is built with a
     distributed per-batch distinct pass, unioned once on the driver, and
-    ``ray.put`` as a sorted uint64 array; the training side is then a pure
+    broadcast as a sorted uint64 array; the training side is then a pure
     MAP-side membership scan (batch-vectorized shingling + one
     searchsorted per batch) — the corpus never shuffles. Same FNV-id gram
     family as q_ngram_jaccard (exact barring 64-bit collisions)."""
-    import ray
-
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def bench_grams(df: pd.DataFrame) -> pd.DataFrame:
@@ -1466,7 +1413,7 @@ def q_decontaminate(sf_dir: str, bench_mod: int = 199) -> pd.DataFrame:
 
     bench_df = ds.map_batches(bench_grams, batch_format="pandas").to_pandas()
     bench_ids = np.unique(bench_df.gid.to_numpy(dtype=np.uint64))
-    bench_ref = ray.put(bench_ids)
+    bench_set = Broadcast("decontaminate", bench_ids)
 
     def scan(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df.doc_id % bench_mod != 0]
@@ -1474,7 +1421,7 @@ def q_decontaminate(sf_dir: str, bench_mod: int = 199) -> pd.DataFrame:
             return pd.DataFrame(
                 {"doc_id": pd.array([], dtype=np.int64), "n_hits": pd.array([], dtype=np.int64)}
             )
-        bench = ray.get(bench_ref)
+        bench = bench_set.get()
         ids = dd.word_ngram_ids_batch(df.text)
         sizes = np.array([len(s) for s in ids], dtype=np.int64)
         tags = np.repeat(np.arange(len(df)), sizes)
@@ -1642,8 +1589,6 @@ def q_pack_chunks(sf_dir: str) -> pd.DataFrame:
        block edge.
 
     At 100 TB both passes stream; the driver holds one row per block."""
-    import ray
-
     from .ops import derive_num_blocks, partial_groupby_sum
 
     nd = _nrows(sf_dir, "documents")
@@ -1654,10 +1599,11 @@ def q_pack_chunks(sf_dir: str) -> pd.DataFrame:
     )
 
     def tokenize(df: pd.DataFrame) -> pd.DataFrame:
+        # a null text adds no tokens, as the twin's SUM skips its NULL
         return pd.DataFrame(
             {
                 "doc_id": df.doc_id.to_numpy(np.int64),
-                "n_tokens": tx.token_count(df.text),
+                "n_tokens": tx.token_count(df.text).fill_null(0).to_numpy(),
             }
         )
 
@@ -1680,10 +1626,10 @@ def q_pack_chunks(sf_dir: str) -> pd.DataFrame:
             sums.min_doc, np.concatenate([[0], np.cumsum(sums.block_sum.to_numpy())[:-1]])
         )
     }
-    off_ref = ray.put(offsets)
+    offsets = Broadcast("pack_chunks", offsets)
 
     def assign_chunks(df: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(off_ref)
+        off = offsets.get()
         df = df.sort_values("doc_id", kind="stable")
         n = df.n_tokens.to_numpy(np.int64)
         prior = off[int(df.doc_id.min())] + np.concatenate([[0], np.cumsum(n)[:-1]])
@@ -1744,13 +1690,11 @@ def q_dedup_corpus(sf_dir: str, threshold: float = 0.5, df_cap: int = 50) -> pd.
     → distributed connected components → drop every cluster member except
     the canonical minimum → the surviving corpus (with token counts, ready
     for packing). The drop set is output-scale (bounded by the dup count),
-    so it broadcasts via ``ray.put`` and the corpus-side anti-join is a
+    so it is broadcast and the corpus-side anti-join is a
     map-side filter (``ops.broadcast_semi_anti_filter`` — the D4 pattern);
     the corpus itself never shuffles. The pair graph comes from the
     per-process cache (``ngram_jaccard_pairs_cached``) — computed once
     and shared with q_ngram_jaccard / q_dup_components."""
-    import ray
-
     from . import graph
     from .ops import broadcast_semi_anti_filter
 
@@ -1760,18 +1704,15 @@ def q_dedup_corpus(sf_dir: str, threshold: float = 0.5, df_cap: int = 50) -> pd.
     drop = (
         set(cc[cc.doc_id != cc.component_id].doc_id.tolist()) if len(cc) else set()
     )
-    drop_ref = ray.put(np.array(sorted(drop), dtype=np.int64))
-
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    kept = broadcast_semi_anti_filter(docs, "doc_id", drop_ref, anti=True)
+    kept = broadcast_semi_anti_filter(
+        docs, "doc_id", np.array(sorted(drop), dtype=np.int64), anti=True
+    )
 
-    def tokenize(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": df.doc_id.to_numpy(np.int64),
-                "n_tokens": tx.token_count(df.text),
-            }
+    def tokenize(b: pa.Table) -> pa.Table:
+        return pa.table(
+            {"doc_id": b["doc_id"].cast(pa.int64()), "n_tokens": tx.token_count(b["text"])}
         )
 
-    out = kept.map_batches(tokenize, batch_format="pandas").to_pandas()
+    out = kept.map_batches(tokenize, batch_format="pyarrow").to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)

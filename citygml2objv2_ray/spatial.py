@@ -13,9 +13,9 @@ No shapely/h3 in this environment, so:
 - **kNN**: expanding-ring search over cell buckets, exact top-k by centroid
   distance with a correct ring-bound termination.
 
-The index is built once on the small side, ``ray.put`` once, and fetched by
-each spatial-join actor in ``__init__`` — the big side never shuffles
-(partition-vs-broadcast, SURVEY.md §4.2).
+The index is built once on the small side and broadcast once
+(``ops.Broadcast``); each worker process builds one spatial join from it —
+the big side never shuffles (partition-vs-broadcast, SURVEY.md §4.2).
 """
 
 from __future__ import annotations

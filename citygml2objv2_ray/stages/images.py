@@ -1,6 +1,7 @@
 """Image stages: cell encode and decode/verify/clip, both called from the
-flagship's fused task-pool ``map_batches`` function (the decode stage's
-state lives in a per-worker module-global cache, ``make_decode_clip_task``).
+flagship's fused task-pool ``map_batches`` function (each worker process
+builds one decode stage from the broadcast roof triangles,
+``make_decode_clip_task``).
 
 The raster↔vector clip is the row-interval kernel ``_clip_masks``: per
 pixel row, each roof triangle's covered column range comes from its three
@@ -14,10 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
-import ray
 
 from .. import codecs
 from ..config import DEFAULT_CONFIG, EngineConfig
+from ..ops import Broadcast
 from ..synth import grid_cell
 
 # world units covered by one image pixel (tile ground resolution)
@@ -56,11 +57,9 @@ class DecodeClip:
     single decode. The clip runs per (image shape, building) group through
     ``_clip_masks``; unassigned images keep coverage 0."""
 
-    def __init__(self, tri2d_ref, cfg: EngineConfig = DEFAULT_CONFIG):
+    def __init__(self, tri2d: dict[str, np.ndarray], cfg: EngineConfig = DEFAULT_CONFIG):
         self.decode = DecodeVerify()
-        self.tri2d: dict[str, np.ndarray] = (
-            ray.get(tri2d_ref) if isinstance(tri2d_ref, ray.ObjectRef) else tri2d_ref
-        )
+        self.tri2d = tri2d
         self.cfg = cfg
         self._edges: dict = {}  # building_id → edge_entry (worker lifetime)
 
@@ -191,26 +190,14 @@ class Resize:
         return batch
 
 
-# one entry, the current broadcast: a task of a new job replaces the last
-# job's DecodeClip (its raster LRU and edge cache) instead of adding to it
-_WORKER_CACHE: dict = {}
-
-
-def make_decode_clip_task(tri2d_ref, cfg: EngineConfig = DEFAULT_CONFIG):
-    """Stateless task-pool form of DecodeClip: the roof-triangle dict is
-    fetched once per worker process (module-global cache). Task pools beat
-    actor pools here — state is a cheap broadcast lookup, so elastic
-    scheduling and zero pool-ramp outweigh actor-state amortization."""
-    key = ("dc", tri2d_ref.hex() if hasattr(tri2d_ref, "hex") else id(tri2d_ref))
-
-    def decode_clip_task(batch: pa.Table) -> pa.Table:
-        dc = _WORKER_CACHE.get(key)
-        if dc is None:
-            _WORKER_CACHE.clear()
-            dc = _WORKER_CACHE[key] = DecodeClip(tri2d_ref, cfg)
-        return dc(batch)
-
-    return decode_clip_task
+def make_decode_clip_task(tri2d: dict[str, np.ndarray], cfg: EngineConfig = DEFAULT_CONFIG):
+    """Task-pool form of DecodeClip: the roof-triangle dict is broadcast
+    once, and each worker process builds one ``DecodeClip`` (its edge
+    cache) from it. Task pools beat actor pools here — state is a cheap
+    broadcast lookup, so elastic scheduling and zero pool-ramp outweigh
+    actor-state amortization."""
+    clip = Broadcast("decode_clip", tri2d, build=lambda t: DecodeClip(t, cfg))
+    return lambda batch: clip.get()(batch)
 
 
 class _Edges(NamedTuple):

@@ -1,8 +1,9 @@
-"""Spatial-join stage: broadcast FootprintIndex, actor-pool lookup.
+"""Spatial-join stage: broadcast FootprintIndex, task-pool lookup.
 
-The big (images) side never shuffles — each actor fetches the index once
-from the object store in ``__init__`` (SURVEY.md §4.2 broadcast-vs-partition)
-and performs vectorized cell-bucket PIP assignment + kNN per batch.
+The big (images) side never shuffles — the index is broadcast once
+(``ops.Broadcast``, SURVEY.md §4.2 broadcast-vs-partition), each worker
+process builds one ``SpatialJoin`` from it, and every batch runs
+vectorized cell-bucket PIP assignment + kNN against that instance.
 
 Granularity note (measured): the join returns ONE table per batch — a
 generator yielding many small chunks throttled the streaming executor 3x
@@ -15,37 +16,21 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
 
 from ..config import DEFAULT_CONFIG, EngineConfig
-
-# per-worker-process cache for broadcast state (module globals persist for
-# the lifetime of a Ray worker process, across tasks AND executions — unlike
-# actor pools, task pools have no spawn/ramp cost and size elastically;
-# measured 9.4k → 16k rows/s on the flagship by switching). It holds one
-# entry, the current broadcast: a new job's index replaces the last one.
-_WORKER_CACHE: dict = {}
+from ..ops import Broadcast
 
 
-def make_join_task(index_ref, cfg: EngineConfig = DEFAULT_CONFIG, k: int | None = None):
-    """Stateless task-pool form of the spatial join: the FootprintIndex is
-    fetched from the object store once per worker process."""
-    key = ("join", index_ref.hex() if hasattr(index_ref, "hex") else id(index_ref))
-
-    def join_task(batch: pa.Table) -> pa.Table:
-        sj = _WORKER_CACHE.get(key)
-        if sj is None:
-            _WORKER_CACHE.clear()
-            sj = _WORKER_CACHE[key] = SpatialJoin(index_ref, cfg, k)
-        return sj(batch)
-
-    return join_task
+def make_join_task(index, cfg: EngineConfig = DEFAULT_CONFIG, k: int | None = None):
+    """Task-pool form of the spatial join: the FootprintIndex is broadcast
+    once, and each worker process builds one ``SpatialJoin`` from it."""
+    join = Broadcast("join", index, build=lambda ix: SpatialJoin(ix, cfg, k))
+    return lambda batch: join.get()(batch)
 
 
 class SpatialJoin:
-    def __init__(self, index_ref, cfg: EngineConfig = DEFAULT_CONFIG, k: int | None = None):
-        # FootprintIndex, fetched ONCE per actor
-        self.index = ray.get(index_ref) if isinstance(index_ref, ray.ObjectRef) else index_ref
+    def __init__(self, index, cfg: EngineConfig = DEFAULT_CONFIG, k: int | None = None):
+        self.index = index  # FootprintIndex
         self.cfg = cfg
         self.k = k or cfg.knn_k
 

@@ -354,9 +354,9 @@ def generate_world(
     import shutil
 
     import pyarrow.parquet as pq
-    import ray
     import ray.data as rd
 
+    from .ops import Broadcast
     from .state.checkpoint import publish
 
     paths = {
@@ -374,11 +374,11 @@ def generate_world(
         pq.write_table(surfaces, os.path.join(tmp, "surfaces.parquet"))
         pq.write_table(footprints, os.path.join(tmp, "footprints.parquet"))
 
-        fp_ref = ray.put(footprints)
+        fp = Broadcast("world_footprints", footprints)
 
         class ImageGen:
             def __init__(self):
-                self.fp = ray.get(fp_ref)
+                self.fp = fp.get()
 
             def __call__(self, batch: pa.Table) -> pa.Table:
                 return make_image_rows(np.asarray(batch["id"]), self.fp, seed=seed, cfg=cfg)

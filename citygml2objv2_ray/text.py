@@ -26,7 +26,6 @@ import hashlib
 import re
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -82,13 +81,13 @@ def words(texts) -> pa.Array:
     return _nonempty(pc.split_pattern(pc.replace_substring_regex(low, r"[\t\n\f\r]", " "), " "))
 
 
-def token_count(texts) -> np.ndarray:
+def token_count(texts) -> pa.Array:
     """C: ``CASE WHEN trim(text) = '' THEN 0 ELSE
-    array_length(regexp_split_to_array(trim(text), '\\s+')) END``; a null
-    text counts 0."""
+    array_length(regexp_split_to_array(trim(text), '\\s+')) END`` (int64,
+    null where the text is null)."""
     t = pc.utf8_trim(as_text(texts), ZS)
     n = pc.add(pc.count_substring_regex(t, r"\s+"), 1)  # pieces = separators + 1
-    return pc.if_else(pc.equal(t, ""), 0, n).fill_null(0).to_numpy().astype(np.int64)
+    return pc.if_else(pc.equal(t, ""), 0, n).cast(pa.int64())
 
 
 def normalize(texts) -> pa.Array:
@@ -120,22 +119,23 @@ BPE_PATTERN_SQL = rf"'(?:s|t|re|ve|m|ll|d)| ?[{_LETTER}]+| ?[0-9]+| ?[^\s{_LETTE
 _BPE_RE = re.compile(BPE_PATTERN_SQL.replace(r"[^\s", r"[^\t\n\f\r ").replace(r"\s", r"[\t\n\f\r ]"))
 
 
-def bpe_token_count(texts) -> np.ndarray:
+def bpe_token_count(texts) -> pa.Array:
     """``len(list_filter(regexp_extract_all(text, BPE_PATTERN_SQL), t ->
-    trim(t) <> ''))``; a null text counts 0."""
-    return np.array(
-        [sum(1 for m in _BPE_RE.findall(t or "") if m.strip(ZS)) for t in as_text(texts).to_pylist()],
-        dtype=np.int64,
+    trim(t) <> ''))`` (int64, null where the text is null)."""
+    return pa.array(
+        [
+            None if t is None else sum(1 for m in _BPE_RE.findall(t) if m.strip(ZS))
+            for t in as_text(texts).to_pylist()
+        ],
+        pa.int64(),
     )
 
 
-def punct_stats(texts: pd.Series) -> tuple[np.ndarray, np.ndarray]:
-    """(n_chars, n_punct) — sentence punctuation [.,!?]."""
-    t = texts.fillna("")
-    return (
-        t.str.len().to_numpy().astype(np.int64),
-        t.str.count(_PUNCT_RE).to_numpy().astype(np.int64),
-    )
+def punct_stats(texts) -> tuple[pa.Array, pa.Array]:
+    """(n_chars, n_punct): ``length(text)`` and the count of sentence
+    punctuation [.,!?] (int64, null where the text is null)."""
+    t = as_text(texts)
+    return pc.utf8_length(t), pc.count_substring_regex(t, _PUNCT_RE)
 
 
 def stopword_counts(lists: pa.Array) -> np.ndarray:
@@ -174,19 +174,22 @@ class TextScorer:
         )
 
 
-def fingerprint64(texts) -> np.ndarray:
+def fingerprint64(texts) -> pa.Array:
     """Deterministic 64-bit document fingerprint: the first 8 bytes of the
     md5 of N (signed big-endian) — stable across engines/runs, NOT Python's
-    salted hash, so the DuckDB oracle can recompute it. A null text
-    fingerprints as ''."""
-    norm = pc.fill_null(normalize(texts), "").cast(pa.large_binary())
-    return np.array(
-        [int.from_bytes(hashlib.md5(b).digest()[:8], "big", signed=True) for b in norm.to_pylist()],
-        dtype=np.int64,
+    salted hash, so the DuckDB oracle can recompute it. Null where the
+    text is null."""
+    norm = normalize(texts).cast(pa.large_binary())
+    return pa.array(
+        [
+            None if b is None else int.from_bytes(hashlib.md5(b).digest()[:8], "big", signed=True)
+            for b in norm.to_pylist()
+        ],
+        pa.int64(),
     )
 
 
-def md5_hex(texts: pd.Series) -> list[str]:
+def md5_hex(texts) -> list[str | None]:
     """md5 of the raw text — matches DuckDB's ``md5(text)`` exactly (the
-    exact-dedup key)."""
-    return [hashlib.md5(t.encode()).hexdigest() for t in texts.fillna("")]
+    exact-dedup key); None where the text is null."""
+    return [None if t is None else hashlib.md5(t.encode()).hexdigest() for t in as_text(texts).to_pylist()]

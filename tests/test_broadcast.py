@@ -1,0 +1,179 @@
+"""Small sides of a map: the one ``ops.Broadcast`` helper, its per-process
+cache policy, and a lint that keeps it the only place the package puts an
+object into Ray or fetches a broadcast back."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "citygml2objv2_ray"
+
+# (file, function) of the only ray.put / ray.get calls allowed: the helper,
+# and the gets that collect a Dataset's blocks or wait on actor futures
+ALLOWED = {
+    "put": {("citygml2objv2_ray/ops.py", "Broadcast.__init__")},
+    "get": {
+        ("citygml2objv2_ray/ops.py", "Broadcast.get"),
+        ("citygml2objv2_ray/cli.py", "run"),
+        ("citygml2objv2_ray/relational_ml.py", "broadcast_texts_ref"),
+        ("citygml2objv2_ray/streaming.py", "route"),
+        ("citygml2objv2_ray/streaming.py", "run_sharded"),
+    },
+}
+
+
+class TestBroadcast:
+    def test_get_builds_once_per_site(self, ray_session, monkeypatch):
+        from citygml2objv2_ray import ops
+
+        monkeypatch.setattr(ops, "_BROADCASTS", {})
+        calls = []
+
+        def build(v):
+            calls.append(v)
+            return sorted(v)
+
+        a = ops.Broadcast("a", {3, 1, 2}, build=build)
+        assert a.get() == [1, 2, 3] and a.get() is a.get()
+        assert calls == [{1, 2, 3}]
+        b = ops.Broadcast("b", {"x": 1})
+        assert b.get() == {"x": 1}
+        assert sorted(ops._BROADCASTS) == ["a", "b"]
+
+    def test_new_broadcast_replaces_the_sites_entry(self, ray_session, monkeypatch):
+        from citygml2objv2_ray import ops
+
+        monkeypatch.setattr(ops, "_BROADCASTS", {})
+        first = ops.Broadcast("s", [1])
+        assert first.get() == [1]
+        second = ops.Broadcast("s", [2])
+        assert second.get() == [2]
+        assert list(ops._BROADCASTS) == ["s"]
+        assert ops._BROADCASTS["s"][0] == second.ref.hex()
+        assert first.get() == [1]  # an older job's task still reads its own value
+        assert ops._BROADCASTS["s"][0] == first.ref.hex()
+
+    def test_tasks_read_it_in_the_workers(self, ray_session):
+        import ray.data as rd
+
+        from citygml2objv2_ray.ops import Broadcast
+
+        offset = Broadcast("test_offset", 100, build=lambda v: v + 1)
+        ds = rd.range(64, override_num_blocks=8).map_batches(
+            lambda b: {"id": b["id"] + offset.get()}, batch_format="numpy"
+        )
+        assert sorted(r["id"] for r in ds.take_all()) == list(range(101, 165))
+
+
+def test_semi_anti_filter_with_no_keys(ray_session):
+    """An empty key set keeps no row of a string column, and its anti
+    filter keeps every row (the convert of a document without openings)."""
+    import ray.data as rd
+
+    from citygml2objv2_ray.ops import broadcast_semi_anti_filter
+
+    ds = rd.from_items([{"poly_id": "a"}, {"poly_id": "b"}])
+    assert broadcast_semi_anti_filter(ds, "poly_id", set()).count() == 0
+    assert broadcast_semi_anti_filter(ds, "poly_id", set(), anti=True).count() == 2
+
+
+def _ray_calls(tree: ast.AST):
+    """(kind, enclosing Class.function, line) of every ``ray.put`` /
+    ``ray.get`` call (``import ray as x`` and ``from ray import get``
+    included) and every mention of ``ObjectRef``."""
+    ray_names, direct = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            ray_names |= {a.asname or a.name for a in node.names if a.name == "ray"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "ray":
+            direct.update({a.asname or a.name: a.name for a in node.names if a.name in ("put", "get")})
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope and isinstance(node, ast.ClassDef) else child.name
+            if isinstance(child, ast.Call):
+                c = child.func
+                if isinstance(c, ast.Attribute) and c.attr in ("put", "get") and (
+                    isinstance(c.value, ast.Name) and c.value.id in ray_names
+                ):
+                    yield c.attr, scope, child.lineno
+                elif isinstance(c, ast.Name) and c.id in direct:
+                    yield direct[c.id], scope, child.lineno
+            if (isinstance(child, ast.Attribute) and child.attr == "ObjectRef") or (
+                isinstance(child, ast.Name) and child.id == "ObjectRef"
+            ):
+                yield "ObjectRef", scope, child.lineno
+            yield from visit(child, inner)
+
+    yield from visit(tree, None)
+
+
+def _found():
+    paths = sorted(PACKAGE.rglob("*.py")) + [REPO / "__ray_entry__.py"]
+    return [
+        (str(p.relative_to(REPO)), kind, fn, line)
+        for p in paths
+        for kind, fn, line in _ray_calls(ast.parse(p.read_text(), str(p)))
+    ]
+
+
+def test_broadcast_is_the_only_put():
+    """Every small side a map task reads goes through ``ops.Broadcast``:
+    no other code puts an object into Ray, fetches one back per batch or
+    tests for an ``ObjectRef``."""
+    found = _found()
+    assert {(p, fn) for p, kind, fn, _ in found if kind == "put"}, "the parse saw no ray.put"
+    stray = [
+        f"{p}:{line} {kind} in {fn}()"
+        for p, kind, fn, line in found
+        if (p, fn) not in ALLOWED.get(kind, set())
+    ]
+    assert not stray, stray
+
+
+@pytest.mark.parametrize(
+    "src, want",
+    [
+        ("import ray\ndef f(x):\n    r = ray.put(x)\n", [("put", "f", 3)]),
+        ("import ray as _r\ndef f(r):\n    return _r.get(r)\n", [("get", "f", 3)]),
+        ("from ray import get as g\nclass A:\n    def m(self, r):\n        return g(r)\n", [("get", "A.m", 4)]),
+        ("import ray\ndef f(r):\n    return r if isinstance(r, ray.ObjectRef) else r\n", [("ObjectRef", "f", 3)]),
+        ("import ray\ndef f(d):\n    return d.get('k'), ray.data\n", []),
+    ],
+    ids=["put", "aliased_get", "imported_get", "objectref_test", "dict_get"],
+)
+def test_lint_sees_each_pattern(src, want):
+    assert list(_ray_calls(ast.parse(src))) == want
+
+
+def test_bloom_join_is_the_same_on_both_sides_of_its_gate(ray_session, monkeypatch):
+    """``q_bloom_join`` merges the selective side map-side at or under
+    ``broadcast_join_rows`` and runs ``Dataset.join`` above it: both give
+    the DuckDB twin's frame."""
+    import dataclasses
+
+    import pandas as pd
+    from test_oracle import SF, compare, duck
+
+    from citygml2objv2_ray import config, relational, relational_ext  # noqa: F401
+
+    con = duck(SF)
+    n_sel = con.execute(
+        "SELECT COUNT(*) FROM orders "
+        "WHERE o_orderpriority = '1-URGENT' AND o_totalprice > 150000"
+    ).fetchone()[0]
+    assert n_sel > 1
+    want = con.execute(relational.ORACLE["q_bloom_join"]).df()
+    got = []
+    for rows in (n_sel, n_sel - 1):  # broadcast merge, then the join shuffle
+        cfg = dataclasses.replace(config.DEFAULT_CONFIG, broadcast_join_rows=rows)
+        monkeypatch.setattr(config, "DEFAULT_CONFIG", cfg)
+        got.append(relational.REGISTRY["q_bloom_join"](SF))
+        compare(got[-1], want, f"q_bloom_join at broadcast_join_rows={rows}")
+    pd.testing.assert_frame_equal(got[0], got[1])

@@ -427,3 +427,16 @@ class TestVerifyPathEquality:
         pd.testing.assert_frame_equal(
             a.reset_index(drop=True), b.reset_index(drop=True)
         )
+
+    def test_ngram_broadcast_equals_shuffle(self, ray_session):
+        """The same two verify paths under the exact word-3-gram index."""
+        from citygml2objv2_ray import relational_ml as rml
+
+        def pairs(mode: str) -> pd.DataFrame:
+            ds, _ = rml.ngram_jaccard_pairs_ds(SF, 0.5, verify_mode=mode)
+            df = ds.to_pandas().astype({"doc_a": np.int64, "doc_b": np.int64})
+            return df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+
+        a, b = pairs("broadcast"), pairs("shuffle")
+        assert len(a) > 0
+        pd.testing.assert_frame_equal(a, b)

@@ -6,7 +6,6 @@ import numpy as np
 import pandas as pd
 import pytest
 
-import ray
 import ray.data as rd
 
 
@@ -46,10 +45,10 @@ class TestBroadcastFilter:
     def test_semi_and_anti_partition(self, events_ds, ray_session):
         from citygml2objv2_ray.ops import broadcast_semi_anti_filter
 
-        keys_ref = ray.put({"click", "view"})
+        keys = {"click", "view"}
         ds = events_ds.select_columns(["event_id", "event_type"])
-        semi = broadcast_semi_anti_filter(ds, "event_type", keys_ref).to_pandas()
-        anti = broadcast_semi_anti_filter(ds, "event_type", keys_ref, anti=True).to_pandas()
+        semi = broadcast_semi_anti_filter(ds, "event_type", keys).to_pandas()
+        anti = broadcast_semi_anti_filter(ds, "event_type", keys, anti=True).to_pandas()
         assert set(semi.event_type) <= {"click", "view"}
         assert not set(anti.event_type) & {"click", "view"}
         assert len(semi) + len(anti) == events_ds.count()
@@ -153,8 +152,6 @@ class TestBloomFilter:
         assert a.contains(np.concatenate([ka, kb])).all()
 
     def test_distributed_build_matches_local_and_prefilter_exact(self, ray_session):
-        import ray
-
         from citygml2objv2_ray.ops import (
             BloomFilter,
             bloom_build_distributed,
@@ -170,9 +167,8 @@ class TestBloomFilter:
         assert np.array_equal(dist.bits, local.bits)  # partition-order free
 
         big = pd.DataFrame({"k": rng.integers(0, 200_000, size=30_000)})
-        ref = ray.put(dist)
         kept = bloom_prefilter(
-            rd.from_pandas(big).repartition(6), "k", ref
+            rd.from_pandas(big).repartition(6), "k", dist
         ).to_pandas()
         member = np.isin(big.k.to_numpy(), keys)
         # every true member survives; survivors are the bloom's exact

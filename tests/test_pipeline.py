@@ -272,29 +272,36 @@ class TestMaskedMean:
 
 
 class TestWorkerCache:
-    def test_one_broadcast_per_worker_cache(self, world, ray_session):
-        """The per-worker caches of the join and decode tasks hold only the
-        current broadcast: a task built from a new job's ref replaces the
-        entry of the last one."""
+    def test_one_broadcast_per_worker_cache(self, world, ray_session, monkeypatch):
+        """The per-process broadcast cache (``ops.Broadcast``) holds one
+        entry per site, the current broadcast: a task built for a new job
+        replaces the entry of the last one, and the join and decode
+        entries do not evict each other."""
         import glob
 
         import pyarrow.parquet as pq
-        import ray
 
+        from citygml2objv2_ray import ops
         from citygml2objv2_ray.pipelines.geometry import roof_tri2d
         from citygml2objv2_ray.spatial import build_index
         from citygml2objv2_ray.stages import images, join
 
+        monkeypatch.setattr(ops, "_BROADCASTS", {})
         f = sorted(glob.glob(world["images"] + "/**/*.parquet", recursive=True))[0]
         batch = images.cell_encode(pq.read_table(f).slice(0, 16))
         index = build_index(pq.read_table(world["footprints"]))
         tri2d = roof_tri2d(pq.read_table(world["surfaces"]))
+        jobs = []
         for _ in range(2):  # two jobs, two broadcasts
-            index_ref, tri2d_ref = ray.put(index), ray.put(tri2d)
-            out = images.make_decode_clip_task(tri2d_ref)(join.make_join_task(index_ref)(batch))
+            out = images.make_decode_clip_task(tri2d)(join.make_join_task(index)(batch))
             assert out.num_rows == batch.num_rows
-            assert list(join._WORKER_CACHE) == [("join", index_ref.hex())]
-            assert list(images._WORKER_CACHE) == [("dc", tri2d_ref.hex())]
+            assert sorted(ops._BROADCASTS) == ["decode_clip", "join"]
+            assert isinstance(ops._BROADCASTS["join"][1], join.SpatialJoin)
+            assert isinstance(ops._BROADCASTS["decode_clip"][1], images.DecodeClip)
+            jobs.append(dict(ops._BROADCASTS))
+        for site in ("join", "decode_clip"):
+            assert jobs[0][site][0] != jobs[1][site][0], site
+            assert jobs[0][site][1] is not jobs[1][site][1], site
 
 
 class TestOrphanSweepWithoutLineage:

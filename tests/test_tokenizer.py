@@ -1,7 +1,7 @@
 """The one tokenizer (``citygml2objv2_ray.text``): each form equals the
 DuckDB expression it mirrors, string by string; every text twin stays
-equal to DuckDB on a corpus with non-ASCII whitespace and case edges; and a
-lint keeps the package from growing a second tokenizer."""
+equal to DuckDB on a corpus with non-ASCII whitespace and case edges and
+null texts; and a lint keeps the package from growing a second tokenizer."""
 
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ FORMS = {
         "list_filter(regexp_split_to_array(lower(text), '\\s+'), x -> x <> '')",
     ),
     "C": (
-        lambda t: tx.token_count(t).tolist(),
+        lambda t: tx.token_count(t).to_pylist(),
         "CASE WHEN trim(text) = '' THEN 0 ELSE "
         "array_length(regexp_split_to_array(trim(text), '\\s+')) END",
     ),
@@ -69,7 +69,7 @@ FORMS = {
         "list_transform(regexp_extract_all(text, '[a-zA-ZÀ-ÿ]+'), w -> lower(w))",
     ),
     "bpe": (
-        lambda t: tx.bpe_token_count(t).tolist(),
+        lambda t: tx.bpe_token_count(t).to_pylist(),
         "len(list_filter(regexp_extract_all(text, '"
         + tx.BPE_PATTERN_SQL.replace("'", "''")
         + "'), t -> trim(t) <> ''))",
@@ -80,16 +80,14 @@ FORMS = {
 @pytest.mark.parametrize("form", sorted(FORMS))
 def test_form_equals_its_duckdb_expression(form):
     """On the edges, every Zs code point, '', whitespace-only, null and a
-    seeded fuzz over those characters. C and the BPE count read a null
-    text as 0; the other forms are null there, as in SQL."""
+    seeded fuzz over those characters; every form is null on a null text,
+    as in SQL."""
     texts = EDGES + _fuzz(500) + [None]
     fn, sql = FORMS[form]
     tab = pa.table({"i": pa.array(range(len(texts))), "text": pa.array(texts, pa.string())})
     con = duckdb.connect()
     con.register("t", tab)
     want = con.execute(f"SELECT {sql} AS v FROM t ORDER BY i").arrow()["v"].to_pylist()
-    if form in ("C", "bpe"):
-        want = [0 if v is None else v for v in want]
     got = fn(tab["text"])
     bad = [(texts[i], got[i], want[i]) for i in range(len(texts)) if got[i] != want[i]]
     assert not bad, bad[:10]
@@ -142,6 +140,9 @@ EDGE_DOCS = {
     82: ("İ", ""),
     120: ("ẞ", ""),
 }
+# null texts: a plain doc, the near-dup partner of doc 0, a benchmark doc of
+# q_decontaminate and a member of the 8-12-120-360 near-dup cluster
+NULL_DOCS = {3, 50, 199, 360}
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +155,8 @@ def edge_sf(tmp_path_factory) -> str:
         if d in EDGE_DOCS:
             pre, post = EDGE_DOCS[d]
             text[i] = pre + text[i] + post
+        elif d in NULL_DOCS:
+            text[i] = None
     col = docs.schema.get_field_index("text")
     pq.write_table(docs.set_column(col, "text", pa.array(text, pa.string())), out / "documents.parquet")
     return str(out)
