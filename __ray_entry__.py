@@ -119,27 +119,10 @@ def _q_triangulate(sf_dir: str):
     ring sizes (ear clipping adds no Steiner points: n + 2h - 2 triangles)
     and total_area from the polygon shoelace areas — triangulated area must
     equal polygon area. Rounded to 4dp (two independent float summations)."""
-    import numpy as np
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    from citygml2objv2_ray import worlds
-    from citygml2objv2_ray.pipelines.geometry import surfaces_dataset, triangulate_surfaces
-
-    _, surfaces, _ = worlds.load_world(worlds.sf_of_dir(sf_dir))
-    tris = triangulate_surfaces(surfaces_dataset(surfaces))
-    agg = tris.groupby("building_id").aggregate(
-        Count(alias_name="n_tri"), Sum("area", alias_name="total_area")
-    )
-    df = agg.to_pandas().sort_values("building_id").reset_index(drop=True)
-    df["n_tri"] = df.n_tri.astype(np.int64)
-    df["total_area"] = df.total_area.round(4)
-    return df
+    return _triangle_areas_by(sf_dir, "building_id")
 
 
 def _q_building_bboxes(sf_dir: str):
-    import ray.data as rd
-
     from citygml2objv2_ray import worlds
     from citygml2objv2_ray.pipelines.geometry import building_bboxes, surfaces_dataset
 
@@ -153,29 +136,34 @@ def _q_building_bboxes(sf_dir: str):
 def _q_semantic_areas(sf_dir: str):
     """Per-semantic-class triangulated area (D3 fan-out summary).
     SQL-checked like ``_q_triangulate`` (same n_tri/area predictions)."""
+    return _triangle_areas_by(sf_dir, "semantic")
+
+
+def _triangle_areas_by(sf_dir: str, key: str):
+    """Triangle count and summed area per ``key`` over the triangulated
+    surfaces of the synthetic world."""
     import numpy as np
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
+    import pandas as pd
 
     from citygml2objv2_ray import worlds
+    from citygml2objv2_ray.ops import sum_by, supergroup_agg
     from citygml2objv2_ray.pipelines.geometry import surfaces_dataset, triangulate_surfaces
 
     _, surfaces, _ = worlds.load_world(worlds.sf_of_dir(sf_dir))
-    tris = triangulate_surfaces(surfaces_dataset(surfaces))
-    agg = tris.groupby("semantic").aggregate(
-        Count(alias_name="n_tri"), Sum("area", alias_name="total_area")
+    tris = triangulate_surfaces(surfaces_dataset(surfaces)).map_batches(
+        lambda df: pd.DataFrame({key: df[key], "n_tri": 1, "total_area": df.area}),
+        batch_format="pandas",
     )
-    df = agg.to_pandas().sort_values("semantic").reset_index(drop=True)
+    df = supergroup_agg(f"triangle_areas_by_{key}", tris, [key], sum_by([key]), sum_by([key]))
+    df = df.sort_values(key).reset_index(drop=True)
     df["n_tri"] = df.n_tri.astype(np.int64)
     df["total_area"] = df.total_area.round(4)
     return df
 
 
 def _q_phash_dup_groups(sf_dir: str):
-    """Exact perceptual-hash dup groups over the images table, via the
-    cardinality-robust super-group aggregate (a 1M-image table has ~10^6
-    distinct phashes — Ray's per-key aggregate machinery degrades there;
-    ``ops.supergroup_agg`` stays vectorized)."""
+    """Exact perceptual-hash dup groups over the images table (~10^6
+    distinct phashes in a 1M-image table) through ``ops.supergroup_agg``."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -200,18 +188,9 @@ def _q_phash_dup_groups(sf_dir: str):
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("phash", sort=False).agg(n=("n", "sum"), first_img=("first_img", "min"))
         g = g.reset_index()
-        return g[g.n > 1]  # only dup groups leave the shuffle
+        return g[g.n > 1]  # only dup groups leave the merge
 
-    agg = supergroup_agg(ds, ["phash"], partial, merge)
-    df = agg.to_pandas()
-    if not len(df):
-        return pd.DataFrame(
-            {
-                "phash": pd.Series(dtype=np.int64),
-                "n": pd.Series(dtype=np.int64),
-                "first_img": pd.Series(dtype=object),
-            }
-        )
+    df = supergroup_agg("q_phash_dup_groups", ds, ["phash"], partial, merge)
     df = df.sort_values("phash").reset_index(drop=True)
     df["n"] = df.n.astype(np.int64)
     return df[["phash", "n", "first_img"]]
@@ -220,9 +199,9 @@ def _q_phash_dup_groups(sf_dir: str):
 def _q_image_exact_dup(sf_dir: str):
     """Exact BYTE-level image dedup (the content-hash analog of the
     phash groups above, over the binary payload itself): each batch hashes
-    its blobs to a 16-byte md5 digest — so the dedup shuffle moves
-    (digest, image_id), never the ~7 KB payloads — then the super-group
-    merge keeps groups with n > 1 and their min image_id. At 100 TB the
+    its blobs to a 16-byte md5 digest — so the partials hold (digest,
+    image_id), never the ~7 KB payloads — then the merge keeps groups with
+    n > 1 and their min image_id. At 100 TB the
     network cost is the id+digest columns only; the DuckDB twin groups by
     the raw blob (md5 there is VARCHAR-only), which is exact modulo md5
     collisions (none by construction)."""
@@ -255,31 +234,26 @@ def _q_image_exact_dup(sf_dir: str):
         g = g.reset_index()
         return g[g.n > 1]
 
-    agg = supergroup_agg(ds, ["digest"], digest_partial, merge)
-    df = agg.to_pandas()
-    if not len(df):
-        return pd.DataFrame(
-            {"keep_img": pd.Series(dtype=object), "n": pd.Series(dtype=np.int64)}
-        )
+    df = supergroup_agg("q_image_exact_dup", ds, ["digest"], digest_partial, merge)
     df = df.sort_values("keep_img").reset_index(drop=True)
     df["n"] = df.n.astype(np.int64)
     return df[["keep_img", "n"]]
 
 
 def _q_hot_cells(sf_dir: str):
-    """Hot-cell detection over the images table — the north rule's
-    'skew-salted groupby-shuffle for hot urban cells' on its literal
-    domain: the synthetic city forces ~30% of images into ONE cell
-    (``synth.HOT_FRACTION``), so a plain per-cell groupby sends a third of
-    the table to one reducer; ``ops.salted_groupby`` splits each hot cell
-    across salt sub-buckets, partial-reduces on different reducers, and
-    merges in a tiny final pass. Output: top-20 densest cells."""
+    """Hot-cell detection over the images table — the north rule's hot
+    urban cells on their literal domain: the synthetic city forces ~30% of
+    images into ONE cell (``synth.HOT_FRACTION``). A per-cell count of raw
+    rows would send a third of the table to one reducer; the per-batch
+    partial sum leaves at most one row per cell per batch, so the hot cell
+    costs no more than a cold one, and no salting is needed. Output:
+    top-20 densest cells."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
 
     from citygml2objv2_ray import worlds
-    from citygml2objv2_ray.ops import derive_num_blocks, parquet_num_rows, salted_groupby
+    from citygml2objv2_ray.ops import derive_num_blocks, parquet_num_rows, sum_by, supergroup_agg
     from citygml2objv2_ray.stages.images import cell_encode
 
     images_path, _, _ = worlds.load_world(worlds.sf_of_dir(sf_dir))
@@ -289,26 +263,9 @@ def _q_hot_cells(sf_dir: str):
         override_num_blocks=derive_num_blocks(parquet_num_rows(images_path)),
     ).map_batches(cell_encode, batch_format="pyarrow")
 
-    def project(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[["cell"]].copy()
-        out["n"] = 1
-        return out
-
-    def reduce_batch(df: pd.DataFrame) -> pd.DataFrame:
-        keys = ["cell", "_salt"] if "_salt" in df.columns else ["cell"]
-        return df.groupby(keys, sort=False, as_index=False)["n"].sum()
-
-    def merge_group(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("cell", sort=False, as_index=False)["n"].sum()
-
-    res = salted_groupby(
-        ds.map_batches(project, batch_format="pandas"),
-        "cell",
-        reduce_batch,
-        merge_group,
-        salt_buckets=8,
-    )
-    df = res.to_pandas().sort_values(["n", "cell"], ascending=[False, True]).head(20)
+    cells = ds.map_batches(lambda df: pd.DataFrame({"cell": df.cell, "n": 1}), batch_format="pandas")
+    df = supergroup_agg("q_hot_cells", cells, ["cell"], sum_by(["cell"]), sum_by(["cell"]))
+    df = df.sort_values(["n", "cell"], ascending=[False, True]).head(20)
     df = df.reset_index(drop=True)
     df["cell"] = df.cell.astype(np.int64)
     df["n"] = df.n.astype(np.int64)

@@ -273,8 +273,7 @@ def run_bench() -> dict:
         synth_kv, batch_format="pandas"
     )
     t0 = time.perf_counter()
-    gq = group_quantile_disc(kv, "k", "v", num_rows_hint=1_000_000)
-    n_keys = gq.count()
+    n_keys = len(group_quantile_disc(kv, "k", "v"))
     queries["group_quantiles_1m_100k_keys"] = round(time.perf_counter() - t0, 3)
     assert n_keys == 100_000, n_keys
 

@@ -61,7 +61,8 @@ class EngineConfig:
     knn_k: int = 3                       # kNN neighbours per image
     knn_max_ring: int = 4                # max grid rings searched for neighbours
 
-    # super-group shuffles (ops.supergroup_agg / dedup.supergroup_of):
+    # super-group shuffles (the shuffle branch of ops.supergroup_agg,
+    # dedup.supergroup_of):
     # num_groups = clamp(n_rows // target, min, max) — 64 reduce tasks is
     # right for this sandbox but caps shuffle parallelism and lets
     # per-group memory grow linearly with corpus size at 100 TB
@@ -69,19 +70,14 @@ class EngineConfig:
     supergroup_min: int = 64
     supergroup_max: int = 4096
 
-    # broadcast-vs-partition join switch: a materialized selective side at
-    # or under this row count is broadcast once and merged map-side in every
-    # probe task (no join shuffle); above it, hash-partitioned Dataset.join
-    broadcast_join_rows: int = 200_000
-
     # near-dup VERIFY broadcast switch: at or under this many docs the
     # exact-Jaccard verification runs MAP-SIDE against a broadcast arrow
     # doc->text table instead of the two-shuffle distributed tail. The
-    # higher cap (vs broadcast_join_rows) is deliberate: the arrow LUT is
-    # ONE zero-copy object-store copy shared by every worker (not a
-    # per-worker heap copy), so the budget is plasma space (~1 GB at
-    # ~1 KB/doc here), and the switch measured faster at 300k (10.9 vs
-    # 12.8 s) and 1M docs (47.9 vs 55.5 s) with identical output
+    # cap is deliberately high: the arrow LUT is ONE zero-copy
+    # object-store copy shared by every worker (not a per-worker heap
+    # copy), so the budget is plasma space (~1 GB at ~1 KB/doc here), and
+    # the switch measured faster at 300k (10.9 vs 12.8 s) and 1M docs
+    # (47.9 vs 55.5 s) with identical output
     broadcast_verify_rows: int = 1_000_000
 
     # batching. Ray fuses the flagship's process (join + decode/clip) and

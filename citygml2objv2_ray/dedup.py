@@ -4,7 +4,8 @@ n-gram Jaccard, embedding-cosine near-dup).
 Designed Ray-Data-first:
 
 - **exact**: content-hash column in a vectorized ``map_batches`` →
-  hash-partitioned ``groupby(hash)`` keep-first (ops.exact_dedup_first);
+  per-hash aggregate through ``ops.supergroup_agg`` (``q_exact_dedup_docs``,
+  ``q_dedup_first_event``);
 - **MinHash+LSH**: per-batch shingle→minhash (vectorized over the universal
   hash family), explode to (band, band_hash, doc_id) rows, groupby bands →
   candidate pairs within buckets → verify true n-gram Jaccard;

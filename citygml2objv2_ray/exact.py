@@ -66,13 +66,14 @@ def translation_params(surfaces: rd.Dataset) -> np.ndarray:
                 rows.append(dict(building_id=bids[i], x=lo[0], y=lo[1], z=lo[2]))
         return pd.DataFrame(rows)
 
-    from ray.data.aggregate import Min
+    from .ops import supergroup_agg
 
-    mins = (
-        surfaces.map_batches(batch_mins, batch_format="pyarrow")
-        .groupby("building_id")
-        .aggregate(Min("x", alias_name="x"), Min("y", alias_name="y"), Min("z", alias_name="z"))
-        .to_pandas()
+    def lowest(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("building_id", sort=False, as_index=False)[["x", "y", "z"]].min()
+
+    mins = supergroup_agg(
+        "translation_params", surfaces.map_batches(batch_mins, batch_format="pyarrow"),
+        ["building_id"], lowest, lowest,
     )
     mean = mins[["x", "y"]].mean().to_numpy()
     return np.array([-int(mean[0]), -int(mean[1]), 0], dtype=np.int64)

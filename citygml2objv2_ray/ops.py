@@ -1,17 +1,15 @@
 """Reusable scale-hygiene operators (SURVEY.md §4.2).
 
-- ``partial_groupby_sum``: combine inside ``map_batches`` (one row per key
-  per batch) before the global ``groupby`` — the shuffle moves partials,
-  not rows.
-- ``salted_groupby``: explicit skew handling for per-group logic — hot keys
-  are split into ``(key, salt)`` sub-groups, partial-reduced, then merged in
-  a second tiny groupby (north rule: "skew-salted groupby-shuffle for hot
-  urban cells").
-- ``exact_dedup_first``: hash-partitioned first-row-per-key (D1 analog).
+- ``supergroup_agg``: every grouped aggregate. Per-batch partials are
+  measured, then gathered to the driver when small or shuffled on a coarse
+  hash super-group when not (``gathers`` decides, and the hand-gated joins
+  ask it too).
 - ``Broadcast``: the one way a map task reads a small side.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 import pandas as pd
@@ -19,7 +17,15 @@ import pyarrow as pa
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Sum
+
+log = logging.getLogger(__name__)
+
+# Share of the cluster's object store that one set of measured partials (or
+# a join's key side) may take and still be gathered to the driver, which
+# holds it as one pandas frame next to the merge's working set. With Ray's
+# default 4.9 GB store on a 4-vCPU, 15 GB host the cap is 77 MB; the
+# largest partial of the sf0.1 registry (q_image_exact_dup) measures 17 MB.
+GATHER_SHARE = 1 / 64
 
 # site -> (object id, built value): what this process holds of each
 # broadcast site. Module globals live as long as the Ray worker process,
@@ -50,73 +56,6 @@ class Broadcast:
             value = ray.get(self.ref)
             hit = _BROADCASTS[self.site] = (key, self.build(value) if self.build else value)
         return hit[1]
-
-
-def partial_groupby_sum(
-    ds: rd.Dataset,
-    key: str | list[str],
-    sum_cols: list[str],
-    count_alias: str = "n",
-) -> rd.Dataset:
-    """groupby(key).sum(sum_cols) + count, with per-batch pre-aggregation.
-
-    Emits columns named ``sum_<col>`` and ``<count_alias>``.
-    """
-    keys = [key] if isinstance(key, str) else list(key)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        agg = batch.group_by(keys).aggregate(
-            [(c, "sum") for c in sum_cols] + [(keys[0], "count")]
-        )
-        rename = {f"{c}_sum": f"sum_{c}" for c in sum_cols}
-        rename[f"{keys[0]}_count"] = count_alias
-        return agg.rename_columns(
-            [rename.get(name, name) for name in agg.column_names]
-        )
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    aggs = [Sum(f"sum_{c}", alias_name=f"sum_{c}") for c in sum_cols]
-    aggs.append(Sum(count_alias, alias_name=count_alias))
-    return partials.groupby(keys[0] if len(keys) == 1 else keys).aggregate(*aggs)
-
-
-def salted_groupby(
-    ds: rd.Dataset,
-    key: str,
-    reduce_batch,
-    merge_group,
-    salt_buckets: int = 8,
-    batch_format: str = "pandas",
-) -> rd.Dataset:
-    """Per-group reduction robust to hot keys.
-
-    1. add ``_salt = hash(row) % salt_buckets``;
-    2. ``reduce_batch``: within-batch partial reduce per (key, _salt) —
-       callable (DataFrame) -> DataFrame keeping key + _salt columns;
-    3. shuffle on (key, _salt) and reduce each sub-group with
-       ``reduce_batch`` again (sub-groups of a hot key land on different
-       reducers);
-    4. final tiny shuffle on key merging sub-group partials with
-       ``merge_group`` (DataFrame) -> DataFrame.
-    """
-
-    def add_salt(df: pd.DataFrame) -> pd.DataFrame:
-        # row-unique salt (NOT a function of the key value): a hot key's
-        # rows must spread across salt_buckets sub-groups, so derive the
-        # salt from row position within the batch, not from the key hash
-        df = df.copy()
-        df["_salt"] = (np.arange(len(df), dtype=np.int64) % salt_buckets)
-        return df
-
-    salted = ds.map_batches(add_salt, batch_format="pandas")
-    pre = salted.map_batches(reduce_batch, batch_format=batch_format)
-    sub = pre.groupby([key, "_salt"]).map_groups(reduce_batch, batch_format=batch_format)
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = merge_group(df)
-        return out.drop(columns=["_salt"], errors="ignore")
-
-    return sub.groupby(key).map_groups(merge, batch_format=batch_format)
 
 
 def parquet_col_min(path: str, col: str) -> int | None:
@@ -191,65 +130,81 @@ def derive_num_blocks(n_rows: int | None, target_rows: int = 8192, lo: int = 32,
     return int(min(hi, max(lo, n_rows // target_rows)))
 
 
-def supergroup_agg(
-    ds: rd.Dataset,
-    keys: list[str],
-    partial,
-    merge,
-    num_groups: int | None = None,
-    num_rows_hint: int | None = None,
-) -> rd.Dataset:
-    """Group-by aggregation that stays vectorized at ANY key cardinality.
+def gathers(site: str, parts: rd.MaterializedDataset) -> bool:
+    """Whether ``parts`` (the materialized partials of a grouped aggregate,
+    or the key side of a join) measure under the gather cap: a share
+    ``GATHER_SHARE`` of the cluster's object store. Under it, the small
+    side goes to the driver and the big side is never shuffled (*To
+    Partition, or Not to Partition*, SIGMOD 2021); over it, the caller
+    partitions. Logs the decision and the sizes it rests on."""
+    rows, nbytes = parts.count(), parts.size_bytes()
+    cap = int(ray.cluster_resources()["object_store_memory"] * GATHER_SHARE)
+    gather = nbytes < cap
+    log.info(
+        "%s: %s, %d partial rows, %d partial bytes, cap %d",
+        site, "gather" if gather else "shuffle", rows, nbytes, cap,
+    )
+    return gather
 
-    Ray's ``groupby().aggregate`` and per-group ``map_groups`` both pay
-    per-distinct-key cost (measured 50s for a 400k-row count over 250k
-    keys); here the shuffle key is a COARSE hash super-group (every real
-    key lands wholly in one group) and the per-group work is a plain
-    pandas groupby over the whole super-group — vectorized regardless of
-    how many real keys it contains.
 
-    ``partial(df) -> df``: within-batch pre-aggregation (must keep
-    ``keys``); ``merge(df) -> df``: combine partials of a super-group
-    (associative). ``num_groups=None`` derives the fan-out from
-    ``num_rows_hint`` (pass the input table's parquet-metadata row count —
-    free, no execution pass) via ``derive_num_groups``."""
-    if num_groups is None:
-        num_groups = derive_num_groups(num_rows_hint)
-
-    def pre(df: pd.DataFrame) -> pd.DataFrame:
-        out = partial(df)
-        h = pd.util.hash_pandas_object(out[keys], index=False).to_numpy()
-        return out.assign(_sg=(h.astype(np.uint64) % np.uint64(num_groups)).astype(np.int64))
-
-    def merge_group(df: pd.DataFrame) -> pd.DataFrame:
-        return merge(df.drop(columns=["_sg"]))
-
-    return ds.map_batches(pre, batch_format="pandas").groupby("_sg").map_groups(
-        merge_group, batch_format="pandas"
+def _empty_batch(ds: rd.Dataset) -> pd.DataFrame:
+    """A zero-row pandas batch with ``ds``'s columns: Ray drops the schema
+    of an all-filtered stream's blocks, and a merge still has to name its
+    output columns."""
+    s = ds.schema()
+    return pd.DataFrame(
+        {
+            n: pd.Series(dtype=t.to_pandas_dtype() if isinstance(t, pa.DataType) else object)
+            for n, t in zip(s.names, s.types)
+        }
     )
 
 
-def exact_dedup_first(
-    ds: rd.Dataset,
-    key: str,
-    order_col: str | None = None,
-    num_rows_hint: int | None = None,
-) -> rd.Dataset:
-    """One row per key — the first by ``order_col`` (or arbitrary-but-
-    deterministic minimum if given) (SURVEY.md D1; reference: order-of-
-    first-appearance interning, CityGML2OBJs.py:68-77). Pre-reduces within
-    each batch (the shuffle moves at most one row per key per batch), then
-    merges per coarse super-group — vectorized at any key cardinality
-    (``supergroup_agg``; per-key map_groups pays per-group overhead)."""
+def sum_by(keys: list[str]):
+    """The ``partial`` and ``merge`` of a grouped sum: every non-key column
+    summed per key, NULL keys kept as SQL keeps them (count rows by
+    summing a column of ones)."""
+    return lambda df: df.groupby(keys, sort=False, as_index=False, dropna=False).sum()
 
-    def first_in_batch(df: pd.DataFrame) -> pd.DataFrame:
-        if order_col:
-            df = df.sort_values([key, order_col], kind="stable")
-        return df.groupby(key, sort=False).head(1)
 
-    return supergroup_agg(
-        ds, [key], first_in_batch, first_in_batch, num_rows_hint=num_rows_hint
+def supergroup_agg(site: str, ds: rd.Dataset, keys: list[str], partial, merge) -> pd.DataFrame:
+    """The one grouped aggregate, at any key cardinality.
+
+    ``partial(df) -> df`` pre-reduces each pandas batch and keeps ``keys``;
+    ``merge(df) -> df`` combines any set of partials that holds all the
+    partials of its keys. The partials are materialized and measured
+    (``gathers``):
+
+    - under the cap they are gathered to the driver, sorted by ``keys``
+      (stable, so each key's partials combine in block order) and merged
+      in one call;
+    - otherwise each key's partials are shuffled onto one coarse hash
+      super-group (``derive_num_groups`` of the partial row count) and
+      merged per group. Ray's ``groupby().aggregate`` and per-key
+      ``map_groups`` both pay per-distinct-key cost (50 s for a 400k-row
+      count over 250k keys); a super-group merge is one pandas groupby.
+
+    Returns the merged frame; with no partial rows, ``merge`` of an empty
+    partial, so the output columns are there on both branches."""
+    parts = ds.map_batches(partial, batch_format="pandas").materialize()
+    gather = gathers(site, parts)
+    if not parts.count():
+        return merge(partial(_empty_batch(ds)))
+    if gather:
+        return merge(parts.to_pandas().sort_values(keys, kind="stable", ignore_index=True))
+    num_groups = derive_num_groups(parts.count())
+
+    def add_sg(df: pd.DataFrame) -> pd.DataFrame:
+        h = pd.util.hash_pandas_object(df[keys], index=False).to_numpy()
+        return df.assign(_sg=(h % np.uint64(num_groups)).astype(np.int64))
+
+    out = (
+        parts.map_batches(add_sg, batch_format="pandas")
+        .groupby("_sg")
+        .map_groups(lambda g: merge(g.drop(columns=["_sg"])), batch_format="pandas")
+        .to_pandas()
     )
+    return out if len(out.columns) else merge(_empty_batch(parts))
 
 
 def broadcast_semi_anti_filter(
@@ -281,7 +236,6 @@ def asof_join(
     right_payload: list[str],
     right_tiebreak: list[str] | None = None,
     num_groups: int | None = None,
-    num_rows_hint: int | None = None,
 ) -> rd.Dataset:
     """Distributed backward as-of join (for each left row, the right row
     with the greatest ``on`` <= left's ``on`` among equal ``by`` keys;
@@ -312,8 +266,7 @@ def asof_join(
     deterministic, and expressible in SQL as ``max``/``arg_max`` over a
     (by, on) group for the oracle twin.
     """
-    if num_groups is None:
-        num_groups = derive_num_groups(num_rows_hint)
+    num_groups = num_groups or derive_num_groups(None)
     tiebreak = list(right_tiebreak or right_payload)
     cols = [by, on, *left_payload, *right_payload, "_side"]
 

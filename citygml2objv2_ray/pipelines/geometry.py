@@ -25,7 +25,7 @@ import ray.data as rd
 
 from ..arrow_utils import ring_column
 from ..config import DEFAULT_CONFIG, OPENING_CLASSES, EngineConfig
-from ..ops import broadcast_semi_anti_filter
+from ..ops import broadcast_semi_anti_filter, supergroup_agg
 from ..stages.geometry import Triangulator
 
 
@@ -95,15 +95,14 @@ def building_bboxes(
             )
         return pd.DataFrame(rows)
 
-    from ray.data.aggregate import Max, Min
+    def extent(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("building_id", sort=False, as_index=False).agg(
+            xmin=("xmin", "min"), ymin=("ymin", "min"), zmin=("zmin", "min"),
+            xmax=("xmax", "max"), ymax=("ymax", "max"), zmax=("zmax", "max"),
+        )
 
     ext = surfaces.map_batches(batch_extents, batch_format="pyarrow")
-    agg = ext.groupby("building_id").aggregate(
-        Min("xmin", alias_name="xmin"), Min("ymin", alias_name="ymin"),
-        Min("zmin", alias_name="zmin"), Max("xmax", alias_name="xmax"),
-        Max("ymax", alias_name="ymax"), Max("zmax", alias_name="zmax"),
-    )
-    df = agg.to_pandas()
+    df = supergroup_agg("building_bboxes", ext, ["building_id"], extent, extent)
     b = cfg.bbox_buffer
     for c, s in [("xmin", -b), ("ymin", -b), ("zmin", -b), ("xmax", b), ("ymax", b), ("zmax", b)]:
         df[c] = df[c] + s

@@ -5,7 +5,7 @@ insensitive value-hash at sf0.01 — see ``__ray_entry__``).
 Implementation rules:
 
 - genuinely Ray Data: ``read_parquet`` with pruned columns → vectorized
-  ``map_batches`` → ``groupby``/``aggregate``/``sort``; small dimension
+  ``map_batches`` → ``ops.supergroup_agg`` / ``sort``; small dimension
   sides are broadcast (read once on the driver, merged per batch) instead
   of shuffle-joined (SURVEY.md §4.2);
 - every aggregate / computed column is NAMED IDENTICALLY in Ray and SQL;
@@ -27,9 +27,16 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Mean, Min, Sum
+from ray.data.aggregate import Count, Max, Mean, Min
 
-from .ops import Broadcast, broadcast_semi_anti_filter
+from .ops import (
+    Broadcast,
+    broadcast_semi_anti_filter,
+    derive_join_partitions,
+    gathers,
+    sum_by,
+    supergroup_agg,
+)
 
 REGISTRY: dict[str, Callable[[str], Any]] = {}
 ORACLE: dict[str, str] = {}
@@ -89,8 +96,8 @@ def _round_cols(df: pd.DataFrame, cols: list[str], nd: int = 4) -> pd.DataFrame:
     """,
 )
 def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
-    """TPC-H Q1 shape: filter → per-batch partial aggregate → tiny groupby
-    (the shuffle moves one row per key per batch, SURVEY.md §4.2)."""
+    """TPC-H Q1 shape: filter → per-batch partial sums → one grouped sum
+    of the partials (one row per key per batch, SURVEY.md §4.2)."""
     ds = _read(
         sf_dir,
         "lineitem",
@@ -98,22 +105,24 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
     )
     cutoff = datetime(1998, 9, 2, 23, 59, 59, 999999)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.less_equal(batch["l_shipdate"], pa.scalar(cutoff)))
-        disc = pc.multiply(batch["l_extendedprice"], pc.subtract(pa.scalar(1.0), batch["l_discount"]))
-        batch = batch.append_column("disc_price", disc)
-        return batch.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("l_quantity", "sum"), ("l_extendedprice", "sum"), ("disc_price", "sum"), ("l_quantity", "count")]
+    def keyed(df: pd.DataFrame) -> pd.DataFrame:
+        df = df[df.l_shipdate <= cutoff]
+        return pd.DataFrame(
+            {
+                "l_returnflag": df.l_returnflag,
+                "l_linestatus": df.l_linestatus,
+                "sum_qty": df.l_quantity,
+                "sum_base_price": df.l_extendedprice,
+                "sum_disc_price": df.l_extendedprice * (1 - df.l_discount),
+                "count_order": 1,
+            }
         )
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    agg = partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("l_quantity_sum", alias_name="sum_qty"),
-        Sum("l_extendedprice_sum", alias_name="sum_base_price"),
-        Sum("disc_price_sum", alias_name="sum_disc_price"),
-        Sum("l_quantity_count", alias_name="count_order"),
+    keys = ["l_returnflag", "l_linestatus"]
+    df = supergroup_agg(
+        "q1_pricing_summary", ds.map_batches(keyed, batch_format="pandas"), keys, sum_by(keys), sum_by(keys)
     )
-    df = agg.to_pandas().sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
+    df = df.sort_values(keys).reset_index(drop=True)
     df["avg_qty"] = (df.sum_qty / df.count_order).round(6)
     df = _round_cols(df, ["sum_qty", "sum_base_price", "sum_disc_price"], 4)
     df["count_order"] = df["count_order"].astype(np.int64)
@@ -188,16 +197,14 @@ def q_mtl_bucketize(sf_dir: str) -> pd.DataFrame:
 )
 def q_count_by_flag(sf_dir: str) -> pd.DataFrame:
     """D3 shape (per-class fan-out counts) with partial pre-aggregation."""
-    ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        return batch.group_by(["l_returnflag", "l_linestatus"]).aggregate([("l_returnflag", "count")])
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    agg = partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("l_returnflag_count", alias_name="n")
+    keys = ["l_returnflag", "l_linestatus"]
+    # count in Arrow: the partial then reads a few rows per batch, not
+    # every row's strings converted to pandas
+    counts = _read(sf_dir, "lineitem", keys).map_batches(
+        lambda b: b.group_by(keys).aggregate([("l_returnflag", "count")]), batch_format="pyarrow"
     )
-    df = agg.to_pandas().sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
+    df = supergroup_agg("q_count_by_flag", counts, keys, sum_by(keys), sum_by(keys))
+    df = df.rename(columns={"l_returnflag_count": "n"}).sort_values(keys).reset_index(drop=True)
     df["n"] = df["n"].astype(np.int64)
     return df
 
@@ -240,31 +247,36 @@ def q_anti_join(sf_dir: str) -> pd.DataFrame:
     """,
 )
 def q_semi_join(sf_dir: str) -> pd.DataFrame:
-    """Semi join where the key side derives from the FACT table (lineitem)
-    — at scale that side is NOT broadcastable, so: per-batch local distinct
-    → global distinct (shuffle moves one row per key per batch) → native
-    hash-partitioned ``Dataset.join`` against orders (cf. q_anti_join,
-    where the key side IS small and broadcast is right)."""
-    filtered = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]).map_batches(
-        lambda b: b.filter(pc.greater_equal(b["l_quantity"], pa.scalar(48.0)))
-        .select(["l_orderkey"])
-        .group_by(["l_orderkey"])
-        .aggregate([]),
-        batch_format="pyarrow",
+    """Semi join whose key side derives from the FACT table (lineitem):
+    per-batch distinct keys are materialized and measured (``gathers``).
+    Under the cap they are gathered and orders is filtered map-side
+    against them (``broadcast_semi_anti_filter``, as in q_anti_join);
+    over it, a hash-partitioned ``left_semi`` ``Dataset.join``, which
+    keeps each order once however many batches repeat its key."""
+    keys = (
+        _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
+        .map_batches(
+            lambda b: b.filter(pc.greater_equal(b["l_quantity"], pa.scalar(48.0)))
+            .select(["l_orderkey"])
+            .group_by(["l_orderkey"])
+            .aggregate([]),
+            batch_format="pyarrow",
+        )
+        .materialize()
     )
-    from .ops import derive_join_partitions
-
-    keys_ds = filtered.groupby("l_orderkey").aggregate(Count(alias_name="_c"))
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-    joined = orders.join(
-        keys_ds,
-        "inner",
-        num_partitions=derive_join_partitions(
-            _nrows(sf_dir, "orders"), _nrows(sf_dir, "lineitem")
-        ),
-        on=("o_orderkey",),
-        right_on=("l_orderkey",),
-    )
+    if gathers("q_semi_join", keys):
+        joined = broadcast_semi_anti_filter(orders, "o_orderkey", keys.to_pandas().l_orderkey.unique())
+    else:
+        joined = orders.join(
+            keys,
+            "left_semi",
+            num_partitions=derive_join_partitions(
+                _nrows(sf_dir, "orders"), _nrows(sf_dir, "lineitem")
+            ),
+            on=("o_orderkey",),
+            right_on=("l_orderkey",),
+        )
     df = fn_sorted(
         joined.select_columns(["o_orderkey", "o_totalprice"]), ["o_orderkey"]
     )
@@ -283,7 +295,7 @@ def q_semi_join(sf_dir: str) -> pd.DataFrame:
 )
 def q_revenue_by_nation(sf_dir: str) -> pd.DataFrame:
     """Broadcast two small dims (customer→nation map) into the orders
-    stream, partial-aggregate per batch, tiny final groupby."""
+    stream, then one grouped sum per nation."""
     import pyarrow.parquet as pq
 
     cust = pq.read_table(_t(sf_dir, "customer"), columns=["c_custkey", "c_nationkey"]).to_pandas()
@@ -293,18 +305,17 @@ def q_revenue_by_nation(sf_dir: str) -> pd.DataFrame:
 
     ds = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df["n_name"] = df["o_custkey"].map(lookup.get())
-        g = df.groupby("n_name", sort=False).agg(
-            revenue=("o_totalprice", "sum"), n_orders=("o_totalprice", "size")
-        )
-        return g.reset_index()
+    def keyed(df: pd.DataFrame) -> pd.DataFrame:
+        n_name = df.o_custkey.map(lookup.get())
+        return pd.DataFrame({"n_name": n_name, "revenue": df.o_totalprice, "n_orders": 1})[
+            n_name.notna()  # inner join: an order without a nation drops
+        ]
 
-    partials = ds.map_batches(partial, batch_format="pandas")
-    agg = partials.groupby("n_name").aggregate(
-        Sum("revenue", alias_name="revenue"), Sum("n_orders", alias_name="n_orders")
+    df = supergroup_agg(
+        "q_revenue_by_nation", ds.map_batches(keyed, batch_format="pandas"), ["n_name"],
+        sum_by(["n_name"]), sum_by(["n_name"]),
     )
-    df = agg.to_pandas().sort_values("n_name").reset_index(drop=True)
+    df = df.sort_values("n_name").reset_index(drop=True)
     df["revenue"] = df["revenue"].round(4)
     df["n_orders"] = df["n_orders"].astype(np.int64)
     return df
@@ -327,22 +338,14 @@ def q_dedup_first_event(sf_dir: str) -> pd.DataFrame:
     """D1 (first-occurrence interning): per-batch keep-first pre-reduction
     then a cardinality-robust super-group merge (``ops.supergroup_agg`` —
     per-user map_groups pays per-key overhead at 10^6+ users)."""
-    from .ops import supergroup_agg
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
     def first_in_batch(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"], kind="stable")
         return df.groupby("user_id", sort=False).head(1)
 
-    ded = supergroup_agg(
-        ds,
-        ["user_id"],
-        first_in_batch,
-        first_in_batch,
-        num_rows_hint=_nrows(sf_dir, "events"),
-    )
-    df = ded.to_pandas().sort_values("user_id").reset_index(drop=True)
+    df = supergroup_agg("q_dedup_first_event", ds, ["user_id"], first_in_batch, first_in_batch)
+    df = df.sort_values("user_id").reset_index(drop=True)
     df["ts_epoch"] = df.ts.values.astype("datetime64[us]").astype(np.int64)
     return df[["user_id", "event_id", "event_type", "ts_epoch"]]
 
@@ -445,22 +448,25 @@ def q_union_nationkeys(sf_dir: str) -> pd.DataFrame:
 )
 def q_window_hourly(sf_dir: str) -> pd.DataFrame:
     """Tumbling 1h window (streaming-shaped op on the ordered events log):
-    window key computed vectorized per batch, partial agg, final groupby."""
+    window key computed vectorized per batch, then one grouped sum."""
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def keyed(df: pd.DataFrame) -> pd.DataFrame:
         epoch = df.ts.values.astype("datetime64[us]").astype(np.int64) // 1_000_000
-        df = df.assign(window_start=(epoch // 3600) * 3600)
-        g = df.groupby(["event_type", "window_start"], sort=False).agg(
-            n=("value", "size"), sum_value=("value", "sum")
+        return pd.DataFrame(
+            {
+                "event_type": df.event_type,
+                "window_start": (epoch // 3600) * 3600,
+                "n": 1,
+                "sum_value": df.value,
+            }
         )
-        return g.reset_index()
 
-    partials = ds.map_batches(partial, batch_format="pandas")
-    agg = partials.groupby(["event_type", "window_start"]).aggregate(
-        Sum("n", alias_name="n"), Sum("sum_value", alias_name="sum_value")
+    keys = ["event_type", "window_start"]
+    df = supergroup_agg(
+        "q_window_hourly", ds.map_batches(keyed, batch_format="pandas"), keys, sum_by(keys), sum_by(keys)
     )
-    df = agg.to_pandas().sort_values(["event_type", "window_start"]).reset_index(drop=True)
+    df = df.sort_values(keys).reset_index(drop=True)
     df["n"] = df["n"].astype(np.int64)
     df["sum_value"] = df["sum_value"].round(4)
     return df

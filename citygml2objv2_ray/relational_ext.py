@@ -1,4 +1,4 @@
-"""Extended operator queries: skew-salted groupby, session windows,
+"""Extended operator queries: hot-key term counts, session windows,
 phash-band near-dup, hyperplane-LSH embedding near-dup. Importing populates
 the shared REGISTRY/ORACLE (see ``relational``)."""
 
@@ -9,12 +9,11 @@ import pandas as pd
 import pyarrow as pa
 
 import ray.data as rd
-from ray.data.aggregate import Sum
 
 from . import dedup as dd
 from . import text as tx
 from .ops import derive_join_partitions as _djp
-from .ops import salted_groupby
+from .ops import sum_by, supergroup_agg
 from .relational import _nrows, _read, query
 
 
@@ -28,12 +27,12 @@ from .relational import _nrows, _read, query
     """,
 )
 def q_term_counts_salted(sf_dir: str) -> pd.DataFrame:
-    """Global term frequencies via the EXPLICIT skew-salted groupby path
-    (ops.salted_groupby — north rule: 'skew-salted groupby-shuffle for hot
-    urban cells'): natural-language term distributions are Zipfian, so the
-    hot terms ('the', 'a') are exactly the hot-key case; each hot term's
-    rows are split across salt sub-buckets, partial-reduced on different
-    reducers, then merged in a tiny final groupby."""
+    """Global term frequencies over a Zipfian vocabulary: the hot terms
+    ('the', 'a') are the hot-key case of the north rule's 'skew-salted
+    groupby-shuffle for hot urban cells'. No salting is needed: the
+    per-batch partial sum leaves at most one row per term per batch, so a
+    hot term weighs no more than a cold one after it, and the grouped sum
+    then gathers or shuffles on the measured partial size."""
     docs = _read(sf_dir, "documents", ["text"])
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -41,16 +40,8 @@ def q_term_counts_salted(sf_dir: str) -> pd.DataFrame:
         return pa.table({"term": terms, "n": np.ones(len(terms), np.int64)})
 
     exploded = docs.map_batches(explode, batch_format="pyarrow")
-
-    def reduce_batch(df: pd.DataFrame) -> pd.DataFrame:
-        keys = ["term", "_salt"] if "_salt" in df.columns else ["term"]
-        return df.groupby(keys, sort=False, as_index=False)["n"].sum()
-
-    def merge_group(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("term", sort=False, as_index=False)["n"].sum()
-
-    res = salted_groupby(exploded, "term", reduce_batch, merge_group, salt_buckets=8)
-    out = res.to_pandas().sort_values("term").reset_index(drop=True)
+    out = supergroup_agg("q_term_counts_salted", exploded, ["term"], sum_by(["term"]), sum_by(["term"]))
+    out = out.sort_values("term").reset_index(drop=True)
     out["n"] = out.n.astype(np.int64)
     return out[["term", "n"]]
 
@@ -78,8 +69,6 @@ def q_sessionize(sf_dir: str) -> pd.DataFrame:
     once (sort by (user, ts, event_id), session breaks = user change OR
     gap, per-user ids via a running-start cumsum) — no per-user Python at
     any user cardinality."""
-    from .ops import supergroup_agg
-
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
     GAP = 1_800_000_000  # 30 min in µs
 
@@ -103,17 +92,10 @@ def q_sessionize(sf_dir: str) -> pd.DataFrame:
         )
         return out[["user_id", "session_id", "n_events", "session_start", "session_end"]]
 
-    # partial = identity-ish epoch projection (sessions need the user's
-    # FULL history together, so the reduction happens only after the
-    # super-group shuffle)
-    res = supergroup_agg(
-        ds.map_batches(to_epoch, batch_format="pandas"),
-        ["user_id"],
-        lambda df: df,
-        sessions_vectorized,
-        num_rows_hint=_nrows(sf_dir, "events"),
-    )
-    df = res.to_pandas().sort_values(["user_id", "session_id"]).reset_index(drop=True)
+    # the partial only projects: sessions need the user's FULL history
+    # together, so the reduction happens in the merge
+    df = supergroup_agg("q_sessionize", ds, ["user_id"], to_epoch, sessions_vectorized)
+    df = df.sort_values(["user_id", "session_id"]).reset_index(drop=True)
     for c in ("session_id", "n_events", "session_start", "session_end"):
         df[c] = df[c].astype(np.int64)
     return df
@@ -134,32 +116,21 @@ def q_sessionize(sf_dir: str) -> pd.DataFrame:
 )
 def q_sliding_window(sf_dir: str) -> pd.DataFrame:
     """Sliding window (width 1h, slide 30min): each event lands in exactly
-    two windows — explode per batch, partial-aggregate, tiny final groupby
-    (the windowed-aggregate gap of SURVEY §2.F)."""
-    from ray.data.aggregate import Sum as RSum
-
+    two windows — explode per batch, then one grouped sum (the
+    windowed-aggregate gap of SURVEY §2.F)."""
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
     S = 1_800_000_000  # slide in µs
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
-        e = df.ts.values.astype("datetime64[us]").astype(np.int64)
-        base = (e // S) * S
-        out = pd.concat(
-            [
-                pd.DataFrame({"event_type": df.event_type, "window_start": base, "value": df.value}),
-                pd.DataFrame({"event_type": df.event_type, "window_start": base - S, "value": df.value}),
-            ]
-        )
-        g = out.groupby(["event_type", "window_start"], sort=False).agg(
-            n=("value", "size"), sum_value=("value", "sum")
-        )
-        return g.reset_index()
+        base = (df.ts.values.astype("datetime64[us]").astype(np.int64) // S) * S
+        one = pd.DataFrame({"event_type": df.event_type, "n": 1, "sum_value": df.value})
+        return pd.concat([one.assign(window_start=base), one.assign(window_start=base - S)])
 
-    partials = ds.map_batches(explode, batch_format="pandas")
-    agg = partials.groupby(["event_type", "window_start"]).aggregate(
-        RSum("n", alias_name="n"), RSum("sum_value", alias_name="sum_value")
+    keys = ["event_type", "window_start"]
+    df = supergroup_agg(
+        "q_sliding_window", ds.map_batches(explode, batch_format="pandas"), keys, sum_by(keys), sum_by(keys)
     )
-    df = agg.to_pandas().sort_values(["event_type", "window_start"]).reset_index(drop=True)
+    df = df.sort_values(keys).reset_index(drop=True)
     df["n"] = df.n.astype(np.int64)
     df["sum_value"] = df.sum_value.round(4)
     return df
@@ -170,12 +141,10 @@ def q_sliding_window(sf_dir: str) -> pd.DataFrame:
     "SELECT COUNT(DISTINCT user_id) AS n_users FROM events",
 )
 def q_distinct_users(sf_dir: str) -> pd.DataFrame:
-    """Exact distinct count: per-batch local distinct (the shuffle moves at
-    most one row per key per batch) → super-group nunique → driver sums
-    ≤64 partial counts. The distinct VALUES never materialize driver-side
-    (``Dataset.unique`` would ship every key to the driver)."""
-    from .ops import supergroup_agg
-
+    """Exact distinct count: per-batch local distinct (at most one row per
+    key per batch) → nunique per merge → the driver sums the counts. Past
+    the gather cap the distinct values never reach the driver
+    (``Dataset.unique`` would ship every key there)."""
     ds = _read(sf_dir, "events", ["user_id"])
 
     def local_distinct(df: pd.DataFrame) -> pd.DataFrame:
@@ -184,10 +153,8 @@ def q_distinct_users(sf_dir: str) -> pd.DataFrame:
     def count_group(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"n": [df.user_id.nunique()]})
 
-    counts = supergroup_agg(
-        ds, ["user_id"], local_distinct, count_group, num_rows_hint=_nrows(sf_dir, "events")
-    )
-    n = int(counts.to_pandas().n.sum())
+    counts = supergroup_agg("q_distinct_users", ds, ["user_id"], local_distinct, count_group)
+    n = int(counts.n.sum())
     return pd.DataFrame([{"n_users": np.int64(n)}])
 
 
@@ -424,8 +391,8 @@ def q_asof_join(sf_dir: str) -> pd.DataFrame:
     by-key backward merge — no per-key loop). Tie rule (several orders at
     the same timestamp): greatest ``o_orderkey`` wins = the SQL twin's
     ``max``/``arg_max`` dedup CTE."""
-    from .ops import asof_join, derive_num_blocks
-    from .relational import _nrows, _t
+    from .ops import asof_join, derive_num_blocks, derive_num_groups
+    from .relational import _t
 
     n_ev = _nrows(sf_dir, "events")
     # coalesce the read: Ray's sort pays a per-(block x partition) slice
@@ -473,7 +440,7 @@ def q_asof_join(sf_dir: str) -> pd.DataFrame:
         by="user_id",
         left_payload=["event_id"],
         right_payload=["o_orderkey", "o_totalprice"],
-        num_rows_hint=_nrows(sf_dir, "events"),
+        num_groups=derive_num_groups(n_ev),
     )
     df = joined.to_pandas().sort_values("event_id").reset_index(drop=True)
     df["o_totalprice"] = df.o_totalprice.round(4)
@@ -517,8 +484,8 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
        lives wholly in one input row, so tf needs no shuffle and the
        (doc_id, term) rows it emits are globally unique.
     2. df: per-batch partial term counts over those unique rows, summed by
-       a term-keyed super-group shuffle (``supergroup_agg``) — the shuffle
-       moves one row per distinct term per batch, never the corpus.
+       ``supergroup_agg`` — one row per distinct term per batch, never the
+       corpus, gathered or shuffled on its measured size.
     3. score join: tf rows and df rows shuffled ONCE by term super-group
        and merged vectorized in-group (pandas merge per ~uniform hash
        bucket; no broadcast — at 100 TB the vocabulary doesn't fit a
@@ -528,8 +495,8 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
 
     Ties rank by term asc; scores round(6) in both engines AFTER ranking.
     """
-    from .ops import derive_num_blocks, derive_num_groups, supergroup_agg
-    from .relational import _nrows, _t
+    from .ops import derive_num_blocks, derive_num_groups
+    from .relational import _t
 
     n_docs = _nrows(sf_dir, "documents")
     num_groups = derive_num_groups(n_docs)
@@ -556,7 +523,7 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
     def df_merge(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("term", sort=False, as_index=False)["df"].sum()
 
-    dfreq = supergroup_agg(tf, ["term"], df_partial, df_merge, num_groups=num_groups)
+    dfreq = rd.from_pandas(supergroup_agg("q_tfidf_top_terms", tf, ["term"], df_partial, df_merge))
 
     def tag_tf(df: pd.DataFrame) -> pd.DataFrame:
         h = pd.util.hash_pandas_object(df.term, index=False).to_numpy()
@@ -647,14 +614,13 @@ def q_bloom_join(sf_dir: str) -> pd.DataFrame:
     100 TB this is the difference between shuffling the whole fact table
     and shuffling the ~matching slice.
 
-    BROADCAST-vs-PARTITION SWITCH (r4): the selective side is materialized
-    anyway (it feeds both the Bloom build and the join); if its row count
-    is at or under ``EngineConfig.broadcast_join_rows`` it is broadcast
-    once and merged MAP-SIDE inside every probe batch — no join shuffle at
-    all (the ``q_anti_join`` broadcast pattern). Above the threshold, the
-    hash-partitioned ``Dataset.join`` path runs as before."""
-    from .config import DEFAULT_CONFIG
-    from .ops import Broadcast, bloom_build_distributed, bloom_prefilter, partial_groupby_sum
+    BROADCAST-vs-PARTITION: the selective side is materialized anyway (it
+    feeds both the Bloom build and the join), so its size is measured, not
+    estimated. Under the gather cap (``ops.gathers``) it is broadcast once
+    and merged MAP-SIDE inside every probe batch — no join shuffle at all
+    (the ``q_anti_join`` pattern); over it, the hash-partitioned
+    ``Dataset.join`` runs."""
+    from .ops import Broadcast, bloom_build_distributed, bloom_prefilter, gathers
 
     import pyarrow.compute as pc
 
@@ -684,8 +650,7 @@ def q_bloom_join(sf_dir: str) -> pd.DataFrame:
             ["l_orderkey", "revenue"]
         ]
 
-    n_sel = sel.count()  # free on a materialized dataset
-    if n_sel <= DEFAULT_CONFIG.broadcast_join_rows:
+    if gathers("q_bloom_join.sel", sel):
         small = Broadcast("bloom_join_sel", sel.to_pandas())
 
         def bcast_join(df: pd.DataFrame) -> pd.DataFrame:
@@ -703,10 +668,15 @@ def q_bloom_join(sf_dir: str) -> pd.DataFrame:
             on=("l_orderkey",),
             right_on=("o_orderkey",),
         )
-    agg = partial_groupby_sum(joined, "o_orderpriority", ["revenue"], count_alias="n_items")
-    df = agg.to_pandas().sort_values("o_orderpriority").reset_index(drop=True)
+    keyed = joined.map_batches(
+        lambda df: pd.DataFrame({"o_orderpriority": df.o_orderpriority, "n_items": 1, "revenue": df.revenue}),
+        batch_format="pandas",
+    )
+    key = ["o_orderpriority"]
+    df = supergroup_agg("q_bloom_join", keyed, key, sum_by(key), sum_by(key))
+    df = df.sort_values("o_orderpriority").reset_index(drop=True)
     df["n_items"] = df.n_items.astype(np.int64)
-    df["revenue"] = df.sum_revenue.round(2)
+    df["revenue"] = df.revenue.round(2)
     return df[["o_orderpriority", "n_items", "revenue"]]
 
 
@@ -724,16 +694,13 @@ def q_bloom_join(sf_dir: str) -> pd.DataFrame:
 )
 def q_rollup(sf_dir: str) -> pd.DataFrame:
     """Multi-level ROLLUP aggregate (revenue by flag x status, by flag, and
-    grand total) in ONE pass over the data: the finest level runs through
-    the partial-combine groupby (``ops.partial_groupby_sum`` — the shuffle
-    moves one row per (flag,status) per batch), and the coarser levels are
-    derived by RE-AGGREGATING the finest result, which is bounded by the
-    key-product cardinality (|flags| x |statuses|), not the table — at
-    100 TB the rollup costs exactly one shuffle of tiny partials plus
-    driver arithmetic over a handful of rows. NULL group markers follow the
-    SQL convention, surfaced as 'ALL' (COALESCE twin)."""
-    from .ops import partial_groupby_sum
-
+    grand total) in ONE pass over the data: the finest level is one
+    grouped sum (one row per (flag,status) per batch), and the coarser
+    levels are derived by RE-AGGREGATING the finest result, which is
+    bounded by the key-product cardinality (|flags| x |statuses|), not the
+    table — at 100 TB the rollup gathers tiny partials and does driver
+    arithmetic over a handful of rows. NULL group markers follow the SQL
+    convention, surfaced as 'ALL' (COALESCE twin)."""
     ds = _read(
         sf_dir, "lineitem",
         ["l_returnflag", "l_linestatus", "l_extendedprice", "l_discount"],
@@ -745,18 +712,13 @@ def q_rollup(sf_dir: str) -> pd.DataFrame:
                 "l_returnflag": df.l_returnflag,
                 "l_linestatus": df.l_linestatus,
                 "revenue": df.l_extendedprice * (1 - df.l_discount),
+                "n_items": 1,
             }
         )
 
-    fine = (
-        partial_groupby_sum(
-            ds.map_batches(rev, batch_format="pandas"),
-            ["l_returnflag", "l_linestatus"],
-            ["revenue"],
-            count_alias="n_items",
-        )
-        .to_pandas()  # bounded: |flags| x |statuses| rows
-        .rename(columns={"sum_revenue": "revenue"})
+    keys = ["l_returnflag", "l_linestatus"]
+    fine = supergroup_agg(
+        "q_rollup", ds.map_batches(rev, batch_format="pandas"), keys, sum_by(keys), sum_by(keys)
     )
 
     def level(df: pd.DataFrame, keys: list[str]) -> pd.DataFrame:
@@ -810,8 +772,6 @@ def q_event_deltas(sf_dir: str) -> pd.DataFrame:
     then a pandas groupby for (count, mean, max). No per-user Python at any
     user cardinality; single-event users drop out exactly as SQL's
     ``WHERE gap IS NOT NULL``."""
-    from .ops import supergroup_agg
-
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
 
     def to_epoch(df: pd.DataFrame) -> pd.DataFrame:
@@ -831,14 +791,8 @@ def q_event_deltas(sf_dir: str) -> pd.DataFrame:
         )
         return out
 
-    res = supergroup_agg(
-        ds.map_batches(to_epoch, batch_format="pandas"),
-        ["user_id"],
-        lambda df: df,
-        deltas_vectorized,
-        num_rows_hint=_nrows(sf_dir, "events"),
-    )
-    df = res.to_pandas().sort_values("user_id").reset_index(drop=True)
+    df = supergroup_agg("q_event_deltas", ds, ["user_id"], to_epoch, deltas_vectorized)
+    df = df.sort_values("user_id").reset_index(drop=True)
     df["n_gaps"] = df.n_gaps.astype(np.int64)
     df["mean_gap_s"] = (
         (df.gap_sum.astype(np.float64) / df.n_gaps.to_numpy(np.float64)) / 1e6
@@ -869,8 +823,6 @@ def q_pivot_events(sf_dir: str) -> pd.DataFrame:
     (``pivot_table``). The wide schema is fixed by the type domain, so at
     100 TB the output is one bounded row per user and no stage ever holds
     more than a super-group's worth of partials."""
-    from .ops import supergroup_agg
-
     TYPES = ["click", "error", "purchase", "signup", "view"]
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
@@ -887,10 +839,8 @@ def q_pivot_events(sf_dir: str) -> pd.DataFrame:
         w["n_total"] = w.sum(axis=1)
         return w.reset_index()
 
-    res = supergroup_agg(
-        ds, ["user_id"], partial, widen, num_rows_hint=_nrows(sf_dir, "events")
-    )
-    df = res.to_pandas().sort_values("user_id").reset_index(drop=True)
+    df = supergroup_agg("q_pivot_events", ds, ["user_id"], partial, widen)
+    df = df.sort_values("user_id").reset_index(drop=True)
     for c in df.columns:
         if c != "user_id":
             df[c] = df[c].astype(np.int64)
@@ -912,15 +862,13 @@ def q_pivot_events(sf_dir: str) -> pd.DataFrame:
 )
 def q_running_total(sf_dir: str) -> pd.DataFrame:
     """Running cumulative window (monthly revenue per priority with a
-    running total): the data-scale work is ONE partial-combine groupby down
+    running total): the data-scale work is ONE grouped sum down
     to the (priority, month) level — bounded by the key product, not the
     table — and the ORDER BY window cumsum runs vectorized over that
     bounded aggregate (pandas groupby cumsum). This is the right 100 TB
     shape for any frame-unbounded window over a coarse time grain: never
     window the raw rows, aggregate to the grain first and window the
     aggregate."""
-    from .ops import partial_groupby_sum
-
     ds = _read(sf_dir, "orders", ["o_orderpriority", "o_orderdate", "o_totalprice"])
 
     def keyed(df: pd.DataFrame) -> pd.DataFrame:
@@ -932,18 +880,13 @@ def q_running_total(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    fine = (
-        partial_groupby_sum(
-            ds.map_batches(keyed, batch_format="pandas"),
-            ["priority", "month"],
-            ["rev"],
-        )
-        .to_pandas()  # bounded: |priorities| x |months| rows
-        .sort_values(["priority", "month"], kind="stable")
-        .reset_index(drop=True)
+    keys = ["priority", "month"]
+    fine = supergroup_agg(
+        "q_running_total", ds.map_batches(keyed, batch_format="pandas"), keys, sum_by(keys), sum_by(keys)
     )
-    fine["cum_revenue"] = fine.groupby("priority", sort=False)["sum_rev"].cumsum().round(2)
-    fine["month_revenue"] = fine.sum_rev.round(2)
+    fine = fine.sort_values(keys, kind="stable").reset_index(drop=True)
+    fine["cum_revenue"] = fine.groupby("priority", sort=False)["rev"].cumsum().round(2)
+    fine["month_revenue"] = fine.rev.round(2)
     return fine[["priority", "month", "month_revenue", "cum_revenue"]]
 
 
@@ -970,8 +913,6 @@ def q_left_join(sf_dir: str) -> pd.DataFrame:
     vectorized pandas left-merge covering all its keys. Null-extension
     happens inside the group, so output rows = left cardinality exactly, at
     any scale and any partitioning."""
-    from .ops import supergroup_agg
-
     cust = _read(sf_dir, "customer", ["c_custkey"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
@@ -1002,14 +943,8 @@ def q_left_join(sf_dir: str) -> pd.DataFrame:
         m["total_spend"] = m.spend.fillna(0.0).round(2)
         return m[["c_custkey", "n_orders", "total_spend"]]
 
-    res = supergroup_agg(
-        both,
-        ["c_custkey"],
-        lambda df: df,
-        merge_left,
-        num_rows_hint=_nrows(sf_dir, "orders"),
-    )
-    return res.to_pandas().sort_values("c_custkey").reset_index(drop=True)
+    res = supergroup_agg("q_left_join", both, ["c_custkey"], lambda df: df, merge_left)
+    return res.sort_values("c_custkey").reset_index(drop=True)
 
 
 @query(
@@ -1073,11 +1008,9 @@ def q_json_extract(sf_dir: str) -> pd.DataFrame:
     aggregate it — the Ray side parses with ONE vectorized regex
     (``Series.str.extract`` on the compiled pattern; no per-row
     ``json.loads`` in the hot path, which is 10-30x slower on flat
-    payloads) feeding the partial-combine groupby, so raw JSON strings
-    never cross the shuffle. The DuckDB twin uses real ``json_extract``
+    payloads) feeding a per-batch partial aggregate, so raw JSON strings
+    never leave their batch. The DuckDB twin uses real ``json_extract``
     — the regex path must agree with a strict JSON parser on every row."""
-    from .ops import partial_groupby_sum
-
     ds = _read(sf_dir, "events", ["event_type", "props"])
 
     def extract(df: pd.DataFrame) -> pd.DataFrame:
@@ -1089,28 +1022,16 @@ def q_json_extract(sf_dir: str) -> pd.DataFrame:
         )
         keep = k.notna().to_numpy()
         k = k[keep].astype(np.int64)
-        return pd.DataFrame({"event_type": df.event_type[keep], "k": k, "kmax": k})
+        return pd.DataFrame({"event_type": df.event_type[keep], "n": 1, "sum_k": k, "max_k": k})
+
+    def agg(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("event_type", sort=False, as_index=False).agg(
+            n=("n", "sum"), sum_k=("sum_k", "sum"), max_k=("max_k", "max")
+        )
 
     pre = ds.map_batches(extract, batch_format="pandas")
-
-    def partial(b: pa.Table) -> pa.Table:
-        agg = b.group_by(["event_type"]).aggregate(
-            [("k", "sum"), ("kmax", "max"), ("event_type", "count")]
-        )
-        return agg.rename_columns(["event_type", "sum_k", "max_k", "n"])
-
-    from ray.data.aggregate import Max, Sum
-
-    res = (
-        pre.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Sum("sum_k", alias_name="sum_k"),
-            Max("max_k", alias_name="max_k"),
-            Sum("n", alias_name="n"),
-        )
-    )
-    df = res.to_pandas().sort_values("event_type").reset_index(drop=True)
+    df = supergroup_agg("q_json_extract", pre, ["event_type"], agg, agg)
+    df = df.sort_values("event_type").reset_index(drop=True)
     for c in ("n", "sum_k", "max_k"):
         df[c] = df[c].astype(np.int64)
     return df[["event_type", "n", "sum_k", "max_k"]]
@@ -1143,8 +1064,6 @@ def q_funnel(sf_dir: str) -> pd.DataFrame:
     then a left-merge null-extends non-converters (sentinel -1, matching
     the SQL COALESCE). No per-user Python at any cardinality; at 100 TB
     the shuffle moves only (user, type, epoch) triples."""
-    from .ops import supergroup_agg
-
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
     def to_epoch(df: pd.DataFrame) -> pd.DataFrame:
@@ -1174,14 +1093,8 @@ def q_funnel(sf_dir: str) -> pd.DataFrame:
         out["purchase_e"] = out.purchase_e.fillna(-1).astype(np.int64)
         return out[["user_id", "signup_e", "purchase_e", "converted"]]
 
-    res = supergroup_agg(
-        ds.map_batches(to_epoch, batch_format="pandas"),
-        ["user_id"],
-        lambda df: df,
-        funnel,
-        num_rows_hint=_nrows(sf_dir, "events"),
-    )
-    df = res.to_pandas().sort_values("user_id").reset_index(drop=True)
+    df = supergroup_agg("q_funnel", ds, ["user_id"], to_epoch, funnel)
+    df = df.sort_values("user_id").reset_index(drop=True)
     df["signup_e"] = df.signup_e.astype(np.int64)
     return df[["user_id", "signup_e", "purchase_e", "converted"]]
 
@@ -1200,24 +1113,23 @@ def q_embedding_stats(sf_dir: str) -> pd.DataFrame:
     pass a training pipeline runs before normalizing/indexing. Norms are
     computed per batch with one f64 matrix reduction (list column viewed as
     an (n, d) array, square-sum along the row axis), then the per-label
-    mean rides the partial-combine groupby as (sum, n). Cast-to-DOUBLE
+    mean rides one grouped sum as (sum, n). Cast-to-DOUBLE
     parity with the SQL twin: the stored floats are f32, both sides
     promote before arithmetic."""
-    from .ops import partial_groupby_sum
-
     ds = _read(sf_dir, "embeddings", ["label", "embedding"])
 
     def norms(df: pd.DataFrame) -> pd.DataFrame:
         m = np.stack(df.embedding.to_numpy()).astype(np.float64)
         return pd.DataFrame(
-            {"label": df.label.to_numpy(np.int64), "norm": np.sqrt((m * m).sum(axis=1))}
+            {"label": df.label.to_numpy(np.int64), "norm": np.sqrt((m * m).sum(axis=1)), "n": 1}
         )
 
-    agg = partial_groupby_sum(
-        ds.map_batches(norms, batch_format="pandas"), "label", ["norm"]
+    df = supergroup_agg(
+        "q_embedding_stats", ds.map_batches(norms, batch_format="pandas"), ["label"],
+        sum_by(["label"]), sum_by(["label"]),
     )
-    df = agg.to_pandas().sort_values("label").reset_index(drop=True)
-    df["mean_norm"] = (df.sum_norm / df.n).round(6)
+    df = df.sort_values("label").reset_index(drop=True)
+    df["mean_norm"] = (df.norm / df.n).round(6)
     df["label"] = df.label.astype(np.int64)
     df["n"] = df.n.astype(np.int64)
     return df[["label", "n", "mean_norm"]]
@@ -1244,8 +1156,6 @@ def q_full_outer_join(sf_dir: str) -> pd.DataFrame:
     both sides are data-scale aggregates, neither is broadcast; the outer
     merge and zero-fill happen vectorized inside each key group, so output
     cardinality is the key union exactly at any partitioning."""
-    from .ops import supergroup_agg
-
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -1263,10 +1173,8 @@ def q_full_outer_join(sf_dir: str) -> pd.DataFrame:
         # key union minus keys with NEITHER side (filtered event types only)
         return w[(w.n_click > 0) | (w.n_purchase > 0)]
 
-    res = supergroup_agg(
-        ds, ["user_id"], partial, outer, num_rows_hint=_nrows(sf_dir, "events")
-    )
-    df = res.to_pandas().sort_values("user_id").reset_index(drop=True)
+    df = supergroup_agg("q_full_outer_join", ds, ["user_id"], partial, outer)
+    df = df.sort_values("user_id").reset_index(drop=True)
     for c in ("n_click", "n_purchase"):
         df[c] = df[c].astype(np.int64)
     return df[["user_id", "n_click", "n_purchase"]]
@@ -1292,8 +1200,6 @@ def q_set_ops(sf_dir: str) -> pd.DataFrame:
     'both' (mask 3) or 'click_only' (mask 1) — set algebra without
     separate distinct passes or a join. N-way set ops generalize by
     widening the bitmask."""
-    from .ops import supergroup_agg
-
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -1310,14 +1216,8 @@ def q_set_ops(sf_dir: str) -> pd.DataFrame:
         m["tag"] = np.where(m["mask"] == 3, "both", "click_only")
         return m[["user_id", "tag"]]
 
-    res = supergroup_agg(
-        ds, ["user_id"], partial, merge, num_rows_hint=_nrows(sf_dir, "events")
-    )
-    return (
-        res.to_pandas()
-        .sort_values(["tag", "user_id"])
-        .reset_index(drop=True)[["user_id", "tag"]]
-    )
+    res = supergroup_agg("q_set_ops", ds, ["user_id"], partial, merge)
+    return res.sort_values(["tag", "user_id"]).reset_index(drop=True)[["user_id", "tag"]]
 
 
 @query(
@@ -1344,14 +1244,12 @@ def q_gap_fill(sf_dir: str) -> pd.DataFrame:
     """Calendar-spine gap fill (every (priority, month) cell of the
     observed date range, zero-filled where no orders landed) — the
     time-series densification op dashboards and trainers need before
-    windowing. The data-scale work is one partial-combine count groupby to
+    windowing. The data-scale work is one grouped count to
     the (priority, month) grain plus an exact min/max date aggregate; the
     spine cross-product and left-merge run on the driver over the
     key-product-bounded aggregate only. At 100 TB nothing but grain
     partials crosses the wire."""
     from ray.data.aggregate import Max, Min
-
-    from .ops import partial_groupby_sum
 
     ds = _read(sf_dir, "orders", ["o_orderpriority", "o_orderdate"])
     b = ds.aggregate(
@@ -1363,17 +1261,13 @@ def q_gap_fill(sf_dir: str) -> pd.DataFrame:
             {
                 "priority": df.o_orderpriority,
                 "month": df.o_orderdate.dt.strftime("%Y-%m"),
-                "one": np.int64(1),
+                "n": 1,
             }
         )
 
-    fine = (
-        partial_groupby_sum(
-            ds.map_batches(keyed, batch_format="pandas"), ["priority", "month"], ["one"]
-        )
-        .to_pandas()
-        .drop(columns=["n"])  # partial-row count, not the order count
-        .rename(columns={"sum_one": "n"})
+    keys = ["priority", "month"]
+    fine = supergroup_agg(
+        "q_gap_fill", ds.map_batches(keyed, batch_format="pandas"), keys, sum_by(keys), sum_by(keys)
     )
     months = pd.period_range(
         pd.Timestamp(b["lo"]).to_period("M"), pd.Timestamp(b["hi"]).to_period("M"), freq="M"
@@ -1404,8 +1298,6 @@ def q_above_group_avg(sf_dir: str) -> pd.DataFrame:
     vectorized transform and filters in place. No second pass over the
     data, no join operator, exact float parity (same sum/count division
     DuckDB performs per key)."""
-    from .ops import supergroup_agg
-
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
 
     def above_avg(g: pd.DataFrame) -> pd.DataFrame:
@@ -1413,14 +1305,8 @@ def q_above_group_avg(sf_dir: str) -> pd.DataFrame:
         out = g[g.o_totalprice > avg].copy()
         return out
 
-    res = supergroup_agg(
-        ds,
-        ["o_custkey"],
-        lambda df: df,
-        above_avg,
-        num_rows_hint=_nrows(sf_dir, "orders"),
-    )
-    df = res.to_pandas().sort_values("o_orderkey").reset_index(drop=True)
+    df = supergroup_agg("q_above_group_avg", ds, ["o_custkey"], lambda df: df, above_avg)
+    df = df.sort_values("o_orderkey").reset_index(drop=True)
     df["o_totalprice"] = df.o_totalprice.round(2)
     return df[["o_orderkey", "o_custkey", "o_totalprice"]]
 
@@ -1441,13 +1327,11 @@ def q_above_group_avg(sf_dir: str) -> pd.DataFrame:
 def q_moving_avg(sf_dir: str) -> pd.DataFrame:
     """3-month trailing moving average of revenue — the bounded-frame
     window cousin of ``q_running_total``: aggregate to the month grain with
-    one partial-combine groupby (the only data-scale stage), then the
+    one grouped sum (the only data-scale stage), then the
     ROWS-frame window runs vectorized over the bounded aggregate
     (``rolling(3, min_periods=1)``). Same divisor semantics as SQL AVG
     OVER a short leading frame (frame size, not 3) — pandas min_periods
     matches exactly."""
-    from .ops import partial_groupby_sum
-
     ds = _read(sf_dir, "orders", ["o_orderpriority", "o_orderdate", "o_totalprice"])
 
     def keyed(df: pd.DataFrame) -> pd.DataFrame:
@@ -1455,16 +1339,13 @@ def q_moving_avg(sf_dir: str) -> pd.DataFrame:
             {"month": df.o_orderdate.dt.strftime("%Y-%m"), "rev": df.o_totalprice}
         )
 
-    fine = (
-        partial_groupby_sum(
-            ds.map_batches(keyed, batch_format="pandas"), ["month"], ["rev"]
-        )
-        .to_pandas()
-        .sort_values("month", kind="stable")
-        .reset_index(drop=True)
+    fine = supergroup_agg(
+        "q_moving_avg", ds.map_batches(keyed, batch_format="pandas"), ["month"],
+        sum_by(["month"]), sum_by(["month"]),
     )
-    fine["ma3"] = fine.sum_rev.rolling(3, min_periods=1).mean().round(2)
-    fine["month_revenue"] = fine.sum_rev.round(2)
+    fine = fine.sort_values("month", kind="stable").reset_index(drop=True)
+    fine["ma3"] = fine.rev.rolling(3, min_periods=1).mean().round(2)
+    fine["month_revenue"] = fine.rev.round(2)
     return fine[["month", "month_revenue", "ma3"]]
 
 
@@ -1511,18 +1392,20 @@ def q_partition_pruned_scan(sf_dir: str) -> pd.DataFrame:
         override_num_blocks=derive_num_blocks(parquet_num_rows(part)),
     )
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(revenue=df.l_extendedprice * (1 - df.l_discount))
-        return df.groupby("l_linestatus", sort=False, as_index=False).agg(
-            n=("revenue", "size"), revenue=("revenue", "sum")
+    def keyed(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {
+                "l_linestatus": df.l_linestatus,
+                "n": 1,
+                "revenue": df.l_extendedprice * (1 - df.l_discount),
+            }
         )
 
-    agg = (
-        pruned.map_batches(partial, batch_format="pandas")
-        .groupby("l_linestatus")
-        .aggregate(Sum("n", alias_name="n"), Sum("revenue", alias_name="revenue"))
+    key = ["l_linestatus"]
+    df = supergroup_agg(
+        "q_partition_pruned_scan", pruned.map_batches(keyed, batch_format="pandas"), key, sum_by(key), sum_by(key)
     )
-    df = agg.to_pandas().sort_values("l_linestatus").reset_index(drop=True)
+    df = df.sort_values("l_linestatus").reset_index(drop=True)
     df["n"] = df.n.astype(np.int64)
     df["revenue"] = df.revenue.round(2)
     return df[["l_linestatus", "n", "revenue"]]
@@ -1551,8 +1434,6 @@ def q_interval_join(sf_dir: str) -> pd.DataFrame:
     naive range join is O(clicks x purchases) per user; this is
     O((clicks + purchases) log) with only (user, epoch) pairs crossing the
     shuffle — the stream-stream windowed-join shape at batch scale."""
-    from .ops import supergroup_agg
-
     W = 1_800_000_000  # 30 min in µs
     ds = _read(sf_dir, "events", ["user_id", "event_id", "event_type", "ts"])
 
@@ -1589,14 +1470,8 @@ def q_interval_join(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"purchase_id": n.index.to_numpy(np.int64),
                              "n_recent_clicks": n.to_numpy()})
 
-    res = supergroup_agg(
-        ds.map_batches(to_epoch, batch_format="pandas"),
-        ["user_id"],
-        lambda df: df,
-        window_count,
-        num_rows_hint=_nrows(sf_dir, "events"),
-    )
-    df = res.to_pandas().sort_values("purchase_id").reset_index(drop=True)
+    df = supergroup_agg("q_interval_join", ds, ["user_id"], to_epoch, window_count)
+    df = df.sort_values("purchase_id").reset_index(drop=True)
     df["n_recent_clicks"] = df.n_recent_clicks.astype(np.int64)
     return df[["purchase_id", "n_recent_clicks"]]
 
@@ -1620,8 +1495,6 @@ def q_string_agg(sf_dir: str) -> pd.DataFrame:
     domains the fallback is a per-group join over the supergroup — this is
     the high-cardinality-key, small-domain fast path a log/event table
     almost always satisfies.)"""
-    from .ops import supergroup_agg
-
     TYPES = ["click", "error", "purchase", "signup", "view"]
     BIT = {t: 1 << i for i, t in enumerate(TYPES)}
     MASK_STR = {
@@ -1643,10 +1516,8 @@ def q_string_agg(sf_dir: str) -> pd.DataFrame:
         m["n_types"] = m.bit.map(MASK_N).astype(np.int64)
         return m[["user_id", "types", "n_types"]]
 
-    res = supergroup_agg(
-        ds, ["user_id"], partial, merge, num_rows_hint=_nrows(sf_dir, "events")
-    )
-    return res.to_pandas().sort_values("user_id").reset_index(drop=True)
+    res = supergroup_agg("q_string_agg", ds, ["user_id"], partial, merge)
+    return res.sort_values("user_id").reset_index(drop=True)
 
 
 def _format_cache(sf_dir: str, fmt: str):
@@ -1668,11 +1539,14 @@ def _format_cache(sf_dir: str, fmt: str):
     return root
 
 
-def _events_by_type_from(ds: rd.Dataset) -> pd.DataFrame:
-    from .ops import partial_groupby_sum
-
-    agg = partial_groupby_sum(ds, "event_type", ["value"])
-    df = agg.to_pandas().sort_values("event_type").reset_index(drop=True)
+def _events_by_type_from(site: str, ds: rd.Dataset) -> pd.DataFrame:
+    keyed = ds.map_batches(
+        lambda df: pd.DataFrame({"event_type": df.event_type, "n": 1, "sum_value": df.value}),
+        batch_format="pandas",
+    )
+    key = ["event_type"]
+    df = supergroup_agg(site, keyed, key, sum_by(key), sum_by(key))
+    df = df.sort_values("event_type").reset_index(drop=True)
     df["n"] = df.n.astype(np.int64)
     df["sum_value"] = df.sum_value.round(4)
     return df[["event_type", "n", "sum_value"]]
@@ -1692,10 +1566,7 @@ def q_json_source(sf_dir: str) -> pd.DataFrame:
     the same pipeline works when the 100 TB corpus arrives as JSON logs
     instead of parquet."""
     root = _format_cache(sf_dir, "json")
-    ds = rd.read_json(root).map_batches(
-        lambda df: df[["event_type", "value"]], batch_format="pandas"
-    )
-    return _events_by_type_from(ds)
+    return _events_by_type_from("q_json_source", rd.read_json(root))
 
 
 @query("q_csv_source", _FMT_SQL)
@@ -1703,10 +1574,7 @@ def q_csv_source(sf_dir: str) -> pd.DataFrame:
     """Multi-format ingestion, CSV flavor (header-typed ``read_csv``):
     same contract as ``q_json_source`` — format-independent results."""
     root = _format_cache(sf_dir, "csv")
-    ds = rd.read_csv(root).map_batches(
-        lambda df: df[["event_type", "value"]], batch_format="pandas"
-    )
-    return _events_by_type_from(ds)
+    return _events_by_type_from("q_csv_source", rd.read_csv(root))
 
 
 @query(

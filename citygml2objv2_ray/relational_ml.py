@@ -14,7 +14,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data as rd
-from ray.data.aggregate import Sum
 
 from . import dedup as dd
 from . import text as tx
@@ -110,10 +109,9 @@ def q_quality(sf_dir: str) -> pd.DataFrame:
     """,
 )
 def q_exact_dedup_docs(sf_dir: str) -> pd.DataFrame:
-    """Exact dedup: vectorized content hash per batch → cardinality-robust
-    super-group aggregate (the hash key space is one key per distinct doc
-    — Ray's per-key aggregate degrades past ~10^4 keys; see
-    ``ops.supergroup_agg``); duplicate groups only."""
+    """Exact dedup (SURVEY.md D1): vectorized content hash per batch →
+    ``ops.supergroup_agg`` over one key per distinct doc; duplicate groups
+    only."""
     from .ops import supergroup_agg
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -132,17 +130,7 @@ def q_exact_dedup_docs(sf_dir: str) -> pd.DataFrame:
         g = g.reset_index()
         return g[g.n_docs > 1]
 
-    df = supergroup_agg(
-        ds, ["content_hash"], partial, merge, num_rows_hint=_nrows(sf_dir, "documents")
-    ).to_pandas()
-    if not len(df):
-        return pd.DataFrame(
-            {
-                "content_hash": pd.Series(dtype=object),
-                "n_docs": pd.Series(dtype=np.int64),
-                "first_doc": pd.Series(dtype=np.int64),
-            }
-        )
+    df = supergroup_agg("q_exact_dedup_docs", ds, ["content_hash"], partial, merge)
     df = df.sort_values("content_hash").reset_index(drop=True)
     df["n_docs"] = df["n_docs"].astype(np.int64)
     return df[["content_hash", "n_docs", "first_doc"]]
@@ -676,7 +664,7 @@ def minhash_neardup_pairs(
         keyed = keyed.repartition(ng, shuffle=False)
     pairs = keyed.groupby("_sg").map_groups(pairs_in_supergroup, batch_format="pandas")
     if use_bcast:
-        # SMALL corpus (<= broadcast_join_rows): map-side verify against
+        # SMALL corpus (<= broadcast_verify_rows): map-side verify against
         # broadcast texts — the whole query runs ONE sort DAG (the band
         # shuffle). A pair found in two DIFFERENT band super-groups is
         # verified twice; kept pairs are sparse, so the dedup rides the
@@ -1334,7 +1322,7 @@ def q_corpus_prep(sf_dir: str) -> pd.DataFrame:
     the evidence that chained operators stay exact end-to-end."""
     import hashlib
 
-    from .ops import partial_groupby_sum
+    from .ops import sum_by, supergroup_agg
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -1346,21 +1334,21 @@ def q_corpus_prep(sf_dir: str) -> pd.DataFrame:
             dtype=np.int64,
         )
         keep = (n_tok >= 5) & (c_en >= 1) & (h < 58982)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "split": np.where(h[keep] < 52429, "train", "val"),
-                "n_tokens": n_tok[keep],
+                "n_docs": 1,
+                "sum_tokens": n_tok[keep],
             }
         )
-        return out
 
-    agg = partial_groupby_sum(
-        ds.map_batches(prep, batch_format="pandas"), "split", ["n_tokens"],
-        count_alias="n_docs",
+    df = supergroup_agg(
+        "q_corpus_prep", ds.map_batches(prep, batch_format="pandas"), ["split"],
+        sum_by(["split"]), sum_by(["split"]),
     )
-    df = agg.to_pandas().sort_values("split").reset_index(drop=True)
+    df = df.sort_values("split").reset_index(drop=True)
     df["n_docs"] = df.n_docs.astype(np.int64)
-    df["sum_tokens"] = df.sum_n_tokens.astype(np.int64)
+    df["sum_tokens"] = df.sum_tokens.astype(np.int64)
     return df[["split", "n_docs", "sum_tokens"]]
 
 
@@ -1589,7 +1577,7 @@ def q_pack_chunks(sf_dir: str) -> pd.DataFrame:
        block edge.
 
     At 100 TB both passes stream; the driver holds one row per block."""
-    from .ops import derive_num_blocks, partial_groupby_sum
+    from .ops import derive_num_blocks
 
     nd = _nrows(sf_dir, "documents")
     docs = rd.read_parquet(

@@ -11,7 +11,7 @@ Design for 100 TB:
   KLL/t-digest compaction, nondeterministic block arrival cannot change
   the result, so runs are reproducible on a streaming executor.
 - Per-group top-k pre-reduces inside each batch (k rows per group per
-  batch cross the shuffle, not the table).
+  batch reach the merge, not the table).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from . import text as tx
+from .ops import sum_by, supergroup_agg
 from .relational import _read, query
 
 QUANTS = (0.25, 0.5, 0.75)
@@ -33,20 +34,18 @@ N_BINS = 4096
 
 def _histogram(ds: rd.Dataset, col: str, lo: float, hi: float, bins: int = N_BINS) -> np.ndarray:
     """Fixed-bin histogram of a column: vectorized per-batch bincount
-    partials (one (bin, n) row per NONZERO bin per batch) reduced by a
-    tiny groupby — the shuffle moves at most ``bins`` rows per batch."""
+    partials (one (bin, n) row per NONZERO bin per batch) reduced by one
+    grouped sum — at most ``bins`` rows per batch."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        v = np.asarray(batch[col], dtype=np.float64)
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        v = df[col].to_numpy(np.float64)
         idx = np.clip(((v - lo) / (hi - lo) * bins).astype(np.int64), 0, bins - 1)
         counts = np.bincount(idx, minlength=bins)
         nz = np.flatnonzero(counts)
-        return pa.table({"bin": pa.array(nz, pa.int64()), "n": pa.array(counts[nz], pa.int64())})
+        return pd.DataFrame({"bin": nz, "n": counts[nz]})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    agg = partials.groupby("bin").aggregate(Sum("n", alias_name="n"))
+    hdf = supergroup_agg("histogram", ds, ["bin"], partial, sum_by(["bin"]))
     out = np.zeros(bins, dtype=np.int64)
-    hdf = agg.to_pandas()  # bounded by bin count
     out[hdf.bin.to_numpy()] = hdf.n.to_numpy()
     return out
 
@@ -199,8 +198,8 @@ def q_sample_split(sf_dir: str) -> pd.DataFrame:
 )
 def q_topk_per_group(sf_dir: str) -> pd.DataFrame:
     """Per-group top-k (top-3 orders by price per priority class): local
-    top-k per group inside each batch, then a tiny final per-group merge —
-    the shuffle moves at most k rows per group per batch."""
+    top-k per group inside each batch, then the same top-k as the merge —
+    at most k rows per group per batch reach it."""
     ds = _read(sf_dir, "orders", ["o_orderpriority", "o_orderkey", "o_totalprice"])
 
     def local_topk(df: pd.DataFrame) -> pd.DataFrame:
@@ -211,9 +210,7 @@ def q_topk_per_group(sf_dir: str) -> pd.DataFrame:
         )
         return df.groupby("o_orderpriority", sort=False).head(3)
 
-    pre = ds.map_batches(local_topk, batch_format="pandas")
-    top = pre.groupby("o_orderpriority").map_groups(local_topk, batch_format="pandas")
-    df = top.to_pandas()
+    df = supergroup_agg("q_topk_per_group", ds, ["o_orderpriority"], local_topk, local_topk)
     df["o_totalprice"] = df.o_totalprice.round(4)
     return df.sort_values(
         ["o_orderpriority", "o_totalprice", "o_orderkey"], ascending=[True, False, True]
@@ -239,7 +236,7 @@ def q_topk_per_group(sf_dir: str) -> pd.DataFrame:
 def q_heavy_hitters(sf_dir: str, phi: float = 0.005) -> pd.DataFrame:
     """EXACT frequent terms (frequency >= ceil(phi * total tokens)) via
     the scalable two-pass heavy-hitter pattern — no full term-frequency
-    shuffle at any point, unlike ``q_term_counts_salted``:
+    table at any point, unlike ``q_term_counts_salted``:
 
     1. candidate pass: per-block Misra-Gries summaries (k = ceil(1/phi)
        counters, ``sketch.mg_summarize``) tree-merged through one coarse
@@ -250,13 +247,13 @@ def q_heavy_hitters(sf_dir: str, phi: float = 0.005) -> pd.DataFrame:
     2. exact pass: per-block exact counts restricted to the <= k
        candidates (tiny closure broadcast), summed by ``supergroup_agg``
        and thresholded — so the OUTPUT is exact (== the SQL GROUP
-       BY/HAVING), while per-block state stays O(k) and the shuffles
-       move O(k) rows per block.
+       BY/HAVING), while per-block state stays O(k) and each pass
+       moves O(k) rows per block.
     """
     import math
 
     from . import sketch
-    from .ops import derive_num_blocks, supergroup_agg
+    from .ops import derive_num_blocks
     from .relational import _nrows, _t
 
     k = int(math.ceil(1.0 / phi))
@@ -331,12 +328,7 @@ def q_heavy_hitters(sf_dir: str, phi: float = 0.005) -> pd.DataFrame:
             }
         )
 
-    def exact_merge(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("term", as_index=False)["cnt"].sum()
-
-    exact = supergroup_agg(
-        ds, ["term"], exact_partial, exact_merge, num_groups=16
-    ).to_pandas()
+    exact = supergroup_agg("q_heavy_hitters", ds, ["term"], exact_partial, sum_by(["term"]))
     out = exact[exact.cnt >= thresh].sort_values(
         ["cnt", "term"], ascending=[False, True]
     ).reset_index(drop=True)
@@ -367,7 +359,7 @@ def q_stratified_sample(sf_dir: str) -> pd.DataFrame:
     ~an equal share of a 20% global budget (rate = min(1, cap/count),
     cap = ceil(0.2*N/#strata)) — the distribution-balancing op of a
     training-data pipeline. Scale shape: per-stratum counts are ONE tiny
-    partial-aggregated shuffle (one row per stratum per batch); the
+    grouped count (one row per stratum per batch); the
     ≤#strata rate map rides task closures; the keep decision is a
     stateless md5-prefix integer threshold per row — deterministic on any
     partitioning, resumable, and exactly reproducible in SQL (integer
@@ -375,10 +367,9 @@ def q_stratified_sample(sf_dir: str) -> pd.DataFrame:
     import hashlib
     import math
 
-    from .ops import partial_groupby_sum
-
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
-    counts = partial_groupby_sum(ds, "lang", [], count_alias="n").to_pandas()
+    ones = ds.map_batches(lambda df: pd.DataFrame({"lang": df.lang, "n": 1}), batch_format="pandas")
+    counts = supergroup_agg("q_stratified_sample", ones, ["lang"], sum_by(["lang"]), sum_by(["lang"]))
     n_total = int(counts.n.sum())
     cap = math.ceil(n_total * 0.2 / len(counts))
     thresh = {
@@ -414,40 +405,29 @@ def q_stratified_sample(sf_dir: str) -> pd.DataFrame:
 def q_group_quantiles(sf_dir: str) -> pd.DataFrame:
     """Exact per-group quantiles at ANY group cardinality (per-customer
     order-value p50/p90). The global-quantile path (above) histograms; the
-    per-group path instead co-locates each key on a coarse hash super-group
+    per-group path instead brings each key's rows together
     (``ops.supergroup_agg``) and computes EVERY group's discrete quantile in
     one vectorized pass: sort the super-group by (key, value), run-length
     encode the key column, then index ``start + ceil(q*n) - 1`` per group —
     no per-key Python, no global sort. Per-group state is the group's own
     rows only, so a 100 TB table with bounded rows-per-key streams through
-    reduce tasks whose memory is ~(rows/num_groups). ``quantile_disc``
+    merges whose memory is ~(rows/num_groups). ``quantile_disc``
     semantics (smallest element whose cumulative fraction reaches q) match
     DuckDB exactly — element selection, no interpolation, exact float
     parity."""
-    from .relational import _nrows
-
     ds = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    res = group_quantile_disc(
-        ds, "o_custkey", "o_totalprice", num_rows_hint=_nrows(sf_dir, "orders")
-    )
-    df = res.to_pandas().sort_values("o_custkey").reset_index(drop=True)
+    df = group_quantile_disc(ds, "o_custkey", "o_totalprice")
+    df = df.sort_values("o_custkey").reset_index(drop=True)
     df["n"] = df.n.astype(np.int64)
     df["p50"] = df.p50.round(2)
     df["p90"] = df.p90.round(2)
     return df[["o_custkey", "n", "p50", "p90"]]
 
 
-def group_quantile_disc(
-    ds: rd.Dataset,
-    key: str,
-    col: str,
-    num_rows_hint: int | None = None,
-    num_groups: int | None = None,
-) -> rd.Dataset:
+def group_quantile_disc(ds: rd.Dataset, key: str, col: str) -> pd.DataFrame:
     """Reusable per-group discrete-quantile kernel (see ``q_group_quantiles``
-    for semantics): supergroup co-location + one vectorized RLE pass per
-    group batch, emitting (key, n, p50, p90)."""
-    from .ops import supergroup_agg
+    for semantics): ``supergroup_agg`` + one vectorized RLE pass per
+    merge, emitting (key, n, p50, p90)."""
 
     def quantiles_vectorized(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, col], kind="stable")
@@ -469,14 +449,7 @@ def group_quantile_disc(
             }
         )
 
-    return supergroup_agg(
-        ds,
-        [key],
-        lambda df: df,
-        quantiles_vectorized,
-        num_rows_hint=num_rows_hint,
-        num_groups=num_groups,
-    )
+    return supergroup_agg("group_quantile_disc", ds, [key], lambda df: df, quantiles_vectorized)
 
 
 @query(
@@ -544,8 +517,8 @@ def q_histogram(sf_dir: str) -> pd.DataFrame:
     """Value histogram as a first-class query (the mergeable-histogram
     kernel behind the quantile family, surfaced directly): pass 1 is the
     exact global (min, max) aggregate; pass 2 bins every row with one
-    vectorized floor-divide per batch and ships (bin, n) partials — at most
-    20 rows per batch — into a tiny final groupby. Bin edges derive from
+    vectorized floor-divide per batch and emits (bin, n) partials — at most
+    20 rows per batch — into one grouped sum. Bin edges derive from
     the same doubles on both sides, so boundary assignment is bit-exact."""
 
     ds = _read(sf_dir, "orders", ["o_totalprice"])
@@ -553,19 +526,15 @@ def q_histogram(sf_dir: str) -> pd.DataFrame:
     lo, hi = float(stats["lo"]), float(stats["hi"])
     w = (hi - lo) / 20.0
 
-    def partial(batch: pa.Table) -> pa.Table:
-        v = np.asarray(batch["o_totalprice"], dtype=np.float64)
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        v = df.o_totalprice.to_numpy(np.float64)
         idx = np.minimum(np.floor((v - lo) / w).astype(np.int64), 19)
         counts = np.bincount(idx, minlength=20)
         nz = np.flatnonzero(counts)
-        return pa.table({"bin": pa.array(nz, pa.int64()), "n": pa.array(counts[nz], pa.int64())})
+        return pd.DataFrame({"bin": nz, "n": counts[nz]})
 
-    res = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bin")
-        .aggregate(Sum("n", alias_name="n"))
-    )
-    df = res.to_pandas().sort_values("bin").reset_index(drop=True)
+    df = supergroup_agg("q_histogram", ds, ["bin"], partial, sum_by(["bin"]))
+    df = df.sort_values("bin").reset_index(drop=True)
     df["bin"] = df.bin.astype(np.int64)
     df["n"] = df.n.astype(np.int64)
     return df[["bin", "n"]]
@@ -656,7 +625,7 @@ def q_cms_counts(sf_dir: str) -> pd.DataFrame:
     each probe's bucket per hash row and counts EVERY colliding term
     occurrence, i.e. the exact CMS estimate min_j M[j][h_j(p)]. The Ray
     side builds the d x w matrix from per-batch (row, bucket, n) partials
-    (at most d*w rows per batch cross the shuffle regardless of corpus
+    (at most d*w rows per batch regardless of corpus
     size); the matrix is order-insensitive and mergeable, the right sketch
     shape for a streaming executor. Overestimate-only guarantee asserted
     in pytest."""
@@ -681,12 +650,7 @@ def q_cms_counts(sf_dir: str) -> pd.DataFrame:
             out.append(g.groupby(["row", "bucket"], as_index=False)["n"].sum())
         return pd.concat(out, ignore_index=True)
 
-    agg = (
-        docs.map_batches(partial, batch_format="pandas")
-        .groupby(["row", "bucket"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()  # bounded: d*w rows
-    )
+    agg = supergroup_agg("q_cms_counts", docs, ["row", "bucket"], partial, sum_by(["row", "bucket"]))
     M = np.zeros((_CMS_D, _CMS_W), dtype=np.int64)
     M[agg.row.to_numpy(), agg.bucket.to_numpy()] = agg.n.to_numpy()
     ests = [

@@ -11,8 +11,8 @@ Generates, from a single integer seed:
 - **footprints**: the 2-D ground rings + buffered bboxes + grid cell;
 - an **images** fact table of (image_id, bytes, w, h, fmt, caption, phash)
   rows per ``BASELINE.json:input_hint``, with placement ground truth. A
-  configurable fraction of images lands in ONE hot cell so the salted
-  shuffle path is exercised (FIXTURES.md §3).
+  configurable fraction of images lands in ONE hot cell so the hot-key
+  path is exercised (FIXTURES.md §3).
 
 Everything is seeded via ``np.random.SeedSequence([seed, row_id])`` so any
 row can be regenerated independently on any worker — generation itself runs

@@ -5,6 +5,7 @@ object into Ray or fetches a broadcast back."""
 from __future__ import annotations
 
 import ast
+import logging
 from pathlib import Path
 
 import pytest
@@ -152,28 +153,43 @@ def test_lint_sees_each_pattern(src, want):
     assert list(_ray_calls(ast.parse(src))) == want
 
 
-def test_bloom_join_is_the_same_on_both_sides_of_its_gate(ray_session, monkeypatch):
-    """``q_bloom_join`` merges the selective side map-side at or under
-    ``broadcast_join_rows`` and runs ``Dataset.join`` above it: both give
-    the DuckDB twin's frame."""
-    import dataclasses
-
-    import pandas as pd
+def _both_sides_of_the_cap(monkeypatch, caplog, name: str, site: str):
+    """Run registry query ``name`` with the gather cap one byte above and
+    then exactly at the partial bytes ``site`` measures: the first run
+    gathers at ``site``, the second shuffles (or joins), and both give
+    the DuckDB twin's frame. Returns the two frames."""
+    import ray
     from test_oracle import SF, compare, duck
+    from test_ops import decisions
 
-    from citygml2objv2_ray import config, relational, relational_ext  # noqa: F401
+    from citygml2objv2_ray import ops, relational, relational_ext  # noqa: F401
 
-    con = duck(SF)
-    n_sel = con.execute(
-        "SELECT COUNT(*) FROM orders "
-        "WHERE o_orderpriority = '1-URGENT' AND o_totalprice > 150000"
-    ).fetchone()[0]
-    assert n_sel > 1
-    want = con.execute(relational.ORACLE["q_bloom_join"]).df()
+    caplog.set_level(logging.INFO, logger="citygml2objv2_ray.ops")
+    store = ray.cluster_resources()["object_store_memory"]
+    want = duck(SF).execute(relational.ORACLE[name]).df()
+    relational.REGISTRY[name](SF)
+    (nbytes,) = {b for s, _, _, b, _ in decisions(caplog) if s == site}
     got = []
-    for rows in (n_sel, n_sel - 1):  # broadcast merge, then the join shuffle
-        cfg = dataclasses.replace(config.DEFAULT_CONFIG, broadcast_join_rows=rows)
-        monkeypatch.setattr(config, "DEFAULT_CONFIG", cfg)
-        got.append(relational.REGISTRY["q_bloom_join"](SF))
-        compare(got[-1], want, f"q_bloom_join at broadcast_join_rows={rows}")
-    pd.testing.assert_frame_equal(got[0], got[1])
+    for cap, branch in ((nbytes + 1, "gather"), (nbytes, "shuffle")):
+        monkeypatch.setattr(ops, "GATHER_SHARE", (cap + 0.5) / store)
+        caplog.clear()
+        got.append(relational.REGISTRY[name](SF))
+        assert [(b, c) for s, b, _, _, c in decisions(caplog) if s == site] == [(branch, cap)]
+        compare(got[-1], want, f"{name} at cap {cap}")
+    return got
+
+
+def test_bloom_join_is_the_same_on_both_sides_of_its_gate(ray_session, monkeypatch, caplog):
+    """``q_bloom_join`` merges its materialized selective side map-side
+    when it measures under the gather cap and runs ``Dataset.join`` at or
+    over it: both give the same frame."""
+    a, b = _both_sides_of_the_cap(monkeypatch, caplog, "q_bloom_join", "q_bloom_join.sel")
+    assert a.equals(b)
+
+
+@pytest.mark.parametrize("name", ["q_window_hourly", "q_semi_join"])
+def test_gather_and_shuffle_give_the_same_frame(ray_session, monkeypatch, caplog, name):
+    """A grouped aggregate (float sums rounded to 4 dp) and a semi join
+    are the same frame on both sides of the cap."""
+    a, b = _both_sides_of_the_cap(monkeypatch, caplog, name, name)
+    assert a.equals(b)

@@ -1,6 +1,12 @@
-"""Direct unit tests for the scale-hygiene operators in ops.py."""
+"""Direct unit tests for the scale-hygiene operators in ops.py, and the
+lint that keeps ``ops.supergroup_agg`` the only grouped aggregate."""
 
 from __future__ import annotations
+
+import ast
+import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -8,37 +14,81 @@ import pytest
 
 import ray.data as rd
 
+REPO = Path(__file__).resolve().parents[1]
+
 
 @pytest.fixture()
 def events_ds(ray_session, sf_dir):
     return rd.read_parquet(f"{sf_dir}/events.parquet")
 
 
-class TestPartialGroupbySum:
-    def test_matches_plain_groupby(self, events_ds, sf_dir):
-        from citygml2objv2_ray.ops import partial_groupby_sum
+def decisions(caplog) -> list[tuple[str, str, int, int, int]]:
+    """(site, branch, partial rows, partial bytes, cap) of every gather
+    decision logged since the last ``caplog.clear()``."""
+    pat = re.compile(r"(\S+): (gather|shuffle), (\d+) partial rows, (\d+) partial bytes, cap (\d+)")
+    return [
+        (m[1], m[2], int(m[3]), int(m[4]), int(m[5]))
+        for r in caplog.records
+        if r.name == "citygml2objv2_ray.ops" and (m := pat.fullmatch(r.getMessage()))
+    ]
 
-        got = (
-            partial_groupby_sum(
-                events_ds.select_columns(["event_type", "value"]), "event_type", ["value"]
-            )
-            .to_pandas()
-            .sort_values("event_type")
-            .reset_index(drop=True)
-        )
+
+def both_branches(monkeypatch, caplog):
+    """Run the loop body with the gather cap at 0 (every site shuffles) and
+    at its default (small inputs gather), checking the branch each took."""
+    from citygml2objv2_ray import ops
+
+    caplog.set_level(logging.INFO, logger="citygml2objv2_ray.ops")
+    for branch, share in (("shuffle", 0.0), ("gather", ops.GATHER_SHARE)):
+        monkeypatch.setattr(ops, "GATHER_SHARE", share)
+        caplog.clear()
+        yield branch
+        assert {d[1] for d in decisions(caplog)} == {branch}
+
+
+class TestPartialGroupbySum:
+    def test_matches_plain_groupby(self, events_ds, sf_dir, monkeypatch, caplog):
+        """A grouped sum of per-batch partial sums (``sum_by`` as partial
+        and merge) equals a plain groupby on both branches."""
         import pyarrow.parquet as pq
+
+        from citygml2objv2_ray.ops import sum_by, supergroup_agg
 
         df = pq.read_table(f"{sf_dir}/events.parquet", columns=["event_type", "value"]).to_pandas()
         want = (
             df.groupby("event_type")
-            .agg(sum_value=("value", "sum"), n=("value", "size"))
+            .agg(value=("value", "sum"), n=("value", "size"))
             .reset_index()
-            .sort_values("event_type")
-            .reset_index(drop=True)
         )
-        assert got.event_type.tolist() == want.event_type.tolist()
-        assert np.allclose(got.sum_value, want.sum_value)
-        assert got.n.astype(int).tolist() == want.n.tolist()
+        ones = events_ds.select_columns(["event_type", "value"]).map_batches(
+            lambda d: d.assign(n=1), batch_format="pandas"
+        )
+        for _ in both_branches(monkeypatch, caplog):
+            got = supergroup_agg("test", ones, ["event_type"], sum_by(["event_type"]), sum_by(["event_type"]))
+            got = got.sort_values("event_type").reset_index(drop=True)
+            assert got.event_type.tolist() == want.event_type.tolist()
+            assert np.allclose(got.value, want.value)
+            assert got.n.tolist() == want.n.tolist()
+
+    def test_all_filtered_input_keeps_the_output_columns(self, events_ds, monkeypatch, caplog):
+        """No batch survives the filter, so Ray leaves the partial blocks
+        without a schema: both branches still return a zero-row frame
+        with the merge's columns."""
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
+        from citygml2objv2_ray.ops import sum_by, supergroup_agg
+
+        none = events_ds.map_batches(
+            lambda b: b.filter(pc.less(b["value"], pa.scalar(-1e300))), batch_format="pyarrow"
+        )
+
+        def partial(d: pd.DataFrame) -> pd.DataFrame:
+            return d.groupby("event_type", as_index=False).agg(n=("value", "size"), s=("value", "sum"))
+
+        for _ in both_branches(monkeypatch, caplog):
+            got = supergroup_agg("test", none, ["event_type"], partial, sum_by(["event_type"]))
+            assert len(got) == 0 and list(got.columns) == ["event_type", "n", "s"]
 
 
 class TestBroadcastFilter:
@@ -64,9 +114,11 @@ class TestSupergroupFanout:
         assert derive_num_groups(100_000_000) == 100    # scales with input
         assert derive_num_groups(10**12) == 4096        # capped
 
-    def test_result_invariant_to_num_groups(self, ray_session):
-        """supergroup_agg is a pure partitioning choice: the aggregate must
-        be identical at num_groups ∈ {16, 64, 256} (VERDICT r2 item 3)."""
+    def test_result_invariant_to_num_groups(self, ray_session, monkeypatch, caplog):
+        """Gather or shuffle is a pure plan choice: the aggregate must be
+        identical gathered and shuffled at num_groups ∈ {16, 64, 256}
+        (VERDICT r2 item 3)."""
+        from citygml2objv2_ray import ops
         from citygml2objv2_ray.ops import supergroup_agg
 
         rng = np.random.default_rng(5)
@@ -89,42 +141,34 @@ class TestSupergroupFanout:
         def merge(d: pd.DataFrame) -> pd.DataFrame:
             return d.groupby("k", as_index=False).agg(s=("s", "sum"), n=("n", "sum"))
 
-        for ng in (16, 64, 256):
-            ds = rd.from_pandas(df).repartition(8)
-            got = (
-                supergroup_agg(ds, ["k"], partial, merge, num_groups=ng)
-                .to_pandas()
-                .sort_values("k")
-                .reset_index(drop=True)
-            )
-            assert got.k.tolist() == want.k.tolist()
-            assert np.allclose(got.s, want.s)
-            assert got.n.astype(int).tolist() == want.n.tolist()
+        ds = rd.from_pandas(df).repartition(8)
+        for branch in both_branches(monkeypatch, caplog):
+            for ng in (16, 64, 256) if branch == "shuffle" else (None,):
+                monkeypatch.setattr(ops, "derive_num_groups", lambda n, cfg=None, ng=ng: ng)
+                got = supergroup_agg("test", ds, ["k"], partial, merge)
+                got = got.sort_values("k").reset_index(drop=True)
+                assert got.k.tolist() == want.k.tolist()
+                assert np.allclose(got.s, want.s)
+                assert got.n.tolist() == want.n.tolist()
 
 
-class TestSaltedGroupby:
-    def test_hot_key_counts_survive_salting(self, ray_session):
-        from citygml2objv2_ray.ops import salted_groupby
+class TestHotKey:
+    def test_hot_key_counts_survive(self, ray_session, monkeypatch, caplog):
+        """A hot key leaves one partial row per batch, so it needs no
+        salting on either branch."""
+        from citygml2objv2_ray.ops import sum_by, supergroup_agg
 
         # Zipf-ish: one hot key with 5000 rows, 50 cold keys with 10 each
         rng = np.random.default_rng(0)
         keys = ["hot"] * 5000 + [f"k{i}" for i in range(50) for _ in range(10)]
         rng.shuffle(keys)
-        df = pd.DataFrame({"key": keys, "n": 1})
-        ds = rd.from_pandas(df)
-
-        def reduce_batch(d: pd.DataFrame) -> pd.DataFrame:
-            cols = ["key", "_salt"] if "_salt" in d.columns else ["key"]
-            return d.groupby(cols, sort=False, as_index=False)["n"].sum()
-
-        def merge_group(d: pd.DataFrame) -> pd.DataFrame:
-            return d.groupby("key", sort=False, as_index=False)["n"].sum()
-
-        out = salted_groupby(ds, "key", reduce_batch, merge_group).to_pandas()
-        out = out.set_index("key").n
-        assert out["hot"] == 5000
-        assert all(out[f"k{i}"] == 10 for i in range(50))
-        assert out.sum() == 5500
+        ds = rd.from_pandas(pd.DataFrame({"key": keys, "n": 1})).repartition(8)
+        for _ in both_branches(monkeypatch, caplog):
+            out = supergroup_agg("test", ds, ["key"], sum_by(["key"]), sum_by(["key"]))
+            out = out.set_index("key").n
+            assert out["hot"] == 5000
+            assert all(out[f"k{i}"] == 10 for i in range(50))
+            assert out.sum() == 5500
 
 
 class TestBloomFilter:
@@ -198,7 +242,8 @@ class TestSupergroupFullHistoryOps:
     brute force — the merge sees each key's complete history by
     construction, whatever num_groups is."""
 
-    def test_group_quantiles_invariant(self, ray_session):
+    def test_group_quantiles_invariant(self, ray_session, monkeypatch, caplog):
+        from citygml2objv2_ray import ops
         from citygml2objv2_ray.ops import supergroup_agg
 
         rng = np.random.default_rng(11)
@@ -233,22 +278,20 @@ class TestSupergroupFullHistoryOps:
                 }
             )
 
-        for ng in (4, 64):
-            ds = rd.from_pandas(df).repartition(8)
-            got = (
-                supergroup_agg(ds, ["k"], lambda d: d, quantiles, num_groups=ng)
-                .to_pandas()
-                .sort_values("k")
-                .reset_index(drop=True)
-            )
-            assert len(got) == len(want)
-            for _, row in got.iterrows():
-                w50, w90 = want[int(row.k)]
-                assert row.p50 == w50 and row.p90 == w90
+        ds = rd.from_pandas(df).repartition(8)
+        for branch in both_branches(monkeypatch, caplog):
+            for ng in (4, 64) if branch == "shuffle" else (None,):
+                monkeypatch.setattr(ops, "derive_num_groups", lambda n, cfg=None, ng=ng: ng)
+                got = supergroup_agg("test", ds, ["k"], lambda d: d, quantiles)
+                assert len(got) == len(want)
+                for _, row in got.iterrows():
+                    w50, w90 = want[int(row.k)]
+                    assert row.p50 == w50 and row.p90 == w90
 
-    def test_set_ops_bitmask_invariant(self, ray_session):
+    def test_set_ops_bitmask_invariant(self, ray_session, monkeypatch, caplog):
         """Distinct (key, bit) pairs + per-key sum == OR of disjoint bits,
-        at any fan-out and any input duplication."""
+        on both branches, at any fan-out and any input duplication."""
+        from citygml2objv2_ray import ops
         from citygml2objv2_ray.ops import supergroup_agg
 
         rng = np.random.default_rng(7)
@@ -272,10 +315,68 @@ class TestSupergroupFullHistoryOps:
         def merge(d: pd.DataFrame) -> pd.DataFrame:
             return d.drop_duplicates().groupby("k", as_index=False)["bit"].sum()
 
-        for ng in (4, 64):
-            ds = rd.from_pandas(df).repartition(8)
-            got = (
-                supergroup_agg(ds, ["k"], partial, merge, num_groups=ng)
-                .to_pandas()
-            )
-            assert {int(r.k): int(r.bit) for _, r in got.iterrows()} == want
+        ds = rd.from_pandas(df).repartition(8)
+        for branch in both_branches(monkeypatch, caplog):
+            for ng in (4, 64) if branch == "shuffle" else (None,):
+                monkeypatch.setattr(ops, "derive_num_groups", lambda n, cfg=None, ng=ng: ng)
+                got = supergroup_agg("test", ds, ["k"], partial, merge)
+                assert {int(r.k): int(r.bit) for _, r in got.iterrows()} == want
+
+
+GONE = {"partial_groupby_sum", "salted_groupby", "exact_dedup_first", "broadcast_join_rows", "num_rows_hint"}
+
+
+def _grouped_aggregates(tree: ast.AST):
+    """(kind, line) of every Ray ``.groupby(...).aggregate(`` chain (pyarrow's
+    ``group_by`` and a global ``Dataset.aggregate`` are not) and every
+    identifier that names a removed grouped-aggregate helper or option."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "aggregate"
+            and isinstance(node.func.value, ast.Call)
+            and isinstance(node.func.value.func, ast.Attribute)
+            and node.func.value.func.attr == "groupby"
+        ):
+            yield "groupby_aggregate", node.lineno
+        names = {
+            ast.Name: "id", ast.Attribute: "attr", ast.FunctionDef: "name",
+            ast.keyword: "arg", ast.alias: "name", ast.arg: "arg",
+        }
+        name = getattr(node, names.get(type(node), ""), None)
+        if name in GONE:
+            yield name, getattr(node, "lineno", None)
+
+
+def test_supergroup_agg_is_the_only_grouped_aggregate():
+    """Every grouped aggregate goes through ``ops.supergroup_agg``, which
+    gathers or shuffles on the measured partial size: no Ray
+    ``groupby(...).aggregate(`` chain, and none of the helpers or options
+    it replaced."""
+    paths = sorted((REPO / "citygml2objv2_ray").rglob("*.py")) + [REPO / "__ray_entry__.py"]
+    found = [
+        f"{p.relative_to(REPO)}:{line} {kind}"
+        for p in paths
+        for kind, line in _grouped_aggregates(ast.parse(p.read_text(), str(p)))
+    ]
+    assert not found, found
+
+
+@pytest.mark.parametrize(
+    "src, want",
+    [
+        ("ds.groupby('k').aggregate(Sum('v'))", [("groupby_aggregate", 1)]),
+        ("ds.groupby(['a', 'b']).aggregate(*aggs).to_pandas()", [("groupby_aggregate", 1)]),
+        ("t.group_by(['k']).aggregate([('v', 'sum')])", []),
+        ("ds.aggregate(Sum('v'))", []),
+        ("ds.groupby('_sg').map_groups(f)", []),
+        ("from .ops import salted_groupby", [("salted_groupby", 1)]),
+        ("f(ds, num_rows_hint=3)", [("num_rows_hint", 1)]),
+        ("cfg.broadcast_join_rows", [("broadcast_join_rows", 1)]),
+    ],
+    ids=["chain", "multi_key_chain", "pyarrow_group_by", "global_aggregate", "map_groups",
+         "import", "keyword", "config_field"],
+)
+def test_grouped_aggregate_lint_sees_each_pattern(src, want):
+    assert list(_grouped_aggregates(ast.parse(src))) == want
