@@ -61,15 +61,6 @@ class EngineConfig:
     knn_k: int = 3                       # kNN neighbours per image
     knn_max_ring: int = 4                # max grid rings searched for neighbours
 
-    # super-group shuffles (the shuffle branch of ops.supergroup_agg,
-    # dedup.supergroup_of):
-    # num_groups = clamp(n_rows // target, min, max) — 64 reduce tasks is
-    # right for this sandbox but caps shuffle parallelism and lets
-    # per-group memory grow linearly with corpus size at 100 TB
-    supergroup_target_rows: int = 1_000_000
-    supergroup_min: int = 64
-    supergroup_max: int = 4096
-
     # near-dup VERIFY broadcast switch: at or under this many docs the
     # exact-Jaccard verification runs MAP-SIDE against a broadcast arrow
     # doc->text table instead of the two-shuffle distributed tail. The

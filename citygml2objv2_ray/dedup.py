@@ -327,18 +327,6 @@ def bucket_pair_indices(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(out_a), np.concatenate(out_b)
 
 
-def supergroup_of(keys: np.ndarray, num_groups: int = 64) -> np.ndarray:
-    """Coarse shuffle key: splitmix64 of the bucket key mod num_groups.
-    All rows of one LSH bucket land in one super-group, so per-group
-    scheduling overhead is paid ~num_groups times instead of once per
-    bucket (measured 10-40x on 10^5-bucket band tables — Ray's per-group
-    map_groups and its groupby aggregate are both per-bucket-cost-bound,
-    and the native join was slower still). Pass
-    ``ops.derive_num_groups(input_rows)`` so fan-out scales with the
-    corpus instead of pinning 64 reduce tasks at 100 TB."""
-    return (splitmix64(keys.astype(np.uint64)) % np.uint64(num_groups)).astype(np.int64)
-
-
 def mix_band_key(band_hash: np.ndarray, band: np.ndarray) -> np.ndarray:
     """Fold (band index, 63-bit band hash) into one positive int64 bucket
     key WITHOUT truncation: splitmix64 of the xor with a band-salted odd

@@ -52,7 +52,8 @@ def from_fixed(fixed: np.ndarray) -> np.ndarray:
 def translation_params(surfaces: rd.Dataset) -> np.ndarray:
     """Dataset translation parameters (D6): mean of per-building minimum
     vertices (the envelope lowerCorner analog), negated, truncated toward
-    zero to whole units (CityGMLTranslation.py:171-197)."""
+    zero to whole units (CityGMLTranslation.py:171-197). Raises
+    ``ValueError`` on surfaces without an exterior ring."""
     from .arrow_utils import ring_column
 
     def batch_mins(batch: pa.Table) -> pd.DataFrame:
@@ -69,12 +70,19 @@ def translation_params(surfaces: rd.Dataset) -> np.ndarray:
     from .ops import supergroup_agg
 
     def lowest(df: pd.DataFrame) -> pd.DataFrame:
+        # a batch without rings, or no batch at all, names no columns
+        df = df.reindex(columns=["building_id", "x", "y", "z"])
         return df.groupby("building_id", sort=False, as_index=False)[["x", "y", "z"]].min()
 
     mins = supergroup_agg(
         "translation_params", surfaces.map_batches(batch_mins, batch_format="pyarrow"),
         ["building_id"], lowest, lowest,
     )
+    if mins.empty:
+        raise ValueError(
+            "translation_params: the surfaces are empty (no exterior ring), "
+            "and a mean over no buildings has no value"
+        )
     mean = mins[["x", "y"]].mean().to_numpy()
     return np.array([-int(mean[0]), -int(mean[1]), 0], dtype=np.int64)
 

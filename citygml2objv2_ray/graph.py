@@ -7,10 +7,9 @@ Algorithm: hash-to-min label propagation (Rastogi et al., "Finding
 Connected Components in Map-Reduce in Logarithmic Rounds", ICDE 2013 —
 public literature), expressed Ray-Data-first. State is an edge-set
 dataset of ``(key, member)`` rows meaning ``member ∈ C(key)``; one round
-is ONE coarse super-group shuffle on ``key`` (the same
-``dedup.supergroup_of`` pattern as the near-dup pair generators — never
-one Ray group per real key) with the per-round set algebra fully
-vectorized inside each group:
+is ONE ``ops.shuffle_groups`` call keyed on ``key`` (coarse hash
+super-groups, never one Ray group per real key) with the per-round set
+algebra fully vectorized inside each group:
 
     m(v)  = min(C(v) ∪ {v})
     emit  (x, m(v)) for every x ∈ C(v) ∪ {v}   -- send the min to all
@@ -44,7 +43,7 @@ import pandas as pd
 import ray.data as rd
 
 from . import dedup as dd
-from .ops import derive_num_groups
+from .ops import shuffle_groups
 
 _MERS = (1 << 61) - 1
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
@@ -53,7 +52,6 @@ _EDGE_EMPTY = pd.DataFrame(
     {
         "key": pd.array([], dtype=np.int64),
         "member": pd.array([], dtype=np.int64),
-        "_sg": pd.array([], dtype=np.int64),
     }
 )
 
@@ -77,7 +75,7 @@ def _per_key_min(keys: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.
     return k, m, np.repeat(mins, runs), starts
 
 
-def _round_step(g: pd.DataFrame, ng: int) -> pd.DataFrame:
+def _round_step(g: pd.DataFrame) -> pd.DataFrame:
     g = g.drop_duplicates(["key", "member"])
     if not len(g):
         return _EDGE_EMPTY
@@ -88,14 +86,12 @@ def _round_step(g: pd.DataFrame, ng: int) -> pd.DataFrame:
     # x ranges over C(key) ∪ {key}: the member rows plus one self row/key
     xs = np.concatenate([m, uk])
     mins = np.concatenate([mk, umin])
-    out = pd.DataFrame(
+    return pd.DataFrame(
         {
             "key": np.concatenate([xs, mins]),
             "member": np.concatenate([mins, xs]),
         }
     ).drop_duplicates()
-    out["_sg"] = dd.supergroup_of(out.key.to_numpy(), ng)
-    return out
 
 
 def _signature(edges: rd.Dataset) -> tuple[int, int]:
@@ -125,25 +121,17 @@ def connected_components(
     component_id)`` for every node appearing in an edge, where
     ``component_id`` is the component's minimum node id. ``n_hint``
     (approximate corpus rows) sizes the super-group shuffle fan-out."""
-    ng = derive_num_groups(n_hint)
 
     def symmetrize(df: pd.DataFrame) -> pd.DataFrame:
         a = df.doc_a.to_numpy().astype(np.int64)
         b = df.doc_b.to_numpy().astype(np.int64)
-        k = np.concatenate([a, b])
-        out = pd.DataFrame({"key": k, "member": np.concatenate([b, a])})
-        out["_sg"] = dd.supergroup_of(k, ng)
-        return out
+        return pd.DataFrame({"key": np.concatenate([a, b]), "member": np.concatenate([b, a])})
 
     edges = pairs.map_batches(symmetrize, batch_format="pandas").materialize()
     prev = None
     rounds = 0
     for _ in range(max_rounds):
-        edges = (
-            edges.groupby("_sg")
-            .map_groups(lambda g: _round_step(g, ng), batch_format="pandas")
-            .materialize()
-        )
+        edges = shuffle_groups("connected_components", [edges], ["key"], _round_step, n_hint).materialize()
         rounds += 1
         sig = _signature(edges)
         if sig == prev:
@@ -163,4 +151,4 @@ def connected_components(
         )
         return pd.DataFrame({"doc_id": k[starts], "component_id": mk[starts]})
 
-    return edges.groupby("_sg").map_groups(label_group, batch_format="pandas")
+    return shuffle_groups("connected_components.label", [edges], ["key"], label_group, n_hint)

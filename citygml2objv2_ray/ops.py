@@ -4,6 +4,9 @@
   measured, then gathered to the driver when small or shuffled on a coarse
   hash super-group when not (``gathers`` decides, and the hand-gated joins
   ask it too).
+- ``shuffle_groups``: every keyed shuffle that is not an aggregate. Rows
+  of one or more sides are hashed on their keys onto coarse super-groups
+  and each group runs one vectorized function over all its keys.
 - ``Broadcast``: the one way a map task reads a small side.
 """
 
@@ -26,6 +29,15 @@ log = logging.getLogger(__name__)
 # default 4.9 GB store on a 4-vCPU, 15 GB host the cap is 77 MB; the
 # largest partial of the sf0.1 registry (q_image_exact_dup) measures 17 MB.
 GATHER_SHARE = 1 / 64
+
+# Super-group fan-out (``derive_num_groups``): one reduce task per
+# SUPERGROUP_TARGET_ROWS input rows, clamped to [SUPERGROUP_MIN,
+# SUPERGROUP_MAX]. 64 reduce tasks is right on a 4-vCPU host, but a pinned
+# count caps shuffle parallelism and lets per-group memory grow linearly
+# with the corpus at 100 TB.
+SUPERGROUP_TARGET_ROWS = 1_000_000
+SUPERGROUP_MIN = 64
+SUPERGROUP_MAX = 4096
 
 # site -> (object id, built value): what this process holds of each
 # broadcast site. Module globals live as long as the Ray worker process,
@@ -101,20 +113,16 @@ def parquet_num_rows(path: str) -> int | None:
         return None
 
 
-def derive_num_groups(n_rows: int | None, cfg=None) -> int:
+def derive_num_groups(n_rows: int | None) -> int:
     """Super-group fan-out from the input row count: one reduce task per
-    ~``supergroup_target_rows`` rows, clamped to [min, max]. At test scale
-    this is the measured-optimal 64; at 100 TB it grows so per-group memory
-    stays bounded and shuffle parallelism isn't capped at 64 tasks.
-    ``n_rows=None`` (unknown) falls back to the minimum."""
-    from .config import DEFAULT_CONFIG
-
-    cfg = cfg or DEFAULT_CONFIG
+    ~``SUPERGROUP_TARGET_ROWS`` rows, clamped to [``SUPERGROUP_MIN``,
+    ``SUPERGROUP_MAX``]. At test scale this is the measured-optimal 64; at
+    100 TB it grows so per-group memory stays bounded and shuffle
+    parallelism isn't capped at 64 tasks. ``n_rows=None`` (unknown) falls
+    back to the minimum."""
     if not n_rows:
-        return cfg.supergroup_min
-    return int(
-        min(cfg.supergroup_max, max(cfg.supergroup_min, n_rows // cfg.supergroup_target_rows))
-    )
+        return SUPERGROUP_MIN
+    return int(min(SUPERGROUP_MAX, max(SUPERGROUP_MIN, n_rows // SUPERGROUP_TARGET_ROWS)))
 
 
 def derive_num_blocks(n_rows: int | None, target_rows: int = 8192, lo: int = 32, hi: int = 2048) -> int:
@@ -150,8 +158,12 @@ def gathers(site: str, parts: rd.MaterializedDataset) -> bool:
 def _empty_batch(ds: rd.Dataset) -> pd.DataFrame:
     """A zero-row pandas batch with ``ds``'s columns: Ray drops the schema
     of an all-filtered stream's blocks, and a merge still has to name its
-    output columns."""
+    output columns. When no block has a schema (Ray runs no batch of a
+    zero-row input, so nothing named the columns) the batch has no
+    columns."""
     s = ds.schema()
+    if s is None:
+        return pd.DataFrame()
     return pd.DataFrame(
         {
             n: pd.Series(dtype=t.to_pandas_dtype() if isinstance(t, pa.DataType) else object)
@@ -178,9 +190,9 @@ def supergroup_agg(site: str, ds: rd.Dataset, keys: list[str], partial, merge) -
     - under the cap they are gathered to the driver, sorted by ``keys``
       (stable, so each key's partials combine in block order) and merged
       in one call;
-    - otherwise each key's partials are shuffled onto one coarse hash
-      super-group (``derive_num_groups`` of the partial row count) and
-      merged per group. Ray's ``groupby().aggregate`` and per-key
+    - otherwise each key's partials meet in one ``shuffle_groups``
+      super-group (fan-out from the partial row count) and are merged
+      per group. Ray's ``groupby().aggregate`` and per-key
       ``map_groups`` both pay per-distinct-key cost (50 s for a 400k-row
       count over 250k keys); a super-group merge is one pandas groupby.
 
@@ -192,19 +204,72 @@ def supergroup_agg(site: str, ds: rd.Dataset, keys: list[str], partial, merge) -
         return merge(partial(_empty_batch(ds)))
     if gather:
         return merge(parts.to_pandas().sort_values(keys, kind="stable", ignore_index=True))
-    num_groups = derive_num_groups(parts.count())
-
-    def add_sg(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df[keys], index=False).to_numpy()
-        return df.assign(_sg=(h % np.uint64(num_groups)).astype(np.int64))
-
-    out = (
-        parts.map_batches(add_sg, batch_format="pandas")
-        .groupby("_sg")
-        .map_groups(lambda g: merge(g.drop(columns=["_sg"])), batch_format="pandas")
-        .to_pandas()
-    )
+    out = shuffle_groups(site, [parts], keys, merge, parts.count()).to_pandas()
     return out if len(out.columns) else merge(_empty_batch(parts))
+
+
+def _plan_blocks(ds: rd.Dataset) -> int | None:
+    """The blocks ``ds``'s plan yields, estimated from its logical plan
+    without executing it; ``None`` when the plan cannot tell. It is Ray's
+    own estimate (``initial_num_blocks``), except that a read given
+    ``override_num_blocks`` counts those blocks: Ray counts one block per
+    read task (one per file) although it splits each task's output to
+    reach the requested count (146 blocks from the 19 files of the 300k
+    near-dup corpus, which Ray estimates as 19)."""
+    from ray.data._internal.logical.operators.n_ary_operator import Union
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    def blocks(op) -> int | None:
+        if isinstance(op, Read) and op._parallelism > 0:
+            return op._parallelism
+        if isinstance(op, Union):
+            counts = [blocks(i) for i in op.input_dependencies]
+            return None if None in counts else sum(counts)
+        if op._num_outputs is None and len(op.input_dependencies) == 1:
+            return blocks(op.input_dependencies[0])
+        return op.estimated_num_outputs()
+
+    return blocks(ds._plan._logical_plan.dag)
+
+
+def shuffle_groups(site: str, sides: list[rd.Dataset], keys: list[str], fn, rows: int | None) -> rd.Dataset:
+    """The one co-partitioned super-group shuffle (the keyed shuffle of
+    each hash-to-min round, Rastogi et al., ICDE 2013; the partition side
+    of *To Partition, or Not to Partition*, SIGMOD 2021).
+
+    Every row of every side is tagged with a super-group,
+    ``hash_pandas_object(row[keys]) % derive_num_groups(rows)``, so all
+    rows of one key, from every side, meet in one group. The sides are
+    unioned and each group runs ``fn`` once, as one pandas frame that
+    holds every row of its keys (the tag is dropped first). ``fn`` must
+    depend only on the rows of each key, so the output does not depend on
+    which group a key lands in. Ray's per-key ``map_groups`` pays a
+    Python call per distinct key (10-40x slower at 10^5 keys); a
+    super-group runs one vectorized pass over all its keys.
+
+    Ray's sort pays a slice per (input block x output partition), so when
+    the plan estimates more than twice the fan-out in blocks they are
+    first merged to the fan-out without moving data
+    (``repartition(..., shuffle=False)``); at or under that, merging would
+    split blocks instead (measured slower at sf0.1). Logs the decision and
+    the sizes it rests on."""
+    fanout = derive_num_groups(rows)
+
+    def tag(df: pd.DataFrame) -> pd.DataFrame:
+        h = pd.util.hash_pandas_object(df[keys], index=False).to_numpy()
+        return df.assign(_sg=(h % np.uint64(fanout)).astype(np.int64))
+
+    tagged = [s.map_batches(tag, batch_format="pandas") for s in sides]
+    ds = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    blocks = _plan_blocks(ds)
+    coalesce = blocks is not None and blocks > 2 * fanout
+    log.info(
+        "%s: shuffle_groups, %d sides, %s rows, fan-out %d, %s plan blocks, %s",
+        site, len(sides), rows, fanout, blocks, "coalesce" if coalesce else "no coalesce",
+    )
+    if coalesce:
+        ds = ds.repartition(fanout, shuffle=False)
+    return ds.groupby("_sg").map_groups(lambda g: fn(g.drop(columns="_sg")), batch_format="pandas")
 
 
 def broadcast_semi_anti_filter(
@@ -235,13 +300,12 @@ def asof_join(
     left_payload: list[str],
     right_payload: list[str],
     right_tiebreak: list[str] | None = None,
-    num_groups: int | None = None,
+    rows: int | None = None,
 ) -> rd.Dataset:
     """Distributed backward as-of join (for each left row, the right row
     with the greatest ``on`` <= left's ``on`` among equal ``by`` keys;
     inner semantics — unmatched left rows are dropped). Ray Data has no
-    such operator; this is the map_batches + groupby().map_groups
-    composition the brief calls for.
+    such operator; this is one ``shuffle_groups`` over both sides.
 
     Both inputs must expose the SAME ``on`` (int64/orderable) and ``by``
     columns (rename upstream), a ``_side`` tag (0=left, 1=right), and the
@@ -251,30 +315,23 @@ def asof_join(
     sets must be disjoint and the first right payload column non-null.
 
     Partitioning assumption (documented per the brief): every ``by`` key's
-    rows — BOTH sides — land in one hash super-group
-    (``hash(by) % num_groups``), so each group holds the full right-side
-    history for its keys. The per-group work is ONE vectorized
-    ``pandas.merge_asof`` across all keys in the group (a single O(n)
-    merge over two sorted frames, C-level ``by=`` matching — never a
-    per-key Python loop). The shuffle moves each row exactly once; no
+    rows — BOTH sides — land in one ``shuffle_groups`` super-group, so
+    each group holds the full right-side history for its keys. The
+    per-group work is ONE vectorized ``pandas.merge_asof`` across all keys
+    in the group (a single O(n) merge over two sorted frames, C-level
+    ``by=`` matching — never a per-key Python loop). The shuffle moves each row exactly once; no
     driver-side materialization. A single pathologically hot ``by`` key
-    bounds one group's size; ``num_groups`` grows with input size
-    (``derive_num_groups``) so the expected group stays ~1 M rows.
+    bounds one group's size; the fan-out grows with ``rows`` (the input
+    row count, ``derive_num_groups``) so the expected group stays ~1 M
+    rows.
 
     On ``on``-ties within a key on the right side, the row with the
     greatest ``right_tiebreak`` (default: ``right_payload``) tuple wins —
     deterministic, and expressible in SQL as ``max``/``arg_max`` over a
     (by, on) group for the oracle twin.
     """
-    num_groups = num_groups or derive_num_groups(None)
     tiebreak = list(right_tiebreak or right_payload)
     cols = [by, on, *left_payload, *right_payload, "_side"]
-
-    def add_sg(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df[by], index=False).to_numpy()
-        return df.assign(
-            _sg=(h.astype(np.uint64) % np.uint64(num_groups)).astype(np.int64)
-        )[[*cols, "_sg"]]
 
     def join_group(g: pd.DataFrame) -> pd.DataFrame:
         lf = g[g._side == 0]
@@ -293,10 +350,8 @@ def asof_join(
         m = m.dropna(subset=right_payload[:1])
         return m.astype(dict(rtypes))
 
-    both = left.map_batches(add_sg, batch_format="pandas").union(
-        right.map_batches(add_sg, batch_format="pandas")
-    )
-    return both.groupby("_sg").map_groups(join_group, batch_format="pandas")
+    sides = [left.select_columns(cols), right.select_columns(cols)]
+    return shuffle_groups("asof_join", sides, [by], join_group, rows)
 
 
 class BloomFilter:

@@ -75,7 +75,9 @@ def building_bboxes(
 ) -> pd.DataFrame:
     """Per-building buffered bbox (C3, componentseparationmodule.py:63-121)
     + translation params (D7, mean of the 8 corner points): a grouped
-    aggregate over exploded vertex extents, pre-reduced per batch."""
+    aggregate over exploded vertex extents, pre-reduced per batch. No
+    surfaces give a zero-row frame with the same columns."""
+    cols = ["building_id", "xmin", "ymin", "zmin", "xmax", "ymax", "zmax"]
 
     def batch_extents(batch: pa.Table) -> pd.DataFrame:
         pts, off = ring_column(batch["exterior"])
@@ -96,7 +98,8 @@ def building_bboxes(
         return pd.DataFrame(rows)
 
     def extent(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("building_id", sort=False, as_index=False).agg(
+        # a batch without rings, or no batch at all, names no columns
+        return df.reindex(columns=cols).groupby("building_id", sort=False, as_index=False).agg(
             xmin=("xmin", "min"), ymin=("ymin", "min"), zmin=("zmin", "min"),
             xmax=("xmax", "max"), ymax=("ymax", "max"), zmax=("zmax", "max"),
         )

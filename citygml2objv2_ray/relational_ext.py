@@ -204,9 +204,9 @@ def q_phash_neardup(sf_dir: str, max_hamming: int = 3) -> pd.DataFrame:
     """Near-duplicate images by phash, fully distributed:
 
     1. 4 x 16-bit band explode (vectorized, phash carried along);
-    2. shuffle on a COARSE super-group of the band bucket (~64 groups —
-       all rows of a bucket land in one group; per-bucket map_groups and
-       the native join were measured 10-40x slower at 10^5 buckets);
+    2. ``ops.shuffle_groups`` on the band bucket (~64 super-groups — all
+       rows of a bucket land in one group; per-bucket map_groups and the
+       native join were measured 10-40x slower at 10^5 buckets);
     3. inside each super-group: sort by bucket, vectorized run-length pair
        generation (``dedup.bucket_pair_indices``), vectorized hamming64
        verify — only verified pairs leave the group;
@@ -222,7 +222,7 @@ def q_phash_neardup(sf_dir: str, max_hamming: int = 3) -> pd.DataFrame:
     from .codecs import hamming64
     from .worlds import load_world, sf_of_dir
 
-    from .ops import derive_num_blocks, derive_num_groups, parquet_num_rows
+    from .ops import derive_num_blocks, parquet_num_rows, shuffle_groups
 
     images_path, _, _ = load_world(sf_of_dir(sf_dir))
     # x4 band explode rows; fan-out derived from the input, not pinned at 64.
@@ -235,7 +235,6 @@ def q_phash_neardup(sf_dir: str, max_hamming: int = 3) -> pd.DataFrame:
         columns=["image_id", "phash"],
         override_num_blocks=derive_num_blocks(nimg),
     )
-    ng = derive_num_groups(nimg * 4 if nimg else None)
 
     def bands(df: pd.DataFrame) -> pd.DataFrame:
         ph = df.phash.to_numpy().astype(np.int64)
@@ -249,7 +248,6 @@ def q_phash_neardup(sf_dir: str, max_hamming: int = 3) -> pd.DataFrame:
             {
                 "image_id": np.tile(df.image_id.to_numpy(), 4),
                 "bkey": bkey,
-                "_sg": dd.supergroup_of(bkey, ng),
                 "phash": np.tile(ph, 4),
             }
         )
@@ -277,8 +275,8 @@ def q_phash_neardup(sf_dir: str, max_hamming: int = 3) -> pd.DataFrame:
         return out.drop_duplicates(["img_a", "img_b"])
 
     banded = ds.map_batches(bands, batch_format="pandas", batch_size=8192)
-    pairs = banded.groupby("_sg").map_groups(pairs_in_supergroup, batch_format="pandas")
-    out = pairs.to_pandas()
+    rows = nimg * 4 if nimg else None
+    out = shuffle_groups("q_phash_neardup", [banded], ["bkey"], pairs_in_supergroup, rows).to_pandas()
     if not len(out):
         return EMPTY
     out = out.drop_duplicates(["img_a", "img_b"])  # cross-group dups, output-scale
@@ -386,12 +384,12 @@ def q_embedding_neardup_lsh(sf_dir: str, threshold: float = 0.3) -> pd.DataFrame
 def q_asof_join(sf_dir: str) -> pd.DataFrame:
     """As-of join: each event matched to the user's most recent order at
     or before the event time (inner). Ray Data has no as-of operator;
-    ``ops.asof_join`` composes it from one hash-supergroup shuffle of both
+    ``ops.asof_join`` composes it from one ``ops.shuffle_groups`` over both
     sides + a single vectorized ``pandas.merge_asof`` per group (C-level
     by-key backward merge — no per-key loop). Tie rule (several orders at
     the same timestamp): greatest ``o_orderkey`` wins = the SQL twin's
     ``max``/``arg_max`` dedup CTE."""
-    from .ops import asof_join, derive_num_blocks, derive_num_groups
+    from .ops import asof_join, derive_num_blocks
     from .relational import _t
 
     n_ev = _nrows(sf_dir, "events")
@@ -440,7 +438,7 @@ def q_asof_join(sf_dir: str) -> pd.DataFrame:
         by="user_id",
         left_payload=["event_id"],
         right_payload=["o_orderkey", "o_totalprice"],
-        num_groups=derive_num_groups(n_ev),
+        rows=n_ev,
     )
     df = joined.to_pandas().sort_values("event_id").reset_index(drop=True)
     df["o_totalprice"] = df.o_totalprice.round(4)
@@ -486,20 +484,19 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
     2. df: per-batch partial term counts over those unique rows, summed by
        ``supergroup_agg`` — one row per distinct term per batch, never the
        corpus, gathered or shuffled on its measured size.
-    3. score join: tf rows and df rows shuffled ONCE by term super-group
-       and merged vectorized in-group (pandas merge per ~uniform hash
-       bucket; no broadcast — at 100 TB the vocabulary doesn't fit a
-       driver-side dict).
-    4. top-3: one doc-keyed super-group shuffle, vectorized
+    3. score join: tf rows and df rows in ONE term-keyed
+       ``ops.shuffle_groups``, merged vectorized in-group (pandas merge
+       per ~uniform hash bucket; no broadcast — at 100 TB the vocabulary
+       doesn't fit a driver-side dict).
+    4. top-3: one doc-keyed ``ops.shuffle_groups``, vectorized
        sort + groupby.head(3) across all docs in the group.
 
     Ties rank by term asc; scores round(6) in both engines AFTER ranking.
     """
-    from .ops import derive_num_blocks, derive_num_groups
+    from .ops import derive_num_blocks, shuffle_groups
     from .relational import _t
 
     n_docs = _nrows(sf_dir, "documents")
-    num_groups = derive_num_groups(n_docs)
     ds = rd.read_parquet(
         _t(sf_dir, "documents"),
         columns=["doc_id", "text"],
@@ -525,33 +522,26 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
 
     dfreq = rd.from_pandas(supergroup_agg("q_tfidf_top_terms", tf, ["term"], df_partial, df_merge))
 
-    def tag_tf(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df.term, index=False).to_numpy()
+    def pad_tf(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
                 "term": df.term,
                 "doc_id": df.doc_id.to_numpy(np.int64),
                 "tf": df.tf.to_numpy(np.int64),
                 "df": np.full(len(df), -1, np.int64),
-                "_sg": (h.astype(np.uint64) % np.uint64(num_groups)).astype(np.int64),
             }
         )
 
-    def tag_df(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df.term, index=False).to_numpy()
+    def pad_df(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
                 "term": df.term,
                 "doc_id": np.full(len(df), -1, np.int64),
                 "tf": np.full(len(df), -1, np.int64),
                 "df": df["df"].to_numpy(np.int64),
-                "_sg": (h.astype(np.uint64) % np.uint64(num_groups)).astype(np.int64),
             }
         )
 
-    both = tf.map_batches(tag_tf, batch_format="pandas").union(
-        dfreq.map_batches(tag_df, batch_format="pandas")
-    )
     # _nrows() returns None when the parquet footer can't be read — fall
     # back to an actual count rather than TypeError-ing in every reducer
     n_total = float(n_docs if n_docs else ds.count())
@@ -561,16 +551,13 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
         d = g[g.df >= 0][["term", "df"]]
         m = t.merge(d, on="term", suffixes=("_x", ""))
         idf = np.log(n_total / m["df"].to_numpy(np.float64))
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": m.doc_id.to_numpy(np.int64),
                 "term": m.term,
                 "raw": m.tf.to_numpy(np.float64) * idf,
             }
         )
-        h = pd.util.hash_pandas_object(out.doc_id, index=False).to_numpy()
-        out["_dg"] = (h.astype(np.uint64) % np.uint64(num_groups)).astype(np.int64)
-        return out
 
     def topk_group(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["doc_id", "raw", "term"], ascending=[True, False, True],
@@ -580,13 +567,10 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
         g["score"] = g.raw.round(6)
         return g[["doc_id", "rk", "term", "score"]]
 
-    scored = (
-        both.groupby("_sg")
-        .map_groups(score_group, batch_format="pandas")
-        .groupby("_dg")
-        .map_groups(topk_group, batch_format="pandas")
-    )
-    out = scored.to_pandas().sort_values(["doc_id", "rk"]).reset_index(drop=True)
+    sides = [tf.map_batches(pad_tf, batch_format="pandas"), dfreq.map_batches(pad_df, batch_format="pandas")]
+    scored = shuffle_groups("q_tfidf_top_terms.score", sides, ["term"], score_group, n_docs)
+    top = shuffle_groups("q_tfidf_top_terms.top3", [scored], ["doc_id"], topk_group, n_docs)
+    out = top.to_pandas().sort_values(["doc_id", "rk"]).reset_index(drop=True)
     out["rk"] = out.rk.astype(np.int64)
     return out[["doc_id", "rk", "term", "score"]]
 

@@ -211,42 +211,25 @@ _PAIRGEN_EMPTY = pd.DataFrame(
     }
 )
 
-_HALVES_EMPTY = pd.DataFrame(
-    {
-        "key": pd.array([], dtype=np.int64),
-        "doc_a": pd.array([], dtype=np.int64),
-        "doc_b": pd.array([], dtype=np.int64),
-        "side": pd.array([], dtype=np.int8),
-        "kind": pd.array([], dtype=np.int8),
-        "text": pd.array([], dtype=object),
-        "_sg": pd.array([], dtype=np.int64),
-    }
-)
-
-
 _KIND_DOC, _KIND_PAIR = np.int8(0), np.int8(1)
 
 
-def make_pair_halves(doc_a: np.ndarray, doc_b: np.ndarray, ng: int) -> pd.DataFrame:
-    """Explode candidate pairs into the doc-keyed half rows the verify
-    tail's first shuffle consumes (side 0 keyed by doc_a, side 1 by
-    doc_b). Exposed so pair GENERATORS (LSH band pairgen, the n-gram
-    shared-count filter) can emit halves directly from their own
-    map_groups — fusing away the dedicated ``pair_halves`` map pass the
-    tail otherwise runs over the whole candidate set."""
-    a = np.asarray(doc_a, dtype=np.int64)
-    b = np.asarray(doc_b, dtype=np.int64)
-    key = np.concatenate([a, b])
+def make_pair_halves(pairs: pd.DataFrame) -> pd.DataFrame:
+    """Explode candidate ``(doc_a, doc_b)`` pairs into the doc-keyed half
+    rows the verify tail's first shuffle consumes (side 0 keyed by doc_a,
+    side 1 by doc_b). It runs as a map right after the pair generator's
+    group map, and Ray fuses the two into one task."""
+    a = pairs.doc_a.to_numpy(np.int64)
+    b = pairs.doc_b.to_numpy(np.int64)
     n = len(a)
     return pd.DataFrame(
         {
-            "key": key,
+            "key": np.concatenate([a, b]),
             "doc_a": np.concatenate([a, a]),
             "doc_b": np.concatenate([b, b]),
             "side": np.concatenate([np.zeros(n, np.int8), np.ones(n, np.int8)]),
             "kind": np.full(2 * n, _KIND_PAIR, np.int8),
             "text": np.full(2 * n, "", dtype=object),
-            "_sg": dd.supergroup_of(key, ng),
         }
     )
 
@@ -456,39 +439,35 @@ def broadcast_texts_ref(docs: rd.Dataset) -> Broadcast:
 def verify_pairs_jaccard_ds(
     pairs: rd.Dataset,
     docs: rd.Dataset,
-    ng: int,
+    nd: int | None,
     threshold: float,
     shingle_fn,
-    est_blocks: int,
 ) -> rd.Dataset:
     """Distributed exact-Jaccard verification of candidate pairs — the
     shared tail of every text near-dup query (MinHash LSH, exact n-gram
     index). Nothing corpus- or candidate-scale ever reaches the driver:
 
-    TWO super-group shuffles, no broadcast: ``pairs`` holds each
-    pair as two (doc-keyed) halves (``make_pair_halves`` rows, emitted by
-    the caller's pair generator), unioned with the (doc_id, text)
-    stream; grouping on the doc key attaches each half its text (a
-    distributed semi-join — the docs table crosses this shuffle exactly
-    once and only pair-halves survive it); a second shuffle on the PAIR
-    key reunites the halves and computes true Jaccard in-group with a
-    per-group shingle cache. Global pair-dedup rides this second shuffle
-    for free (identical pairs — e.g. one pair found by several LSH bands
-    or several shared shingles — land in the same group; their duplicate
-    halves are dropped in-group), so there is no separate dedup shuffle
-    and NO driver-side count barrier anywhere.
+    TWO ``ops.shuffle_groups`` calls, no broadcast: each candidate pair
+    of ``pairs`` becomes two doc-keyed halves (``make_pair_halves``),
+    shuffled with the (doc_id, text) stream on the doc key, which attaches
+    each half its text (a distributed semi-join — the docs table crosses
+    this shuffle exactly once and only pair-halves survive it); a second
+    shuffle on the PAIR key reunites the halves and computes true Jaccard
+    in-group with a per-group shingle cache. Global pair-dedup rides both
+    shuffles for free (identical pairs — e.g. one pair found by several
+    LSH bands or several shared shingles — land in the same group; their
+    duplicate halves are dropped in-group), so there is no separate dedup
+    shuffle and NO driver-side count barrier anywhere. ``nd`` (the corpus
+    rows) sizes both fan-outs.
 
     ``shingle_fn`` maps a batch of texts -> their sorted-unique uint64 id
     sets and defines the Jaccard family (char shingles for MinHash, word
     n-grams for the exact index); the in-group shingle pass is one call
-    over the group's unique docs. ``est_blocks`` (estimated block count of
-    the halves union, docs side + pair side) gates the pre-sort coalesces:
-    merging blocks below the shuffle fan-out would SPLIT them — the
-    measured net loss in the BASELINE optimization log. The kept-pair
-    filter compares the ROUNDED (6 dp) Jaccard against ``threshold`` so
-    SQL twins can mirror it exactly.
+    over the group's unique docs. The kept-pair filter compares the
+    ROUNDED (6 dp) Jaccard against ``threshold`` so SQL twins can mirror
+    it exactly.
     """
-    KIND_DOC, KIND_PAIR = _KIND_DOC, _KIND_PAIR
+    from .ops import shuffle_groups
 
     def doc_rows(df: pd.DataFrame) -> pd.DataFrame:
         ids = df.doc_id.to_numpy().astype(np.int64)
@@ -499,9 +478,8 @@ def verify_pairs_jaccard_ds(
                 "doc_a": np.zeros(n, np.int64),
                 "doc_b": np.zeros(n, np.int64),
                 "side": np.full(n, -1, np.int8),
-                "kind": np.full(n, KIND_DOC, np.int8),
+                "kind": np.full(n, _KIND_DOC, np.int8),
                 "text": df.text.fillna("").astype(object).to_numpy(),
-                "_sg": dd.supergroup_of(ids, ng),
             }
         )
 
@@ -521,10 +499,10 @@ def verify_pairs_jaccard_ds(
         # before any text attaches) shrinks the second shuffle and the
         # in-group shingle work by the band-duplication factor, with NO
         # extra shuffle or barrier.
-        ph = g[g.kind == KIND_PAIR].drop_duplicates(["doc_a", "doc_b", "side"])
+        ph = g[g.kind == _KIND_PAIR].drop_duplicates(["doc_a", "doc_b", "side"])
         if not len(ph):
             return HALF_EMPTY
-        d = g[g.kind == KIND_DOC]
+        d = g[g.kind == _KIND_DOC]
         lut = pd.Series(d.text.to_numpy(), index=d.key.to_numpy())
         texts = ph.key.map(lut).fillna("")
         return pd.DataFrame(
@@ -535,28 +513,6 @@ def verify_pairs_jaccard_ds(
                 "text": texts.to_numpy(),
             }
         )
-
-    halves = pairs.union(docs.map_batches(doc_rows, batch_format="pandas"))
-    # COALESCE before each sort: the union inherits the upstream block
-    # fragmentation (hundreds of ~200-row blocks) and Ray's sort pays a
-    # per-(input-block x output-partition) slice cost — the measured trap
-    # in the BASELINE.md optimization log. A shuffle-FREE repartition
-    # (block merge, no data movement beyond concatenation) cuts the slice
-    # count ~10x; sized to the shuffle fan-out so each sort task still
-    # gets parallel input. Estimate-GATED like the band-table/posting
-    # paths: when the union already has ~fan-out blocks the repartition
-    # would SPLIT them (measured net loss at sf0.1).
-    fanout = min(ng, 32)
-    coalesce = est_blocks > 2 * fanout
-    if coalesce:
-        halves = halves.repartition(fanout, shuffle=False)
-    halves_txt = halves.groupby("_sg").map_groups(attach_text, batch_format="pandas")
-    if coalesce:
-        halves_txt = halves_txt.repartition(fanout, shuffle=False)
-
-    def pair_group_key(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df[["doc_a", "doc_b"]], index=False).to_numpy()
-        return df.assign(_pg=(h.astype(np.uint64) % np.uint64(ng)).astype(np.int64))
 
     def verify_group(g: pd.DataFrame) -> pd.DataFrame:
         # both halves of a pair land here; sort reunites them (side 0, 1).
@@ -580,11 +536,12 @@ def verify_pairs_jaccard_ds(
         tb = g.text.to_numpy()[1::2]
         return _jaccard_pairs_kernel(a, b, ta, tb, None, shingle_fn, threshold)
 
-    return (
-        halves_txt.map_batches(pair_group_key, batch_format="pandas")
-        .groupby("_pg")
-        .map_groups(verify_group, batch_format="pandas")
-    )
+    halves = [
+        pairs.map_batches(make_pair_halves, batch_format="pandas"),
+        docs.map_batches(doc_rows, batch_format="pandas"),
+    ]
+    texts = shuffle_groups("verify_pairs.text", halves, ["key"], attach_text, nd)
+    return shuffle_groups("verify_pairs.jaccard", [texts], ["doc_a", "doc_b"], verify_group, nd)
 
 
 def minhash_neardup_pairs(
@@ -599,20 +556,20 @@ def minhash_neardup_pairs(
 
     1. shingle→minhash→band keys (vectorized ``MinHashStage``, exploded
        one row per (doc, band));
-    2. shuffle on a COARSE super-group of the band bucket with vectorized
-       run-length pair generation inside (the same pattern as
-       ``q_phash_neardup`` — per-bucket map_groups and the native join
-       were measured 10-40x slower), per-group pair dedup;
-    3. exact char-shingle-Jaccard verification via the shared
+    2. ``ops.shuffle_groups`` on the band bucket with vectorized
+       run-length pair generation inside each super-group (the same
+       pattern as ``q_phash_neardup`` — per-bucket map_groups and the
+       native join were measured 10-40x slower), per-group pair dedup;
+    3. exact char-shingle-Jaccard verification: map-side against the
+       broadcast texts for a small corpus, else the shared
        ``verify_pairs_jaccard_ds`` tail (two super-group shuffles, global
-       pair-dedup riding the second, no driver broadcast or barrier).
+       pair-dedup riding them, no driver broadcast or barrier).
 
-    Super-group fan-out is derived from the corpus row count ``nd``
-    (``ops.derive_num_groups``), not pinned at 64.
+    The super-group fan-out is derived from the corpus row count ``nd``.
     """
-    from .ops import derive_num_groups
+    from .config import DEFAULT_CONFIG
+    from .ops import shuffle_groups
 
-    ng = derive_num_groups(nd)
     # task pool (instance, not class): the stage's only state is the tiny
     # seeded hash family — elastic tasks beat a fixed 4-slot actor pool
     bands = docs.map_batches(
@@ -621,77 +578,44 @@ def minhash_neardup_pairs(
 
     def band_key(df: pd.DataFrame) -> pd.DataFrame:
         bkey = dd.mix_band_key(df.band_hash.to_numpy(), df.band.to_numpy())
-        return pd.DataFrame(
-            {"doc_id": df.doc_id, "bkey": bkey, "_sg": dd.supergroup_of(bkey, ng)}
-        )
+        return pd.DataFrame({"doc_id": df.doc_id, "bkey": bkey})
 
     def pairs_in_supergroup(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["bkey", "doc_id"], kind="stable").reset_index(drop=True)
-        keys = g.bkey.to_numpy()
-        A, B = dd.bucket_pair_indices(keys)
+        A, B = dd.bucket_pair_indices(g.bkey.to_numpy())
         if not len(A):
-            return _HALVES_EMPTY if not use_bcast else _PAIRGEN_EMPTY
+            return _PAIRGEN_EMPTY
         ids = g.doc_id.to_numpy()
-        out = pd.DataFrame({"doc_a": ids[A], "doc_b": ids[B]}).drop_duplicates(
+        return pd.DataFrame({"doc_a": ids[A], "doc_b": ids[B]}).drop_duplicates(
             ["doc_a", "doc_b"]
         )
-        if use_bcast:
-            return out
-        # emit verify-ready half rows straight from the pairgen group —
-        # fuses away the tail's dedicated half-explode map pass
-        return make_pair_halves(out.doc_a.to_numpy(), out.doc_b.to_numpy(), ng)
 
-    from .config import DEFAULT_CONFIG
-
+    keyed = bands.map_batches(band_key, batch_format="pandas")
+    pairs = shuffle_groups("minhash_neardup.bands", [keyed], ["bkey"], pairs_in_supergroup, nd)
     # "auto" = the q_bloom_join broadcast-vs-partition switch; tests pin
     # "broadcast"/"shuffle" to exercise both paths at one scale
-    use_bcast = (
-        verify_mode == "broadcast"
-        or (verify_mode == "auto" and nd <= DEFAULT_CONFIG.broadcast_verify_rows)
-    )
-    keyed = bands.map_batches(band_key, batch_format="pandas")
-    # CONDITIONAL coalesce before the band sort: the sort pays a
-    # per-(input-block x output-partition) slice cost, so when the band
-    # table inherits many more blocks than the shuffle fan-out, merge
-    # them first (measured at 1M docs: 488 blocks x 64 partitions made
-    # pairgen 44 s; coalesced ~17 s). When blocks <= ~2x fan-out the merge
-    # is a net loss (a repartition that SPLITS was measured slower at
-    # sf0.1) — hence the estimate-gated switch.
-    from .ops import derive_num_blocks as _dnb
-
-    est_blocks = _dnb(nd, target_rows=2048)
-    if est_blocks > 2 * ng:
-        keyed = keyed.repartition(ng, shuffle=False)
-    pairs = keyed.groupby("_sg").map_groups(pairs_in_supergroup, batch_format="pandas")
-    if use_bcast:
+    if verify_mode == "broadcast" or (
+        verify_mode == "auto" and nd <= DEFAULT_CONFIG.broadcast_verify_rows
+    ):
         # SMALL corpus (<= broadcast_verify_rows): map-side verify against
         # broadcast texts — the whole query runs ONE sort DAG (the band
         # shuffle). A pair found in two DIFFERENT band super-groups is
         # verified twice; kept pairs are sparse, so the dedup rides the
         # driver collect.
-        kept = verify_pairs_broadcast_ds(
-            pairs,
-            broadcast_texts_ref(docs),
-            threshold,
-            dd.char_shingles_batch,
+        res = verify_pairs_broadcast_ds(
+            pairs, broadcast_texts_ref(docs), threshold, dd.char_shingles_batch
         ).to_pandas()
-        if not len(kept):
-            return _PAIRS_EMPTY
-        kept["doc_a"] = kept.doc_a.astype(np.int64)
-        kept["doc_b"] = kept.doc_b.astype(np.int64)
-        return (
-            kept.drop_duplicates(["doc_a", "doc_b"])
-            .sort_values(["doc_a", "doc_b"])
-            .reset_index(drop=True)
-        )
-    res = verify_pairs_jaccard_ds(
-        pairs, docs, ng, threshold, dd.char_shingles_batch, est_blocks + min(ng, 32)
-    ).to_pandas()
+    else:
+        res = verify_pairs_jaccard_ds(pairs, docs, nd, threshold, dd.char_shingles_batch).to_pandas()
     if not len(res):
         return _PAIRS_EMPTY
     res["doc_a"] = res.doc_a.astype(np.int64)
     res["doc_b"] = res.doc_b.astype(np.int64)
-    return res.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    return (
+        res.drop_duplicates(["doc_a", "doc_b"])
+        .sort_values(["doc_a", "doc_b"])
+        .reset_index(drop=True)
+    )
 
 
 # rows-only: minhash near-dup pairs (brute-force Jaccard parity oracle in
@@ -780,7 +704,8 @@ def ngram_jaccard_pairs_ds(
        distributed ``verify_pairs_jaccard_ds`` tail, threshold on the
        6-dp-rounded value exactly as the SQL twin does.
     """
-    from .ops import derive_num_blocks, derive_num_groups
+    from .config import DEFAULT_CONFIG
+    from .ops import derive_num_blocks, shuffle_groups
 
     nd = _nrows(sf_dir, "documents")
     docs = rd.read_parquet(
@@ -788,13 +713,11 @@ def ngram_jaccard_pairs_ds(
         columns=["doc_id", "text"],
         override_num_blocks=derive_num_blocks(nd, target_rows=2048),
     )
-    ng = derive_num_groups(nd)
 
     GRAM_EMPTY = pd.DataFrame(
         {
             "doc_id": pd.array([], dtype=np.int64),
             "gid": pd.array([], dtype=np.int64),
-            "_sg": pd.array([], dtype=np.int64),
         }
     )
 
@@ -802,13 +725,8 @@ def ngram_jaccard_pairs_ds(
         rows, gid = dd.word_ngram_postings(df.text)
         if not len(gid):
             return GRAM_EMPTY
-        gid = gid.astype(np.int64)
         return pd.DataFrame(
-            {
-                "doc_id": df.doc_id.to_numpy(np.int64)[rows],
-                "gid": gid,
-                "_sg": dd.supergroup_of(gid, ng),
-            }
+            {"doc_id": df.doc_id.to_numpy(np.int64)[rows], "gid": gid.astype(np.int64)}
         )
 
     CAND_EMPTY = pd.DataFrame(
@@ -816,7 +734,6 @@ def ngram_jaccard_pairs_ds(
             "doc_a": pd.array([], dtype=np.int64),
             "doc_b": pd.array([], dtype=np.int64),
             "nsh": pd.array([], dtype=np.int64),
-            "_sg": pd.array([], dtype=np.int64),
         }
     )
 
@@ -835,16 +752,13 @@ def ngram_jaccard_pairs_ds(
         ids = g.doc_id.to_numpy()
         # per-pair SHARED-GRAM COUNT within this super-group (each gram's
         # postings colocate, so summing these per pair across groups gives
-        # the exact global count); keyed for the pair-count shuffle
-        out = (
+        # the exact global count in the pair-count shuffle)
+        return (
             pd.DataFrame({"doc_a": ids[A], "doc_b": ids[B]})
             .groupby(["doc_a", "doc_b"], as_index=False)
             .size()
             .rename(columns={"size": "nsh"})
         )
-        h = pd.util.hash_pandas_object(out[["doc_a", "doc_b"]], index=False).to_numpy()
-        out["_sg"] = (h.astype(np.uint64) % np.uint64(ng)).astype(np.int64)
-        return out
 
     def shared_count_filter(g: pd.DataFrame) -> pd.DataFrame:
         # exact global shared-sub-cap-gram count per pair; only pairs
@@ -852,65 +766,30 @@ def ngram_jaccard_pairs_ds(
         # int-only shuffle is what keeps the query sub-quadratic in
         # PRACTICE too: 1-shared-gram coincidences dominate the raw
         # candidate set (1.13M of 1.13M+few-k at sf0.1) and die here
-        # without ever touching document text. Survivors come out as
-        # verify-ready half rows (make_pair_halves) — one fused pass,
-        # no dedicated half-explode map downstream.
+        # without ever touching document text. The pair-keyed shuffle
+        # makes each surviving pair GLOBALLY unique, so neither verify
+        # path needs a downstream dedup.
         g = g.groupby(["doc_a", "doc_b"], as_index=False)["nsh"].sum()
         g = g.loc[g.nsh >= min_shared]
-        if use_bcast:
-            # pair-keyed shuffle makes each surviving pair GLOBALLY unique
-            # here, so the map-side verify needs no downstream dedup
-            return g[["doc_a", "doc_b"]] if len(g) else _PAIRGEN_EMPTY
-        if not len(g):
-            return _HALVES_EMPTY
-        return make_pair_halves(g.doc_a.to_numpy(), g.doc_b.to_numpy(), ng)
+        return g[["doc_a", "doc_b"]] if len(g) else _PAIRGEN_EMPTY
 
-    from .config import DEFAULT_CONFIG
-
+    postings = docs.map_batches(explode, batch_format="pandas", batch_size=512)
+    cand_counts = shuffle_groups("ngram_jaccard.grams", [postings], ["gid"], pairs_in_supergroup, nd)
+    pairs = shuffle_groups("ngram_jaccard.pairs", [cand_counts], ["doc_a", "doc_b"], shared_count_filter, nd)
     # "auto" = the q_bloom_join broadcast-vs-partition switch; tests pin
     # "broadcast"/"shuffle" to exercise both paths at one scale
-    use_bcast = (
-        verify_mode == "broadcast"
-        or (verify_mode == "auto" and nd <= DEFAULT_CONFIG.broadcast_verify_rows)
-    )
-    postings = docs.map_batches(explode, batch_format="pandas", batch_size=512)
-    # same estimate-gated coalesce as the minhash band table: the posting
-    # sort pays per-(block x partition) slice cost when the read fragments
-    # the corpus into many more blocks than the shuffle fan-out
-    est_blocks = derive_num_blocks(nd, target_rows=2048)
-    if est_blocks > 2 * ng:
-        postings = postings.repartition(ng, shuffle=False)
-    cand_counts = postings.groupby("_sg").map_groups(
-        pairs_in_supergroup, batch_format="pandas"
-    )
-    pairs = cand_counts.groupby("_sg").map_groups(
-        shared_count_filter, batch_format="pandas"
-    )
-    if use_bcast:
+    if verify_mode == "broadcast" or (
+        verify_mode == "auto" and nd <= DEFAULT_CONFIG.broadcast_verify_rows
+    ):
         # SMALL corpus: map-side verify against broadcast texts (the
         # q_bloom_join broadcast-vs-partition switch) — drops the verify
-        # tail's two shuffles; survivors of the pair-keyed count shuffle
-        # are globally unique, so no dedup is needed anywhere
-        return (
-            verify_pairs_broadcast_ds(
-                pairs,
-                broadcast_texts_ref(docs),
-                threshold,
-                dd.word_ngram_ids_batch,
-            ),
-            nd,
+        # tail's two shuffles
+        kept = verify_pairs_broadcast_ds(
+            pairs, broadcast_texts_ref(docs), threshold, dd.word_ngram_ids_batch
         )
-    return (
-        verify_pairs_jaccard_ds(
-            pairs,
-            docs,
-            ng,
-            threshold,
-            dd.word_ngram_ids_batch,
-            est_blocks + min(ng, 32),
-        ),
-        nd,
-    )
+    else:
+        kept = verify_pairs_jaccard_ds(pairs, docs, nd, threshold, dd.word_ngram_ids_batch)
+    return kept, nd
 
 
 _NGRAM_PAIRS_CACHE: dict[tuple, tuple[pd.DataFrame, int]] = {}

@@ -1,5 +1,5 @@
 """Distributed as-of join (ops.asof_join): brute-force parity, unmatched
-drops, tie determinism, partition invariance."""
+drops, tie determinism, partition invariance, dtypes over empty groups."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import pytest
 
 import ray.data as rd
 
+from citygml2objv2_ray import ops
 from citygml2objv2_ray.ops import asof_join
 
 
@@ -28,7 +29,12 @@ def _brute(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def _run(left: pd.DataFrame, right: pd.DataFrame, num_groups: int) -> pd.DataFrame:
+def _run(left: pd.DataFrame, right: pd.DataFrame, monkeypatch, num_groups: int | None = None) -> pd.DataFrame:
+    """The join of ``left`` and ``right`` on ``num_groups`` super-groups
+    (the default fan-out when None)."""
+    if num_groups:
+        monkeypatch.setattr(ops, "derive_num_groups", lambda n: num_groups)
+
     def pad_l(df: pd.DataFrame) -> pd.DataFrame:
         return df.assign(
             rv=np.full(len(df), -1, np.int64),
@@ -49,7 +55,7 @@ def _run(left: pd.DataFrame, right: pd.DataFrame, num_groups: int) -> pd.DataFra
         by="k",
         left_payload=["lv"],
         right_payload=["rv", "rx"],
-        num_groups=num_groups,
+        rows=len(left) + len(right),
     ).to_pandas()
     return out.sort_values(["k", "t", "lv"]).reset_index(drop=True)
 
@@ -83,9 +89,9 @@ def frames():
 
 
 class TestAsofJoin:
-    def test_brute_force_parity(self, ray_session, frames):
+    def test_brute_force_parity(self, ray_session, frames, monkeypatch):
         left, right = frames
-        got = _run(left, right, num_groups=8)
+        got = _run(left, right, monkeypatch, num_groups=8)
         want = _brute(left, right)
         pd.testing.assert_frame_equal(
             got[["t", "k", "lv", "rv", "rx"]], want, check_dtype=False
@@ -95,13 +101,25 @@ class TestAsofJoin:
         assert len(got) < len(left)
         assert got.rv.ge(0).all()
 
-    def test_partition_invariance(self, ray_session, frames):
+    def test_partition_invariance(self, ray_session, frames, monkeypatch):
         left, right = frames
-        a = _run(left, right, num_groups=2)
-        b = _run(left, right, num_groups=16)
+        a = _run(left, right, monkeypatch, num_groups=2)
+        b = _run(left, right, monkeypatch, num_groups=16)
         pd.testing.assert_frame_equal(a, b)
 
-    def test_tie_takes_max_tiebreak(self, ray_session):
+    def test_sparse_keys_keep_dtypes(self, ray_session, frames, monkeypatch):
+        """7 ``by`` keys over the default 64 super-groups leave most groups
+        empty; the collected frame has the dtypes of the dense case."""
+        left, right = frames
+        assert ops.derive_num_groups(len(left) + len(right)) == 64
+        few = left.k.isin(range(5, 12)), right.k.isin(range(5, 12))
+        sparse = _run(left[few[0]], right[few[1]], monkeypatch)
+        dense = _run(left, right, monkeypatch, num_groups=2)
+        assert sparse.k.nunique() == 7
+        assert sparse.dtypes.to_dict() == dense.dtypes.to_dict()
+        pd.testing.assert_frame_equal(sparse, dense[dense.k.isin(range(5, 12))].reset_index(drop=True))
+
+    def test_tie_takes_max_tiebreak(self, ray_session, monkeypatch):
         left = pd.DataFrame({"t": [10], "k": [1], "lv": [0]}).astype(np.int64)
         right = pd.DataFrame(
             {
@@ -111,6 +129,6 @@ class TestAsofJoin:
                 "rx": [0.3, 0.7, 0.5],
             }
         ).astype({"t": np.int64, "k": np.int64, "rv": np.int64})
-        got = _run(left, right, num_groups=4)
+        got = _run(left, right, monkeypatch, num_groups=4)
         assert len(got) == 1
         assert int(got.rv.iloc[0]) == 7 and float(got.rx.iloc[0]) == 0.7

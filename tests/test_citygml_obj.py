@@ -329,6 +329,16 @@ class TestExactTranslation:
         assert p.dtype == np.int64 and p[2] == 0
         assert p[0] < 0 and p[1] < 0  # negated means
 
+    def test_translation_params_of_no_surfaces(self, ray_session):
+        """A mean over no buildings has no value: zero surfaces raise an
+        error that says so, not an AttributeError from inside the
+        aggregate."""
+        from citygml2objv2_ray.exact import translation_params
+        from citygml2objv2_ray.schemas import SURFACES_SCHEMA
+
+        with pytest.raises(ValueError, match="surfaces are empty"):
+            translation_params(rd.from_arrow(SURFACES_SCHEMA.empty_table()))
+
 
 class TestHull:
     def test_convex_hull_2d_square_plus_inner(self):

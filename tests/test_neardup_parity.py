@@ -178,10 +178,12 @@ class TestPairGenCore:
 
     def test_supergroup_partitioning_invariance(self, ray_session):
         """The pair set must not depend on how rows are partitioned into
-        blocks (the super-group key is a pure function of the bucket)."""
+        blocks (the super-group of a row is a pure function of its
+        bucket)."""
         import ray.data as rd
 
         from citygml2objv2_ray import dedup as dd
+        from citygml2objv2_ray.ops import shuffle_groups
 
         rng = np.random.default_rng(3)
         n = 500
@@ -191,7 +193,6 @@ class TestPairGenCore:
                 "bkey": rng.integers(0, 80, size=n).astype(np.int64),
             }
         )
-        df["_sg"] = dd.supergroup_of(df.bkey.to_numpy())
 
         def pairs_in_supergroup(g):
             g = g.sort_values(["bkey", "doc_id"], kind="stable").reset_index(drop=True)
@@ -203,8 +204,7 @@ class TestPairGenCore:
         for nblocks in (1, 7, 32):
             ds = rd.from_pandas(df).repartition(nblocks)
             out = (
-                ds.groupby("_sg")
-                .map_groups(pairs_in_supergroup, batch_format="pandas")
+                shuffle_groups("test", [ds], ["bkey"], pairs_in_supergroup, n)
                 .to_pandas()
                 .sort_values(["a", "b"])
                 .reset_index(drop=True)

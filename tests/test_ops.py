@@ -1,5 +1,6 @@
 """Direct unit tests for the scale-hygiene operators in ops.py, and the
-lint that keeps ``ops.supergroup_agg`` the only grouped aggregate."""
+lints that keep ``ops.supergroup_agg`` the only grouped aggregate and
+``ops.shuffle_groups`` the only super-group shuffle."""
 
 from __future__ import annotations
 
@@ -28,6 +29,19 @@ def decisions(caplog) -> list[tuple[str, str, int, int, int]]:
     pat = re.compile(r"(\S+): (gather|shuffle), (\d+) partial rows, (\d+) partial bytes, cap (\d+)")
     return [
         (m[1], m[2], int(m[3]), int(m[4]), int(m[5]))
+        for r in caplog.records
+        if r.name == "citygml2objv2_ray.ops" and (m := pat.fullmatch(r.getMessage()))
+    ]
+
+
+def shuffles(caplog) -> list[tuple[str, int, str, int, str, bool]]:
+    """(site, sides, rows, fan-out, plan blocks, coalesced) of every
+    ``shuffle_groups`` call logged since the last ``caplog.clear()``."""
+    pat = re.compile(
+        r"(\S+): shuffle_groups, (\d+) sides, (\S+) rows, fan-out (\d+), (\S+) plan blocks, (coalesce|no coalesce)"
+    )
+    return [
+        (m[1], int(m[2]), m[3], int(m[4]), m[5], m[6] == "coalesce")
         for r in caplog.records
         if r.name == "citygml2objv2_ray.ops" and (m := pat.fullmatch(r.getMessage()))
     ]
@@ -143,13 +157,123 @@ class TestSupergroupFanout:
 
         ds = rd.from_pandas(df).repartition(8)
         for branch in both_branches(monkeypatch, caplog):
-            for ng in (16, 64, 256) if branch == "shuffle" else (None,):
-                monkeypatch.setattr(ops, "derive_num_groups", lambda n, cfg=None, ng=ng: ng)
-                got = supergroup_agg("test", ds, ["k"], partial, merge)
-                got = got.sort_values("k").reset_index(drop=True)
-                assert got.k.tolist() == want.k.tolist()
-                assert np.allclose(got.s, want.s)
-                assert got.n.tolist() == want.n.tolist()
+            for ng in (1, 7, 16, 64, 256) if branch == "shuffle" else (None,):
+                for blocks in (None, 10**6) if branch == "shuffle" else (None,):
+                    monkeypatch.setattr(ops, "derive_num_groups", lambda n, ng=ng: ng)
+                    monkeypatch.setattr(ops, "_plan_blocks", lambda ds, blocks=blocks: blocks)
+                    got = supergroup_agg("test", ds, ["k"], partial, merge)
+                    got = got.sort_values("k").reset_index(drop=True)
+                    assert got.k.tolist() == want.k.tolist()
+                    assert np.allclose(got.s, want.s)
+                    assert got.n.tolist() == want.n.tolist()
+
+    @pytest.mark.parametrize("coalesce", [False, True], ids=["no_coalesce", "coalesce"])
+    @pytest.mark.parametrize("fanout", [1, 7, None], ids=["fanout1", "fanout7", "fanout_default"])
+    def test_queries_invariant_to_fanout_and_coalesce(
+        self, ray_session, sf_dir, shuffle_defaults, monkeypatch, caplog, fanout, coalesce
+    ):
+        """Every query built on ``shuffle_groups`` gives the frame of its
+        default plan whatever the super-group fan-out and whether the
+        union is coalesced first (near-dup verify on the shuffle path)."""
+        from citygml2objv2_ray import ops
+
+        _shuffle_verify(monkeypatch)
+        if fanout:
+            monkeypatch.setattr(ops, "derive_num_groups", lambda n: fanout)
+        monkeypatch.setattr(ops, "_plan_blocks", lambda ds: 10**6 if coalesce else None)
+        caplog.set_level(logging.INFO, logger="citygml2objv2_ray.ops")
+        for name, want in shuffle_defaults.items():
+            caplog.clear()
+            got = _run_shuffle_query(name, sf_dir)
+            assert got.equals(want), name
+            logged = shuffles(caplog)
+            assert logged, f"{name} ran no shuffle_groups"
+            assert {c for *_, c in logged} == {coalesce}, name
+            if fanout:
+                assert {f for _, _, _, f, _, _ in logged} == {fanout}, name
+
+
+# the queries routed through ops.shuffle_groups
+SHUFFLE_QUERIES = [
+    "q_phash_neardup", "q_tfidf_top_terms", "q_asof_join", "q_minhash_neardup",
+    "q_ngram_jaccard", "q_dup_components", "q_dedup_corpus",
+]
+
+
+def _shuffle_verify(monkeypatch):
+    """Send both near-dup queries down the shuffle verify tail."""
+    import dataclasses
+
+    from citygml2objv2_ray import config
+
+    monkeypatch.setattr(
+        config, "DEFAULT_CONFIG", dataclasses.replace(config.DEFAULT_CONFIG, broadcast_verify_rows=0)
+    )
+
+
+def _run_shuffle_query(name: str, sf_dir: str) -> pd.DataFrame:
+    """Registry query ``name`` with the shared n-gram pair cache emptied,
+    so the n-gram queries recompute their pairs under the current plan."""
+    from citygml2objv2_ray import relational, relational_ext, relational_ml  # noqa: F401
+
+    relational_ml._NGRAM_PAIRS_CACHE.clear()
+    return relational.REGISTRY[name](sf_dir)
+
+
+@pytest.fixture(scope="module")
+def shuffle_defaults(ray_session, sf_dir) -> dict[str, pd.DataFrame]:
+    """Each shuffle query's frame at the default fan-out and coalesce."""
+    with pytest.MonkeyPatch.context() as mp:
+        _shuffle_verify(mp)
+        return {name: _run_shuffle_query(name, sf_dir) for name in SHUFFLE_QUERIES}
+
+
+class TestShuffleGroups:
+    def test_sides_meet_per_key_and_fn_never_sees_the_tag(self, ray_session, monkeypatch, caplog):
+        """Rows of every side with equal keys reach one ``fn`` call, which
+        gets no ``_sg`` column; each call logs its one decision."""
+        from citygml2objv2_ray import ops
+
+        monkeypatch.setattr(ops, "derive_num_groups", lambda n: 7)
+        caplog.set_level(logging.INFO, logger="citygml2objv2_ray.ops")
+        left = pd.DataFrame({"k": np.arange(200) % 23, "side": 0})
+        right = pd.DataFrame({"k": np.arange(50) % 23, "side": 1})
+
+        def per_group(g: pd.DataFrame) -> pd.DataFrame:
+            assert list(g.columns) == ["k", "side"]
+            return g.groupby("k", as_index=False).agg(n=("side", "size"), r=("side", "sum"))
+
+        sides = [rd.from_pandas(left).repartition(5), rd.from_pandas(right).repartition(3)]
+        got = ops.shuffle_groups("test", sides, ["k"], per_group, 250).to_pandas()
+        got = got.sort_values("k").reset_index(drop=True)
+        both = pd.concat([left, right])
+        want = both.groupby("k", as_index=False).agg(n=("side", "size"), r=("side", "sum"))
+        assert got.equals(want)  # one row per key: no key was split across groups
+        assert shuffles(caplog) == [("test", 2, "250", 7, "8", False)]
+
+    def test_plan_blocks_count_a_reads_requested_blocks(self, ray_session, sf_dir):
+        """A parquet read asked for 40 blocks yields 40, which Ray's own
+        plan estimate counts as one per file; unions add up."""
+        from citygml2objv2_ray.ops import _plan_blocks
+
+        docs = rd.read_parquet(f"{sf_dir}/documents.parquet", override_num_blocks=40)
+        small = rd.range(10).repartition(3)
+        both = docs.map_batches(lambda d: d, batch_format="pandas").union(small)
+        assert both._plan.initial_num_blocks() == 4
+        assert _plan_blocks(both) == 43
+        assert docs.materialize().num_blocks() == 40
+
+    def test_coalesces_only_over_twice_the_fanout(self, ray_session, monkeypatch, caplog):
+        from citygml2objv2_ray import ops
+
+        monkeypatch.setattr(ops, "derive_num_groups", lambda n: 4)
+        caplog.set_level(logging.INFO, logger="citygml2objv2_ray.ops")
+        for blocks, merged in ((8, False), (9, True)):
+            ds = rd.range(90).repartition(blocks)
+            caplog.clear()
+            got = ops.shuffle_groups("test", [ds], ["id"], lambda g: g, None).to_pandas()
+            assert sorted(got.id) == list(range(90))
+            assert shuffles(caplog) == [("test", 1, "None", 4, str(blocks), merged)]
 
 
 class TestHotKey:
@@ -281,7 +405,7 @@ class TestSupergroupFullHistoryOps:
         ds = rd.from_pandas(df).repartition(8)
         for branch in both_branches(monkeypatch, caplog):
             for ng in (4, 64) if branch == "shuffle" else (None,):
-                monkeypatch.setattr(ops, "derive_num_groups", lambda n, cfg=None, ng=ng: ng)
+                monkeypatch.setattr(ops, "derive_num_groups", lambda n, ng=ng: ng)
                 got = supergroup_agg("test", ds, ["k"], lambda d: d, quantiles)
                 assert len(got) == len(want)
                 for _, row in got.iterrows():
@@ -318,7 +442,7 @@ class TestSupergroupFullHistoryOps:
         ds = rd.from_pandas(df).repartition(8)
         for branch in both_branches(monkeypatch, caplog):
             for ng in (4, 64) if branch == "shuffle" else (None,):
-                monkeypatch.setattr(ops, "derive_num_groups", lambda n, cfg=None, ng=ng: ng)
+                monkeypatch.setattr(ops, "derive_num_groups", lambda n, ng=ng: ng)
                 got = supergroup_agg("test", ds, ["k"], partial, merge)
                 assert {int(r.k): int(r.bit) for _, r in got.iterrows()} == want
 
@@ -380,3 +504,107 @@ def test_supergroup_agg_is_the_only_grouped_aggregate():
 )
 def test_grouped_aggregate_lint_sees_each_pattern(src, want):
     assert list(_grouped_aggregates(ast.parse(src))) == want
+
+
+# (file, outermost def or class) where each super-group idiom may appear;
+# "*" is the whole file. The Ray groupby sites besides the helper are
+# per-key map_groups or a tree merge, not super-group shuffles.
+SHUFFLE_ALLOWED = {
+    "tag_literal": {("citygml2objv2_ray/ops.py", "*")},
+    "hash_pandas_object": {
+        ("citygml2objv2_ray/ops.py", "*"),
+        ("citygml2objv2_ray/streaming.py", "route_stream"),
+        ("citygml2objv2_ray/state/checkpoint.py", "PartitionedWriter"),
+    },
+    "coalesce": {("citygml2objv2_ray/ops.py", "*")},
+    "ray_groupby": {
+        ("citygml2objv2_ray/ops.py", "shuffle_groups"),
+        ("citygml2objv2_ray/pipelines/components.py", "separate_components"),
+        ("citygml2objv2_ray/relational_ml.py", "q_embedding_neardup"),
+        ("citygml2objv2_ray/relational_ext.py", "q_embedding_neardup_lsh"),
+        ("citygml2objv2_ray/relational_stats.py", "q_heavy_hitters"),
+    },
+}
+
+
+def _call_name(func: ast.AST) -> str | None:
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _shuffle_idioms(tree: ast.Module):
+    """(kind, outermost def or class, line) of every hand-rolled piece of a
+    super-group shuffle: a ``_sg``/``_dg`` literal or keyword, a ``hash_pandas_object``
+    call, a ``repartition(..., shuffle=False)`` coalesce, a Ray
+    ``.groupby(...).map_groups(`` chain, and any ``supergroup_of`` name."""
+    for top in tree.body:
+        scope = getattr(top, "name", None)
+        for node in ast.walk(top):
+            line = getattr(node, "lineno", None)
+            if (isinstance(node, ast.Constant) and node.value in ("_sg", "_dg")) or (
+                isinstance(node, ast.keyword) and node.arg in ("_sg", "_dg")
+            ):
+                yield "tag_literal", scope, line
+            if "supergroup_of" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   getattr(node, "name", None)):
+                yield "supergroup_of", scope, line
+            if not isinstance(node, ast.Call):
+                continue
+            name = _call_name(node.func)
+            if name == "hash_pandas_object":
+                yield "hash_pandas_object", scope, line
+            elif name == "repartition" and any(
+                k.arg == "shuffle" and isinstance(k.value, ast.Constant) and k.value.value is False
+                for k in node.keywords
+            ):
+                yield "coalesce", scope, line
+            elif (
+                name == "map_groups"
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Call)
+                and _call_name(node.func.value.func) == "groupby"
+            ):
+                yield "ray_groupby", scope, line
+
+
+def test_shuffle_groups_is_the_only_super_group_shuffle():
+    """Every keyed shuffle that is not an aggregate goes through
+    ``ops.shuffle_groups``: one hash, one coalesce rule, one tag column."""
+    paths = sorted((REPO / "citygml2objv2_ray").rglob("*.py")) + [REPO / "__ray_entry__.py"]
+    found = [
+        (str(p.relative_to(REPO)), kind, scope, line)
+        for p in paths
+        for kind, scope, line in _shuffle_idioms(ast.parse(p.read_text(), str(p)))
+    ]
+    assert {k for _, k, _, _ in found} >= {"ray_groupby", "hash_pandas_object"}, "the parse saw no shuffle"
+    stray = [
+        f"{p}:{line} {kind} in {scope}"
+        for p, kind, scope, line in found
+        if not {(p, scope), (p, "*")} & SHUFFLE_ALLOWED.get(kind, set())
+    ]
+    assert not stray, stray
+
+
+@pytest.mark.parametrize(
+    "src, want",
+    [
+        ("def f(df):\n    return df.assign(_sg=h % ng)\n", [("tag_literal", "f", 2)]),
+        (
+            "def f(ds, ng):\n"
+            "    def tag(df):\n"
+            "        h = pd.util.hash_pandas_object(df[['k']], index=False).to_numpy()\n"
+            "        return df.assign(**{'_sg': h % ng})\n"
+            "    ds = ds.map_batches(tag).repartition(ng, shuffle=False)\n"
+            "    return ds.groupby('_sg').map_groups(g)\n",
+            [("tag_literal", "f", 4), ("tag_literal", "f", 6), ("hash_pandas_object", "f", 3),
+             ("coalesce", "f", 5), ("ray_groupby", "f", 6)],
+        ),
+        ("out['_dg'] = dd.supergroup_of(k, 64)\n", [("tag_literal", None, 1), ("supergroup_of", None, 1)]),
+        ("from .dedup import supergroup_of\n", [("supergroup_of", None, 1)]),
+        ("class W:\n    def m(self, ds):\n        return ds.repartition(8)\n", []),
+        ("def f(df):\n    return df.groupby('k').sum()\n", []),
+    ],
+    ids=["assign_keyword", "reinlined_helper", "dg_and_supergroup_of", "import", "shuffling_repartition",
+         "pandas_groupby"],
+)
+def test_shuffle_lint_sees_each_pattern(src, want):
+    assert sorted(_shuffle_idioms(ast.parse(src)), key=str) == sorted(want, key=str)

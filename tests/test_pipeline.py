@@ -72,6 +72,18 @@ class TestGeometryPipeline:
         assert df.xmin.iloc[0] == pytest.approx(allpts[:, 0].min() - 3.0)
         assert df.zmax.iloc[0] == pytest.approx(allpts[:, 2].max() + 3.0)
 
+    def test_building_bboxes_of_no_surfaces(self, ray_session):
+        """Zero surfaces give zero rows with the same columns (Ray runs no
+        batch of an empty input, so nothing else names them)."""
+        from citygml2objv2_ray.pipelines.geometry import building_bboxes
+        from citygml2objv2_ray.schemas import SURFACES_SCHEMA
+
+        df = building_bboxes(rd.from_arrow(SURFACES_SCHEMA.empty_table()))
+        assert len(df) == 0
+        assert list(df.columns) == [
+            "building_id", "xmin", "ymin", "zmin", "xmax", "ymax", "zmax", "tx", "ty", "tz",
+        ]
+
     def test_global_min_and_translate_roundtrip(self, city):
         from citygml2objv2_ray.pipelines.geometry import (
             global_min_vertex,
