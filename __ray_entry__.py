@@ -274,8 +274,6 @@ def _q_hot_cells(sf_dir: str):
 
 def _q_components(sf_dir: str):
     """Component-separation sidecar table (§3.3 parity, rows-only)."""
-    import ray.data as rd
-
     from citygml2objv2_ray import worlds
     from citygml2objv2_ray.pipelines.components import (
         component_sidecars,
@@ -284,7 +282,7 @@ def _q_components(sf_dir: str):
     from citygml2objv2_ray.pipelines.geometry import surfaces_dataset
 
     _, surfaces, _ = worlds.load_world(worlds.sf_of_dir(sf_dir))
-    df = component_sidecars(separate_components(surfaces_dataset(surfaces)))
+    df = component_sidecars(separate_components(surfaces_dataset(surfaces))).drop(columns="doc_id")
     for c in ["xmin", "ymin", "zmin", "xmax", "ymax", "zmax", "tx", "ty", "tz"]:
         df[c] = df[c].round(6)
     return df

@@ -61,16 +61,17 @@ def run(args) -> dict:
     from .pipelines.components import component_sidecars, separate_components
     from .pipelines.convert import convert
     from .sources.citygml import read_citygml, surfaces_to_gml
+    from .state.checkpoint import publish
 
     os.makedirs(args.results, exist_ok=True)
     outputs: dict = {}
+    paths = sorted(
+        glob.glob(os.path.join(args.directory, "*.gml"))
+        + glob.glob(os.path.join(args.directory, "*.xml"))
+    )
 
     surfaces_override = None
     if args.translateCityGML or args.translateCityGMLwrite:
-        paths = sorted(
-            glob.glob(os.path.join(args.directory, "*.gml"))
-            + glob.glob(os.path.join(args.directory, "*.xml"))
-        )
         surfaces = read_citygml(paths)
         if surfaces.count() == 0:
             raise ValueError(
@@ -107,16 +108,15 @@ def run(args) -> dict:
     if args.separateComponents:
         src = surfaces_override
         if src is None:
-            paths = sorted(
-                glob.glob(os.path.join(args.directory, "*.gml"))
-                + glob.glob(os.path.join(args.directory, "*.xml"))
-            )
             src = read_citygml(paths)
         comps = separate_components(
             src,
             approx_windows=bool(args.approximateWindows),
             corner_markers=bool(args.addBoundingBox),
         ).materialize()
+        # a document is named by its index in the sorted input list:
+        # building_seq restarts in every document
+        doc = {d: i for i, d in enumerate(paths)}
 
         def write_component_files(df):
             import pandas as pd
@@ -124,9 +124,10 @@ def run(args) -> dict:
             paths_out = []
             for r in df.itertuples():
                 p = os.path.join(
-                    args.results, f"b{r.building_seq:06d}_c{r.component_seq:03d}.obj"
+                    args.results,
+                    f"d{doc[r.doc_id]:03d}_b{r.building_seq:06d}_c{r.component_seq:03d}.obj",
                 )
-                with open(p, "w") as f:
+                with publish(p) as tmp, open(tmp, "w") as f:
                     f.write(r.obj_text)
                 paths_out.append(p)
             return pd.DataFrame({"path": paths_out})
@@ -134,8 +135,9 @@ def run(args) -> dict:
         written = comps.map_batches(write_component_files, batch_format="pandas")
         outputs["n_component_files"] = written.count()
         sidecars = component_sidecars(comps)
-        sidecars.to_parquet(os.path.join(args.results, "component_index.parquet"))
         outputs["sidecar"] = os.path.join(args.results, "component_index.parquet")
+        with publish(outputs["sidecar"]) as tmp:
+            sidecars.to_parquet(tmp)
         return outputs
 
     outputs["obj"] = convert(

@@ -351,6 +351,27 @@ def normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / n
 
 
+def cosine_pairs(ids: np.ndarray, embeddings, threshold: float) -> pd.DataFrame:
+    """Every pair of rows with ``vec_a < vec_b`` whose cosine is at least
+    ``threshold``, from one all-pairs product of the normalized rows:
+    ``vec_a``, ``vec_b`` (int64) and ``cos`` rounded to 4 places, as the
+    SQL twins' ``ROUND(list_cosine_similarity(a, b), 4)``; ``ids`` and
+    ``embeddings`` are one group's columns."""
+    vn = normalize_rows(np.vstack(embeddings).astype(np.float64))
+    sims = vn @ vn.T
+    order = np.argsort(ids)
+    ids, sims = ids[order], sims[np.ix_(order, order)]
+    ii, jj = np.triu_indices(len(ids), k=1)
+    keep = sims[ii, jj] >= threshold
+    return pd.DataFrame(
+        {
+            "vec_a": ids[ii[keep]].astype(np.int64),
+            "vec_b": ids[jj[keep]].astype(np.int64),
+            "cos": np.round(sims[ii, jj][keep], 4),
+        }
+    )
+
+
 def cosine_topk(queries: np.ndarray, corpus: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Brute-force cosine top-k (baseline ANN): normalized matmul per batch.
     Returns (indices (Q,k), scores (Q,k)) ordered by (-score, index)."""

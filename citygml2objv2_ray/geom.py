@@ -18,7 +18,6 @@ scipy / triangle / open3d in this environment):
   SETS and summed areas, not triangle order — SURVEY.md §7.4), batched
   over every polygon of a call (``triangulate_flat``)
 - winding orientation fix            (polygon3dmodule.py:416-439,707-715)
-- buffered bbox                      (componentseparationmodule.py:63-121)
 - centroid / weighted centroid       (polygon3dmodule.py:338-358,449-471)
 - mtl bucketize                      (CityGML2OBJs.py:383-411)
 - point-in-polygon (ray cast, vectorized) — new, for the spatial join
@@ -716,91 +715,9 @@ def _earclip_polygons(body, boff, axis, hbody, hoff, hrow, kept, ec):
     return ec[np.flatnonzero(ok)[rr]], tri
 
 
-def triangulate_polygons(
-    exteriors: list, interiors: list | None = None, cfg: EngineConfig = DEFAULT_CONFIG
-) -> list[np.ndarray]:
-    """``triangulate_polygon`` of many polygons in one ``triangulate_flat``
-    call. ``interiors[i]`` lists polygon i's holes."""
-    dec = cfg.vertex_round_decimals
-    interiors = interiors if interiors is not None else [[]] * len(exteriors)
-    out = [np.zeros((0, 3, 3)) for _ in exteriors]
-    rows, bodies, normals, axes, holes, nholes = [], [], [], [], [], []
-    for i, (ext, hs) in enumerate(zip(exteriors, interiors)):
-        ext = clean_ring(ext, dec)
-        if len(ext) < 4:
-            continue
-        normal = newell_normal(ext)
-        if not normal.any():
-            continue  # silent-empty parity (polygon3dmodule.py:679-687)
-        hb = [clean_ring(h, dec)[:-1] for h in hs or []]
-        rows.append(i)
-        bodies.append(ext[:-1])
-        normals.append(normal)
-        axes.append(projection_axis(normal, ext, cfg))
-        holes.extend(hb)
-        nholes.append(len(hb))
-    if not rows:
-        return out
-    hb = [np.zeros((0, 3))] + [h.reshape(-1, 3) for h in holes]
-    row, tris = triangulate_flat(
-        np.concatenate(bodies),
-        _offsets([len(b) for b in bodies]),
-        np.array(normals),
-        np.array(axes),
-        np.concatenate(hb),
-        _offsets([len(h) for h in holes]),
-        _offsets(nholes),
-    )
-    cut = np.cumsum(np.bincount(row, minlength=len(rows)))[:-1]
-    for i, t in zip(rows, np.split(tris, cut)):
-        out[i] = t
-    return out
-
-
-def triangulate_polygon(
-    exterior: np.ndarray,
-    interiors: list[np.ndarray] | None = None,
-    cfg: EngineConfig = DEFAULT_CONFIG,
-) -> np.ndarray:
-    """Full 3-D polygon triangulation (the C1 kernel,
-    polygon3dmodule.py:551-716): clean rings → Newell normal → projection
-    axis (XY / XZ / YZ) → ``triangulate_flat`` (convex fan, or 2-D ear clip
-    with hole bridging, lifted back to the input vertices and wound to the
-    normal, polygon3dmodule.py:707-715). Rings of under 3 distinct points
-    and zero normals return an empty array (silent-empty parity,
-    polygon3dmodule.py:679-687).
-
-    Returns (T, 3, 3) float64.
-    """
-    return triangulate_polygons([exterior], [interiors or []], cfg)[0]
-
-
 # ---------------------------------------------------------------------------
-# bbox / bucketize / hashing helpers
+# bucketize / hashing helpers
 # ---------------------------------------------------------------------------
-
-
-def buffered_bbox(points: np.ndarray, buffer: float = DEFAULT_CONFIG.bbox_buffer) -> np.ndarray:
-    """Axis-aligned bbox of a point set expanded by ``buffer`` on every side
-    (componentseparationmodule.py:63-121 — README says 2 m, code says 3 m;
-    we follow the code). Returns [xmin,ymin,zmin,xmax,ymax,zmax]."""
-    pts = np.asarray(points, dtype=np.float64)
-    lo = pts.min(axis=0) - buffer
-    hi = pts.max(axis=0) + buffer
-    return np.concatenate([lo, hi])
-
-
-def bbox_corner_points(bbox: np.ndarray) -> np.ndarray:
-    """8 corner points of a 3-D bbox (componentseparationmodule.py:110-121)."""
-    xmin, ymin, zmin, xmax, ymax, zmax = bbox
-    return np.array(
-        [
-            [x, y, z]
-            for x in (xmin, xmax)
-            for y in (ymin, ymax)
-            for z in (zmin, zmax)
-        ]
-    )
 
 
 def mtl_bucketize(

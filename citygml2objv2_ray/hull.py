@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geom import bbox_corner_points, buffered_bbox, fit_plane
+from .geom import fit_plane
 
 
 def convex_hull_2d(points: np.ndarray) -> np.ndarray:
@@ -86,14 +86,14 @@ def approx_window_hull(points: np.ndarray, seed_key: str = "w") -> np.ndarray:
     return np.stack(tris)
 
 
-def corner_marker_triangles(points: np.ndarray, buffer: float = 3.0, side: float = 1.0) -> np.ndarray:
-    """8 small marker triangles at the buffered-bbox corners
-    (componentseparationmodule.py:13-33: side-1 triangles in the xy plane
-    of each corner). Returns (8,3,3)."""
-    corners = bbox_corner_points(buffered_bbox(points, buffer))
-    tris = np.empty((8, 3, 3))
-    for i, p in enumerate(corners):
-        tris[i] = np.array(
-            [p, p + np.array([side, 0, 0]), p + np.array([0, side, 0])]
-        )
-    return tris
+def corner_marker_triangles(lo: np.ndarray, hi: np.ndarray, side: float = 1.0) -> np.ndarray:
+    """8 small marker triangles at the corners of each buffered bbox
+    ``lo``/``hi`` (B,3) (componentseparationmodule.py:13-33: side-1
+    triangles in the xy plane of each corner, corners in x, y, z order of
+    (min, max)). Returns (B,8,3,3)."""
+    sel = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1  # corner c: x, y, z pick hi
+    p = np.where(sel, hi[:, None, :], lo[:, None, :])
+    dx, dy = p.copy(), p.copy()
+    dx[..., 0] += side
+    dy[..., 1] += side
+    return np.stack([p, dx, dy], axis=2)

@@ -1,16 +1,21 @@
 """Component separation (SURVEY.md §3.3 — ``-sepC`` mode,
 componentseparationmodule.py:596-756): one OBJ artifact per building
-component (each semantic feature, each opening), with optional
-building-wise translation, approximated window hulls (``-appW``), corner
-marker triangles, and the index/bbox sidecars as METRICS ROWS (the
-reference's read-modify-write JSON sidecars E3/E4 become append-only
-lineage-style tables — SURVEY.md §1.2).
+component (each semantic feature, each opening), translated by its
+building's bbox centre, with optional approximated window hulls
+(``-appW``), corner marker triangles (``-addBB``), and the index/bbox
+sidecars as METRICS ROWS (the reference's read-modify-write JSON sidecars
+E3/E4 become append-only lineage-style tables — SURVEY.md §1.2).
 
-Ray-native shape: groupby(building_id).map_groups over the surfaces table;
-each group emits one row per component: (ids, counts, bbox, obj_text).
-The global ``overall_counter`` file numbering of the reference
-(componentseparationmodule.py:616-617) is replaced by the deterministic
-(building_seq, component_seq) key — execution-order-free.
+Ray-native shape: ONE ``ops.shuffle_groups`` pass keyed on (doc_id,
+building_seq) — ``building_seq`` restarts in every document — whose
+super-groups each run array passes over all their buildings:
+``building_extents`` for the translations, ``ring_kernel`` for the ring
+clean, one ``triangulate_rows`` call for every polygon past the quad fast
+path, and array ops for the per-component bboxes. Only the OBJ text and
+the opt-in hulls are built per component. The global ``overall_counter``
+file numbering of the reference (componentseparationmodule.py:616-617) is
+replaced by the deterministic (doc_id, building_seq, component_seq) key —
+execution-order-free.
 """
 
 from __future__ import annotations
@@ -21,9 +26,15 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from .. import geom
+from ..arrow_utils import ring_column
 from ..config import DEFAULT_CONFIG, EngineConfig
 from ..hull import approx_window_hull, corner_marker_triangles
+from ..ops import shuffle_groups
+from ..schemas import SURFACES_SCHEMA
+from ..stages.geometry import ring_kernel, triangulate_rows
+from .geometry import BBOX, BUILDING, building_extents
+
+_RINGS = pa.schema([SURFACES_SCHEMA.field("exterior"), SURFACES_SCHEMA.field("interiors")])
 
 
 def _component_obj(tris: np.ndarray) -> str:
@@ -39,99 +50,88 @@ def _component_obj(tris: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rows(ids: pd.DataFrame, seq, tris: np.ndarray, row: np.ndarray, trans: np.ndarray, **cols):
+    """One component row per row of ``ids``: its triangles are
+    ``tris[row == i]``, already translated; the bbox is of those
+    triangles, zeros when there are none."""
+    n_tri = np.bincount(row, minlength=len(ids))
+    lo, hi = np.zeros((len(ids), 3)), np.zeros((len(ids), 3))
+    has = np.flatnonzero(n_tri)
+    if len(has):
+        start = 3 * (np.cumsum(n_tri) - n_tri)[has]
+        lo[has] = np.minimum.reduceat(tris.reshape(-1, 3), start)
+        hi[has] = np.maximum.reduceat(tris.reshape(-1, 3), start)
+    cut = np.cumsum(n_tri)[:-1]
+    return ids.assign(
+        component_seq=seq,
+        **cols,
+        n_tri=n_tri,
+        **dict(zip(BBOX, np.hstack([lo, hi, trans]).T)),
+        obj_text=[_component_obj(t) for t in np.split(tris, cut)],
+    )
+
+
 def separate_components(
     surfaces: rd.Dataset,
     cfg: EngineConfig = DEFAULT_CONFIG,
-    translate_per_building: bool = True,
     approx_windows: bool = False,
     corner_markers: bool = False,
 ) -> rd.Dataset:
     """surfaces → one row per component:
-    (building_id, building_seq, component_seq, feature_id, semantic,
-    is_opening, n_tri, xmin..zmax, tx/ty/tz, obj_text).
+    (doc_id, building_id, building_seq, component_seq, feature_id,
+    semantic, is_opening, n_tri, xmin..zmax, tx/ty/tz, obj_text).
 
-    Per-building semantics (componentseparationmodule.py:596-756):
-    - translation params = mean of the 8 buffered-bbox corner points (D7)
-    - quad fast-path: 4-point rings (incl. closure) emit the single
-      triangle of their first 3 points (:731-733); >4 full triangulation
-      (:727-729); <3 empty (:734-736)
+    Per-building semantics (componentseparationmodule.py:596-756), equal
+    frame for frame to ``tests/reference_oracle.separate_components_rowwise``:
+    - translation = mean of the 8 buffered-bbox corners (D7)
+    - rings are cleaned at ``cfg.vertex_round_decimals`` and not
+      validated: a cleaned ring of 4 points incl. closure emits the single
+      triangle of its first 3 points (:731-733), fewer → empty (:734-736),
+      more → full triangulation (:727-729), empty on a zero normal
     - openings: exact triangulation, or perturbed-hull approximation
       (``-appW``, :534-544)
-    - optional 8 corner-marker triangles appended as their own component
+    - optional 8 corner-marker triangles appended as their own component,
+      numbered after the building's polygons
     """
 
-    def per_building(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("poly_seq", kind="stable")
-        all_pts = np.concatenate(
-            [np.asarray([list(p) for p in ext], dtype=np.float64) for ext in g.exterior]
+    def per_group(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(BUILDING + ["poly_seq"], kind="stable", ignore_index=True)
+        t = pa.Table.from_pandas(g[_RINGS.names], schema=_RINGS, preserve_index=False)
+        pts, off = ring_column(t["exterior"])
+        code, b = building_extents(g, pts, off, cfg.bbox_buffer)
+        trans = b[BBOX[6:]].to_numpy()
+        k = ring_kernel(t, cfg)
+        n = np.diff(k.boff) + 1  # cleaned length incl. closure, as geom.clean_ring's
+        approx = g.is_opening.to_numpy(bool) & approx_windows
+        full = np.flatnonzero((n > 4) & k.normal.any(axis=1) & ~approx)
+        quad = np.flatnonzero((n == 4) & ~approx)
+        row, tris = triangulate_rows(k, full, t["interiors"], cfg)
+        parts = [(row, tris), (quad, k.body[k.boff[quad][:, None] + np.arange(3)])]
+        for i in np.flatnonzero(approx):
+            hull = approx_window_hull(k.body[k.boff[i] : k.boff[i + 1]], seed_key=str(g.poly_id[i]))
+            parts.append((np.full(len(hull), i), hull))
+        row = np.concatenate([p[0] for p in parts])
+        o = np.argsort(row, kind="stable")
+        row, tris = row[o], np.concatenate([p[1] for p in parts])[o]
+        first = np.searchsorted(code, np.arange(len(b)))
+        out = _rows(
+            g[["doc_id", "building_id", "building_seq"]], np.arange(len(g)) - first[code],
+            tris - trans[code[row]][:, None, :], row, trans[code],
+            feature_id=g.feature_id, semantic=g.semantic, is_opening=g.is_opening.astype(bool),
         )
-        bbox = geom.buffered_bbox(all_pts, cfg.bbox_buffer)
-        # mean of the 8 buffered corners == buffered-bbox center; computed
-        # as (lo + hi) / 2 so the DuckDB twin can reproduce it bitwise
-        # (pairwise-summation np.mean is not SQL-expressible)
-        trans = (bbox[:3] + bbox[3:]) / 2 if translate_per_building else np.zeros(3)
-
-        dec = cfg.vertex_round_decimals
-        recs = list(g.itertuples())
-        exts = [
-            geom.clean_ring(np.asarray([list(p) for p in r.exterior], dtype=np.float64), dec)
-            for r in recs
-        ]
-        approx = [bool(r.is_opening and approx_windows) for r in recs]
-        # every polygon past the quad fast path: one batched triangulation
-        full = [i for i, e in enumerate(exts) if len(e) > 4 and not approx[i]]
-        holes = [
-            [np.asarray([list(p) for p in h], dtype=np.float64) for h in recs[i].interiors]
-            for i in full
-        ]
-        full_tris = dict(zip(full, geom.triangulate_polygons([exts[i] for i in full], holes, cfg)))
-        rows = []
-        for cseq, (r, ext) in enumerate(zip(recs, exts)):
-            if approx[cseq]:
-                tris = approx_window_hull(ext[:-1] if len(ext) > 1 else ext, seed_key=str(r.poly_id))
-            elif len(ext) < 4:  # <3 distinct points → empty (:734-736)
-                tris = np.zeros((0, 3, 3))
-            elif len(ext) == 4:  # quad fast-path: first 3 points (:731-733)
-                tris = ext[None, :3, :]
-            else:  # full triangulation (:727-729)
-                tris = full_tris[cseq]
-            tris = tris - trans
-            lo = tris.reshape(-1, 3).min(axis=0) if len(tris) else np.zeros(3)
-            hi = tris.reshape(-1, 3).max(axis=0) if len(tris) else np.zeros(3)
-            rows.append(
-                dict(
-                    building_id=r.building_id,
-                    building_seq=int(r.building_seq),
-                    component_seq=cseq,
-                    feature_id=r.feature_id,
-                    semantic=r.semantic,
-                    is_opening=bool(r.is_opening),
-                    n_tri=len(tris),
-                    xmin=lo[0], ymin=lo[1], zmin=lo[2],
-                    xmax=hi[0], ymax=hi[1], zmax=hi[2],
-                    tx=trans[0], ty=trans[1], tz=trans[2],
-                    obj_text=_component_obj(tris),
-                )
-            )
         if corner_markers:
-            tris = corner_marker_triangles(all_pts, cfg.bbox_buffer) - trans
-            rows.append(
-                dict(
-                    building_id=g.building_id.iloc[0],
-                    building_seq=int(g.building_seq.iloc[0]),
-                    component_seq=len(recs),
-                    feature_id="corner_markers",
-                    semantic="Marker",
-                    is_opening=False,
-                    n_tri=len(tris),
-                    xmin=0.0, ymin=0.0, zmin=0.0, xmax=0.0, ymax=0.0, zmax=0.0,
-                    tx=trans[0], ty=trans[1], tz=trans[2],
-                    obj_text=_component_obj(tris),
-                )
+            lo, hi = b[BBOX[:3]].to_numpy(), b[BBOX[3:6]].to_numpy()
+            tris = (corner_marker_triangles(lo, hi) - trans[:, None, None, :]).reshape(-1, 3, 3)
+            markers = _rows(
+                b[["doc_id", "building_id", "building_seq"]], np.bincount(code),
+                tris, np.repeat(np.arange(len(b)), 8), trans,
+                feature_id="corner_markers", semantic="Marker", is_opening=False,
             )
-        return pd.DataFrame(rows)
+            markers[BBOX[:6]] = 0.0
+            out = pd.concat([out, markers], ignore_index=True)
+        return out.astype({"building_seq": np.int64})
 
-    return surfaces.groupby("building_id").map_groups(per_building, batch_format="pandas")
+    return shuffle_groups("components", [surfaces], BUILDING, per_group, None)
 
 
 def component_sidecars(components: rd.Dataset) -> pd.DataFrame:
@@ -140,9 +140,8 @@ def component_sidecars(components: rd.Dataset) -> pd.DataFrame:
     these to index.json / bbox JSON per component,
     componentseparationmodule.py:137-185,245-275)."""
     cols = [
-        "building_id", "building_seq", "component_seq", "feature_id",
-        "semantic", "n_tri", "xmin", "ymin", "zmin", "xmax", "ymax", "zmax",
-        "tx", "ty", "tz",
+        "doc_id", "building_id", "building_seq", "component_seq", "feature_id",
+        "semantic", "n_tri", *BBOX,
     ]
     df = components.select_columns(cols).to_pandas()
-    return df.sort_values(["building_seq", "component_seq"]).reset_index(drop=True)
+    return df.sort_values(BUILDING + ["component_seq"]).reset_index(drop=True)

@@ -11,8 +11,10 @@ stage (clean → validate → triangulate over the flat-ring kernel of
 processing via a broadcast key-set filter instead of the reference's
 identity scan (CityGML2OBJs.py:755-765).
 
-``building_bboxes`` is C3/D7: per-building buffered bbox + translation
-params as a grouped aggregate.
+``building_extents`` is C3/D7, the per-building buffered bbox +
+translation params of a batch in one array pass; ``building_bboxes``
+aggregates it over a dataset, and ``pipelines.components`` translates
+each building by it.
 """
 
 from __future__ import annotations
@@ -70,50 +72,59 @@ def opening_anti_join(
     return broadcast_semi_anti_filter(surfaces, "poly_id", opening_ids, anti=True)
 
 
+# a building: ``building_seq`` restarts in every parsed document
+BUILDING = ["doc_id", "building_seq"]
+BBOX = ["xmin", "ymin", "zmin", "xmax", "ymax", "zmax", "tx", "ty", "tz"]
+
+
+def building_extents(df: pd.DataFrame, pts: np.ndarray, off: np.ndarray, buffer: float):
+    """The C3/D7 rule for every building of ``df`` at once. Row i of
+    ``df`` (``doc_id``, ``building_seq``, ``building_id``) owns the points
+    ``pts[off[i]:off[i+1]]``; each building's bbox is buffered by
+    ``buffer`` on every side (componentseparationmodule.py:63-121) and its
+    translation is the mean of the 8 buffered corners (D7), computed as
+    ``(lo + hi) / 2`` so the DuckDB twins reproduce it bitwise.
+
+    Returns each row's building and one row per building, in first
+    appearance: its keys, its first row's ``building_id`` and ``BBOX``."""
+    code = df.groupby(BUILDING, sort=False).ngroup().to_numpy()
+    first = np.unique(code, return_index=True)[1]
+    lo = np.full((len(first), 3), np.inf)
+    hi = -lo
+    pcode = np.repeat(code, np.diff(off))
+    np.minimum.at(lo, pcode, pts)
+    np.maximum.at(hi, pcode, pts)
+    lo, hi = lo - buffer, hi + buffer
+    out = df.iloc[first][BUILDING + ["building_id"]].reset_index(drop=True)
+    out[BBOX] = np.hstack([lo, hi, (lo + hi) / 2])
+    return code, out
+
+
 def building_bboxes(
     surfaces: rd.Dataset, cfg: EngineConfig = DEFAULT_CONFIG
 ) -> pd.DataFrame:
-    """Per-building buffered bbox (C3, componentseparationmodule.py:63-121)
-    + translation params (D7, mean of the 8 corner points): a grouped
-    aggregate over exploded vertex extents, pre-reduced per batch. No
-    surfaces give a zero-row frame with the same columns."""
-    cols = ["building_id", "xmin", "ymin", "zmin", "xmax", "ymax", "zmax"]
+    """Per-building buffered bbox (C3) + translation params (D7): a
+    grouped aggregate on (doc_id, building_seq) whose partial and merge
+    are both ``building_extents``, over each batch's rings buffered by
+    ``cfg.bbox_buffer``, then over the partials' corners with no buffer
+    (subtracting the buffer commutes with the min, so no bit changes).
+    One row per building, sorted by ``building_id``; no surfaces give a
+    zero-row frame with the same columns."""
 
     def batch_extents(batch: pa.Table) -> pd.DataFrame:
         pts, off = ring_column(batch["exterior"])
-        bids = batch["building_id"].to_pylist()
-        rows = []
-        for i in range(batch.num_rows):
-            ring = pts[off[i] : off[i + 1]]
-            if not len(ring):
-                continue
-            lo, hi = ring.min(axis=0), ring.max(axis=0)
-            rows.append(
-                dict(
-                    building_id=bids[i],
-                    xmin=lo[0], ymin=lo[1], zmin=lo[2],
-                    xmax=hi[0], ymax=hi[1], zmax=hi[2],
-                )
-            )
-        return pd.DataFrame(rows)
+        keys = batch.select(BUILDING + ["building_id"]).to_pandas()
+        return building_extents(keys, pts, off, cfg.bbox_buffer)[1]
 
-    def extent(df: pd.DataFrame) -> pd.DataFrame:
+    def merge(df: pd.DataFrame) -> pd.DataFrame:
         # a batch without rings, or no batch at all, names no columns
-        return df.reindex(columns=cols).groupby("building_id", sort=False, as_index=False).agg(
-            xmin=("xmin", "min"), ymin=("ymin", "min"), zmin=("zmin", "min"),
-            xmax=("xmax", "max"), ymax=("ymax", "max"), zmax=("zmax", "max"),
-        )
+        df = df.reindex(columns=BUILDING + ["building_id"] + BBOX)
+        corners = df[BBOX[:6]].to_numpy(np.float64).reshape(-1, 3)
+        return building_extents(df, corners, np.arange(0, len(corners) + 1, 2), 0.0)[1]
 
     ext = surfaces.map_batches(batch_extents, batch_format="pyarrow")
-    df = supergroup_agg("building_bboxes", ext, ["building_id"], extent, extent)
-    b = cfg.bbox_buffer
-    for c, s in [("xmin", -b), ("ymin", -b), ("zmin", -b), ("xmax", b), ("ymax", b), ("zmax", b)]:
-        df[c] = df[c] + s
-    # translation param = mean of the 8 buffered corners = bbox center
-    df["tx"] = (df.xmin + df.xmax) / 2
-    df["ty"] = (df.ymin + df.ymax) / 2
-    df["tz"] = (df.zmin + df.zmax) / 2
-    return df.sort_values("building_id").reset_index(drop=True)
+    df = supergroup_agg("building_bboxes", ext, BUILDING, merge, merge)
+    return df.sort_values(["building_id"] + BUILDING)[["building_id"] + BBOX].reset_index(drop=True)
 
 
 def roof_tri2d(surfaces: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> dict[str, np.ndarray]:

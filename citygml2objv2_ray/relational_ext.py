@@ -334,23 +334,7 @@ def q_embedding_neardup_lsh(sf_dir: str, threshold: float = 0.3) -> pd.DataFrame
     )
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return EMPTY_PAIRS
-        V = np.vstack(g.embedding.to_numpy()).astype(np.float64)
-        vn = dd.normalize_rows(V)
-        sims = vn @ vn.T
-        ids = g.vec_id.to_numpy()
-        order = np.argsort(ids)
-        ids, sims = ids[order], sims[np.ix_(order, order)]
-        ii, jj = np.triu_indices(len(ids), k=1)
-        keep = sims[ii, jj] >= threshold
-        return pd.DataFrame(
-            {
-                "vec_a": ids[ii[keep]].astype(np.int64),
-                "vec_b": ids[jj[keep]].astype(np.int64),
-                "cos": np.round(sims[ii, jj][keep], 4),
-            }
-        )
+        return dd.cosine_pairs(g.vec_id.to_numpy(), g.embedding.to_numpy(), threshold)
 
     res = (
         ds.map_batches(bucketize, batch_format="pandas")

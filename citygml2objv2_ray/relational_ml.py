@@ -1061,22 +1061,7 @@ def q_embedding_neardup(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
 
     def pairs_in_group(df: pd.DataFrame) -> pd.DataFrame:
-        V = np.vstack(df.embedding.to_numpy()).astype(np.float64)
-        vn = dd.normalize_rows(V)
-        sims = vn @ vn.T
-        ids = df.vec_id.to_numpy()
-        order = np.argsort(ids)
-        ids = ids[order]
-        sims = sims[np.ix_(order, order)]
-        ii, jj = np.triu_indices(len(ids), k=1)
-        keep = sims[ii, jj] >= 0.3
-        return pd.DataFrame(
-            {
-                "vec_a": ids[ii[keep]].astype(np.int64),
-                "vec_b": ids[jj[keep]].astype(np.int64),
-                "cos": np.round(sims[ii, jj][keep], 4),
-            }
-        )
+        return dd.cosine_pairs(df.vec_id.to_numpy(), df.embedding.to_numpy(), 0.3)
 
     res = ds.groupby("label").map_groups(pairs_in_group, batch_format="pandas")
     return res.to_pandas().sort_values(["vec_a", "vec_b"]).reset_index(drop=True)

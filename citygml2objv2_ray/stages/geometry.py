@@ -6,10 +6,11 @@ kernel, ``ring_kernel``: ring clean (B1), closure test, validity reasons
 (B2), Newell normal (B9) and planarity for every polygon of a batch in one
 segment-vectorized pass over the ``ring_column`` points and offsets.
 ``clean_validate`` projects the kernel to per-polygon columns;
-``Triangulator`` hands the kernel's cleaned valid rings to the batched
+``Triangulator`` hands the kernel's cleaned valid rings to
+``triangulate_rows``, the one front end of the batched
 ``geom.triangulate_flat`` (convex fan, else hole bridging and ear clip).
-``pipelines.geometry.roof_tri2d`` and the ``-p`` convert path use the same
-kernel.
+``pipelines.geometry.roof_tri2d``, the ``-p`` convert path and
+``pipelines.components`` use the same kernel.
 """
 
 from __future__ import annotations
@@ -266,35 +267,39 @@ class Triangulator:
         )
 
     def _triangulate_rows(self, batch: pa.Table):
-        """Returns (row index per triangle, (T,3,3) triangles), rows
-        ascending and each row's triangles in emission order.
+        """Returns (row index per triangle, (T,3,3) triangles) of the
+        kernel-valid rows, rows ascending and each row's triangles in
+        emission order; equal triangle for triangle to the per-polygon
+        ``tests/reference_oracle.triangulate_clean``."""
+        k = ring_kernel(batch, self.cfg)
+        return triangulate_rows(k, np.flatnonzero(k.valid), batch["interiors"], self.cfg)
 
-        The valid rows' kernel-cleaned exteriors, kernel normals and
-        projection axes (``geom.projection_axis``, vectorized), and their
-        ``clean_rings``-cleaned holes go to ONE ``geom.triangulate_flat``
-        call, whose output equals the per-polygon
-        ``tests/reference_oracle.triangulate_clean`` triangle for
-        triangle."""
-        cfg = self.cfg
-        k = ring_kernel(batch, cfg)
-        rows = np.flatnonzero(k.valid)
-        g, boff = geom.take_segments(k.boff, rows)
-        body = k.body[g]
-        normal = k.normal[rows]
-        # ---- projection axis (geom.projection_axis, vectorized) ----
-        ptp_x = np.zeros(len(rows))
-        if len(rows):
-            ptp_x = np.maximum.reduceat(body[:, 0], boff[:-1]) - np.minimum.reduceat(
-                body[:, 0], boff[:-1]
-            )
-        axis = np.where(
-            np.abs(normal[:, 2]) >= cfg.vertical_nz_tol,
-            geom.AXIS_XY,
-            np.where(ptp_x < 1e-12, geom.AXIS_YZ, geom.AXIS_XZ),
+
+def triangulate_rows(k: FlatRings, rows: np.ndarray, interiors, cfg: EngineConfig = DEFAULT_CONFIG):
+    """The Triangulator's front end over the selected ``rows`` of a
+    ``ring_kernel`` batch (each of 3+ cleaned points with a non-zero
+    normal): their kernel-cleaned exteriors, kernel normals and projection
+    axes (``geom.projection_axis``, vectorized), and their
+    ``clean_rings``-cleaned holes from the ``interiors`` column go to ONE
+    ``geom.triangulate_flat`` call. Returns (row index per triangle,
+    (T,3,3) triangles), rows ascending."""
+    g, boff = geom.take_segments(k.boff, rows)
+    body = k.body[g]
+    normal = k.normal[rows]
+    # ---- projection axis (geom.projection_axis, vectorized) ----
+    ptp_x = np.zeros(len(rows))
+    if len(rows):
+        ptp_x = np.maximum.reduceat(body[:, 0], boff[:-1]) - np.minimum.reduceat(
+            body[:, 0], boff[:-1]
         )
-        hpts, hoff, hrow_off = rings_column(batch["interiors"])
-        hbody, hboff, _ = clean_rings(hpts, hoff, cfg.vertex_round_decimals)
-        rings, hroff = geom.take_segments(hrow_off, rows)
-        hg, hboff = geom.take_segments(hboff, rings)
-        trow, tris = geom.triangulate_flat(body, boff, normal, axis, hbody[hg], hboff, hroff)
-        return rows[trow], tris
+    axis = np.where(
+        np.abs(normal[:, 2]) >= cfg.vertical_nz_tol,
+        geom.AXIS_XY,
+        np.where(ptp_x < 1e-12, geom.AXIS_YZ, geom.AXIS_XZ),
+    )
+    hpts, hoff, hrow_off = rings_column(interiors)
+    hbody, hboff, _ = clean_rings(hpts, hoff, cfg.vertex_round_decimals)
+    rings, hroff = geom.take_segments(hrow_off, rows)
+    hg, hboff = geom.take_segments(hboff, rings)
+    trow, tris = geom.triangulate_flat(body, boff, normal, axis, hbody[hg], hboff, hroff)
+    return rows[trow], tris

@@ -20,6 +20,10 @@ kernels must reproduce EXACTLY:
   polygon at a time through the ``geom`` scalar kernels.
 - ``roof_tri2d_rowwise``: per-building 2-D Roof/Ground triangles, one
   polygon at a time.
+- ``separate_components_rowwise``: the ``-sepC`` component rows, one
+  building and one polygon at a time (``geom.clean_ring``, the quad fast
+  path, ``triangulate_clean``), with the corner markers and translation
+  of the per-building loop it replaced.
 - ``coverage_mask_gemm``: the per-pixel clip the row-interval kernel
   replaced (``stages/images.py`` before it): every pixel centre of the
   building bbox against every edge of every triangle in one f32 GEMM, with
@@ -411,6 +415,89 @@ def roof_tri2d_rowwise(surfaces: pa.Table, cfg=DEFAULT_CONFIG) -> dict[str, np.n
             if len(tris):
                 out.setdefault(bids[i], []).append(tris[:, :, :2])
     return {b: np.concatenate(v) for b, v in out.items()}
+
+
+# ---------------------------------------------------------------------------
+# component separation: one building, one polygon at a time (the
+# per-building loop of pipelines/components.py before the super-group pass)
+# ---------------------------------------------------------------------------
+
+
+def _component_obj(tris: np.ndarray) -> str:
+    lines = [f"v {p[0]!r} {p[1]!r} {p[2]!r}" for t in tris for p in t]
+    lines += [f"f {3 * i + 1} {3 * i + 2} {3 * i + 3}" for i in range(len(tris))]
+    return "\n".join(lines) + "\n"
+
+
+def _corner_marker_triangles(points: np.ndarray, buffer: float, side: float = 1.0) -> np.ndarray:
+    """8 side-1 xy triangles at the corners of the buffered bbox of
+    ``points`` (componentseparationmodule.py:13-33)."""
+    lo, hi = points.min(axis=0) - buffer, points.max(axis=0) + buffer
+    corners = [[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
+    tris = np.empty((8, 3, 3))
+    for i, p in enumerate(np.array(corners)):
+        tris[i] = np.array([p, p + np.array([side, 0, 0]), p + np.array([0, side, 0])])
+    return tris
+
+
+def _building_components(g, cfg, approx_windows, corner_markers) -> list[dict]:
+    from citygml2objv2_ray.hull import approx_window_hull
+
+    g = g.sort_values("poly_seq", kind="stable")
+    ring = lambda r: np.asarray([list(p) for p in r], dtype=np.float64).reshape(-1, 3)  # noqa: E731
+    all_pts = np.concatenate([ring(ext) for ext in g.exterior])
+    lo, hi = all_pts.min(axis=0) - cfg.bbox_buffer, all_pts.max(axis=0) + cfg.bbox_buffer
+    trans = (lo + hi) / 2  # the mean of the 8 buffered corners (D7)
+    dec = cfg.vertex_round_decimals
+    rows = []
+    for cseq, r in enumerate(g.itertuples()):
+        ext = geom.clean_ring(ring(r.exterior), dec)
+        if r.is_opening and approx_windows:
+            tris = approx_window_hull(ext[:-1] if len(ext) > 1 else ext, seed_key=str(r.poly_id))
+        elif len(ext) < 4:  # <3 distinct points → empty (:734-736)
+            tris = np.zeros((0, 3, 3))
+        elif len(ext) == 4:  # quad fast-path: first 3 points (:731-733)
+            tris = ext[None, :3, :]
+        else:  # full triangulation (:727-729)
+            tris = triangulate_clean(ext, [geom.clean_ring(ring(h), dec) for h in r.interiors], cfg)
+        tris = tris - trans
+        blo = tris.reshape(-1, 3).min(axis=0) if len(tris) else np.zeros(3)
+        bhi = tris.reshape(-1, 3).max(axis=0) if len(tris) else np.zeros(3)
+        rows.append(
+            dict(
+                doc_id=r.doc_id, building_id=r.building_id, building_seq=int(r.building_seq),
+                component_seq=cseq, feature_id=r.feature_id, semantic=r.semantic,
+                is_opening=bool(r.is_opening), n_tri=len(tris),
+                xmin=blo[0], ymin=blo[1], zmin=blo[2], xmax=bhi[0], ymax=bhi[1], zmax=bhi[2],
+                tx=trans[0], ty=trans[1], tz=trans[2], obj_text=_component_obj(tris),
+            )
+        )
+    if corner_markers:
+        tris = _corner_marker_triangles(all_pts, cfg.bbox_buffer) - trans
+        rows.append(
+            dict(
+                doc_id=g.doc_id.iloc[0], building_id=g.building_id.iloc[0],
+                building_seq=int(g.building_seq.iloc[0]), component_seq=len(g),
+                feature_id="corner_markers", semantic="Marker", is_opening=False, n_tri=len(tris),
+                xmin=0.0, ymin=0.0, zmin=0.0, xmax=0.0, ymax=0.0, zmax=0.0,
+                tx=trans[0], ty=trans[1], tz=trans[2], obj_text=_component_obj(tris),
+            )
+        )
+    return rows
+
+
+def separate_components_rowwise(
+    surfaces, cfg=DEFAULT_CONFIG, approx_windows: bool = False, corner_markers: bool = False
+):
+    """``pipelines.components.separate_components`` over a pandas
+    surfaces frame, one building and one polygon at a time: the rows in
+    (doc_id, building_seq, component_seq) order."""
+    import pandas as pd
+
+    rows = []
+    for _, g in surfaces.groupby(["doc_id", "building_seq"], sort=True):
+        rows += _building_components(g, cfg, approx_windows, corner_markers)
+    return pd.DataFrame(rows)
 
 
 # ---------------------------------------------------------------------------

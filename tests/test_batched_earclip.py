@@ -122,16 +122,13 @@ def _polygons(rng, count):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_triangulation_equals_oracle(seed):
-    """``geom.triangulate_polygons`` and the Triangulator's table equal the
-    per-polygon ``triangulate_clean`` triangle for triangle."""
-    from citygml2objv2_ray.stages.geometry import Triangulator
+    """The Triangulator's front end over the rows of the components rule
+    (cleaned length incl. closure > 4, non-zero normal) and the
+    Triangulator's table equal the per-polygon ``triangulate_clean``
+    triangle for triangle."""
+    from citygml2objv2_ray.stages.geometry import Triangulator, ring_kernel, triangulate_rows
 
     polys = _polygons(np.random.default_rng(seed), 120)
-    got = geom.triangulate_polygons([e for e, _ in polys], [hs for _, hs in polys])
-    for (ext, hs), g in zip(polys, got):
-        want = ro.triangulate_clean(geom.clean_ring(ext), [geom.clean_ring(h) for h in hs])
-        assert g.shape == want.shape and np.array_equal(g, want)
-
     batch = pa.Table.from_pylist(
         [
             dict(
@@ -144,6 +141,16 @@ def test_triangulation_equals_oracle(seed):
         ],
         schema=SURFACES_SCHEMA,
     )
+    k = ring_kernel(batch)
+    full = np.flatnonzero((np.diff(k.boff) + 1 > 4) & k.normal.any(axis=1))
+    assert len(full) > 100  # the others take the quad fast path
+    rows, got = triangulate_rows(k, full, batch["interiors"])
+    for i in full:
+        ext, hs = polys[i]
+        want = ro.triangulate_clean(geom.clean_ring(ext), [geom.clean_ring(h) for h in hs])
+        assert np.array_equal(got[rows == i], want), i
+    assert np.isin(rows, full).all()
+
     table = Triangulator()(batch)
     rows, want = ro.triangulate_rowwise(batch)
     assert table["poly_id"].to_pylist() == [f"p{i}" for i in rows]

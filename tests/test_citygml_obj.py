@@ -373,5 +373,7 @@ class TestHull:
     def test_corner_markers(self):
         from citygml2objv2_ray.hull import corner_marker_triangles
 
-        tris = corner_marker_triangles(np.array([[0, 0, 0], [10, 10, 10]], float))
-        assert tris.shape == (8, 3, 3)
+        # the bbox of (0,0,0)-(10,10,10) buffered by 3 m
+        tris = corner_marker_triangles(np.full((1, 3), -3.0), np.full((1, 3), 13.0))
+        assert tris.shape == (1, 8, 3, 3)
+        assert np.array_equal(tris[0, 7], [[13, 13, 13], [14, 13, 13], [13, 14, 13]])

@@ -67,6 +67,40 @@ class TestCLI:
         assert {"building_id", "component_seq", "tx"} <= set(idx.columns)
         assert (idx.groupby("building_id").size() > 0).all()
 
+    @pytest.mark.parametrize("shared_ids", [True, False], ids=["shared_ids", "distinct_ids"])
+    def test_separate_components_of_two_documents(self, ray_session, tmp_path, shared_ids):
+        """Two documents whose buildings share sequence numbers, and ids
+        or not: every reported component file is on disk, and each
+        building is translated by the centre of its own buffered bbox."""
+        import pyarrow as pa
+        import pandas as pd
+
+        from citygml2objv2_ray import synth
+        from citygml2objv2_ray.sources.citygml import surfaces_to_gml
+
+        src = tmp_path / "in"
+        src.mkdir()
+        want = {}
+        for seed in (1, 2):
+            surfaces, _ = synth.make_city(3, seed=seed, corruption=0.0)
+            if not shared_ids:
+                bids = pa.array([f"s{seed}_{b}" for b in surfaces["building_id"].to_pylist()])
+                surfaces = surfaces.set_column(1, "building_id", bids)
+            path = src / f"city{seed}.gml"
+            path.write_bytes(surfaces_to_gml(surfaces))
+            for bid, g in surfaces.to_pandas().groupby("building_id"):
+                pts = np.concatenate([np.stack(e) for e in g.exterior])
+                want[str(path), bid] = ((pts.min(0) - 3.0) + (pts.max(0) + 3.0)) / 2
+        out_dir = tmp_path / "out"
+        out = _run(["-i", str(src), "-o", str(out_dir), "-sepC", "1", "-addBB", "1"])
+        on_disk = sorted(p.name for p in out_dir.glob("*.obj"))
+        assert len(on_disk) == out["n_component_files"]
+        idx = pd.read_parquet(out["sidecar"])
+        assert len(idx) == len(on_disk)
+        assert idx.groupby(["doc_id", "building_seq"]).ngroups == len(want)
+        for (doc, bid), g in idx.groupby(["doc_id", "building_id"]):
+            assert (g[["tx", "ty", "tz"]].to_numpy() == want[doc, bid]).all(), (doc, bid)
+
     def test_tcw_empty_input_is_descriptive(self, tmp_path):
         """-tCw over a dir with no parseable surfaces must raise a clear
         error, not IndexError (ADVICE r2)."""

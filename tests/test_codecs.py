@@ -128,16 +128,13 @@ class TestSynth:
         assert f1.num_rows == 30
 
     def test_surfaces_truth_area_matches_kernel(self):
-        from citygml2objv2_ray import geom, synth
+        from citygml2objv2_ray import synth
+        from citygml2objv2_ray.stages.geometry import Triangulator
 
         s, _ = synth.make_city(10, seed=42, corruption=0.0)
-        for row in s.to_pylist():
-            ext = np.array(row["exterior"])
-            ints = [np.array(h) for h in row["interiors"]]
-            tris = geom.triangulate_polygon(ext, ints)
-            n = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-            area = float(0.5 * np.linalg.norm(n, axis=1).sum())
-            assert area == pytest.approx(row["truth_area"], rel=1e-6)
+        tris = Triangulator()(s).select(["poly_id", "area"]).to_pandas()
+        area = tris.groupby("poly_id").area.sum().reindex(s["poly_id"].to_pylist(), fill_value=0.0)
+        assert area.to_numpy() == pytest.approx(s["truth_area"].to_numpy(), rel=1e-6)
 
     def test_image_rows_deterministic(self):
         from citygml2objv2_ray import synth

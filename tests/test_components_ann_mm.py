@@ -88,6 +88,82 @@ class TestComponents:
             assert comps.sort_values("component_seq").n_tri.tolist() == n_tri, decimals
 
 
+def _edge_case_surfaces():
+    """Buildings of the rings where the batched pass could part from the
+    per-building loop: an open ring (the full path drops its last point),
+    a sliver that collapses at 6 decimals but not at 9, a zero-normal
+    ring, holes, 3-point quads (closed, and open with 4 points), a ring
+    of 12 points, empty and 2-point rings, windows; and two documents
+    whose buildings share id and sequence number."""
+    from citygml2objv2_ray.schemas import SURFACES_SCHEMA
+
+    sq = lambda s, z=0.0: [[0, 0, z], [s, 0, z], [s, s, z], [0, s, z], [0, 0, z]]  # noqa: E731
+    hole = [[1, 1, 0], [1, 2, 0], [2, 2, 0], [2, 1, 0], [1, 1, 0]]
+    t = np.linspace(0, 2 * np.pi, 13)[:-1]
+    circle = np.column_stack([5 + 3 * np.cos(t), 5 + 3 * np.sin(t), 2 + 0.1 * np.cos(t)])
+    wall = [[0, 0, 0], [4, 0, 0], [4, 0, 3], [2, 0, 4], [0, 0, 3], [0, 0, 0]]
+    buildings = {
+        ("doc_a", "B1", 0): [
+            (sq(4), [hole, [[2.5, 2.5, 0], [3, 2.5, 0], [3, 3, 0], [2.5, 2.5, 0]]], False),
+            ([[0, 0, 0], [2, 0, 0], [2, 1, 0], [1, 1, 0], [1, 2, 0], [0, 2, 0]], [], False),
+            ([[0, 0, 0], [4, 0, 0], [4, 1e-7, 0], [0, 0, 0]], [], False),
+            ([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0], [0, 0, 0]], [], False),
+            ([[0, 0, 5], [1, 0, 5], [0, 1, 5], [0, 0, 5]], [], False),
+            ([[0, 0, 5], [1, 0, 5], [1, 1, 5], [0, 1, 5]], [], False),
+            (np.vstack([circle, circle[:1]]).tolist(), [], False),
+            ([], [], False),
+            ([[1, 1, 1], [1, 1, 1]], [], True),
+            (wall, [], True),
+            (sq(1, 2.0), [], True),
+        ],
+        ("doc_a", "B2", 1): [(sq(2, 7.0), [], False), (wall, [], True)],
+        ("doc_b", "B1", 0): [(sq(3, -2.0), [hole], False), ([[9, 9, 9], [9, 9, 9]], [], False)],
+    }
+    rows = [
+        dict(
+            doc_id=doc, building_id=bid, building_seq=bseq, feature_id=f"{bid}_f{i}",
+            semantic="Window" if opening else "WallSurface", is_opening=opening,
+            poly_id=f"{doc}_{bid}_p{i}", poly_seq=i,
+            exterior=np.asarray(ext, float).reshape(-1, 3).tolist(), interiors=holes,
+            attr_irradiation=0.0, truth_valid=True, truth_area=0.0,
+        )
+        for (doc, bid, bseq), polys in buildings.items()
+        for i, (ext, holes, opening) in enumerate(polys)
+    ]
+    return pa.Table.from_pylist(rows[::-1], schema=SURFACES_SCHEMA)
+
+
+def _random_city(seed: int):
+    from citygml2objv2_ray import synth
+
+    return synth.make_city(12, seed=seed, corruption=0.3)[0]
+
+
+@pytest.mark.parametrize("options", [(False, False), (True, True)], ids=["default", "appW_addBB"])
+@pytest.mark.parametrize(
+    "surfaces, decimals",
+    [(_edge_case_surfaces, 9), (_edge_case_surfaces, 6), (lambda: _random_city(3), 9),
+     (lambda: _random_city(4), 9)],
+    ids=["edge_cases", "edge_cases_6dp", "city3", "city4"],
+)
+def test_components_equal_rowwise_oracle(ray_session, surfaces, decimals, options):
+    """The super-group pass equals the per-building loop frame for frame,
+    OBJ text included."""
+    import dataclasses
+
+    import reference_oracle as ro
+    from citygml2objv2_ray.config import DEFAULT_CONFIG
+    from citygml2objv2_ray.pipelines.components import separate_components
+
+    table = surfaces()
+    cfg = dataclasses.replace(DEFAULT_CONFIG, vertex_round_decimals=decimals)
+    approx, markers = options
+    got = separate_components(rd.from_arrow(table).repartition(3), cfg, approx, markers).to_pandas()
+    got = got.sort_values(["doc_id", "building_seq", "component_seq"], ignore_index=True)
+    want = ro.separate_components_rowwise(table.to_pandas(), cfg, approx, markers)
+    pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
 class TestIVF:
     def test_recall_vs_bruteforce(self, sf_dir):
         import pyarrow.parquet as pq

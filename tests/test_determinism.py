@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import ray.data as rd
 
 from citygml2objv2_ray import geom
+from test_geom import triangulate
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +99,7 @@ def convex_polygon_3d(draw):
 @settings(max_examples=40, deadline=None)
 @given(ring=convex_polygon_3d())
 def test_triangle_area_sums_to_polygon_area(ring):
-    tris = geom.triangulate_polygon(ring)
+    tris = triangulate(ring)
     n = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
     tri_area = 0.5 * np.linalg.norm(n, axis=1).sum()
     assert tri_area == pytest.approx(geom.ring_area_3d(ring), rel=1e-6)
@@ -108,7 +109,7 @@ def test_triangle_area_sums_to_polygon_area(ring):
 @given(ring=convex_polygon_3d())
 def test_winding_agrees_with_newell(ring):
     normal = geom.newell_normal(ring)
-    tris = geom.triangulate_polygon(ring)
+    tris = triangulate(ring)
     tn = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
     assert np.all(tn @ normal > 0)
 

@@ -17,6 +17,24 @@ WALL_XZ = np.array([[0, 0, 0], [2, 0, 0], [2, 0, 3], [0, 0, 3], [0, 0, 0]], dtyp
 WALL_YZ = np.array([[5, 0, 0], [5, 2, 0], [5, 2, 3], [5, 0, 3], [5, 0, 0]], dtype=float)
 
 
+def triangulate(ext, holes=()) -> np.ndarray:
+    """One polygon through the Triangulator: its (T,3,3) triangles."""
+    import pyarrow as pa
+
+    from citygml2objv2_ray.schemas import SURFACES_SCHEMA
+    from citygml2objv2_ray.stages.geometry import Triangulator
+
+    row = dict(
+        doc_id="d", building_id="b", building_seq=0, feature_id="f", semantic="WallSurface",
+        is_opening=False, poly_id="p", poly_seq=0, exterior=np.asarray(ext, float).tolist(),
+        interiors=[np.asarray(h, float).tolist() for h in holes], attr_irradiation=0.0,
+        truth_valid=True, truth_area=0.0,
+    )
+    table = Triangulator()(pa.Table.from_pylist([row], schema=SURFACES_SCHEMA))
+    p = [np.asarray(table[c].combine_chunks().flatten()).reshape(-1, 3) for c in ("p0", "p1", "p2")]
+    return np.stack(p, axis=1)
+
+
 def tri_area_sum(tris: np.ndarray) -> float:
     if len(tris) == 0:
         return 0.0
@@ -116,12 +134,12 @@ class TestProjectionAxis:
 
 class TestTriangulation:
     def test_square_two_triangles(self):
-        tris = geom.triangulate_polygon(SQ)
+        tris = triangulate(SQ)
         assert tris.shape == (2, 3, 3)
         assert tri_area_sum(tris) == pytest.approx(1.0)
 
     def test_square_with_hole(self):
-        tris = geom.triangulate_polygon(SQ, [HOLE])
+        tris = triangulate(SQ, [HOLE])
         assert len(tris) >= 6
         assert tri_area_sum(tris) == pytest.approx(0.75, abs=1e-9)
         # no triangle centroid may sit inside the hole
@@ -129,17 +147,17 @@ class TestTriangulation:
         assert not geom.point_in_ring_2d(cts, HOLE[:, :2]).any()
 
     def test_vertical_wall(self):
-        tris = geom.triangulate_polygon(WALL_XZ)
+        tris = triangulate(WALL_XZ)
         assert tri_area_sum(tris) == pytest.approx(6.0)
 
     def test_yz_parallel_wall(self):
-        tris = geom.triangulate_polygon(WALL_YZ)
+        tris = triangulate(WALL_YZ)
         assert tri_area_sum(tris) == pytest.approx(6.0)
 
     def test_winding_matches_parent_normal(self):
         for ring in (SQ, WALL_XZ, WALL_YZ, SQ[::-1]):
             n = geom.newell_normal(ring)
-            tris = geom.triangulate_polygon(ring)
+            tris = triangulate(ring)
             tn = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
             assert np.all(tn @ n > 0)
 
@@ -149,7 +167,7 @@ class TestTriangulation:
             [[0, 0, 0], [2, 0, 0], [2, 1, 0], [1, 1, 0], [1, 2, 0], [0, 2, 0], [0, 0, 0]],
             float,
         )
-        tris = geom.triangulate_polygon(L)
+        tris = triangulate(L)
         assert tri_area_sum(tris) == pytest.approx(3.0)
         # every triangle centroid inside the L
         cts = tris.mean(axis=1)[:, :2]
@@ -157,16 +175,16 @@ class TestTriangulation:
 
     def test_degenerate_collinear_silent_empty(self):
         bad = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0], [0, 0, 0]], float)
-        tris = geom.triangulate_polygon(bad)
+        tris = triangulate(bad)
         assert len(tris) == 0  # polygon3dmodule.py:679-687 parity
 
     def test_duplicate_vertex_fallback(self):
         dup = np.array([[0, 0, 0], [1, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0, 0]], float)
-        tris = geom.triangulate_polygon(dup)
+        tris = triangulate(dup)
         assert tri_area_sum(tris) == pytest.approx(1.0)
 
     def test_triangle_vertices_are_input_vertices(self):
-        tris = geom.triangulate_polygon(SQ)
+        tris = triangulate(SQ)
         body = {tuple(p) for p in SQ[:-1]}
         for t in tris.reshape(-1, 3):
             assert tuple(t) in body
@@ -179,10 +197,19 @@ class TestPIPBBoxMisc:
         assert inside.tolist() == [True, False, False]
 
     def test_buffered_bbox(self):
-        bb = geom.buffered_bbox(SQ[:-1], buffer=3.0)
-        assert np.allclose(bb, [-3, -3, -3, 4, 4, 3])
-        corners = geom.bbox_corner_points(bb)
+        import pandas as pd
+
+        from citygml2objv2_ray.hull import corner_marker_triangles
+        from citygml2objv2_ray.pipelines.geometry import building_extents
+
+        keys = pd.DataFrame({"doc_id": ["d"], "building_seq": [0], "building_id": ["b"]})
+        code, bb = building_extents(keys, SQ[:-1], np.array([0, 4]), buffer=3.0)
+        assert code.tolist() == [0]
+        assert bb.iloc[0].tolist()[3:] == [-3, -3, -3, 4, 4, 3, 0.5, 0.5, 0]
+        corners = corner_marker_triangles(bb[["xmin", "ymin", "zmin"]].to_numpy(),
+                                          bb[["xmax", "ymax", "zmax"]].to_numpy())[0, :, 0]
         assert corners.shape == (8, 3)
+        assert {tuple(c) for c in corners} == {(x, y, z) for x in (-3, 4) for y in (-3, 4) for z in (-3, 3)}
 
     def test_mtl_bucketize(self):
         v = np.array([0.0, 50.0, 100.0, 101.0, -5.0])
@@ -217,7 +244,7 @@ class TestPropertyInvariants:
             )
             pts3 = np.column_stack([pts2, np.zeros(k)]) @ R.T
             ring = np.vstack([pts3, pts3[:1]])
-            tris = geom.triangulate_polygon(ring)
+            tris = triangulate(ring)
             assert tri_area_sum(tris) == pytest.approx(geom.ring_area_3d(ring), rel=1e-7)
 
 

@@ -196,7 +196,7 @@ class TestSupergroupFanout:
 # the queries routed through ops.shuffle_groups
 SHUFFLE_QUERIES = [
     "q_phash_neardup", "q_tfidf_top_terms", "q_asof_join", "q_minhash_neardup",
-    "q_ngram_jaccard", "q_dup_components", "q_dedup_corpus",
+    "q_ngram_jaccard", "q_dup_components", "q_dedup_corpus", "q_components",
 ]
 
 
@@ -214,10 +214,11 @@ def _shuffle_verify(monkeypatch):
 def _run_shuffle_query(name: str, sf_dir: str) -> pd.DataFrame:
     """Registry query ``name`` with the shared n-gram pair cache emptied,
     so the n-gram queries recompute their pairs under the current plan."""
-    from citygml2objv2_ray import relational, relational_ext, relational_ml  # noqa: F401
+    import __ray_entry__ as entry
+    from citygml2objv2_ray import relational_ml
 
     relational_ml._NGRAM_PAIRS_CACHE.clear()
-    return relational.REGISTRY[name](sf_dir)
+    return entry.queries()[name](sf_dir)
 
 
 @pytest.fixture(scope="module")
@@ -508,7 +509,10 @@ def test_grouped_aggregate_lint_sees_each_pattern(src, want):
 
 # (file, outermost def or class) where each super-group idiom may appear;
 # "*" is the whole file. The Ray groupby sites besides the helper are
-# per-key map_groups or a tree merge, not super-group shuffles.
+# per-key map_groups or a tree merge, not super-group shuffles. A
+# per-polygon ``clean_ring`` call stays in ``geom`` (rings are cleaned by
+# the flat-ring kernel), and ``triangulate_polygon(s)``, the per-polygon
+# triangulation front end, appears nowhere.
 SHUFFLE_ALLOWED = {
     "tag_literal": {("citygml2objv2_ray/ops.py", "*")},
     "hash_pandas_object": {
@@ -517,9 +521,9 @@ SHUFFLE_ALLOWED = {
         ("citygml2objv2_ray/state/checkpoint.py", "PartitionedWriter"),
     },
     "coalesce": {("citygml2objv2_ray/ops.py", "*")},
+    "clean_ring": {("citygml2objv2_ray/geom.py", "*")},
     "ray_groupby": {
         ("citygml2objv2_ray/ops.py", "shuffle_groups"),
-        ("citygml2objv2_ray/pipelines/components.py", "separate_components"),
         ("citygml2objv2_ray/relational_ml.py", "q_embedding_neardup"),
         ("citygml2objv2_ray/relational_ext.py", "q_embedding_neardup_lsh"),
         ("citygml2objv2_ray/relational_stats.py", "q_heavy_hitters"),
@@ -535,7 +539,9 @@ def _shuffle_idioms(tree: ast.Module):
     """(kind, outermost def or class, line) of every hand-rolled piece of a
     super-group shuffle: a ``_sg``/``_dg`` literal or keyword, a ``hash_pandas_object``
     call, a ``repartition(..., shuffle=False)`` coalesce, a Ray
-    ``.groupby(...).map_groups(`` chain, and any ``supergroup_of`` name."""
+    ``.groupby(...).map_groups(`` chain, and any ``supergroup_of`` name;
+    and of a per-polygon ring pass: a ``clean_ring`` call and any
+    ``triangulate_polygon(s)`` name."""
     for top in tree.body:
         scope = getattr(top, "name", None)
         for node in ast.walk(top):
@@ -547,11 +553,17 @@ def _shuffle_idioms(tree: ast.Module):
             if "supergroup_of" in (getattr(node, "id", None), getattr(node, "attr", None),
                                    getattr(node, "name", None)):
                 yield "supergroup_of", scope, line
+            if {"triangulate_polygon", "triangulate_polygons"} & {
+                getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+            }:
+                yield "per_polygon_triangulate", scope, line
             if not isinstance(node, ast.Call):
                 continue
             name = _call_name(node.func)
             if name == "hash_pandas_object":
                 yield "hash_pandas_object", scope, line
+            elif name == "clean_ring":
+                yield "clean_ring", scope, line
             elif name == "repartition" and any(
                 k.arg == "shuffle" and isinstance(k.value, ast.Constant) and k.value.value is False
                 for k in node.keywords
@@ -568,7 +580,8 @@ def _shuffle_idioms(tree: ast.Module):
 
 def test_shuffle_groups_is_the_only_super_group_shuffle():
     """Every keyed shuffle that is not an aggregate goes through
-    ``ops.shuffle_groups``: one hash, one coalesce rule, one tag column."""
+    ``ops.shuffle_groups``: one hash, one coalesce rule, one tag column;
+    and no package code cleans or triangulates one polygon at a time."""
     paths = sorted((REPO / "citygml2objv2_ray").rglob("*.py")) + [REPO / "__ray_entry__.py"]
     found = [
         (str(p.relative_to(REPO)), kind, scope, line)
@@ -602,9 +615,14 @@ def test_shuffle_groups_is_the_only_super_group_shuffle():
         ("from .dedup import supergroup_of\n", [("supergroup_of", None, 1)]),
         ("class W:\n    def m(self, ds):\n        return ds.repartition(8)\n", []),
         ("def f(df):\n    return df.groupby('k').sum()\n", []),
+        ("def f(r):\n    return geom.clean_ring(r, 9)\n", [("clean_ring", "f", 2)]),
+        (
+            "from .geom import triangulate_polygons\ntris = geom.triangulate_polygon(r)\n",
+            [("per_polygon_triangulate", None, 1), ("per_polygon_triangulate", None, 2)],
+        ),
     ],
     ids=["assign_keyword", "reinlined_helper", "dg_and_supergroup_of", "import", "shuffling_repartition",
-         "pandas_groupby"],
+         "pandas_groupby", "clean_ring_call", "per_polygon_triangulate"],
 )
 def test_shuffle_lint_sees_each_pattern(src, want):
     assert sorted(_shuffle_idioms(ast.parse(src)), key=str) == sorted(want, key=str)
