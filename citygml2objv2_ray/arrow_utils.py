@@ -3,12 +3,16 @@
 Geometry rings live in Arrow as ``list<fixed_size_list<double,3>>``; these
 helpers expose them as one flat (N,3) float64 array + an offsets vector, so
 batch kernels slice per-row views instead of materializing Python lists.
+``map_points`` is the one way back: it moves every point of a surfaces
+batch, holes included, and keeps every offset buffer and column type.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from .schemas import POINT
 
 
 def _as_array(col) -> pa.Array:
@@ -85,13 +89,34 @@ def binary_views(col) -> list[memoryview]:
     return out
 
 
-def rings_to_arrow(rings: list[np.ndarray]) -> pa.Array:
-    """list of (n_i, 3) arrays → ``list<fixed_size_list<double,3>>``."""
-    if rings:
-        flat = np.concatenate([np.asarray(r, dtype=np.float64).reshape(-1, 3) for r in rings])
+def _map_point_level(arr: pa.Array, fn) -> pa.Array:
+    """``arr`` with ``fn`` applied to the (N,3) points at its bottom; its
+    validity and offset buffers, type and slice offset are reused as is."""
+    child = arr.values  # the whole child, ignoring arr's slice offset
+    is_fixed = pa.types.is_fixed_size_list(arr.type)
+    if pa.types.is_floating(child.type):  # arr is the point level
+        if arr.type != POINT:
+            raise TypeError(f"points must be {POINT}, got {arr.type}")
+        lo, hi = 3 * arr.offset, 3 * (arr.offset + len(arr))
+        flat = child.to_numpy(zero_copy_only=False).astype(np.float64)
+        flat[lo:hi] = np.asarray(fn(flat[lo:hi].reshape(-1, 3)), np.float64).ravel()
+        child = pa.array(flat, child.type)
     else:
-        flat = np.zeros((0, 3))
-    lens = np.array([len(np.asarray(r).reshape(-1, 3)) for r in rings], dtype=np.int32)
-    offsets = np.concatenate([[0], np.cumsum(lens)]).astype(np.int32)
-    inner = pa.FixedSizeListArray.from_arrays(pa.array(flat.ravel(), pa.float64()), 3)
-    return pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), inner)
+        child = _map_point_level(child, fn)
+    own = arr.buffers()[: 1 if is_fixed else 2]
+    return pa.Array.from_buffers(
+        arr.type, len(arr), own, arr.null_count, arr.offset, children=[child]
+    )
+
+
+def map_points(batch: pa.Table, fn) -> pa.Table:
+    """Apply a vectorized ``(N,3) -> (N,3)`` point function to every point
+    of the ``exterior`` and ``interiors`` columns: one call per column
+    chunk over its flat point buffer, so rings, holes, row order and each
+    column's type are unchanged."""
+    for name in ("exterior", "interiors"):
+        i = batch.column_names.index(name)
+        col = batch.column(i)
+        moved = [_map_point_level(c, fn) for c in col.chunks]
+        batch = batch.set_column(i, batch.field(i), pa.chunked_array(moved, col.type))
+    return batch

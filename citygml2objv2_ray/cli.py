@@ -6,7 +6,8 @@ CityGML2OBJv2 user's invocation maps one-to-one:
 becomes
     python -m citygml2objv2_ray.cli -i IN -o OUT [same flags]
 
-Flag mapping (reference file:line → engine behaviour):
+``run`` reads the input once: one surfaces Dataset, which every mode
+consumes. Flag mapping (reference file:line → engine behaviour):
 
 - ``-s/--semantics``   (:202) per-class OBJ with openings as classes; off →
   openings anti-joined away (``pipelines.convert``).
@@ -20,8 +21,9 @@ Flag mapping (reference file:line → engine behaviour):
   triangulation (CityGML2OBJs.py:137-141).
 - ``-tC/-tCw``         (:219,:223) dataset translation pre-pass: exact
   decimal-stable translation to a local CRS (int64 µm fixed point,
-  ``exact.py`` — B21); ``-tCw`` also writes ``<name>_local_.gml`` next to
-  the output (E6) plus a translation-params record (E7).
+  ``exact.py`` — B21), holes included; every mode converts the translated
+  surfaces. ``-tCw`` also writes ``<name>_local_.gml`` next to the output
+  (E6) plus a translation-params record (E7).
 - ``-sepC``            (:227) component separation: one OBJ per component
   + index/bbox sidecar parquet (``pipelines.components``).
 - ``-appW``            (:231) approximate opening hulls inside -sepC.
@@ -31,7 +33,6 @@ Flag mapping (reference file:line → engine behaviour):
 from __future__ import annotations
 
 import argparse
-import glob
 import os
 
 
@@ -53,64 +54,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> dict:
-    import numpy as np
     import pyarrow as pa
-    import ray.data as rd
 
     from .exact import translate_exact, translation_params
     from .pipelines.components import component_sidecars, separate_components
-    from .pipelines.convert import convert
+    from .pipelines.convert import convert_surfaces, input_paths
     from .sources.citygml import read_citygml, surfaces_to_gml
     from .state.checkpoint import publish
 
     os.makedirs(args.results, exist_ok=True)
     outputs: dict = {}
-    paths = sorted(
-        glob.glob(os.path.join(args.directory, "*.gml"))
-        + glob.glob(os.path.join(args.directory, "*.xml"))
-    )
+    paths = input_paths(args.directory)
+    surfaces = read_citygml(paths)
 
-    surfaces_override = None
     if args.translateCityGML or args.translateCityGMLwrite:
-        surfaces = read_citygml(paths)
-        if surfaces.count() == 0:
+        try:
+            delta = translation_params(surfaces)
+        except ValueError as e:
             raise ValueError(
                 f"no parseable CityGML surfaces found under {args.directory!r}; "
                 "nothing to translate for -tC/-tCw"
-            )
-        delta = translation_params(surfaces)
-        translated = translate_exact(surfaces, delta)
+            ) from e
+        surfaces = translate_exact(surfaces, delta)
         outputs["translation_params"] = delta.tolist()
         if args.translateCityGMLwrite:
-            import ray as _ray
-
-            tabs = [
-                t
-                for t in _ray.get(translated.to_arrow_refs())
-                if t.num_rows and t.num_columns
-            ]
-            if not tabs:
-                raise ValueError(
-                    f"no parseable CityGML surfaces found under {args.directory!r}; "
-                    "nothing to translate for -tCw"
-                )
-            # per-block list field names can drift (item vs element); cast
-            # every block to the first block's schema before concat
-            tab = pa.concat_tables([t.cast(tabs[0].schema) for t in tabs])
+            # the GML below and the conversion after it read one parse
+            surfaces = surfaces.materialize()
+            tab = pa.concat_tables(surfaces.iter_batches(batch_format="pyarrow", batch_size=None))
             gml_path = os.path.join(args.results, "model_local_.gml")
-            with open(gml_path, "wb") as f:
-                f.write(surfaces_to_gml(tab))
-            with open(os.path.join(args.results, "translation_params.txt"), "w") as f:
-                f.write(" ".join(repr(float(x)) for x in delta) + "\n")
+            params_path = os.path.join(args.results, "translation_params.txt")
+            with publish(gml_path) as gml_tmp, publish(params_path) as params_tmp:
+                with open(gml_tmp, "wb") as f:
+                    f.write(surfaces_to_gml(tab))
+                with open(params_tmp, "w") as f:
+                    f.write(" ".join(repr(float(x)) for x in delta) + "\n")
             outputs["translated_gml"] = gml_path
-        surfaces_override = translated
 
     if args.separateComponents:
-        src = surfaces_override
-        if src is None:
-            src = read_citygml(paths)
         comps = separate_components(
-            src,
+            surfaces,
             approx_windows=bool(args.approximateWindows),
             corner_markers=bool(args.addBoundingBox),
         ).materialize()
@@ -140,8 +122,8 @@ def run(args) -> dict:
             sidecars.to_parquet(tmp)
         return outputs
 
-    outputs["obj"] = convert(
-        args.directory,
+    outputs["obj"] = convert_surfaces(
+        surfaces,
         args.results,
         semantics=bool(args.semantics),
         translate=bool(args.translate),

@@ -22,6 +22,8 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from .arrow_utils import map_points, ring_column
+
 SCALE = 10**6  # micrometre fixed point: exact for <= 6 decimals
 
 
@@ -54,18 +56,18 @@ def translation_params(surfaces: rd.Dataset) -> np.ndarray:
     vertices (the envelope lowerCorner analog), negated, truncated toward
     zero to whole units (CityGMLTranslation.py:171-197). Raises
     ``ValueError`` on surfaces without an exterior ring."""
-    from .arrow_utils import ring_column
 
     def batch_mins(batch: pa.Table) -> pd.DataFrame:
         pts, off = ring_column(batch["exterior"])
-        bids = batch["building_id"].to_pylist()
-        rows = []
-        for i in range(batch.num_rows):
-            ring = pts[off[i] : off[i + 1]]
-            if len(ring):
-                lo = ring.min(axis=0)
-                rows.append(dict(building_id=bids[i], x=lo[0], y=lo[1], z=lo[2]))
-        return pd.DataFrame(rows)
+        code, bids = pd.factorize(batch["building_id"].to_pandas(), use_na_sentinel=False)
+        pcode = np.repeat(code, np.diff(off))
+        lo = np.full((len(bids), 3), np.inf)
+        np.minimum.at(lo, pcode, pts)
+        # a building whose rings of this batch are all empty has no minimum
+        keep = np.bincount(pcode, minlength=len(bids)) > 0
+        return pd.DataFrame(
+            {"building_id": bids[keep], "x": lo[keep, 0], "y": lo[keep, 1], "z": lo[keep, 2]}
+        )
 
     from .ops import supergroup_agg
 
@@ -89,20 +91,14 @@ def translation_params(surfaces: rd.Dataset) -> np.ndarray:
 
 def translate_exact(surfaces: rd.Dataset, delta_units: np.ndarray) -> rd.Dataset:
     """Exactly add integer ``delta_units`` (whole world units, per the
-    reference's truncated params) to every vertex through int64 fixed
-    point. Exactly invertible: translate_exact(ds, d) then
+    reference's truncated params) to every vertex, holes included, through
+    int64 fixed point. Exactly invertible: translate_exact(ds, d) then
     translate_exact(·, -d) is the identity bit-for-bit."""
-    d_fixed = (np.asarray(delta_units, dtype=np.int64) * SCALE).tolist()
+    d_fixed = np.asarray(delta_units, dtype=np.int64) * SCALE
 
-    def shift(batch: pa.Table) -> pa.Table:
-        from .arrow_utils import ring_column, rings_to_arrow
+    def shift(pts: np.ndarray) -> np.ndarray:
+        return np.stack(
+            [from_fixed(to_fixed(pts[:, a]) + d_fixed[a]) for a in range(3)], axis=1
+        )
 
-        pts, off = ring_column(batch["exterior"])
-        moved = np.empty_like(pts)
-        for axis in range(3):
-            moved[:, axis] = from_fixed(to_fixed(pts[:, axis]) + d_fixed[axis])
-        rings = [moved[off[i] : off[i + 1]] for i in range(batch.num_rows)]
-        i = batch.column_names.index("exterior")
-        return batch.set_column(i, "exterior", rings_to_arrow(rings))
-
-    return surfaces.map_batches(shift, batch_format="pyarrow")
+    return surfaces.map_batches(lambda b: map_points(b, shift), batch_format="pyarrow")

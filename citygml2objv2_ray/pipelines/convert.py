@@ -10,7 +10,10 @@ becomes ``convert(in_dir, out_dir, semantics=True, translate=True, ...)``.
       (-p: flat-ring kernel → valid)  #   B1/B2 only, polygons stay n-gons
     → OBJ per semantic class (+MTL)   # C4/D1/E1/E8
 
-Run as a script:  python -m citygml2objv2_ray.pipelines.convert IN_DIR OUT_DIR
+``convert`` reads a directory; ``convert_surfaces`` is everything after
+the read, so the CLI converts the one surfaces Dataset it already holds
+(translated by ``-tC``) instead of parsing its input again. From a shell:
+``python -m citygml2objv2_ray.cli -i IN_DIR -o OUT_DIR``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import glob
 import os
 
 import pyarrow as pa
-import ray
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, EngineConfig
@@ -34,6 +36,17 @@ from .geometry import (
 )
 
 
+def input_paths(in_dir: str) -> list[str]:
+    """The sorted ``.gml``/``.xml`` files under ``in_dir``; a document is
+    named by its index in this list."""
+    paths = sorted(
+        glob.glob(os.path.join(in_dir, "*.gml")) + glob.glob(os.path.join(in_dir, "*.xml"))
+    )
+    if not paths:
+        raise FileNotFoundError(f"no .gml/.xml files under {in_dir}")
+    return paths
+
+
 def convert(
     in_dir: str,
     out_dir: str,
@@ -45,19 +58,31 @@ def convert(
     cfg: EngineConfig = DEFAULT_CONFIG,
 ) -> dict[str, str]:
     """Convert every ``.gml``/``.xml`` under ``in_dir`` to per-class OBJ
-    files under ``out_dir``. Returns {semantic_class: path}.
+    files under ``out_dir``. Returns {semantic_class: path}."""
+    return convert_surfaces(
+        read_citygml(input_paths(in_dir)), out_dir, name=name, semantics=semantics,
+        translate=translate, preserve=preserve, group_markers=group_markers, cfg=cfg,
+    )
+
+
+def convert_surfaces(
+    surfaces: rd.Dataset,
+    out_dir: str,
+    name: str = "model",
+    semantics: bool = True,
+    translate: bool = False,
+    preserve: bool = False,
+    group_markers: bool = True,
+    cfg: EngineConfig = DEFAULT_CONFIG,
+) -> dict[str, str]:
+    """A surfaces Dataset → per-class OBJ files under ``out_dir``. Returns
+    {semantic_class: path}.
 
     semantics=False mirrors the reference's default mode: openings
     (Window/Door) are folded away via the anti-join and everything lands in
     per-class files anyway (the reference concatenates all classes when
     ``-s 0``; keeping per-class files is a superset — ``cat`` them for the
     single-file equivalent)."""
-    paths = sorted(
-        glob.glob(os.path.join(in_dir, "*.gml")) + glob.glob(os.path.join(in_dir, "*.xml"))
-    )
-    if not paths:
-        raise FileNotFoundError(f"no .gml/.xml files under {in_dir}")
-    surfaces = read_citygml(paths)
     if not semantics:
         surfaces = opening_anti_join(surfaces, cfg)
     if translate:
@@ -86,14 +111,3 @@ def convert(
 
     write_colorbar(os.path.join(out_dir, "colorbar.png"), bins=cfg.mtl_bins)
     return out
-
-
-if __name__ == "__main__":
-    import sys
-
-    if not ray.is_initialized():
-        ray.init(address="local", include_dashboard=False, logging_level="ERROR")
-    res = convert(sys.argv[1], sys.argv[2])
-    for cl, p in res.items():
-        print(f"{cl}: {p}")
-    ray.shutdown()

@@ -28,7 +28,6 @@ import uuid
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data as rd
@@ -37,7 +36,7 @@ from ..config import DEFAULT_CONFIG, EngineConfig
 from ..spatial import build_index, part_of_cell
 from ..stages.images import cell_encode, make_decode_clip_task
 from ..stages.join import make_join_task
-from ..state.checkpoint import CheckpointLog, make_partitioned_writer
+from ..state.checkpoint import CheckpointLog, PartitionedWriter
 from .geometry import roof_tri2d
 
 STAGE = "assign"
@@ -75,6 +74,14 @@ def _hive_expected_rows(images_path: str) -> dict[str, int] | None:
             return None
         out[p] = int(n)
     return out
+
+
+# per-cell tile stats, the same on a fresh run, a rerun that wrote
+# nothing and one that read nothing
+TILE_STATS = pa.schema(
+    [("cell", pa.int64()), ("sum_matched", pa.float64()), ("sum_coverage", pa.float64()),
+     ("cov_px", pa.int64()), ("tile_px", pa.int64()), ("n", pa.int64())]
+)
 
 IMAGE_COLUMNS = [
     "image_id", "bytes", "w", "h", "fmt", "caption", "phash", "cx", "cy",
@@ -197,15 +204,7 @@ def run_flagship(
         if not pending:  # everything committed → nothing to read at all
             return FlagshipResult(
                 out_root=out_root, run_id=run_id, rows_written=0,
-                tile_stats=pa.table(
-                    {"cell": pa.array([], pa.int64()),
-                     "sum_matched": pa.array([], pa.float64()),
-                     "sum_coverage": pa.array([], pa.float64()),
-                     "cov_px": pa.array([], pa.int64()),
-                     "tile_px": pa.array([], pa.int64()),
-                     "n": pa.array([], pa.int64())}
-                ),
-                wall_sec=time.perf_counter() - t0,
+                tile_stats=TILE_STATS.empty_table(), wall_sec=time.perf_counter() - t0,
             )
         from ray.data.datasource.partitioning import PathPartitionFilter
 
@@ -223,7 +222,7 @@ def run_flagship(
     ds = ds.map_batches(process, batch_format="pyarrow", batch_size=cfg.join_batch_size)
 
     acks = ds.map_batches(
-        make_partitioned_writer(out_root, run_id, STAGE, "part", "image_id"),
+        PartitionedWriter(out_root, run_id, STAGE, "part", "image_id"),
         batch_format="pyarrow",
         batch_size=cfg.write_batch_size,
     )
@@ -246,18 +245,14 @@ def run_flagship(
 
     if len(ack_df):
         tile_df = (
-            ack_df.groupby("cell", as_index=False)[
-                ["sum_matched", "sum_coverage", "cov_px", "tile_px", "n"]
-            ]
+            ack_df.groupby("cell", as_index=False)[TILE_STATS.names[1:]]
             .sum()
             .sort_values("cell")
             .reset_index(drop=True)
         )
+        tile_stats = pa.Table.from_pandas(tile_df, schema=TILE_STATS, preserve_index=False)
     else:
-        tile_df = pd.DataFrame(
-            {"cell": [], "sum_matched": [], "sum_coverage": [], "cov_px": [], "tile_px": [], "n": []}
-        )
-    tile_stats = pa.Table.from_pandas(tile_df, preserve_index=False)
+        tile_stats = TILE_STATS.empty_table()
 
     return FlagshipResult(
         out_root=out_root,

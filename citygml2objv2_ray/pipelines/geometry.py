@@ -25,7 +25,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from ..arrow_utils import ring_column
+from ..arrow_utils import map_points, ring_column
 from ..config import DEFAULT_CONFIG, OPENING_CLASSES, EngineConfig
 from ..ops import broadcast_semi_anti_filter, supergroup_agg
 from ..stages.geometry import Triangulator
@@ -174,22 +174,13 @@ def global_min_vertex(surfaces: rd.Dataset) -> np.ndarray:
 
 
 def translate_surfaces(surfaces: rd.Dataset, delta: np.ndarray) -> rd.Dataset:
-    """Subtract a broadcast translation vector from every vertex (B20/B22 —
-    CityGML2OBJs.py:789-805, componentseparationmodule.py:36-61). Exactness
-    note (B21): the reference uses decimal-string arithmetic for UTM-scale
-    coordinates; on float64 columns, subtracting a representable vector is
-    the Arrow-native equivalent and is exactly invertible for the
+    """Subtract a translation vector from every vertex, holes included
+    (B20/B22 — CityGML2OBJs.py:789-805, componentseparationmodule.py:36-61).
+    Exactness note (B21): the reference uses decimal-string arithmetic for
+    UTM-scale coordinates; on float64 columns, subtracting a representable
+    vector is the Arrow-native equivalent and is exactly invertible for the
     fixture coordinate ranges."""
-    dx, dy, dz = (float(delta[0]), float(delta[1]), float(delta[2]))
-
-    def sub(batch: pa.Table) -> pa.Table:
-        from ..arrow_utils import ring_column as rc, rings_to_arrow
-
-        pts, off = rc(batch["exterior"])
-        moved = pts - np.array([dx, dy, dz])
-        rings = [moved[off[i] : off[i + 1]] for i in range(batch.num_rows)]
-        new_ext = rings_to_arrow(rings)
-        i = batch.column_names.index("exterior")
-        return batch.set_column(i, "exterior", new_ext)
-
-    return surfaces.map_batches(sub, batch_format="pyarrow")
+    delta = np.asarray(delta, dtype=np.float64)
+    return surfaces.map_batches(
+        lambda b: map_points(b, lambda p: p - delta), batch_format="pyarrow"
+    )

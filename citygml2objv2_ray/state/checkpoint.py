@@ -19,16 +19,12 @@ Layout under ``root``:
     data/part=<pid>/<run_id>-<task>-<uuid>.parquet   output rows
     lineage/<uuid>.parquet                           LINEAGE_SCHEMA rows
 
-A partition is **complete** when the summed ``rows_out`` across lineage rows
-for a (stage, partition) reaches the expected count (expected counts are
-deterministic for synthetic inputs, or recorded at plan time from parquet
-metadata). On resume, completed partitions are pruned from the read; files
-from aborted runs of incomplete partitions are ignored at read time by
-filtering on run_ids recorded as complete (idempotent write-then-log: a Ray
-task retry appends a fresh uuid file + lineage row; readers dedupe by
-keeping only rows whose (partition, run) is in the log exactly once per
-task index — in practice, re-running an incomplete partition uses a new
-run_id and prior partial files are deleted first).
+A partition is **complete** when a ``<stage>:commit`` lineage row names
+it (written once a run has written all of it), or, after a mid-run crash
+over a hive-partitioned input, when its on-disk rows equal its input rows
+(``pipelines.flagship``). On resume, completed partitions are pruned from
+the read, and the files of every started but incomplete partition are
+deleted before it is written again under a new run_id.
 
 Lineage appends are atomic (``publish``) and single-writer-per-file, so
 concurrent write tasks never contend.
@@ -108,30 +104,6 @@ class CheckpointLog:
 
     # -- lineage ----------------------------------------------------------
 
-    def append(
-        self,
-        run_id: str,
-        stage: str,
-        partition_id: str,
-        rows_in: int,
-        rows_out: int,
-        checksum: int,
-        wall_sec: float,
-    ) -> None:
-        self.append_many(
-            [
-                dict(
-                    run_id=run_id,
-                    stage=stage,
-                    partition_id=partition_id,
-                    rows_in=rows_in,
-                    rows_out=rows_out,
-                    checksum=checksum,
-                    wall_sec=wall_sec,
-                )
-            ]
-        )
-
     def append_many(self, rows: list[dict]) -> None:
         """One atomic lineage file per call (a write task batches all its
         partitions into a single append — thousands of one-row files were a
@@ -151,15 +123,6 @@ class CheckpointLog:
         if not files:
             return LINEAGE_SCHEMA.empty_table()
         return pa.concat_tables(pq.read_table(f) for f in files)
-
-    def completed_partitions(self, stage: str, expected: dict[str, int]) -> set[str]:
-        """Partitions whose written row total matches the expected count."""
-        lin = self.read_lineage().to_pandas()
-        if lin.empty:
-            return set()
-        lin = lin[lin.stage == stage]
-        got = lin.groupby("partition_id").rows_out.sum()
-        return {p for p, n in expected.items() if got.get(p, 0) >= n}
 
     # -- partitioned data writes -----------------------------------------
 
@@ -191,25 +154,17 @@ class CheckpointLog:
         return out
 
 
-def make_partitioned_writer(root: str, run_id: str, stage: str, part_col: str, hash_col: str):
-    """Stateless writer for a task pool (a function, NOT an actor class — a
-    writer pool's minimum actor reservation would starve the read stage on
-    small CPU budgets, and the writer holds no state worth amortizing).
-    Returns a batch fn for ``map_batches``."""
-    w = PartitionedWriter(root, run_id, stage, part_col, hash_col)
-
-    def write_batch(batch: pa.Table) -> pa.Table:
-        return w(batch)
-
-    return write_batch
-
-
 class PartitionedWriter:
     """Final ``map_batches`` sink stage: splits each batch by the
     ``part_col`` column, writes one file per (batch, partition) via the
     checkpoint log (atomic ``publish``), appends a lineage row per file, and
     returns a tiny ack table so the stream stays consumable. Checksum =
-    xor of a stable per-row hash (order-insensitive)."""
+    xor of a stable per-row hash (order-insensitive).
+
+    Map an instance, not the class: Ray runs a callable instance as a
+    task-pool function, while a writer actor pool's minimum reservation
+    would starve the read stage on small CPU budgets (the writer holds no
+    state worth amortizing)."""
 
     def __init__(self, root: str, run_id: str, stage: str, part_col: str, hash_col: str):
         self.log = CheckpointLog(root)

@@ -19,7 +19,6 @@ ALLOWED = {
     "put": {("citygml2objv2_ray/ops.py", "Broadcast.__init__")},
     "get": {
         ("citygml2objv2_ray/ops.py", "Broadcast.get"),
-        ("citygml2objv2_ray/cli.py", "run"),
         ("citygml2objv2_ray/relational_ml.py", "broadcast_texts_ref"),
         ("citygml2objv2_ray/streaming.py", "route"),
         ("citygml2objv2_ray/streaming.py", "run_sharded"),

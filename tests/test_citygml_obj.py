@@ -198,6 +198,28 @@ class TestOBJ:
         assert len(f) > 0
         assert (tmp_path / "obj" / "colormap.mtl").exists()
 
+    def test_translate_keeps_every_face(self, tmp_path, ray_session):
+        """``-t`` moves holes with their exteriors, so it triangulates the
+        same polygons: the same face count per class as no translation."""
+        from citygml2objv2_ray import synth
+        from citygml2objv2_ray.pipelines.convert import convert
+        from citygml2objv2_ray.sources.citygml import surfaces_to_gml
+
+        surfaces, _ = synth.make_city(4, seed=1, corruption=0.0)
+        assert sum(map(len, surfaces["interiors"].to_pylist())), "the city has no hole"
+        gdir = tmp_path / "gml"
+        gdir.mkdir()
+        (gdir / "city.gml").write_bytes(surfaces_to_gml(surfaces))
+
+        def faces(translate):
+            out = convert(str(gdir), str(tmp_path / f"obj{translate}"), translate=translate)
+            return {
+                sem: sum(line.startswith("f ") for line in open(path))
+                for sem, path in out.items()
+            }
+
+        assert faces(True) == faces(False)
+
 
     @pytest.mark.parametrize("preserve", [False, True])
     def test_two_documents_keep_their_buildings(self, tmp_path, preserve, ray_session):
@@ -304,22 +326,32 @@ class TestExactTranslation:
             [5400010.999999, 690010.111111, 100.000001],
             [5400000.123456, 690000.654321, 100.000001],
         ]
+        hole = [
+            [5400001.000001, 690001.000002, 100.000001],
+            [5400002.500003, 690001.000002, 100.000001],
+            [5400002.500003, 690002.250004, 100.000001],
+            [5400001.000001, 690001.000002, 100.000001],
+        ]
         row = dict(
             doc_id="d", building_id="b", building_seq=0, feature_id="f",
             semantic="RoofSurface", is_opening=False, poly_id="p", poly_seq=0,
-            exterior=ring, interiors=[], attr_irradiation=None,
+            exterior=ring, interiors=[hole], attr_irradiation=None,
             truth_valid=True, truth_area=0.0,
         )
         tab = pa.Table.from_pylist([row], schema=SURFACES_SCHEMA)
         delta = np.array([-5400000, -690000, 0])
-        moved = translate_exact(rd.from_arrow(tab), delta)
-        back = translate_exact(moved, -delta)
-        orig = np.array(ring)
-        got = np.array(back.to_pandas().exterior.iloc[0].tolist())
-        assert np.array_equal(orig, got)  # bit-exact round trip
-        m = np.array(moved.to_pandas().exterior.iloc[0].tolist())
+        moved_ds = translate_exact(rd.from_arrow(tab), delta)
+        moved = moved_ds.to_pandas()
+        back = translate_exact(moved_ds, -delta).to_pandas()
+        got = np.array(back.exterior.iloc[0].tolist())
+        assert np.array_equal(np.array(ring), got)  # bit-exact round trip
+        got_hole = np.array(back.interiors.iloc[0][0].tolist())
+        assert np.array_equal(np.array(hole), got_hole)  # holes too
+        m = np.array(moved.exterior.iloc[0].tolist())
         # decimal-exact local coords (0.123456 survives exactly)
         assert m[0, 0] == 0.123456 and m[0, 1] == 0.654321
+        h = np.array(moved.interiors.iloc[0][0].tolist())
+        assert h[0, 0] == 1.000001 and h[1, 0] == 2.500003 and h[2, 1] == 2.250004
 
     def test_translation_params(self, city):
         from citygml2objv2_ray.exact import translation_params
@@ -328,6 +360,13 @@ class TestExactTranslation:
         p = translation_params(rd.from_arrow(surfaces))
         assert p.dtype == np.int64 and p[2] == 0
         assert p[0] < 0 and p[1] < 0  # negated means
+        # the per-building loop: each building's min vertex, then the mean
+        lows = [
+            np.vstack([np.stack(r) for r in g.exterior if len(r)]).min(axis=0)
+            for _, g in surfaces.to_pandas().groupby("building_id")
+        ]
+        mean = np.mean(lows, axis=0)
+        assert p.tolist() == [-int(mean[0]), -int(mean[1]), 0]
 
     def test_translation_params_of_no_surfaces(self, ray_session):
         """A mean over no buildings has no value: zero surfaces raise an

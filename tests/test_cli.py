@@ -56,6 +56,58 @@ class TestCLI:
         rows = parse_citygml_document((tmp_path / "model_local_.gml").read_bytes(), "d")
         assert len(rows) > 0
 
+    def test_translated_obj_equals_convert_of_written_gml(self, ray_session, tmp_path):
+        """-tCw converts the translated surfaces it writes, holes included:
+        its OBJ files equal, byte for byte, a plain convert of the
+        ``model_local_.gml`` it wrote, and -tC alone writes the same OBJ."""
+        from citygml2objv2_ray import synth
+        from citygml2objv2_ray.pipelines.convert import convert
+        from citygml2objv2_ray.sources.citygml import surfaces_to_gml
+
+        surfaces, _ = synth.make_city(4, seed=1, corruption=0.0)
+        src = tmp_path / "in"
+        src.mkdir()
+        (src / "city.gml").write_bytes(surfaces_to_gml(surfaces))
+        tcw = _run(["-i", str(src), "-o", str(tmp_path / "tcw"), "-tCw", "1"])
+        tc = _run(["-i", str(src), "-o", str(tmp_path / "tc"), "-tC", "1"])
+        assert tc["translation_params"] == tcw["translation_params"] != [0, 0, 0]
+        # model_local_.gml is the only GML of the -tCw output dir
+        want = convert(str(tmp_path / "tcw"), str(tmp_path / "want"))
+        assert set(tcw["obj"]) == set(tc["obj"]) == set(want)
+        for sem, path in want.items():
+            body = open(path, "rb").read()
+            assert open(tcw["obj"][sem], "rb").read() == body, sem
+            assert open(tc["obj"][sem], "rb").read() == body, sem
+
+    def test_failed_tcw_write_publishes_nothing(self, gml_dir, tmp_path, monkeypatch):
+        """A -tCw write that fails partway leaves neither the translated
+        GML, nor the params file, nor any temp file behind."""
+        import builtins
+
+        from citygml2objv2_ray import cli
+
+        class FailPartway:
+            def __init__(self, f):
+                self.f = f
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(
+            cli, "open", lambda *a, **k: FailPartway(builtins.open(*a, **k)), raising=False
+        )
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="disk full"):
+            _run(["-i", str(gml_dir), "-o", str(out), "-tCw", "1"])
+        assert list(out.iterdir()) == []
+
     def test_separate_components(self, gml_dir, tmp_path):
         import pandas as pd
 

@@ -193,6 +193,29 @@ class TestFlagship:
         adf = r2.assignments().to_pandas()
         assert adf.image_id.is_unique
 
+    @pytest.mark.parametrize("layout", ["hive", "single_file"])
+    def test_completed_rerun_keeps_tile_stats_schema(self, world, tmp_path, layout):
+        """A rerun of a completed job returns tile stats with the schema of
+        the fresh run: with a hive input it reads nothing, with one file it
+        reads everything and writes nothing."""
+        import pyarrow.parquet as pq
+
+        from citygml2objv2_ray.pipelines.flagship import IMAGE_COLUMNS, run_flagship
+
+        images = world["images"]
+        if layout == "single_file":
+            images = str(tmp_path / "images.parquet")
+            pq.write_table(pq.read_table(world["images"], columns=IMAGE_COLUMNS), images)
+        surfaces = pq.read_table(world["surfaces"])
+        footprints = pq.read_table(world["footprints"])
+        out = str(tmp_path / "out")
+        r1 = run_flagship(images, surfaces, footprints, out, decode=False)
+        r2 = run_flagship(images, surfaces, footprints, out, decode=False)
+        assert r1.tile_stats.num_rows > 0 and r2.tile_stats.num_rows == 0
+        assert r2.tile_stats.schema.equals(r1.tile_stats.schema), (
+            r1.tile_stats.schema, r2.tile_stats.schema,
+        )
+
     def test_knn_first_neighbor_is_containing_building(self, world, tmp_path):
         import pyarrow.parquet as pq
 
