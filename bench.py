@@ -19,7 +19,9 @@ rule's N vs 4N node criterion — see BASELINE.md).
 
 from __future__ import annotations
 
+import contextlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -56,6 +58,25 @@ def _init_ray():
     ctx.enable_progress_bars = False
     # measured +10% throughput: reservation capped the fused stage's tasks
     ctx.op_resource_reservation_enabled = False
+
+
+@contextlib.contextmanager
+def _verify_decisions():
+    """Collect ``(site, branch, rows, bytes, cap)`` of every near-dup verify
+    decision that ``ops.under_cap`` logs inside the block."""
+    seen: list[tuple] = []
+    handler = logging.Handler()
+    handler.addFilter(lambda r: bool(r.args) and r.args[0] == "verify_pairs")
+    handler.emit = lambda r: seen.append(r.args)
+    ops_log = logging.getLogger("citygml2objv2_ray.ops")
+    level = ops_log.level
+    ops_log.addHandler(handler)
+    ops_log.setLevel(logging.INFO)
+    try:
+        yield seen
+    finally:
+        ops_log.removeHandler(handler)
+        ops_log.setLevel(level)
 
 
 def run_bench() -> dict:
@@ -206,6 +227,7 @@ def run_bench() -> dict:
     import ray.data as _rd
 
     from citygml2objv2_ray import dedup as _dd
+    from citygml2objv2_ray import ops as _ops
     from citygml2objv2_ray.ops import derive_num_blocks
     from citygml2objv2_ray.relational_ml import minhash_neardup_pairs
 
@@ -217,22 +239,30 @@ def run_bench() -> dict:
         columns=["doc_id", "text"],
         override_num_blocks=derive_num_blocks(n_docs, target_rows=2048),
     )
-    mh_pairs = minhash_neardup_pairs(mh_docs, n_docs, threshold=0.6)
+    with _verify_decisions() as seen:
+        mh_pairs = minhash_neardup_pairs(mh_docs, n_docs, threshold=0.6)
     queries["minhash_neardup_300k"] = round(time.perf_counter() - t0, 3)
     queries["minhash_neardup_300k_pairs"] = int(len(mh_pairs))
+    ((_, branch, _, nbytes, cap),) = seen
+    queries["minhash_neardup_300k_verify_branch"] = branch
+    queries["minhash_neardup_300k_verify_bytes"] = nbytes
+    queries["minhash_neardup_300k_verify_cap"] = cap
 
-    # same corpus through the FULLY DISTRIBUTED two-shuffle verify (the
-    # >broadcast_verify_rows path a 100-TB corpus takes) so regressions in
-    # the scale path stay visible even though auto picks broadcast here
+    # same corpus through the two-shuffle verify tail (the branch a corpus
+    # whose texts exceed the broadcast cap takes, as a 100-TB one does):
+    # a broadcast share of 0 forces it, so regressions in the scale path
+    # stay visible although this corpus broadcasts by default
     t0 = time.perf_counter()
     mh_docs2 = _rd.read_parquet(
         docs_path,
         columns=["doc_id", "text"],
         override_num_blocks=derive_num_blocks(n_docs, target_rows=2048),
     )
-    mh_pairs_sh = minhash_neardup_pairs(
-        mh_docs2, n_docs, threshold=0.6, verify_mode="shuffle"
-    )
+    share, _ops.BROADCAST_SHARE = _ops.BROADCAST_SHARE, 0.0
+    try:
+        mh_pairs_sh = minhash_neardup_pairs(mh_docs2, n_docs, threshold=0.6)
+    finally:
+        _ops.BROADCAST_SHARE = share
     queries["minhash_neardup_300k_shuffle"] = round(time.perf_counter() - t0, 3)
     assert len(mh_pairs_sh) == len(mh_pairs), (len(mh_pairs_sh), len(mh_pairs))
 

@@ -425,12 +425,3 @@ def synth_embeddings(
     return path
 
 
-def recall_at_k(approx_ids: np.ndarray, exact_ids: np.ndarray) -> float:
-    """Mean fraction of exact top-k found by the approximate search."""
-    hits = 0
-    total = 0
-    for a, e in zip(approx_ids, exact_ids):
-        es = {x for x in e if x is not None}
-        hits += len({x for x in a if x is not None} & es)
-        total += len(es)
-    return hits / max(1, total)

@@ -134,14 +134,6 @@ def decode_image(data, fmt: str) -> np.ndarray:
     raise NotImplementedError(f"codec for fmt={fmt!r} not available in this container")
 
 
-def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a.astype(np.float64) - b.astype(np.float64)
-    mse = float(np.mean(diff * diff))
-    if mse == 0:
-        return float("inf")
-    return 10.0 * np.log10(255.0 * 255.0 / mse)
-
-
 def block_mean_8x8(gray: np.ndarray) -> np.ndarray:
     """Resize to 8x8 by block averaging (works for any H, W >= 8)."""
     h, w = gray.shape
@@ -169,18 +161,6 @@ def phash64(rgb: np.ndarray) -> int:
     if v >= 1 << 63:
         v -= 1 << 64
     return v
-
-
-def phash64_batch(rgbs: np.ndarray) -> np.ndarray:
-    """Vectorized phash64 over a stack of same-shape images (N, H, W, 3)
-    with H, W divisible by 8. Bit-for-bit identical to ``phash64``."""
-    n, h, w, _ = rgbs.shape
-    gray = rgbs.astype(np.float64) @ np.array([0.299, 0.587, 0.114])
-    cells = gray.reshape(n, 8, h // 8, 8, w // 8).mean(axis=(2, 4)).reshape(n, 64)
-    bits = cells > cells.mean(axis=1, keepdims=True)
-    weights = (np.uint64(1) << np.arange(63, -1, -1, dtype=np.uint64))
-    v = (bits.astype(np.uint64) * weights[None, :]).sum(axis=1)
-    return v.view(np.int64)
 
 
 def phash64_batch_f32(rgbs: np.ndarray) -> np.ndarray:

@@ -61,16 +61,6 @@ class EngineConfig:
     knn_k: int = 3                       # kNN neighbours per image
     knn_max_ring: int = 4                # max grid rings searched for neighbours
 
-    # near-dup VERIFY broadcast switch: at or under this many docs the
-    # exact-Jaccard verification runs MAP-SIDE against a broadcast arrow
-    # doc->text table instead of the two-shuffle distributed tail. The
-    # cap is deliberately high: the arrow LUT is ONE zero-copy
-    # object-store copy shared by every worker (not a per-worker heap
-    # copy), so the budget is plasma space (~1 GB at ~1 KB/doc here), and
-    # the switch measured faster at 300k (10.9 vs 12.8 s) and 1M docs
-    # (47.9 vs 55.5 s) with identical output
-    broadcast_verify_rows: int = 1_000_000
-
     # batching. Ray fuses the flagship's process (join + decode/clip) and
     # writer map_batches into one operator whose input bundles hold the
     # LARGER of the two batch sizes (operator_fusion's

@@ -115,15 +115,6 @@ def char_shingles(text: str, k: int = 5) -> np.ndarray:
     return char_shingles_batch([text], k)[0]
 
 
-def jaccard_u64(a: np.ndarray, b: np.ndarray) -> float:
-    """Jaccard of two sorted-unique uint64 arrays (vectorized set ops)."""
-    if not len(a) and not len(b):
-        return 1.0
-    inter = len(np.intersect1d(a, b, assume_unique=True))
-    u = len(a) + len(b) - inter
-    return inter / u if u else 0.0
-
-
 _NGRAM = 3  # the word n-gram of the n-gram-Jaccard / decontamination twins
 
 
@@ -226,11 +217,6 @@ def lsh_band_keys(sigs: np.ndarray, bands: int = 16) -> np.ndarray:
         h = splitmix64(h ^ chunks[:, :, j])
     h = h ^ np.arange(bands, dtype=np.uint64)[None, :]
     return (h & np.uint64(0x7FFFFFFFFFFFFFFF)).astype(np.int64)
-
-
-def lsh_bands(sig: np.ndarray, bands: int = 16) -> np.ndarray:
-    """Band keys of a single signature (thin wrapper over the batch form)."""
-    return lsh_band_keys(np.asarray(sig, dtype=np.uint64)[None, :], bands)[0]
 
 
 def md5_token_ids(tokens) -> np.ndarray:

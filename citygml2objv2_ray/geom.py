@@ -277,15 +277,6 @@ def projection_axis(
     return AXIS_XZ
 
 
-def project_ring(ring: np.ndarray, axis: int) -> np.ndarray:
-    pts = np.asarray(ring, dtype=np.float64)
-    if axis == AXIS_XY:
-        return pts[:, [0, 1]]
-    if axis == AXIS_XZ:
-        return pts[:, [0, 2]]
-    return pts[:, [1, 2]]
-
-
 # ---------------------------------------------------------------------------
 # triangulation (C1): one batched kernel over flat rings
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 - ``supergroup_agg``: every grouped aggregate. Per-batch partials are
   measured, then gathered to the driver when small or shuffled on a coarse
   hash super-group when not (``gathers`` decides, and the hand-gated joins
-  ask it too).
+  ask it too; ``under_cap`` is the one rule and log line behind it and
+  behind the near-dup verify's broadcast).
 - ``shuffle_groups``: every keyed shuffle that is not an aggregate. Rows
   of one or more sides are hashed on their keys onto coarse super-groups
   and each group runs one vectorized function over all its keys.
@@ -29,6 +30,13 @@ log = logging.getLogger(__name__)
 # default 4.9 GB store on a 4-vCPU, 15 GB host the cap is 77 MB; the
 # largest partial of the sf0.1 registry (q_image_exact_dup) measures 17 MB.
 GATHER_SHARE = 1 / 64
+
+# Share of the object store that the near-dup verify's broadcast
+# (doc_id, text) table may take. Unlike a gathered frame it is one
+# object-store copy that every worker maps zero-copy, so it may be larger:
+# 310 MB on the 4.9 GB store, where the 300k-doc bench corpus measures
+# 87 MB and the sf0.1 documents 1.6 MB.
+BROADCAST_SHARE = 1 / 16
 
 # Super-group fan-out (``derive_num_groups``): one reduce task per
 # SUPERGROUP_TARGET_ROWS input rows, clamped to [SUPERGROUP_MIN,
@@ -138,21 +146,30 @@ def derive_num_blocks(n_rows: int | None, target_rows: int = 8192, lo: int = 32,
     return int(min(hi, max(lo, n_rows // target_rows)))
 
 
-def gathers(site: str, parts: rd.MaterializedDataset) -> bool:
-    """Whether ``parts`` (the materialized partials of a grouped aggregate,
-    or the key side of a join) measure under the gather cap: a share
-    ``GATHER_SHARE`` of the cluster's object store. Under it, the small
-    side goes to the driver and the big side is never shuffled (*To
+def store_cap(share: float) -> int:
+    """Bytes of the cluster's object store that a ``share`` of it holds."""
+    return int(ray.cluster_resources()["object_store_memory"] * share)
+
+
+def under_cap(site: str, rows: int, nbytes: int, cap: int) -> bool:
+    """The one ship-or-partition rule: whether a measured small side of
+    ``nbytes`` (``rows`` rows) is under ``cap`` bytes, so it goes to the
+    driver or to every task and the big side is never shuffled (*To
     Partition, or Not to Partition*, SIGMOD 2021); over it, the caller
     partitions. Logs the decision and the sizes it rests on."""
-    rows, nbytes = parts.count(), parts.size_bytes()
-    cap = int(ray.cluster_resources()["object_store_memory"] * GATHER_SHARE)
     gather = nbytes < cap
     log.info(
         "%s: %s, %d partial rows, %d partial bytes, cap %d",
         site, "gather" if gather else "shuffle", rows, nbytes, cap,
     )
     return gather
+
+
+def gathers(site: str, parts: rd.MaterializedDataset) -> bool:
+    """Whether ``parts`` (the materialized partials of a grouped aggregate,
+    or the key side of a join) may be gathered to the driver: under a
+    share ``GATHER_SHARE`` of the object store (``under_cap``)."""
+    return under_cap(site, parts.count(), parts.size_bytes(), store_cap(GATHER_SHARE))
 
 
 def _empty_batch(ds: rd.Dataset) -> pd.DataFrame:

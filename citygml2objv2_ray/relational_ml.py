@@ -362,10 +362,9 @@ def verify_pairs_broadcast_ds(
     """MAP-SIDE exact-Jaccard verification for SMALL corpora: candidate
     pair batches verify in place against the broadcast ``doc_id -> text``
     table ``texts`` (from ``broadcast_texts_ref``). Zero additional
-    shuffles — the shuffle-free sibling of ``verify_pairs_jaccard_ds``,
-    used when the docs table fits ``EngineConfig.broadcast_verify_rows``
-    (the same broadcast-vs-partition switch as q_bloom_join; above the
-    gate the fully-distributed two-shuffle tail runs instead). Duplicate
+    shuffles — the shuffle-free sibling of ``verify_pairs_jaccard_ds``;
+    ``verify_pairs`` runs it when the texts measure under the broadcast
+    cap and the two-shuffle tail otherwise. Duplicate
     candidates arriving in DIFFERENT batches are verified twice and must
     be deduped by the caller if its generator can emit cross-batch
     duplicates (kept pairs are output-sparse, so a collect-side dedup is
@@ -401,38 +400,25 @@ def verify_pairs_broadcast_ds(
     return pairs.map_batches(verify_batch, batch_format="pandas", batch_size=None)
 
 
-def broadcast_texts_ref(docs: rd.Dataset) -> Broadcast:
-    """Broadcast a doc_id-sorted ``(doc_id, text)`` ARROW table of a
-    SMALL docs dataset (the caller must have gated on
-    ``EngineConfig.broadcast_verify_rows``); each worker process reads it
-    as ``(table, its doc_id array)``. Stays arrow end to end — collecting
-    through pandas materialized every text as a Python string in the
-    calling process (~6 s at 1M docs); concatenating the blocks' arrow refs and
-    sorting with pyarrow.compute is a buffer-level operation. The table
-    maps zero-copy from the object store: an object-dtype pandas Series
-    here cost a 100 MB string unpickle per worker per query and, cached
-    without eviction, grew worker heaps by the full corpus per call
-    (measured 13 → 66 s across three sf0.1 runs)."""
-    import pyarrow.compute as pc
-    import ray
-
-    tabs = ray.get(docs.to_arrow_refs())
-    tab = pa.concat_tables(
-        [t.select(["doc_id", "text"]) for t in tabs if t.num_rows]
-    )
+def broadcast_texts_ref(tabs: list[pa.Table]) -> Broadcast:
+    """Broadcast the doc_id-sorted concatenation of the ``(doc_id, text)``
+    ARROW blocks ``tabs`` that ``verify_pairs`` collected and measured
+    under the broadcast cap; each worker process reads it as ``(table,
+    its doc_id array)``. Stays arrow end to end — collecting through
+    pandas materialized every text as a Python string in the calling
+    process (~6 s at 1M docs); concatenating the blocks and sorting with
+    pyarrow.compute is a buffer-level operation. The table maps zero-copy
+    from the object store: an object-dtype pandas Series here cost a
+    100 MB string unpickle per worker per query and, cached without
+    eviction, grew worker heaps by the full corpus per call (measured
+    13 → 66 s across three sf0.1 runs)."""
+    schema = pa.schema([("doc_id", pa.int64()), ("text", pa.large_string())])
+    tab = pa.concat_tables([t.cast(schema) for t in tabs if t.num_rows] or [schema.empty_table()])
     tab = tab.take(pc.sort_indices(tab["doc_id"])).combine_chunks()
-    text = tab["text"]
-    if text.null_count:
-        text = pc.fill_null(text, "")
+    if tab["text"].null_count:
+        tab = tab.set_column(1, "text", pc.fill_null(tab["text"], ""))
     return Broadcast(
-        "verify_texts",
-        pa.table(
-            {
-                "doc_id": tab["doc_id"].cast(pa.int64()),
-                "text": text.cast(pa.large_string()),
-            }
-        ),
-        build=lambda t: (t, t["doc_id"].to_numpy(zero_copy_only=False)),
+        "verify_texts", tab, build=lambda t: (t, t["doc_id"].to_numpy(zero_copy_only=False))
     )
 
 
@@ -544,11 +530,43 @@ def verify_pairs_jaccard_ds(
     return shuffle_groups("verify_pairs.jaccard", [texts], ["doc_a", "doc_b"], verify_group, nd)
 
 
+def verify_pairs(
+    pairs: rd.Dataset,
+    docs: rd.Dataset,
+    nd: int | None,
+    threshold: float,
+    shingle_fn,
+) -> rd.Dataset:
+    """Exact-Jaccard verification of candidate pairs, broadcast or
+    partitioned on the measured bytes of the texts it would broadcast.
+
+    The ``(doc_id, text)`` Arrow blocks of ``docs`` are collected one at
+    a time, summing their bytes, and the collect stops at the first block
+    that takes the sum to the cap (a share ``ops.BROADCAST_SHARE`` of the
+    object store). ``ops.under_cap`` decides and logs: under the cap the
+    collected blocks are broadcast and the pairs verify map-side
+    (``verify_pairs_broadcast_ds``); otherwise the two-shuffle tail runs
+    on ``docs`` (``verify_pairs_jaccard_ds``), having read at most the
+    cap plus one block of texts more. ``docs`` is never materialized
+    whole."""
+    from . import ops
+
+    cap = ops.store_cap(ops.BROADCAST_SHARE)
+    tabs, nbytes = [], 0
+    for t in docs.iter_batches(batch_format="pyarrow", batch_size=None):
+        tabs.append(t.select(["doc_id", "text"]))
+        nbytes += tabs[-1].nbytes
+        if nbytes >= cap:
+            break
+    if ops.under_cap("verify_pairs", sum(t.num_rows for t in tabs), nbytes, cap):
+        return verify_pairs_broadcast_ds(pairs, broadcast_texts_ref(tabs), threshold, shingle_fn)
+    return verify_pairs_jaccard_ds(pairs, docs, nd, threshold, shingle_fn)
+
+
 def minhash_neardup_pairs(
     docs: rd.Dataset,
     nd: int,
     threshold: float = 0.6,
-    verify_mode: str = "auto",
 ) -> pd.DataFrame:
     """MinHash+LSH near-dup core over any ``(doc_id, text)`` dataset,
     fully distributed (nothing corpus- or candidate-scale ever reaches
@@ -560,14 +578,17 @@ def minhash_neardup_pairs(
        run-length pair generation inside each super-group (the same
        pattern as ``q_phash_neardup`` — per-bucket map_groups and the
        native join were measured 10-40x slower), per-group pair dedup;
-    3. exact char-shingle-Jaccard verification: map-side against the
-       broadcast texts for a small corpus, else the shared
-       ``verify_pairs_jaccard_ds`` tail (two super-group shuffles, global
-       pair-dedup riding them, no driver broadcast or barrier).
+    3. exact char-shingle-Jaccard verification (``verify_pairs``):
+       map-side against the broadcast texts when they measure under the
+       broadcast cap (every registry scale and the 300k bench corpus),
+       else the ``verify_pairs_jaccard_ds`` tail (two super-group
+       shuffles, global pair-dedup riding them, no broadcast or barrier).
+       A pair found in two band super-groups is verified twice on the
+       broadcast branch; kept pairs are sparse, so the dedup rides the
+       driver collect.
 
     The super-group fan-out is derived from the corpus row count ``nd``.
     """
-    from .config import DEFAULT_CONFIG
     from .ops import shuffle_groups
 
     # task pool (instance, not class): the stage's only state is the tiny
@@ -592,21 +613,7 @@ def minhash_neardup_pairs(
 
     keyed = bands.map_batches(band_key, batch_format="pandas")
     pairs = shuffle_groups("minhash_neardup.bands", [keyed], ["bkey"], pairs_in_supergroup, nd)
-    # "auto" = the q_bloom_join broadcast-vs-partition switch; tests pin
-    # "broadcast"/"shuffle" to exercise both paths at one scale
-    if verify_mode == "broadcast" or (
-        verify_mode == "auto" and nd <= DEFAULT_CONFIG.broadcast_verify_rows
-    ):
-        # SMALL corpus (<= broadcast_verify_rows): map-side verify against
-        # broadcast texts — the whole query runs ONE sort DAG (the band
-        # shuffle). A pair found in two DIFFERENT band super-groups is
-        # verified twice; kept pairs are sparse, so the dedup rides the
-        # driver collect.
-        res = verify_pairs_broadcast_ds(
-            pairs, broadcast_texts_ref(docs), threshold, dd.char_shingles_batch
-        ).to_pandas()
-    else:
-        res = verify_pairs_jaccard_ds(pairs, docs, nd, threshold, dd.char_shingles_batch).to_pandas()
+    res = verify_pairs(pairs, docs, nd, threshold, dd.char_shingles_batch).to_pandas()
     if not len(res):
         return _PAIRS_EMPTY
     res["doc_a"] = res.doc_a.astype(np.int64)
@@ -681,7 +688,6 @@ def ngram_jaccard_pairs_ds(
     threshold: float = 0.5,
     df_cap: int = 50,
     min_shared: int = 2,
-    verify_mode: str = "auto",
 ) -> tuple[rd.Dataset, int]:
     """EXACT word-3-gram Jaccard near-dup — the deterministic sibling of
     MinHash (no LSH approximation, hence fully SQL-checkable):
@@ -701,10 +707,10 @@ def ngram_jaccard_pairs_ds(
        and the per-pair shared count is made exact by an int-only
        pair-keyed shuffle summing the per-group partial counts;
     3. exact Jaccard over the full (uncapped) gram sets via the shared
-       distributed ``verify_pairs_jaccard_ds`` tail, threshold on the
-       6-dp-rounded value exactly as the SQL twin does.
+       ``verify_pairs`` (broadcast or two-shuffle tail on the measured
+       text bytes), threshold on the 6-dp-rounded value exactly as the
+       SQL twin does.
     """
-    from .config import DEFAULT_CONFIG
     from .ops import derive_num_blocks, shuffle_groups
 
     nd = _nrows(sf_dir, "documents")
@@ -776,20 +782,7 @@ def ngram_jaccard_pairs_ds(
     postings = docs.map_batches(explode, batch_format="pandas", batch_size=512)
     cand_counts = shuffle_groups("ngram_jaccard.grams", [postings], ["gid"], pairs_in_supergroup, nd)
     pairs = shuffle_groups("ngram_jaccard.pairs", [cand_counts], ["doc_a", "doc_b"], shared_count_filter, nd)
-    # "auto" = the q_bloom_join broadcast-vs-partition switch; tests pin
-    # "broadcast"/"shuffle" to exercise both paths at one scale
-    if verify_mode == "broadcast" or (
-        verify_mode == "auto" and nd <= DEFAULT_CONFIG.broadcast_verify_rows
-    ):
-        # SMALL corpus: map-side verify against broadcast texts (the
-        # q_bloom_join broadcast-vs-partition switch) — drops the verify
-        # tail's two shuffles
-        kept = verify_pairs_broadcast_ds(
-            pairs, broadcast_texts_ref(docs), threshold, dd.word_ngram_ids_batch
-        )
-    else:
-        kept = verify_pairs_jaccard_ds(pairs, docs, nd, threshold, dd.word_ngram_ids_batch)
-    return kept, nd
+    return verify_pairs(pairs, docs, nd, threshold, dd.word_ngram_ids_batch), nd
 
 
 _NGRAM_PAIRS_CACHE: dict[tuple, tuple[pd.DataFrame, int]] = {}

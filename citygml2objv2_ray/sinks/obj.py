@@ -144,22 +144,6 @@ def _intern_bucket_rings(g: pd.DataFrame, decimals: int) -> pd.DataFrame:
 _intern_building_rings = _intern_bucket_rings
 
 
-def assemble_obj_class(
-    tris: rd.Dataset, cfg: EngineConfig = DEFAULT_CONFIG, group_markers: bool = True
-) -> str:
-    """One semantic class's triangle rows as OBJ text, in memory (tests /
-    small classes) — the ``write_obj_per_class`` file of that class."""
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as d:
-        paths = write_obj_per_class(tris, d, cfg=cfg, group_markers=group_markers)
-        if not paths:
-            return "# empty\n"
-        (path,) = paths.values()
-        with open(path) as f:
-            return f.read()
-
-
 def write_obj_per_class(
     tris: rd.Dataset,
     out_dir: str,

@@ -336,7 +336,3 @@ def _clip_masks(entry: _Edges, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coverage_mask(xs: np.ndarray, ys: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """(len(ys), len(xs)) bool mask of one image's pixel centres covered by
-    any of the (T, 3, 2) triangles ``tris``."""
-    return _clip_masks(edge_entry(tris), xs[None], ys[None])[0]

@@ -83,21 +83,6 @@ def encode_rawvid(frames: np.ndarray) -> bytes:
     return b"RAWVID" + struct.pack("<iii", n, h, w) + f.tobytes()
 
 
-def encode_wav(samples: np.ndarray, sample_rate: int) -> bytes:
-    """16-bit mono PCM WAV via stdlib ``wave`` — the always-on REAL format."""
-    import io
-    import wave
-
-    s = np.asarray(samples, dtype=np.int16)
-    buf = io.BytesIO()
-    with wave.open(buf, "wb") as w:
-        w.setnchannels(1)
-        w.setsampwidth(2)
-        w.setframerate(int(sample_rate))
-        w.writeframes(s.tobytes())
-    return buf.getvalue()
-
-
 def _decode_audio(data, fmt: str) -> tuple[np.ndarray, int]:
     if fmt == "rawpcm" and bytes(data[:6]) == b"RAWPCM":
         (rate,) = struct.unpack("<i", data[6:10])

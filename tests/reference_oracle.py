@@ -50,13 +50,22 @@ import pyarrow as pa
 from citygml2objv2_ray import codecs, geom
 from citygml2objv2_ray.arrow_utils import ring_column, rings_column
 from citygml2objv2_ray.config import DEFAULT_CONFIG, EngineConfig
-from citygml2objv2_ray.geom import newell_normal, point_in_ring_2d, project_ring, projection_axis
+from citygml2objv2_ray.geom import AXIS_XY, AXIS_XZ, newell_normal, point_in_ring_2d, projection_axis
 
 
 # ---------------------------------------------------------------------------
 # triangulation: one polygon at a time (verbatim from geom.py before the
 # batched kernel)
 # ---------------------------------------------------------------------------
+
+
+def project_ring(ring: np.ndarray, axis: int) -> np.ndarray:
+    pts = np.asarray(ring, dtype=np.float64)
+    if axis == AXIS_XY:
+        return pts[:, [0, 1]]
+    if axis == AXIS_XZ:
+        return pts[:, [0, 2]]
+    return pts[:, [1, 2]]
 
 
 def _signed_area_2d(pts: np.ndarray) -> float:

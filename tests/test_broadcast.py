@@ -19,7 +19,6 @@ ALLOWED = {
     "put": {("citygml2objv2_ray/ops.py", "Broadcast.__init__")},
     "get": {
         ("citygml2objv2_ray/ops.py", "Broadcast.get"),
-        ("citygml2objv2_ray/relational_ml.py", "broadcast_texts_ref"),
         ("citygml2objv2_ray/streaming.py", "route"),
         ("citygml2objv2_ray/streaming.py", "run_sharded"),
     },
@@ -152,27 +151,33 @@ def test_lint_sees_each_pattern(src, want):
     assert list(_ray_calls(ast.parse(src))) == want
 
 
-def _both_sides_of_the_cap(monkeypatch, caplog, name: str, site: str):
-    """Run registry query ``name`` with the gather cap one byte above and
-    then exactly at the partial bytes ``site`` measures: the first run
-    gathers at ``site``, the second shuffles (or joins), and both give
-    the DuckDB twin's frame. Returns the two frames."""
+def _both_sides_of_the_cap(monkeypatch, caplog, name: str, site: str, share: str = "GATHER_SHARE"):
+    """Run registry query ``name`` with the cap (the ``ops`` constant
+    ``share`` of the object store) one byte above and then exactly at the
+    bytes ``site`` measures: the first run gathers (or broadcasts) at
+    ``site``, the second shuffles (or joins), and both give the DuckDB
+    twin's frame. The n-gram pair cache is emptied before each run.
+    Returns the two frames."""
     import ray
     from test_oracle import SF, compare, duck
     from test_ops import decisions
 
-    from citygml2objv2_ray import ops, relational, relational_ext  # noqa: F401
+    from citygml2objv2_ray import ops, relational, relational_ext, relational_ml  # noqa: F401
+
+    def run():
+        relational_ml._NGRAM_PAIRS_CACHE.clear()
+        return relational.REGISTRY[name](SF)
 
     caplog.set_level(logging.INFO, logger="citygml2objv2_ray.ops")
     store = ray.cluster_resources()["object_store_memory"]
     want = duck(SF).execute(relational.ORACLE[name]).df()
-    relational.REGISTRY[name](SF)
+    run()
     (nbytes,) = {b for s, _, _, b, _ in decisions(caplog) if s == site}
     got = []
     for cap, branch in ((nbytes + 1, "gather"), (nbytes, "shuffle")):
-        monkeypatch.setattr(ops, "GATHER_SHARE", (cap + 0.5) / store)
+        monkeypatch.setattr(ops, share, (cap + 0.5) / store)
         caplog.clear()
-        got.append(relational.REGISTRY[name](SF))
+        got.append(run())
         assert [(b, c) for s, b, _, _, c in decisions(caplog) if s == site] == [(branch, cap)]
         compare(got[-1], want, f"{name} at cap {cap}")
     return got
@@ -191,4 +196,12 @@ def test_gather_and_shuffle_give_the_same_frame(ray_session, monkeypatch, caplog
     """A grouped aggregate (float sums rounded to 4 dp) and a semi join
     are the same frame on both sides of the cap."""
     a, b = _both_sides_of_the_cap(monkeypatch, caplog, name, name)
+    assert a.equals(b)
+
+
+def test_ngram_verify_is_the_same_on_both_sides_of_its_cap(ray_session, monkeypatch, caplog):
+    """``q_ngram_jaccard`` broadcasts its texts when they measure under
+    the broadcast cap and runs the two-shuffle verify tail at or over it:
+    both give the same frame."""
+    a, b = _both_sides_of_the_cap(monkeypatch, caplog, "q_ngram_jaccard", "verify_pairs", "BROADCAST_SHARE")
     assert a.equals(b)

@@ -10,6 +10,32 @@ import pytest
 import ray.data as rd
 
 
+def recall_at_k(approx_ids: np.ndarray, exact_ids: np.ndarray) -> float:
+    """Mean fraction of exact top-k found by the approximate search."""
+    hits = 0
+    total = 0
+    for a, e in zip(approx_ids, exact_ids):
+        es = {x for x in e if x is not None}
+        hits += len({x for x in a if x is not None} & es)
+        total += len(es)
+    return hits / max(1, total)
+
+
+def encode_wav(samples: np.ndarray, sample_rate: int) -> bytes:
+    """16-bit mono PCM WAV via stdlib ``wave`` — the always-on REAL format."""
+    import io
+    import wave
+
+    s = np.asarray(samples, dtype=np.int16)
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(int(sample_rate))
+        w.writeframes(s.tobytes())
+    return buf.getvalue()
+
+
 @pytest.fixture(scope="module")
 def city(ray_session):
     from citygml2objv2_ray import synth
@@ -168,7 +194,7 @@ class TestIVF:
     def test_recall_vs_bruteforce(self, sf_dir):
         import pyarrow.parquet as pq
 
-        from citygml2objv2_ray.ann import IVFIndex, recall_at_k
+        from citygml2objv2_ray.ann import IVFIndex
         from citygml2objv2_ray.dedup import cosine_topk
 
         tab = pq.read_table(f"{sf_dir}/embeddings.parquet")
@@ -190,7 +216,7 @@ class TestIVF:
     def test_full_probe_is_exact(self, sf_dir):
         import pyarrow.parquet as pq
 
-        from citygml2objv2_ray.ann import IVFIndex, recall_at_k
+        from citygml2objv2_ray.ann import IVFIndex
         from citygml2objv2_ray.dedup import cosine_topk
 
         tab = pq.read_table(f"{sf_dir}/embeddings.parquet")
@@ -354,7 +380,6 @@ class TestMultimodal:
             AUDIO_SCHEMA,
             AudioFeatures,
             _decode_audio,
-            encode_wav,
         )
 
         rng = np.random.default_rng(7)

@@ -12,10 +12,13 @@ brute force produces at small scale:
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
 import reference_oracle as ro
+from test_ops import decisions
 
 SF = "/root/testdata/sf0.001"
 
@@ -24,6 +27,55 @@ def _registry():
     from citygml2objv2_ray import relational, relational_ext, relational_ml  # noqa: F401
 
     return relational.REGISTRY
+
+
+def jaccard_u64(a: np.ndarray, b: np.ndarray) -> float:
+    """Jaccard of two sorted-unique uint64 arrays (vectorized set ops)."""
+    if not len(a) and not len(b):
+        return 1.0
+    inter = len(np.intersect1d(a, b, assume_unique=True))
+    u = len(a) + len(b) - inter
+    return inter / u if u else 0.0
+
+
+def lsh_bands(sig: np.ndarray, bands: int = 16) -> np.ndarray:
+    """Band keys of a single signature (the batch form on one row)."""
+    from citygml2objv2_ray import dedup as dd
+
+    return dd.lsh_band_keys(np.asarray(sig, dtype=np.uint64)[None, :], bands)[0]
+
+
+def minhash_bruteforce(docs: pd.DataFrame, threshold: float) -> pd.DataFrame:
+    """Every pair of ``docs`` (doc_id, text) that shares an LSH band and
+    whose true char-shingle Jaccard is at least ``threshold``."""
+    from citygml2objv2_ray import dedup as dd
+
+    docs = docs.sort_values("doc_id").reset_index(drop=True)
+    mh = dd.MinHasher(64, 7)
+    shingles = [ro.char_shingles(t) for t in docs.text.fillna("")]
+    sigs = mh.signatures_batch(shingles)
+    keys = dd.lsh_band_keys(sigs, 16)
+    ids = docs.doc_id.to_numpy()
+    ii, jj = np.triu_indices(len(ids), k=1)
+    share = (keys[ii] == keys[jj]).any(axis=1)
+    rows = []
+    for a, b in zip(ii[share], jj[share]):
+        j = round(jaccard_u64(shingles[a], shingles[b]), 6)
+        if j >= threshold:
+            rows.append((int(ids[a]), int(ids[b]), j))
+    want = pd.DataFrame(rows, columns=["doc_a", "doc_b", "jaccard"]).sort_values(
+        ["doc_a", "doc_b"]
+    ).reset_index(drop=True)
+    if len(want):
+        want["doc_a"] = want.doc_a.astype(np.int64)
+        want["doc_b"] = want.doc_b.astype(np.int64)
+    return want
+
+
+def verify_branches(caplog) -> list[str]:
+    """The branch of every near-dup verify decision logged since the last
+    ``caplog.clear()``."""
+    return [b for s, b, *_ in decisions(caplog) if s == "verify_pairs"]
 
 
 class TestPhashNeardupParity:
@@ -59,34 +111,9 @@ class TestPhashNeardupParity:
 
 class TestMinhashNeardupParity:
     def test_matches_bruteforce(self, ray_session):
-        from citygml2objv2_ray import dedup as dd
-
         got = _registry()["q_minhash_neardup"](SF)
-
-        docs = (
-            pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"])
-            .to_pandas()
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        mh = dd.MinHasher(64, 7)
-        shingles = [ro.char_shingles(t) for t in docs.text.fillna("")]
-        sigs = mh.signatures_batch(shingles)
-        keys = dd.lsh_band_keys(sigs, 16)
-        ids = docs.doc_id.to_numpy()
-        ii, jj = np.triu_indices(len(ids), k=1)
-        share = (keys[ii] == keys[jj]).any(axis=1)
-        rows = []
-        for a, b in zip(ii[share], jj[share]):
-            j = round(dd.jaccard_u64(shingles[a], shingles[b]), 6)
-            if j >= 0.6:
-                rows.append((int(ids[a]), int(ids[b]), j))
-        want = pd.DataFrame(rows, columns=["doc_a", "doc_b", "jaccard"]).sort_values(
-            ["doc_a", "doc_b"]
-        ).reset_index(drop=True)
-        if len(want):
-            want["doc_a"] = want.doc_a.astype(np.int64)
-            want["doc_b"] = want.doc_b.astype(np.int64)
+        docs = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"]).to_pandas()
+        want = minhash_bruteforce(docs, 0.6)
         pd.testing.assert_frame_equal(got.reset_index(drop=True), want, check_dtype=bool(len(want)))
 
 
@@ -105,7 +132,7 @@ class TestMinhashKernels:
 
         mh = dd.MinHasher(64, 5)
         sig = mh.signature(dd.char_shingles("the quick brown fox"))
-        assert np.array_equal(dd.lsh_bands(sig, 16), dd.lsh_band_keys(sig[None, :], 16)[0])
+        assert np.array_equal(lsh_bands(sig, 16), dd.lsh_band_keys(sig[None, :], 16)[0])
         assert (dd.lsh_band_keys(sig[None, :], 16) >= 0).all()
 
     def test_similar_docs_share_bands_dissimilar_dont(self):
@@ -115,9 +142,9 @@ class TestMinhashKernels:
         a = "the quick brown fox jumps over the lazy dog " * 20
         b = a + "and then some extra tail text"
         c = "completely different content about maritime law " * 20
-        ka = dd.lsh_bands(mh.signature(dd.char_shingles(a)), 16)
-        kb = dd.lsh_bands(mh.signature(dd.char_shingles(b)), 16)
-        kc = dd.lsh_bands(mh.signature(dd.char_shingles(c)), 16)
+        ka = lsh_bands(mh.signature(dd.char_shingles(a)), 16)
+        kb = lsh_bands(mh.signature(dd.char_shingles(b)), 16)
+        kc = lsh_bands(mh.signature(dd.char_shingles(c)), 16)
         assert (ka == kb).any()
         assert not (ka == kc).any()
 
@@ -403,40 +430,114 @@ class TestJaccardKernelBranches:
 
 
 class TestVerifyPathEquality:
-    def test_broadcast_equals_shuffle(self, ray_session):
+    """A broadcast share of 0 sends the verify down the two-shuffle tail;
+    the default share broadcasts the sf0.001 texts. Both give the same
+    kept pairs, and the log shows which branch ran."""
+
+    def test_broadcast_equals_shuffle(self, ray_session, monkeypatch, caplog):
         """The map-side broadcast verify (small corpora) and the fully
         distributed two-shuffle verify must produce identical kept pairs."""
         import ray.data as rd
 
+        from citygml2objv2_ray import ops
         from citygml2objv2_ray import relational_ml as rml
         from citygml2objv2_ray.ops import derive_num_blocks
 
         docs = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"])
         nd = docs.num_rows
 
-        def ds():
-            return rd.read_parquet(
+        def pairs(share: float, branch: str) -> pd.DataFrame:
+            monkeypatch.setattr(ops, "BROADCAST_SHARE", share)
+            caplog.clear()
+            ds = rd.read_parquet(
                 f"{SF}/documents.parquet",
                 columns=["doc_id", "text"],
                 override_num_blocks=derive_num_blocks(nd, target_rows=2048),
             )
+            got = rml.minhash_neardup_pairs(ds, nd, 0.6)
+            assert verify_branches(caplog) == [branch]
+            return got
 
-        a = rml.minhash_neardup_pairs(ds(), nd, 0.6, verify_mode="broadcast")
-        b = rml.minhash_neardup_pairs(ds(), nd, 0.6, verify_mode="shuffle")
+        caplog.set_level(logging.INFO, logger="citygml2objv2_ray.ops")
+        a = pairs(ops.BROADCAST_SHARE, "gather")
+        b = pairs(0.0, "shuffle")
         assert len(a) > 0
         pd.testing.assert_frame_equal(
             a.reset_index(drop=True), b.reset_index(drop=True)
         )
 
-    def test_ngram_broadcast_equals_shuffle(self, ray_session):
+    def test_ngram_broadcast_equals_shuffle(self, ray_session, monkeypatch, caplog):
         """The same two verify paths under the exact word-3-gram index."""
+        from citygml2objv2_ray import ops
         from citygml2objv2_ray import relational_ml as rml
 
-        def pairs(mode: str) -> pd.DataFrame:
-            ds, _ = rml.ngram_jaccard_pairs_ds(SF, 0.5, verify_mode=mode)
+        def pairs(share: float, branch: str) -> pd.DataFrame:
+            monkeypatch.setattr(ops, "BROADCAST_SHARE", share)
+            caplog.clear()
+            ds, _ = rml.ngram_jaccard_pairs_ds(SF, 0.5)
             df = ds.to_pandas().astype({"doc_a": np.int64, "doc_b": np.int64})
+            assert verify_branches(caplog) == [branch]
             return df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
-        a, b = pairs("broadcast"), pairs("shuffle")
+        caplog.set_level(logging.INFO, logger="citygml2objv2_ray.ops")
+        a, b = pairs(ops.BROADCAST_SHARE, "gather"), pairs(0.0, "shuffle")
         assert len(a) > 0
         pd.testing.assert_frame_equal(a, b)
+
+    def test_empty_corpus_on_both_branches(self, ray_session, monkeypatch, caplog):
+        """A corpus with no documents gives no pairs on either branch (the
+        broadcast table of no blocks is an empty table, not an error)."""
+        import ray.data as rd
+
+        from citygml2objv2_ray import ops
+        from citygml2objv2_ray import relational_ml as rml
+
+        docs = pd.DataFrame({"doc_id": np.array([], np.int64), "text": pd.Series([], dtype=object)})
+        caplog.set_level(logging.INFO, logger="citygml2objv2_ray.ops")
+        for share, branch in ((ops.BROADCAST_SHARE, "gather"), (0.0, "shuffle")):
+            monkeypatch.setattr(ops, "BROADCAST_SHARE", share)
+            caplog.clear()
+            got = rml.minhash_neardup_pairs(rd.from_pandas(docs), 0, 0.6)
+            assert verify_branches(caplog) == [branch]
+            assert len(got) == 0 and list(got.columns) == ["doc_a", "doc_b", "jaccard"]
+
+    def test_gate_counts_bytes_not_rows(self, ray_session, monkeypatch, caplog):
+        """Two corpora of 240 documents each, one of short texts and one of
+        long ones: at a cap between their measured text bytes the short
+        corpus broadcasts and the long one shuffles, and both give the
+        brute-force pairs. A row-count gate sends both the same way."""
+        import ray
+        import ray.data as rd
+
+        from citygml2objv2_ray import ops
+        from citygml2objv2_ray import relational_ml as rml
+
+        rng = np.random.default_rng(4)
+        vocab = np.array([f"w{i}" for i in range(3000)])
+
+        def corpus(words: int) -> pd.DataFrame:
+            texts = [" ".join(rng.choice(vocab, words)) for _ in range(200)]
+            texts += [t + " tail" for t in texts[:40]]  # 40 planted near-copies
+            return pd.DataFrame({"doc_id": np.arange(len(texts), dtype=np.int64), "text": texts})
+
+        short, long = corpus(12), corpus(400)
+        assert len(short) == len(long)
+
+        def run(docs: pd.DataFrame) -> tuple[pd.DataFrame, tuple]:
+            caplog.clear()
+            got = rml.minhash_neardup_pairs(rd.from_pandas(docs).repartition(4), len(docs), 0.6)
+            (decision,) = [d for d in decisions(caplog) if d[0] == "verify_pairs"]
+            return got, decision
+
+        caplog.set_level(logging.INFO, logger="citygml2objv2_ray.ops")
+        (_, (*_, short_bytes, _)), (_, (*_, long_bytes, _)) = run(short), run(long)
+        assert short_bytes < long_bytes
+        store = ray.cluster_resources()["object_store_memory"]
+        cap = (short_bytes + long_bytes) // 2
+        monkeypatch.setattr(ops, "BROADCAST_SHARE", (cap + 0.5) / store)
+        for docs, branch in ((short, "gather"), (long, "shuffle")):
+            got, (_, logged, _, _, logged_cap) = run(docs)
+            assert (logged, logged_cap) == (branch, cap)
+            want = minhash_bruteforce(docs, 0.6)
+            assert len(want) >= 40
+            pd.testing.assert_frame_equal(got.reset_index(drop=True), want)

@@ -1,6 +1,7 @@
 """Direct unit tests for the scale-hygiene operators in ops.py, and the
-lints that keep ``ops.supergroup_agg`` the only grouped aggregate and
-``ops.shuffle_groups`` the only super-group shuffle."""
+lints that keep ``ops.supergroup_agg`` the only grouped aggregate,
+``ops.shuffle_groups`` the only super-group shuffle and the near-dup
+verify free of a row-count gate."""
 
 from __future__ import annotations
 
@@ -186,6 +187,8 @@ class TestSupergroupFanout:
             caplog.clear()
             got = _run_shuffle_query(name, sf_dir)
             assert got.equals(want), name
+            verify = [b for s, b, *_ in decisions(caplog) if s == "verify_pairs"]
+            assert verify == (["shuffle"] if name in NEARDUP_QUERIES else []), name
             logged = shuffles(caplog)
             assert logged, f"{name} ran no shuffle_groups"
             assert {c for *_, c in logged} == {coalesce}, name
@@ -198,17 +201,16 @@ SHUFFLE_QUERIES = [
     "q_phash_neardup", "q_tfidf_top_terms", "q_asof_join", "q_minhash_neardup",
     "q_ngram_jaccard", "q_dup_components", "q_dedup_corpus", "q_components",
 ]
+# the ones whose candidate pairs go through relational_ml.verify_pairs
+NEARDUP_QUERIES = {"q_minhash_neardup", "q_ngram_jaccard", "q_dup_components", "q_dedup_corpus"}
 
 
 def _shuffle_verify(monkeypatch):
-    """Send both near-dup queries down the shuffle verify tail."""
-    import dataclasses
+    """Send both near-dup pipelines down the shuffle verify tail: a
+    broadcast share of 0 puts every text table over the cap."""
+    from citygml2objv2_ray import ops
 
-    from citygml2objv2_ray import config
-
-    monkeypatch.setattr(
-        config, "DEFAULT_CONFIG", dataclasses.replace(config.DEFAULT_CONFIG, broadcast_verify_rows=0)
-    )
+    monkeypatch.setattr(ops, "BROADCAST_SHARE", 0.0)
 
 
 def _run_shuffle_query(name: str, sf_dir: str) -> pd.DataFrame:
@@ -626,3 +628,55 @@ def test_shuffle_groups_is_the_only_super_group_shuffle():
 )
 def test_shuffle_lint_sees_each_pattern(src, want):
     assert sorted(_shuffle_idioms(ast.parse(src)), key=str) == sorted(want, key=str)
+
+
+# the near-dup verify's old row-count gate and its per-call override
+ROW_GATES = {"broadcast_verify_rows", "verify_mode"}
+
+
+def _row_gates(tree: ast.AST):
+    """(name, line) of every identifier, parameter, keyword or string that
+    names the near-dup verify's old row-count gate or its override."""
+    fields = {
+        ast.Name: "id", ast.Attribute: "attr", ast.FunctionDef: "name",
+        ast.keyword: "arg", ast.alias: "name", ast.arg: "arg", ast.Constant: "value",
+    }
+    for node in ast.walk(tree):
+        name = getattr(node, fields.get(type(node), ""), None)
+        if isinstance(name, str) and name in ROW_GATES:
+            yield name, node.lineno
+
+
+def test_verify_is_decided_on_measured_bytes_only():
+    """The near-dup verify is broadcast or partitioned on the measured
+    bytes of its texts (``relational_ml.verify_pairs``): no function takes
+    a ``verify_mode`` and nothing names ``broadcast_verify_rows``."""
+    paths = sorted((REPO / "citygml2objv2_ray").rglob("*.py")) + [REPO / "bench.py", REPO / "__ray_entry__.py"]
+    found = [
+        f"{p.relative_to(REPO)}:{line} {name}"
+        for p in paths
+        for name, line in _row_gates(ast.parse(p.read_text(), str(p)))
+    ]
+    assert not found, found
+
+
+@pytest.mark.parametrize(
+    "src, want",
+    [
+        (
+            "def pairs(docs, nd, threshold=0.6, verify_mode='auto'):\n"
+            "    if verify_mode == 'broadcast' or (\n"
+            "        verify_mode == 'auto' and nd <= DEFAULT_CONFIG.broadcast_verify_rows\n"
+            "    ):\n"
+            "        return 1\n",
+            [("verify_mode", 1), ("verify_mode", 2), ("verify_mode", 3), ("broadcast_verify_rows", 3)],
+        ),
+        ("pairs(ds, n, 0.6, verify_mode='shuffle')", [("verify_mode", 1)]),
+        ("replace(cfg, broadcast_verify_rows=0)", [("broadcast_verify_rows", 1)]),
+        ("getattr(cfg, 'broadcast_verify_rows')", [("broadcast_verify_rows", 1)]),
+        ("verify_pairs(pairs, docs, nd, 0.6, f)", []),
+    ],
+    ids=["reinlined_gate", "keyword", "config_replace", "getattr", "verify_pairs"],
+)
+def test_row_gate_lint_sees_each_pattern(src, want):
+    assert sorted(_row_gates(ast.parse(src))) == sorted(want)

@@ -247,9 +247,9 @@ class TestMaskedMean:
         from citygml2objv2_ray.stages.images import (
             PIXEL_SIZE,
             DecodeClip,
-            _coverage_mask,
             cell_encode,
         )
+        from test_raster_clip import _coverage_mask
         from citygml2objv2_ray.stages.join import SpatialJoin
         from citygml2objv2_ray.spatial import build_index
 

@@ -13,8 +13,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from citygml2objv2_ray.stages.images import PIXEL_SIZE, _clip_masks, _coverage_mask, edge_entry
+from citygml2objv2_ray.stages.images import PIXEL_SIZE, _clip_masks, edge_entry
 from reference_oracle import coverage_mask_gemm
+
+
+def _coverage_mask(xs: np.ndarray, ys: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """(len(ys), len(xs)) bool mask of one image's pixel centres covered by
+    any of the (T, 3, 2) triangles ``tris``."""
+    return _clip_masks(edge_entry(tris), xs[None], ys[None])[0]
 
 
 def _grid(cx: float, cy: float, w: int, h: int):

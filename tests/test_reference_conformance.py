@@ -12,6 +12,22 @@ import ray.data as rd
 
 from reference_oracle import sequential_obj_assembly
 
+from citygml2objv2_ray.sinks.obj import write_obj_per_class
+
+
+def assemble_obj_class(tris: rd.Dataset) -> str:
+    """One semantic class's triangle rows as OBJ text: the
+    ``write_obj_per_class`` file of that class."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as d:
+        paths = write_obj_per_class(tris, d)
+        if not paths:
+            return "# empty\n"
+        (path,) = paths.values()
+        with open(path) as f:
+            return f.read()
+
 
 @pytest.fixture(scope="module")
 def city(ray_session):
@@ -22,7 +38,7 @@ def city(ray_session):
 
 def test_obj_assembly_matches_sequential_oracle(city):
     from citygml2objv2_ray.pipelines.geometry import triangulate_surfaces
-    from citygml2objv2_ray.sinks.obj import assemble_obj_class, parse_obj
+    from citygml2objv2_ray.sinks.obj import parse_obj
 
     surfaces, _ = city
     sdf = surfaces.to_pandas()
