@@ -32,8 +32,8 @@ from ray.data.aggregate import Count, Max, Mean, Min
 from .ops import (
     Broadcast,
     broadcast_semi_anti_filter,
-    derive_join_partitions,
     gathers,
+    shuffle_groups,
     sum_by,
     supergroup_agg,
 )
@@ -251,8 +251,9 @@ def q_semi_join(sf_dir: str) -> pd.DataFrame:
     per-batch distinct keys are materialized and measured (``gathers``).
     Under the cap they are gathered and orders is filtered map-side
     against them (``broadcast_semi_anti_filter``, as in q_anti_join);
-    over it, a hash-partitioned ``left_semi`` ``Dataset.join``, which
-    keeps each order once however many batches repeat its key."""
+    over it, orders and the keys meet in one ``ops.shuffle_groups``
+    keyed on the order key, whose per-group semi filter keeps each order
+    once however many batches repeat its key."""
     keys = (
         _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
         .map_batches(
@@ -268,15 +269,20 @@ def q_semi_join(sf_dir: str) -> pd.DataFrame:
     if gathers("q_semi_join", keys):
         joined = broadcast_semi_anti_filter(orders, "o_orderkey", keys.to_pandas().l_orderkey.unique())
     else:
-        joined = orders.join(
-            keys,
-            "left_semi",
-            num_partitions=derive_join_partitions(
-                _nrows(sf_dir, "orders"), _nrows(sf_dir, "lineitem")
+
+        def semi_group(g: pd.DataFrame) -> pd.DataFrame:
+            o = g.loc[g._side == 0, ["o_orderkey", "o_totalprice"]]
+            return o[o.o_orderkey.isin(g.o_orderkey[g._side == 1])]
+
+        sides = [
+            orders.map_batches(lambda df: df.assign(_side=np.int8(0)), batch_format="pandas"),
+            keys.map_batches(
+                lambda df: pd.DataFrame({"o_orderkey": df.l_orderkey, "o_totalprice": 0.0, "_side": np.int8(1)}),
+                batch_format="pandas",
             ),
-            on=("o_orderkey",),
-            right_on=("l_orderkey",),
-        )
+        ]
+        # fan-out from the larger side
+        joined = shuffle_groups("q_semi_join", sides, ["o_orderkey"], semi_group, _nrows(sf_dir, "lineitem"))
     df = fn_sorted(
         joined.select_columns(["o_orderkey", "o_totalprice"]), ["o_orderkey"]
     )

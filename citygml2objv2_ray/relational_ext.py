@@ -12,8 +12,7 @@ import ray.data as rd
 
 from . import dedup as dd
 from . import text as tx
-from .ops import derive_join_partitions as _djp
-from .ops import sum_by, supergroup_agg
+from .ops import shuffle_groups, sum_by, supergroup_agg
 from .relational import _nrows, _read, query
 
 
@@ -178,19 +177,29 @@ def q_hll_distinct_users(sf_dir: str) -> pd.DataFrame:
     """,
 )
 def q_join_native(sf_dir: str) -> pd.DataFrame:
-    """Ray Data's NATIVE hash-partitioned ``Dataset.join`` (available in
-    this Ray version) — the both-sides-large path; contrast with the
-    broadcast joins used elsewhere (q_revenue_by_nation) where one side is
-    small (SURVEY.md §4.2 partition-vs-broadcast)."""
+    """Partitioned inner join, the both-sides-large path: one
+    ``ops.shuffle_groups`` over both sides keyed on the customer key, and
+    one pandas merge per super-group; contrast with the broadcast joins
+    used elsewhere (q_revenue_by_nation) where one side is small
+    (SURVEY.md §4.2 partition-vs-broadcast). Both sides are padded to one
+    column set, so every block of the union has one schema."""
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
-    joined = orders.join(
-        cust,
-        "inner",
-        num_partitions=_djp(_nrows(sf_dir, "orders"), _nrows(sf_dir, "customer")),
-        on=("o_custkey",),
-        right_on=("c_custkey",),
-    )
+    cols = ["o_orderkey", "o_custkey", "o_totalprice", "c_name", "_side"]
+
+    def pad_cust(df: pd.DataFrame) -> pd.DataFrame:
+        return df.assign(o_orderkey=-1, o_custkey=df.c_custkey, o_totalprice=0.0, _side=np.int8(1))[cols]
+
+    def join_group(g: pd.DataFrame) -> pd.DataFrame:
+        o = g[g._side == 0].drop(columns="c_name")
+        return o.merge(g.loc[g._side == 1, ["o_custkey", "c_name"]], on="o_custkey")
+
+    sides = [
+        orders.map_batches(lambda df: df.assign(c_name="", _side=np.int8(0)), batch_format="pandas"),
+        cust.map_batches(pad_cust, batch_format="pandas"),
+    ]
+    # fan-out from the larger side
+    joined = shuffle_groups("q_join_native", sides, ["o_custkey"], join_group, _nrows(sf_dir, "orders"))
     df = joined.to_pandas()[["o_orderkey", "c_name", "o_totalprice"]]
     df["o_totalprice"] = df.o_totalprice.round(4)
     return df.sort_values("o_orderkey").reset_index(drop=True)
@@ -222,7 +231,7 @@ def q_phash_neardup(sf_dir: str, max_hamming: int = 3) -> pd.DataFrame:
     from .codecs import hamming64
     from .worlds import load_world, sf_of_dir
 
-    from .ops import derive_num_blocks, parquet_num_rows, shuffle_groups
+    from .ops import derive_num_blocks, parquet_num_rows
 
     images_path, _, _ = load_world(sf_of_dir(sf_dir))
     # x4 band explode rows; fan-out derived from the input, not pinned at 64.
@@ -477,7 +486,7 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
 
     Ties rank by term asc; scores round(6) in both engines AFTER ranking.
     """
-    from .ops import derive_num_blocks, shuffle_groups
+    from .ops import derive_num_blocks
     from .relational import _t
 
     n_docs = _nrows(sf_dir, "documents")
@@ -586,8 +595,9 @@ def q_bloom_join(sf_dir: str) -> pd.DataFrame:
     feeds both the Bloom build and the join), so its size is measured, not
     estimated. Under the gather cap (``ops.gathers``) it is broadcast once
     and merged MAP-SIDE inside every probe batch — no join shuffle at all
-    (the ``q_anti_join`` pattern); over it, the hash-partitioned
-    ``Dataset.join`` runs."""
+    (the ``q_anti_join`` pattern); over it, both sides are padded to one
+    column set and meet in one ``ops.shuffle_groups`` keyed on the order
+    key, with one pandas inner merge per super-group."""
     from .ops import Broadcast, bloom_build_distributed, bloom_prefilter, gathers
 
     import pyarrow.compute as pc
@@ -629,13 +639,21 @@ def q_bloom_join(sf_dir: str) -> pd.DataFrame:
 
         joined = cand.map_batches(bcast_join, batch_format="pandas")
     else:
-        joined = cand.map_batches(rev, batch_format="pandas").join(
-            sel,
-            "inner",
-            num_partitions=_djp(_nrows(sf_dir, "lineitem")),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        )
+        cols = ["l_orderkey", "revenue", "o_orderpriority", "_side"]
+
+        def join_group(g: pd.DataFrame) -> pd.DataFrame:
+            li = g.loc[g._side == 0, ["l_orderkey", "revenue"]]
+            return li.merge(g.loc[g._side == 1, ["l_orderkey", "o_orderpriority"]], on="l_orderkey")
+
+        sides = [
+            cand.map_batches(lambda df: rev(df).assign(o_orderpriority="", _side=np.int8(0)), batch_format="pandas"),
+            sel.map_batches(
+                lambda df: df.assign(l_orderkey=df.o_orderkey, revenue=0.0, _side=np.int8(1))[cols],
+                batch_format="pandas",
+            ),
+        ]
+        # fan-out from the larger side
+        joined = shuffle_groups("q_bloom_join.join", sides, ["l_orderkey"], join_group, _nrows(sf_dir, "lineitem"))
     keyed = joined.map_batches(
         lambda df: pd.DataFrame({"o_orderpriority": df.o_orderpriority, "n_items": 1, "revenue": df.revenue}),
         batch_format="pandas",

@@ -25,7 +25,7 @@ import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from . import text as tx
-from .ops import sum_by, supergroup_agg
+from .ops import shuffle_groups, sum_by, supergroup_agg
 from .relational import _read, query
 
 QUANTS = (0.25, 0.5, 0.75)
@@ -239,11 +239,12 @@ def q_heavy_hitters(sf_dir: str, phi: float = 0.005) -> pd.DataFrame:
     table at any point, unlike ``q_term_counts_salted``:
 
     1. candidate pass: per-block Misra-Gries summaries (k = ceil(1/phi)
-       counters, ``sketch.mg_summarize``) tree-merged through one coarse
-       shuffle; the MG guarantee makes the merged counter set a SUPERSET
-       of every term with true frequency > total/(k+1) <= phi*total, so
-       no true heavy hitter can be missed. Block token totals ride the
-       same rows (kind=1).
+       counters, ``sketch.mg_summarize``) tree-merged through one
+       ``ops.shuffle_groups`` keyed on each block's min doc id; the MG
+       guarantee makes the merged counter set a SUPERSET of every term
+       with true frequency > total/(k+1) <= phi*total, so no true heavy
+       hitter can be missed. Block token totals ride the same rows
+       (kind=1).
     2. exact pass: per-block exact counts restricted to the <= k
        candidates (tiny closure broadcast), summed by ``supergroup_agg``
        and thresholded — so the OUTPUT is exact (== the SQL GROUP
@@ -275,12 +276,9 @@ def q_heavy_hitters(sf_dir: str, phi: float = 0.005) -> pd.DataFrame:
         t, c = sketch.mg_summarize(
             vc.index.to_numpy(dtype=object), vc.to_numpy(), k
         )
-        # deterministic content-keyed tree-merge bucket (min doc id is
-        # uniform over blocks; the top TERM would funnel every block's
-        # summary into one group)
-        mg_key = int(
-            sketch.hash_values(np.array([int(df.doc_id.min())]))[0] % np.uint64(64)
-        )
+        # the tree-merge key: the block's min doc id is spread evenly over
+        # the blocks, where the top TERM would funnel every block's
+        # summary into one group
         return pd.DataFrame(
             {
                 "term": np.concatenate([t.astype(object), np.array([""], object)]),
@@ -288,7 +286,7 @@ def q_heavy_hitters(sf_dir: str, phi: float = 0.005) -> pd.DataFrame:
                 "kind": np.concatenate(
                     [np.zeros(len(t), np.int8), np.array([1], np.int8)]
                 ),
-                "_mg": np.full(len(t) + 1, mg_key, np.int64),
+                "block": np.full(len(t) + 1, int(df.doc_id.min()), np.int64),
             }
         )
 
@@ -306,12 +304,11 @@ def q_heavy_hitters(sf_dir: str, phi: float = 0.005) -> pd.DataFrame:
             }
         )
 
-    merged = (
-        ds.map_batches(block_summary, batch_format="pandas", batch_size=512)
-        .groupby("_mg")
-        .map_groups(merge_summaries, batch_format="pandas")
-        .to_pandas()  # bounded: <= 64 groups x (k+1) rows
-    )
+    # fan-out 64 (unknown rows): ``to_pandas`` collects <= 64 groups x
+    # (k+1) rows; a group merges whole blocks, and any grouping of them
+    # keeps the superset guarantee the exact pass needs
+    summaries = ds.map_batches(block_summary, batch_format="pandas", batch_size=512)
+    merged = shuffle_groups("q_heavy_hitters.mg", [summaries], ["block"], merge_summaries, None).to_pandas()
     n_total = int(merged.loc[merged.kind == 1, "cnt"].sum())
     mg = merged[merged.kind == 0].groupby("term", as_index=False)["cnt"].sum()
     cand_t, _ = sketch.mg_summarize(mg.term.to_numpy(), mg.cnt.to_numpy(), k)

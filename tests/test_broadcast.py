@@ -185,10 +185,29 @@ def _both_sides_of_the_cap(monkeypatch, caplog, name: str, site: str, share: str
 
 def test_bloom_join_is_the_same_on_both_sides_of_its_gate(ray_session, monkeypatch, caplog):
     """``q_bloom_join`` merges its materialized selective side map-side
-    when it measures under the gather cap and runs ``Dataset.join`` at or
-    over it: both give the same frame."""
+    when it measures under the gather cap and joins both sides in one
+    ``ops.shuffle_groups`` at or over it: both give the same frame."""
     a, b = _both_sides_of_the_cap(monkeypatch, caplog, "q_bloom_join", "q_bloom_join.sel")
     assert a.equals(b)
+
+
+@pytest.mark.parametrize("fanout", [1, 7])
+@pytest.mark.parametrize("name, site", [("q_semi_join", "q_semi_join"), ("q_bloom_join", "q_bloom_join.join")])
+def test_partitioned_joins_match_the_twin_at_any_fanout(ray_session, monkeypatch, caplog, name, site, fanout):
+    """With a gather cap of 0 both gated joins take their partitioned
+    branch, one ``shuffle_groups`` over both sides, and give the DuckDB
+    twin's frame at super-group fan-out 1 and 7."""
+    from test_oracle import SF, compare, duck
+    from test_ops import shuffles
+
+    from citygml2objv2_ray import ops, relational, relational_ext  # noqa: F401
+
+    monkeypatch.setattr(ops, "GATHER_SHARE", 0.0)
+    monkeypatch.setattr(ops, "derive_num_groups", lambda n: fanout)
+    caplog.set_level(logging.INFO, logger="citygml2objv2_ray.ops")
+    got = relational.REGISTRY[name](SF)
+    compare(got, duck(SF).execute(relational.ORACLE[name]).df(), f"{name} at fan-out {fanout}")
+    assert [(s, f) for s, n, _, f, _, _ in shuffles(caplog) if n == 2] == [(site, fanout)]
 
 
 @pytest.mark.parametrize("name", ["q_window_hourly", "q_semi_join"])

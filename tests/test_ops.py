@@ -1,7 +1,7 @@
 """Direct unit tests for the scale-hygiene operators in ops.py, and the
 lints that keep ``ops.supergroup_agg`` the only grouped aggregate,
-``ops.shuffle_groups`` the only super-group shuffle and the near-dup
-verify free of a row-count gate."""
+``ops.shuffle_groups`` the only super-group shuffle and partitioned join,
+and the near-dup verify free of a row-count gate."""
 
 from __future__ import annotations
 
@@ -200,6 +200,7 @@ class TestSupergroupFanout:
 SHUFFLE_QUERIES = [
     "q_phash_neardup", "q_tfidf_top_terms", "q_asof_join", "q_minhash_neardup",
     "q_ngram_jaccard", "q_dup_components", "q_dedup_corpus", "q_components",
+    "q_join_native", "q_heavy_hitters",
 ]
 # the ones whose candidate pairs go through relational_ml.verify_pairs
 NEARDUP_QUERIES = {"q_minhash_neardup", "q_ngram_jaccard", "q_dup_components", "q_dedup_corpus"}
@@ -350,19 +351,6 @@ class TestBloomFilter:
         assert member.sum() <= len(kept) < len(big)
 
 
-def test_derive_join_partitions():
-    from citygml2objv2_ray.ops import derive_join_partitions
-
-    # unknown → minimum (never 1 task)
-    assert derive_join_partitions(None) == 8
-    # test scale stays at the floor
-    assert derive_join_partitions(150_000, 15_000) == 8
-    # grows with the LARGER side
-    assert derive_join_partitions(10_000_000, 500) == 10_000_000 // 65536
-    # clamped at the ceiling
-    assert derive_join_partitions(10**12) == 512
-
-
 class TestSupergroupFullHistoryOps:
     """The full-history supergroup family (quantiles, funnel, outer merges)
     must be invariant to the super-group fan-out AND match a plain-pandas
@@ -511,7 +499,8 @@ def test_grouped_aggregate_lint_sees_each_pattern(src, want):
 
 # (file, outermost def or class) where each super-group idiom may appear;
 # "*" is the whole file. The Ray groupby sites besides the helper are
-# per-key map_groups or a tree merge, not super-group shuffles. A
+# per-key map_groups, not super-group shuffles. No Ray ``Dataset.join``
+# appears anywhere: every partitioned join is a ``shuffle_groups``. A
 # per-polygon ``clean_ring`` call stays in ``geom`` (rings are cleaned by
 # the flat-ring kernel), and ``triangulate_polygon(s)``, the per-polygon
 # triangulation front end, appears nowhere.
@@ -528,8 +517,14 @@ SHUFFLE_ALLOWED = {
         ("citygml2objv2_ray/ops.py", "shuffle_groups"),
         ("citygml2objv2_ray/relational_ml.py", "q_embedding_neardup"),
         ("citygml2objv2_ray/relational_ext.py", "q_embedding_neardup_lsh"),
-        ("citygml2objv2_ray/relational_stats.py", "q_heavy_hitters"),
     },
+    "ray_join": set(),
+}
+# Ray's Dataset.join types: one of these strings as the second positional
+# argument of a ``.join(`` call marks a Ray join, not a str or path join
+RAY_JOIN_TYPES = {
+    "inner", "left_outer", "right_outer", "full_outer",
+    "left_semi", "right_semi", "left_anti", "right_anti",
 }
 
 
@@ -542,6 +537,9 @@ def _shuffle_idioms(tree: ast.Module):
     super-group shuffle: a ``_sg``/``_dg`` literal or keyword, a ``hash_pandas_object``
     call, a ``repartition(..., shuffle=False)`` coalesce, a Ray
     ``.groupby(...).map_groups(`` chain, and any ``supergroup_of`` name;
+    of a second partitioned join: a Ray ``Dataset.join`` call (a ``.join(``
+    with a ``num_partitions``, ``on`` or ``right_on`` keyword or a join
+    type as its second argument) and any ``derive_join_partitions`` name;
     and of a per-polygon ring pass: a ``clean_ring`` call and any
     ``triangulate_polygon(s)`` name."""
     for top in tree.body:
@@ -559,10 +557,22 @@ def _shuffle_idioms(tree: ast.Module):
                 getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
             }:
                 yield "per_polygon_triangulate", scope, line
+            if "derive_join_partitions" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                            getattr(node, "name", None)):
+                yield "ray_join", scope, line
             if not isinstance(node, ast.Call):
                 continue
             name = _call_name(node.func)
-            if name == "hash_pandas_object":
+            if name == "join" and (
+                {k.arg for k in node.keywords} & {"num_partitions", "on", "right_on"}
+                or (
+                    len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value in RAY_JOIN_TYPES
+                )
+            ):
+                yield "ray_join", scope, line
+            elif name == "hash_pandas_object":
                 yield "hash_pandas_object", scope, line
             elif name == "clean_ring":
                 yield "clean_ring", scope, line
@@ -581,10 +591,11 @@ def _shuffle_idioms(tree: ast.Module):
 
 
 def test_shuffle_groups_is_the_only_super_group_shuffle():
-    """Every keyed shuffle that is not an aggregate goes through
-    ``ops.shuffle_groups``: one hash, one coalesce rule, one tag column;
-    and no package code cleans or triangulates one polygon at a time."""
-    paths = sorted((REPO / "citygml2objv2_ray").rglob("*.py")) + [REPO / "__ray_entry__.py"]
+    """Every keyed shuffle that is not an aggregate, every partitioned
+    join included, goes through ``ops.shuffle_groups``: one hash, one
+    coalesce rule, one tag column, no Ray ``Dataset.join``; and no package
+    code cleans or triangulates one polygon at a time."""
+    paths = sorted((REPO / "citygml2objv2_ray").rglob("*.py")) + [REPO / "__ray_entry__.py", REPO / "bench.py"]
     found = [
         (str(p.relative_to(REPO)), kind, scope, line)
         for p in paths
@@ -622,9 +633,18 @@ def test_shuffle_groups_is_the_only_super_group_shuffle():
             "from .geom import triangulate_polygons\ntris = geom.triangulate_polygon(r)\n",
             [("per_polygon_triangulate", None, 1), ("per_polygon_triangulate", None, 2)],
         ),
+        ('orders.join(cust, "inner", num_partitions=8, on=("k",))', [("ray_join", None, 1)]),
+        ("a.join(b, 'left_semi')", [("ray_join", None, 1)]),
+        ("def f(a, b):\n    return a.join(b, right_on=('k',))\n", [("ray_join", "f", 2)]),
+        (
+            "from .ops import derive_join_partitions as _djp\nn = ops.derive_join_partitions(9)\n",
+            [("ray_join", None, 1), ("ray_join", None, 2)],
+        ),
+        ('p = os.path.join(a, b)\ns = ", ".join(xs)\n', []),
     ],
     ids=["assign_keyword", "reinlined_helper", "dg_and_supergroup_of", "import", "shuffling_repartition",
-         "pandas_groupby", "clean_ring_call", "per_polygon_triangulate"],
+         "pandas_groupby", "clean_ring_call", "per_polygon_triangulate", "ray_join", "join_type_only",
+         "join_keyword_only", "join_partitions_name", "path_and_str_join"],
 )
 def test_shuffle_lint_sees_each_pattern(src, want):
     assert sorted(_shuffle_idioms(ast.parse(src)), key=str) == sorted(want, key=str)
