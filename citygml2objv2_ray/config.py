@@ -61,15 +61,18 @@ class EngineConfig:
     knn_k: int = 3                       # kNN neighbours per image
     knn_max_ring: int = 4                # max grid rings searched for neighbours
 
-    # batching. Ray fuses the flagship's process (join + decode/clip) and
-    # writer map_batches into one operator whose input bundles hold the
-    # LARGER of the two batch sizes (operator_fusion's
-    # _derive_bundle_min_num_rows), so write_batch_size, not
-    # join_batch_size, sets how many fused tasks there are;
-    # join_batch_size is the rows per process call inside a task
+    # batching. write_batch_size is the most rows a flagship process +
+    # write task takes (on average, in the fused plan). The flagship
+    # reads, processes and writes in ONE fused operator, one task per CPU
+    # or per write_batch_size footer rows when that is more
+    # (ops.fused_read_tasks); input files holding more than
+    # write_batch_size rows each are split by Ray instead, and process +
+    # write then take join_batch_size / write_batch_size row bundles.
+    # join_batch_size is the slice a task joins and decodes at a time,
+    # which bounds its decoded tiles.
     geometry_batch_size: int = 2048
     join_batch_size: int = 1024          # small is fine: per-cell kNN sets cached
-    write_batch_size: int = 8192         # per write task (32k bundling stalled the stream)
+    write_batch_size: int = 8192         # most rows per flagship process+write task
     n_output_parts: int = 16             # output partition fan-out (resume unit)
 
     # mtl bucketize (CityGML2OBJs.py:383-411): 101 bins over [min, max]

@@ -147,6 +147,38 @@ def derive_num_blocks(n_rows: int | None, target_rows: int = 8192, lo: int = 32,
     return int(min(hi, max(lo, n_rows // target_rows)))
 
 
+def fused_read_tasks(roots: list[str], target_rows: int, pruned: list[str]) -> int | None:
+    """Read tasks of the flagship's read -> process -> write operator over
+    the parquet files under ``roots``, or None to split the files instead.
+
+    Ray fuses the read into the maps when each read task takes whole files:
+    one task per cluster CPU, or one per ``target_rows`` footer rows when
+    that is more, never more than the files (above one task per file Ray
+    adds ``SplitBlocks``, whose split factor stops the fusion). More tasks
+    than CPUs at small scale start idle workers (+9-11% peak memory with
+    one task per file on the 16-file flagship benchmark); more tasks than
+    CPUs at scale spread the hot cell's rows (48-file sf0.1 world, 4 CPUs:
+    13 tasks ran 9.6-10.6 s, one per CPU 10.8-12.2 s). When the files hold
+    more than ``target_rows`` rows each on average, whole files would make
+    fewer and longer tasks than that (one 51k-row file ran on one CPU), so
+    the answer is None: Ray splits them, and the read stays its own
+    operator. Logs the plan, the sizes it rests on and the partitions
+    ``pruned`` from the read."""
+    import pyarrow.dataset as pads
+
+    parts = [pads.dataset(r, format="parquet") for r in roots]
+    files = sum(len(d.files) for d in parts)
+    rows = sum(d.count_rows() for d in parts)
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    tasks = None if rows > files * target_rows else max(1, min(files, max(cpus, -(-rows // target_rows))))
+    log.info(
+        "flagship read: %d pending files, %d footer rows, %d CPUs, %d pruned partitions %s -> %s",
+        files, rows, cpus, len(pruned), pruned,
+        f"fused, {tasks} read tasks" if tasks else "split",
+    )
+    return tasks
+
+
 def store_cap(share: float) -> int:
     """Bytes of the cluster's object store that a ``share`` of it holds."""
     return int(ray.cluster_resources()["object_store_memory"] * share)

@@ -1,23 +1,33 @@
 """The flagship pipeline (north rule): spatial-join + tile assignment over
-the images fact table.
+the images fact table, as ONE Ray Data operator
+``ReadParquet->MapBatches(process)->MapBatches(PartitionedWriter)`` when
+whole input files give it enough tasks.
 
     read_parquet(images)                      # pruned columns; on resume the
                                               # hive `part` filter skips
                                               # completed partitions
-    → map_batches(process, task pool)         # ONE fused stage per batch:
+    → map_batches(process, task pool)         # per block:
         cell_encode                           #   H3/S2-analog cell, vectorized
         → part_of_cell                        #   output partition id
         → [resume filter]                     #   unpartitioned inputs only
-        → spatial join                        #   broadcast index: PIP + kNN
-        → DecodeClip                          #   decode + phash verify +
+        → per join_batch_size slice:
+            spatial join                      #   broadcast index: PIP + kNN
+            → DecodeClip                      #   decode + phash verify +
                                               #   raster↔vector clip vs roof tris
     → map_batches(PartitionedWriter)          # per-partition atomic files +
                                               # lineage rows (resumable)
-    → tile stats: partial per-batch agg → tiny groupby (skew-safe)
+    → tile stats: partial per-block agg → tiny groupby (skew-safe)
 
-The big side streams with backpressure end to end — nothing materializes;
-the only driver-side tables are the small side (footprints/surfaces) and
-the final per-cell stats.
+Read, process and write are fused: each read task decodes, clips and
+writes its own rows, so no tile crosses the object store (the raster is
+clipped where it is read, as in *Raptor*, VLDB 2019). The read-task
+count is the parallelism: ``ops.fused_read_tasks`` gives one per CPU, or
+one per ``write_batch_size`` footer rows when that is more, never more
+than the pending files. Files holding more than ``write_batch_size`` rows
+each would make too few tasks, so Ray splits them instead and process +
+write run after the read in row bundles (the split plan). The only
+driver-side tables are the small side (footprints/surfaces) and the
+final per-cell stats.
 """
 
 from __future__ import annotations
@@ -95,6 +105,9 @@ class FlagshipResult:
     rows_written: int
     tile_stats: "pa.Table"
     wall_sec: float
+    # Ray Data's stats of the ack stream: its operators, their tasks and
+    # each task's wall time ("" when nothing was read)
+    ray_stats: str = ""
 
     def assignments(self) -> rd.Dataset:
         log = CheckpointLog(self.out_root)
@@ -185,23 +198,29 @@ def run_flagship(
         batch = batch.append_column("part", pa.array(part, pa.int64()))
         if done is not None:
             batch = batch.filter(pc.invert(pc.is_in(batch["part"], value_set=done)))
-            if batch.num_rows == 0:
-                return batch.drop_columns(["bytes"]) if "bytes" in batch.column_names else batch
-        batch = join_task(batch)
-        if decode_task is not None:
-            batch = decode_task(batch)
-        return batch
+        if batch.num_rows == 0:
+            return batch.drop_columns(["bytes"])
+        # join + decode/clip per join_batch_size slice: a whole read block
+        # decoded at once would hold every tile of it in memory
+        out = []
+        for lo in range(0, batch.num_rows, cfg.join_batch_size):
+            b = join_task(batch.slice(lo, cfg.join_batch_size))
+            out.append(decode_task(b) if decode_task is not None else b)
+        return pa.concat_tables(out)
 
     # resume pruning at the READ when the input is hive-partitioned by
     # `part` (synth worlds v2 are; see spatial.part_of_cell) — completed
     # partitions' files never leave storage. Falls back to the in-stream
     # prune (inside `process`) for unpartitioned inputs.
+    from ..ops import fused_read_tasks
+    from ..sources.lance import is_lance_dataset, read_images
+
     read_kwargs: dict = {}
+    done_strs = {str(int(p)) for p in completed}
     hive_parts = _hive_parts(images_path)
-    if completed and hive_parts is not None:
-        done_strs = {str(int(p)) for p in completed}
-        pending = [p for p in hive_parts if p not in done_strs]
-        if not pending:  # everything committed → nothing to read at all
+    pruned = sorted(done_strs & set(hive_parts or ()), key=int)
+    if pruned:
+        if len(pruned) == len(hive_parts):  # everything committed → nothing to read at all
             return FlagshipResult(
                 out_root=out_root, run_id=run_id, rows_written=0,
                 tile_stats=TILE_STATS.empty_table(), wall_sec=time.perf_counter() - t0,
@@ -212,21 +231,36 @@ def run_flagship(
             lambda kv: kv.get("part") not in done_strs, style="hive"
         )
         done = None  # read-level pruning supersedes the stream filter
-    from ..sources.lance import read_images
-
     # Lance-first ingestion (input_hint): Lance datasets read via
-    # rd.read_lance when pylance is available; parquet otherwise. The
-    # hive partition_filter resume pruning applies to the parquet layout;
-    # Lance inputs fall back to the in-stream prune above.
+    # rd.read_lance when pylance is available; parquet otherwise. The hive
+    # partition_filter resume pruning and the fused plan apply to the
+    # parquet layout; Lance inputs fall back to the in-stream prune above
+    # and to the split plan.
+    tasks = None
+    if not is_lance_dataset(images_path):
+        pending = (
+            [os.path.join(images_path, f"part={p}") for p in hive_parts if p not in done_strs]
+            if hive_parts else [images_path]
+        )
+        tasks = fused_read_tasks(pending, cfg.write_batch_size, pruned)
+    if tasks:
+        read_kwargs["override_num_blocks"] = tasks
     ds = read_images(images_path, columns=IMAGE_COLUMNS, **read_kwargs)
-    ds = ds.map_batches(process, batch_format="pyarrow", batch_size=cfg.join_batch_size)
-
+    # fused plan: batch_size=None on both maps, since a map that asks for a
+    # minimum bundle stops Ray from fusing the read into it; read, process
+    # and write then run as ONE operator, one task per read task, and no
+    # tile crosses the object store. Split plan: Ray sizes the read (and
+    # splits large files), and process+write take join_batch_size /
+    # write_batch_size row bundles.
+    ds = ds.map_batches(
+        process, batch_format="pyarrow", batch_size=None if tasks else cfg.join_batch_size
+    )
     acks = ds.map_batches(
         PartitionedWriter(out_root, run_id, STAGE, "part", "image_id"),
         batch_format="pyarrow",
-        batch_size=cfg.write_batch_size,
+        batch_size=None if tasks else cfg.write_batch_size,
     )
-    # acks = per-(write-batch, partition, cell) partial tile stats — tiny;
+    # acks = per-(block, partition, cell) partial tile stats — tiny;
     # a single driver-side reduce yields BOTH the commit bookkeeping and the
     # per-cell tile stats with no second pass over the written output.
     ack_df = acks.to_pandas()
@@ -260,4 +294,5 @@ def run_flagship(
         rows_written=rows_written,
         tile_stats=tile_stats,
         wall_sec=time.perf_counter() - t0,
+        ray_stats=acks.stats(),
     )

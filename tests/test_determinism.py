@@ -34,8 +34,14 @@ class TestRunDeterminism:
         surfaces = pq.read_table(world["surfaces"])
         footprints = pq.read_table(world["footprints"])
         outs = []
+        # the read plan on each of its sides over the 500-row, 16-file
+        # world: one fused task per CPU (the default), one per 64 footer
+        # rows, and the split plan (the files hold more than 16 rows each)
         for i, cfg in enumerate(
-            [EngineConfig(), EngineConfig(join_batch_size=256)]
+            [
+                EngineConfig(), EngineConfig(join_batch_size=256),
+                EngineConfig(write_batch_size=64), EngineConfig(write_batch_size=16),
+            ]
         ):
             res = run_flagship(
                 world["images"], surfaces, footprints, str(tmp_path / f"o{i}"),
@@ -45,8 +51,10 @@ class TestRunDeterminism:
             df["nn_ids"] = df.nn_ids.map(tuple)
             df["nn_dist"] = df.nn_dist.map(tuple)
             outs.append(df[sorted(df.columns)])
-        # identical despite different batch granularities (execution-order free)
-        pd.testing.assert_frame_equal(outs[0], outs[1])
+        # identical despite different batch granularities and task counts
+        # (execution-order free)
+        for other in outs[1:]:
+            pd.testing.assert_frame_equal(outs[0], other)
 
     def test_obj_output_byte_identical_across_runs(self, ray_session, tmp_path):
         from citygml2objv2_ray import synth

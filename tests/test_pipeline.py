@@ -102,6 +102,12 @@ class TestGeometryPipeline:
         assert np.array_equal(orig_pts, back_pts)  # exactly invertible
 
 
+# the flagship's Ray operators, as Ray's stats name them: read, process and
+# write fused into one, or (split plan) process and write after the read
+FUSED = "ReadParquet->MapBatches(process)->MapBatches(PartitionedWriter)"
+SPLIT = "MapBatches(process)->MapBatches(PartitionedWriter)"
+
+
 class TestFlagship:
     def test_end_to_end_and_truth(self, world, tmp_path):
         import pyarrow.parquet as pq
@@ -177,6 +183,126 @@ class TestFlagship:
             part_of_cell(adf.cell.to_numpy(np.int64), DEFAULT_CONFIG.n_output_parts),
         )
 
+    # the 500-row, 16-file test world on the session's 4 CPUs: one fused
+    # task per CPU (8192), one per 64 footer rows (8), and the split plan
+    # once the files hold more than write_batch_size rows each (16)
+    @pytest.mark.parametrize("write_batch_size,plan", [(8192, 4), (64, 8), (16, None)])
+    def test_read_plan(self, world, tmp_path, caplog, write_batch_size, plan):
+        """Read, process and write run as ONE Ray operator, one task per
+        read task, while whole files give the rule's task count; past that
+        Ray sizes the read itself and it is its own operator. The plan is
+        logged with its sizes."""
+        import logging
+        import re
+
+        import pyarrow.parquet as pq
+        import ray
+
+        from citygml2objv2_ray.config import EngineConfig
+        from citygml2objv2_ray.pipelines.flagship import run_flagship
+
+        assert int(ray.cluster_resources()["CPU"]) == 4
+        caplog.set_level(logging.INFO, logger="citygml2objv2_ray.ops")
+        res = run_flagship(
+            world["images"], pq.read_table(world["surfaces"]), pq.read_table(world["footprints"]),
+            str(tmp_path / "out"), cfg=EngineConfig(write_batch_size=write_batch_size),
+            resume=False, decode=False,
+        )
+        assert res.rows_written == 500
+        operators = re.findall(r"^Operator \d+ (\S+): (\d+) tasks executed", res.ray_stats, re.M)
+        sizes = "flagship read: 16 pending files, 500 footer rows, 4 CPUs, 0 pruned partitions [] -> "
+        if plan:
+            assert operators == [(FUSED, str(plan))], res.ray_stats
+            assert f"{sizes}fused, {plan} read tasks" in caplog.text
+        else:
+            assert [op for op, _ in operators][1:] == [SPLIT], res.ray_stats
+            assert operators[0][0].startswith("ReadParquet"), res.ray_stats
+            assert f"{sizes}split" in caplog.text
+
+    @pytest.mark.parametrize(
+        "layout,write_batch_size", [("single_file", 8192), ("single_file", 64), ("hive", 8192)]
+    )
+    def test_partial_resume_writes_only_the_missing_partitions(
+        self, world, tmp_path, caplog, layout, write_batch_size
+    ):
+        """A rerun after some partitions committed writes exactly the
+        others and ends equal to a clean run, with no image twice. One
+        500-row input file is read whole by one fused task (8192) or split
+        (64), and filtered per block in ``process``; a hive input skips
+        the committed partitions at the read, and its read tasks count
+        only the pending files."""
+        import glob
+        import logging
+        import os
+        import re
+        import shutil
+
+        import pyarrow.parquet as pq
+
+        from citygml2objv2_ray.config import EngineConfig
+        from citygml2objv2_ray.pipelines.flagship import IMAGE_COLUMNS, run_flagship
+        from citygml2objv2_ray.state.checkpoint import CheckpointLog
+
+        surfaces = pq.read_table(world["surfaces"])
+        footprints = pq.read_table(world["footprints"])
+        parts = sorted(p for p in os.listdir(world["images"]) if p.startswith("part="))
+        committed = parts[::3]
+        # an input of the committed partitions only: its run commits them
+        first = str(tmp_path / ("first.parquet" if layout == "single_file" else "first"))
+        if layout == "single_file":
+            images = str(tmp_path / "images.parquet")
+            pq.write_table(pq.read_table(world["images"], columns=IMAGE_COLUMNS), images)
+            pq.write_table(
+                pa.concat_tables(
+                    pq.read_table(os.path.join(world["images"], p), columns=IMAGE_COLUMNS)
+                    for p in committed
+                ),
+                first,
+            )
+        else:
+            images = world["images"]
+            os.makedirs(first)
+            for p in committed:
+                shutil.copytree(os.path.join(world["images"], p), os.path.join(first, p))
+
+        want = run_flagship(images, surfaces, footprints, str(tmp_path / "clean"), decode=False)
+        out = str(tmp_path / "out")
+        cfg = EngineConfig(write_batch_size=write_batch_size)
+        r1 = run_flagship(first, surfaces, footprints, out, cfg=cfg, decode=False)
+        caplog.set_level(logging.INFO, logger="citygml2objv2_ray.ops")
+        caplog.clear()
+        r2 = run_flagship(images, surfaces, footprints, out, cfg=cfg, decode=False)
+
+        done = {p.split("=", 1)[1] for p in committed}
+        lin = CheckpointLog(out).read_lineage().to_pandas()
+        assert set(lin[lin.run_id == r1.run_id].partition_id) == done
+        written = set(lin[(lin.run_id == r2.run_id) & (lin.stage == "assign")].partition_id)
+        assert written == {p.split("=", 1)[1] for p in parts} - done
+        assert r1.rows_written + r2.rows_written == want.rows_written
+
+        def frame(res):
+            df = res.assignments().to_pandas().sort_values("image_id").reset_index(drop=True)
+            df["nn_ids"] = df.nn_ids.map(tuple)
+            df["nn_dist"] = df.nn_dist.map(tuple)
+            return df[sorted(df.columns)]
+
+        operators = re.findall(r"^Operator \d+ (\S+):", r2.ray_stats, re.M)
+        assert operators[-1:] == [FUSED if write_batch_size == 8192 else SPLIT], r2.ray_stats
+        got = frame(r2)
+        assert got.image_id.is_unique
+        pd.testing.assert_frame_equal(got, frame(want))
+        if layout == "hive":
+            pending = len(glob.glob(os.path.join(images, "part=*", "*.parquet"))) - len(
+                glob.glob(os.path.join(first, "part=*", "*.parquet"))
+            )
+            assert f"{pending} pending files" in caplog.text
+            assert f"{len(done)} pruned partitions" in caplog.text
+        else:
+            assert (
+                "1 pending files, 500 footer rows, 4 CPUs, 0 pruned partitions [] -> "
+                + ("fused, 1 read tasks" if write_batch_size == 8192 else "split")
+            ) in caplog.text
+
     def test_resume_skips_completed(self, world, tmp_path):
         import pyarrow.parquet as pq
 
@@ -200,6 +326,7 @@ class TestFlagship:
         reads everything and writes nothing."""
         import pyarrow.parquet as pq
 
+        from citygml2objv2_ray.config import EngineConfig
         from citygml2objv2_ray.pipelines.flagship import IMAGE_COLUMNS, run_flagship
 
         images = world["images"]
