@@ -68,6 +68,8 @@ def run(args) -> dict:
     surfaces = read_citygml(paths)
 
     if args.translateCityGML or args.translateCityGMLwrite:
+        # the params and the translated surfaces read one parse
+        surfaces = surfaces.materialize()
         try:
             delta = translation_params(surfaces)
         except ValueError as e:
@@ -78,8 +80,6 @@ def run(args) -> dict:
         surfaces = translate_exact(surfaces, delta)
         outputs["translation_params"] = delta.tolist()
         if args.translateCityGMLwrite:
-            # the GML below and the conversion after it read one parse
-            surfaces = surfaces.materialize()
             tab = pa.concat_tables(surfaces.iter_batches(batch_format="pyarrow", batch_size=None))
             gml_path = os.path.join(args.results, "model_local_.gml")
             params_path = os.path.join(args.results, "translation_params.txt")

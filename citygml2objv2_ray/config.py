@@ -30,7 +30,6 @@ SEMANTIC_CLASSES: tuple[str, ...] = (
     "Door",
     "Window",
 )
-OTHER_CLASS = "Other"
 OPENING_CLASSES: tuple[str, ...] = ("Door", "Window")
 
 # Classes whose exterior points feed the buffered bbox

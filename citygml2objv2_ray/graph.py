@@ -48,20 +48,6 @@ from .ops import shuffle_groups
 _MERS = (1 << 61) - 1
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 
-_EDGE_EMPTY = pd.DataFrame(
-    {
-        "key": pd.array([], dtype=np.int64),
-        "member": pd.array([], dtype=np.int64),
-    }
-)
-
-_LABEL_EMPTY = pd.DataFrame(
-    {
-        "doc_id": pd.array([], dtype=np.int64),
-        "component_id": pd.array([], dtype=np.int64),
-    }
-)
-
 
 def _per_key_min(keys: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sort rows by key and reduce: returns (sorted keys, sorted members,
@@ -77,8 +63,6 @@ def _per_key_min(keys: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.
 
 def _round_step(g: pd.DataFrame) -> pd.DataFrame:
     g = g.drop_duplicates(["key", "member"])
-    if not len(g):
-        return _EDGE_EMPTY
     keys = g.key.to_numpy().astype(np.int64)
     members = g.member.to_numpy().astype(np.int64)
     k, m, mk, starts = _per_key_min(keys, members)
@@ -144,8 +128,6 @@ def connected_components(
 
     def label_group(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["key", "member"])
-        if not len(g):
-            return _LABEL_EMPTY
         k, _, mk, starts = _per_key_min(
             g.key.to_numpy().astype(np.int64), g.member.to_numpy().astype(np.int64)
         )

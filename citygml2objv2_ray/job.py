@@ -124,6 +124,7 @@ def run_job(args) -> dict:
             relational_stats,
             streaming,
         )
+        from .state.checkpoint import publish
 
         fn = relational.REGISTRY.get(args.pipeline)
         if fn is None:
@@ -135,7 +136,8 @@ def run_job(args) -> dict:
         df = out.to_pandas() if hasattr(out, "to_pandas") else out
         os.makedirs(args.out, exist_ok=True)
         dest = os.path.join(args.out, f"{args.pipeline}.parquet")
-        df.to_parquet(dest)
+        with publish(dest) as tmp:
+            df.to_parquet(tmp)
         rec.update(rows=int(len(df)), out=dest)
 
     rec["wall_sec"] = round(time.perf_counter() - t0, 3)

@@ -10,6 +10,8 @@
   their keys onto coarse super-groups and each group runs one vectorized
   function over all its keys.
 - ``Broadcast``: the one way a map task reads a small side.
+- ``epoch_us``: the one timestamp → int64 epoch-µs conversion, shared by
+  the batch queries and the streaming shards.
 """
 
 from __future__ import annotations
@@ -220,6 +222,12 @@ def _empty_batch(ds: rd.Dataset) -> pd.DataFrame:
             for n, t in zip(s.names, s.types)
         }
     )
+
+
+def epoch_us(ts) -> np.ndarray:
+    """Timestamps or dates → int64 epoch microseconds (the twins'
+    ``epoch_us``): the one conversion every event-time operator uses."""
+    return np.asarray(ts).astype("datetime64[us]").astype(np.int64)
 
 
 def sum_by(keys: list[str]):

@@ -86,8 +86,9 @@ def convert_surfaces(
     if not semantics:
         surfaces = opening_anti_join(surfaces, cfg)
     if translate:
-        delta = global_min_vertex(surfaces)
-        surfaces = translate_surfaces(surfaces, delta)
+        # the global min and the conversion read one parse
+        surfaces = surfaces.materialize()
+        surfaces = translate_surfaces(surfaces, global_min_vertex(surfaces))
     if preserve:
         # -p / SKIPTRI (CityGML2OBJs.py:137-141): keep the valid polygons
         # as n-gon faces, no triangulation

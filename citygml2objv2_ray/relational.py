@@ -32,6 +32,7 @@ from ray.data.aggregate import Count, Max, Mean, Min
 from .ops import (
     Broadcast,
     broadcast_semi_anti_filter,
+    epoch_us,
     gathers,
     shuffle_groups,
     sum_by,
@@ -344,6 +345,7 @@ def q_dedup_first_event(sf_dir: str) -> pd.DataFrame:
     """D1 (first-occurrence interning): per-batch keep-first pre-reduction
     then a cardinality-robust super-group merge (``ops.supergroup_agg`` —
     per-user map_groups pays per-key overhead at 10^6+ users)."""
+
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
     def first_in_batch(df: pd.DataFrame) -> pd.DataFrame:
@@ -352,7 +354,7 @@ def q_dedup_first_event(sf_dir: str) -> pd.DataFrame:
 
     df = supergroup_agg("q_dedup_first_event", ds, ["user_id"], first_in_batch, first_in_batch)
     df = df.sort_values("user_id").reset_index(drop=True)
-    df["ts_epoch"] = df.ts.values.astype("datetime64[us]").astype(np.int64)
+    df["ts_epoch"] = epoch_us(df.ts)
     return df[["user_id", "event_id", "event_type", "ts_epoch"]]
 
 
@@ -454,25 +456,18 @@ def q_union_nationkeys(sf_dir: str) -> pd.DataFrame:
 )
 def q_window_hourly(sf_dir: str) -> pd.DataFrame:
     """Tumbling 1h window (streaming-shaped op on the ordered events log):
-    window key computed vectorized per batch, then one grouped sum."""
+    the window shard's partial (``streaming.window_partials``) per batch,
+    then one grouped sum."""
+    from .streaming import WINDOW_KEYS, window_partials
+
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
-    def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        epoch = df.ts.values.astype("datetime64[us]").astype(np.int64) // 1_000_000
-        return pd.DataFrame(
-            {
-                "event_type": df.event_type,
-                "window_start": (epoch // 3600) * 3600,
-                "n": 1,
-                "sum_value": df.value,
-            }
-        )
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        return window_partials(df.assign(e=epoch_us(df.ts)), 3_600_000_000)
 
-    keys = ["event_type", "window_start"]
-    df = supergroup_agg(
-        "q_window_hourly", ds.map_batches(keyed, batch_format="pandas"), keys, sum_by(keys), sum_by(keys)
-    )
-    df = df.sort_values(keys).reset_index(drop=True)
+    df = supergroup_agg("q_window_hourly", ds, WINDOW_KEYS, partial, sum_by(WINDOW_KEYS))
+    df = df.sort_values(WINDOW_KEYS).reset_index(drop=True)
+    df["window_start"] //= 1_000_000  # epoch s
     df["n"] = df["n"].astype(np.int64)
     df["sum_value"] = df["sum_value"].round(4)
     return df

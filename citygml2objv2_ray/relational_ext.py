@@ -12,7 +12,7 @@ import ray.data as rd
 
 from . import dedup as dd
 from . import text as tx
-from .ops import shuffle_groups, sum_by, supergroup_agg
+from .ops import epoch_us, shuffle_groups, sum_by, supergroup_agg
 from .relational import _nrows, _read, query
 
 
@@ -64,32 +64,21 @@ def q_sessionize(sf_dir: str) -> pd.DataFrame:
     """Session windows (30-min inactivity gap) — the streaming-shaped op
     over the ordered events log (SURVEY.md §2.F). Shuffled on a coarse
     super-group of the user (all of a user's events co-locate); inside
-    each group the sessionization is fully VECTORIZED across every user at
-    once (sort by (user, ts, event_id), session breaks = user change OR
-    gap, per-user ids via a running-start cumsum) — no per-user Python at
-    any user cardinality."""
+    each group the session shard's kernel (``streaming.session_runs``)
+    runs VECTORIZED across every user at once (sort by (user, ts,
+    event_id), session breaks = user change OR gap) and the per-user ids
+    are a cumcount — no per-user Python at any user cardinality."""
+    from .streaming import SESSION_COLUMNS, session_runs
+
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
     GAP = 1_800_000_000  # 30 min in µs
 
     def to_epoch(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(e=df.ts.values.astype("datetime64[us]").astype(np.int64))[
-            ["user_id", "event_id", "e"]
-        ]
+        return df.assign(e=epoch_us(df.ts))[["user_id", "event_id", "e"]]
 
     def sessions_vectorized(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "e", "event_id"], kind="stable").reset_index(drop=True)
-        u = g.user_id.to_numpy()
-        e = g.e.to_numpy()
-        new_user = np.concatenate([[True], u[1:] != u[:-1]])
-        new_s = new_user | np.concatenate([[True], np.diff(e) > GAP])
-        sid_global = np.cumsum(new_s)
-        user_start = np.where(new_user, sid_global, 0)
-        sid = sid_global - np.maximum.accumulate(user_start) + 1
-        g = g.assign(session_id=sid)
-        out = g.groupby(["user_id", "session_id"], as_index=False).agg(
-            n_events=("e", "size"), session_start=("e", "min"), session_end=("e", "max")
-        )
-        return out[["user_id", "session_id", "n_events", "session_start", "session_end"]]
+        runs = session_runs(g, GAP)[2]
+        return runs.assign(session_id=runs.groupby("user_id", sort=False).cumcount() + 1)[SESSION_COLUMNS]
 
     # the partial only projects: sessions need the user's FULL history
     # together, so the reduction happens in the merge
@@ -117,11 +106,12 @@ def q_sliding_window(sf_dir: str) -> pd.DataFrame:
     """Sliding window (width 1h, slide 30min): each event lands in exactly
     two windows — explode per batch, then one grouped sum (the
     windowed-aggregate gap of SURVEY §2.F)."""
+
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
     S = 1_800_000_000  # slide in µs
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
-        base = (df.ts.values.astype("datetime64[us]").astype(np.int64) // S) * S
+        base = (epoch_us(df.ts) // S) * S
         one = pd.DataFrame({"event_type": df.event_type, "n": 1, "sum_value": df.value})
         return pd.concat([one.assign(window_start=base), one.assign(window_start=base - S)])
 
@@ -404,7 +394,7 @@ def q_asof_join(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame(
             {
                 "user_id": df.user_id.to_numpy(np.int64),
-                "ts_us": df.ts.astype("datetime64[us]").astype(np.int64),
+                "ts_us": epoch_us(df.ts),
                 "event_id": df.event_id.to_numpy(np.int64),
                 "o_orderkey": np.full(len(df), -1, np.int64),
                 "o_totalprice": np.zeros(len(df), np.float64),
@@ -416,7 +406,7 @@ def q_asof_join(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame(
             {
                 "user_id": df.o_custkey.to_numpy(np.int64),
-                "ts_us": df.o_orderdate.astype("datetime64[us]").astype(np.int64),
+                "ts_us": epoch_us(df.o_orderdate),
                 "event_id": np.full(len(df), -1, np.int64),
                 "o_orderkey": df.o_orderkey.to_numpy(np.int64),
                 "o_totalprice": df.o_totalprice.to_numpy(np.float64),
@@ -758,12 +748,11 @@ def q_event_deltas(sf_dir: str) -> pd.DataFrame:
     then a pandas groupby for (count, mean, max). No per-user Python at any
     user cardinality; single-event users drop out exactly as SQL's
     ``WHERE gap IS NOT NULL``."""
+
     ds = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
 
     def to_epoch(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(e=df.ts.values.astype("datetime64[us]").astype(np.int64))[
-            ["user_id", "event_id", "e"]
-        ]
+        return df.assign(e=epoch_us(df.ts))[["user_id", "event_id", "e"]]
 
     def deltas_vectorized(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "e", "event_id"], kind="stable").reset_index(drop=True)
@@ -1050,6 +1039,7 @@ def q_funnel(sf_dir: str) -> pd.DataFrame:
     then a left-merge null-extends non-converters (sentinel -1, matching
     the SQL COALESCE). No per-user Python at any cardinality; at 100 TB
     the shuffle moves only (user, type, epoch) triples."""
+
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
     def to_epoch(df: pd.DataFrame) -> pd.DataFrame:
@@ -1058,7 +1048,7 @@ def q_funnel(sf_dir: str) -> pd.DataFrame:
             {
                 "user_id": df.user_id,
                 "event_type": df.event_type,
-                "e": df.ts.values.astype("datetime64[us]").astype(np.int64),
+                "e": epoch_us(df.ts),
             }
         )
 
@@ -1414,12 +1404,15 @@ def q_partition_pruned_scan(sf_dir: str) -> pd.DataFrame:
 def q_interval_join(sf_dir: str) -> pd.DataFrame:
     """Interval (windowed) join — clicks in the 30 minutes up to each
     purchase, per user — WITHOUT expanding the pair space: inside each user
-    super-group, two backward as-of lookups against the per-user click
-    cumcount give the inclusive window count as cum(<=e) - cum(<=e-W-1),
+    super-group, the interval shard's kernel (``streaming.interval_counts``:
+    two backward as-of lookups against the per-user click cumcount give
+    the inclusive window count as cum(<=e) - cum(<=e-W-1)) runs
     vectorized across every user at once (``merge_asof(by=user)``). The
     naive range join is O(clicks x purchases) per user; this is
     O((clicks + purchases) log) with only (user, epoch) pairs crossing the
     shuffle — the stream-stream windowed-join shape at batch scale."""
+    from .streaming import interval_counts
+
     W = 1_800_000_000  # 30 min in µs
     ds = _read(sf_dir, "events", ["user_id", "event_id", "event_type", "ts"])
 
@@ -1430,31 +1423,12 @@ def q_interval_join(sf_dir: str) -> pd.DataFrame:
                 "user_id": df.user_id,
                 "event_id": df.event_id,
                 "event_type": df.event_type,
-                "e": df.ts.values.astype("datetime64[us]").astype(np.int64),
+                "e": epoch_us(df.ts),
             }
         )
 
     def window_count(g: pd.DataFrame) -> pd.DataFrame:
-        clicks = g[g.event_type == "click"][["user_id", "e"]].sort_values(
-            ["e", "user_id"], kind="stable"
-        )
-        clicks = clicks.assign(
-            cum=clicks.groupby("user_id", sort=False).cumcount().to_numpy() + 1
-        )
-        pur = g[g.event_type == "purchase"][["user_id", "event_id", "e"]]
-        if not len(pur):
-            return pd.DataFrame({"purchase_id": pd.Series(dtype=np.int64),
-                                 "n_recent_clicks": pd.Series(dtype=np.int64)})
-        hi = pur.sort_values("e", kind="stable")
-        a1 = pd.merge_asof(hi, clicks, on="e", by="user_id", direction="backward")
-        lo = hi.assign(e=hi.e - W - 1)
-        a2 = pd.merge_asof(lo.sort_values("e", kind="stable"), clicks, on="e",
-                           by="user_id", direction="backward")
-        c1 = a1.set_index("event_id").cum.fillna(0)
-        c2 = a2.set_index("event_id").cum.fillna(0)
-        n = (c1 - c2.reindex(c1.index)).astype(np.int64)
-        return pd.DataFrame({"purchase_id": n.index.to_numpy(np.int64),
-                             "n_recent_clicks": n.to_numpy()})
+        return interval_counts(g[g.event_type == "click"], g[g.event_type == "purchase"], W)
 
     df = supergroup_agg("q_interval_join", ds, ["user_id"], to_epoch, window_count)
     df = df.sort_values("purchase_id").reset_index(drop=True)

@@ -508,8 +508,6 @@ def verify_pairs_jaccard_ds(
         g = g.drop_duplicates(["doc_a", "doc_b", "side"]).sort_values(
             ["doc_a", "doc_b", "side"], kind="stable"
         )
-        if not len(g):
-            return _PAIRS_EMPTY
         side = g.side.to_numpy()
         if len(g) % 2 or (side[0::2] != 0).any() or (side[1::2] != 1).any():
             # contract guard: every pair must contribute exactly one side-0

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..state.checkpoint import publish
+
 # 3x5 bitmap glyphs (rows of 3 bits, MSB left) — digits + the few symbols
 # the reference's labels use (its last label is ">= vmax")
 _FONT: dict[str, list[int]] = {
@@ -86,6 +88,6 @@ def write_colorbar(
         y0 = bar_height + 6
         sub = img[y0 : y0 + mask.shape[0], x0 : x0 + mask.shape[1], :]
         sub[mask] = 0
-    with open(path, "wb") as f:
+    with publish(path) as tmp, open(tmp, "wb") as f:
         f.write(png_encode(img))
     return path

@@ -239,6 +239,6 @@ def write_mtl(path: str, bins: int = 101) -> str:
         lines.append(f"newmtl m{i:03d}")
         lines.append(f"Kd {r:.4f} {g:.4f} {b:.4f}")
     text = "\n".join(lines) + "\n"
-    with open(path, "w") as f:
+    with publish(path) as tmp, open(tmp, "w") as f:
         f.write(text)
     return text

@@ -12,8 +12,9 @@ LOCAL-NAME tag matching, which makes one parser serve CityGML 1.0/2.0/3.0
 (the reference re-resolves a namespace table per version from a mutable
 global — config.py:1-7, markup3dmodule.py:32-98; local-name matching is the
 version-agnostic equivalent of its ``separate_string`` regex split,
-componentseparationmodule.py:321-332). The detected version is still
-sniffed from the root tag (CityGML2OBJs.py:436-489) and carried as a column.
+componentseparationmodule.py:321-332). No version is carried: the
+parse does not depend on it. ``sniff_version`` still reads it from the
+root tag (CityGML2OBJs.py:436-489) for a caller that needs it.
 
 Degradation parity: missing gml:id falls back to a per-document counter
 (CityGML2OBJs.py:643-647); malformed posList (len % 3 != 0) drops the
@@ -122,7 +123,6 @@ def parse_citygml_document(data: bytes, doc_id: str) -> list[dict]:
     a building that belong to no semantic feature get semantic='Other'.
     """
     root = ET.fromstring(data)
-    version = sniff_version(root)  # noqa: F841  (carried via doc metadata if needed)
     rows: list[dict] = []
     bseq = 0
     fallback_counter = 0
@@ -241,15 +241,6 @@ def read_envelope(data: bytes) -> dict:
                     out["lower" if t == "lowerCorner" else "upper"] = vals
             break
     return out
-
-
-_SEM_TO_CONTAINER = {
-    "GroundSurface": "boundedBy", "WallSurface": "boundedBy",
-    "RoofSurface": "boundedBy", "ClosureSurface": "boundedBy",
-    "CeilingSurface": "boundedBy", "InteriorWallSurface": "boundedBy",
-    "FloorSurface": "boundedBy", "OuterCeilingSurface": "boundedBy",
-    "OuterFloorSurface": "boundedBy", "Door": "opening", "Window": "opening",
-}
 
 
 def surfaces_to_gml(surfaces: pa.Table) -> bytes:

@@ -46,7 +46,16 @@ with every shard killed and the spill dir removed on failure). A new
 operator is a ``_Shard`` subclass (``_WatermarkShard`` for event-time
 ones) that supplies only ``_apply``/``_finish``/``stats``, plus a public
 function that calls ``run_sharded`` with its columns, ``prep`` and key —
-never another hand-rolled routing loop.
+never another hand-rolled routing loop. A shard has no other entry point
+than ``ingest_range``/``stats``/``drain``, and emits frames through
+``_emit``.
+
+One kernel per event-time operator: ``window_partials`` (tumbling
+window), ``session_runs`` (session gap runs) and ``interval_counts``
+(clicks up to each purchase) are what the shard runs on its slices and
+what the batch registry query (``q_window_hourly``, ``q_sessionize``,
+``q_interval_join``) runs per batch or group, so each stream equals its
+batch twin by construction; ``ops.epoch_us`` is the one epoch conversion.
 """
 
 from __future__ import annotations
@@ -60,10 +69,16 @@ import pandas as pd
 
 import ray
 
+from .ops import epoch_us, sum_by
+
 # the dense arrival-sequence column every routed source carries
 SEQ_COL = "event_id"
 # emitted rows a shard buffers before writing a spill part (spill mode)
 SPILL_ROWS = 65536
+
+
+def _int_frame(*columns: str) -> pd.DataFrame:
+    return pd.DataFrame({c: np.empty(0, np.int64) for c in columns})
 
 
 class _Shard:
@@ -152,6 +167,26 @@ class _Shard:
         return {"rows": rows, "paths": self._paths, "stats": self.stats()}
 
 
+WINDOW_KEYS = ["event_type", "window_start"]
+
+
+def window_partials(df: pd.DataFrame, width_us: int) -> pd.DataFrame:
+    """The tumbling-window kernel: rows of (event_type, e, value), ``e`` in
+    epoch µs → one (event_type, window_start µs, n, sum_value) row per
+    window the rows touch. ``q_window_hourly``'s per-batch partial and the
+    window shard's per-slice partial are this call."""
+    return sum_by(WINDOW_KEYS)(
+        pd.DataFrame(
+            {
+                "event_type": df.event_type,
+                "window_start": (df.e.to_numpy() // width_us) * width_us,
+                "n": 1,
+                "sum_value": df.value,
+            }
+        )
+    )
+
+
 @ray.remote(num_cpus=0)
 class WindowedStreamAggregator(_Shard):
     """Shard actor holding open tumbling-window aggregates keyed by
@@ -164,60 +199,38 @@ class WindowedStreamAggregator(_Shard):
         super().__init__(**shard)
         self.width = int(width_us)
         self.lateness = int(allowed_lateness_us)
-        self.open: dict[tuple, list] = {}  # (etype, wstart) → [n, sum_value]
+        # open windows, one row each: the partial of no rows to start with
+        self.open = window_partials(_int_frame("e").assign(event_type="", value=0.0), self.width)
         self.watermark = np.iinfo(np.int64).min
         self.finalized_max = np.iinfo(np.int64).min  # highest finalized window end
         self.late_dropped = 0
         self.n_processed = 0
 
-    # window output is key-bounded (never spills): emitted rows stay the
-    # dicts of the direct API below
-    def _apply(self, df) -> None:
-        self._emitted.extend(self.ingest(df))
+    def _apply(self, df: pd.DataFrame) -> None:
+        """One arrival-order slice of (event_type, e, value): fold its
+        partial into the open windows, then emit what the watermark made
+        final."""
+        e = df.e.to_numpy()
+        self.n_processed += len(e)
+        part = window_partials(df, self.width)
+        # events for windows finalized BEFORE this slice are late drops
+        late = part.window_start.to_numpy() < self.finalized_max
+        self.late_dropped += int(part.n[late].sum())
+        # state row first: each window's sum adds its slices in arrival order
+        self.open = sum_by(WINDOW_KEYS)(pd.concat([self.open, part[~late]], ignore_index=True))
+        self.watermark = max(self.watermark, int(e.max()) - self.lateness)
+        self._emit_final()
+
+    def _emit_final(self) -> None:
+        final = (self.open.window_start + self.width <= self.watermark).to_numpy()
+        if final.any():
+            self._emit(self.open[final])
+            self.finalized_max = max(self.finalized_max, int(self.open.window_start[final].max()) + self.width)
+            self.open = self.open[~final]
 
     def _finish(self) -> None:
-        self._emitted.extend(self.flush())
-
-    def _rows(self) -> list[dict]:
-        return self._emitted
-
-    def ingest(self, df: pd.DataFrame) -> list[dict]:
-        """One arrival-order micro-batch (event_type, ts_us, value) →
-        list of finalized window rows emitted by this batch's watermark
-        advance. (Direct API — the routed path goes through
-        ``ingest_range`` and accumulates emissions for ``drain``.)"""
-        ts = df["ts_us"].to_numpy()
-        self.n_processed += len(ts)
-        wstart = (ts // self.width) * self.width
-        # events for windows finalized BEFORE this batch are late drops
-        late = wstart < self.finalized_max
-        self.late_dropped += int(late.sum())
-        live = df[~late].assign(wstart=wstart[~late])
-        g = live.groupby(["event_type", "wstart"], sort=False).agg(
-            n=("value", "size"), sum_value=("value", "sum")
-        )
-        for (etype, w), row in g.iterrows():
-            acc = self.open.setdefault((etype, int(w)), [0, 0.0])
-            acc[0] += int(row.n)
-            acc[1] += float(row.sum_value)
-        if len(ts):
-            self.watermark = max(self.watermark, int(ts.max()) - self.lateness)
-        return self._emit_ready()
-
-    def _emit_ready(self) -> list[dict]:
-        out = []
-        for (etype, w) in sorted(k for k in self.open if k[1] + self.width <= self.watermark):
-            n, s = self.open.pop((etype, w))
-            out.append(
-                dict(event_type=etype, window_start=w, n=n, sum_value=s)
-            )
-            self.finalized_max = max(self.finalized_max, w + self.width)
-        return out
-
-    def flush(self) -> list[dict]:
-        """End of stream: finalize every remaining open window."""
         self.watermark = np.iinfo(np.int64).max
-        return self._emit_ready()
+        self._emit_final()
 
     def stats(self) -> dict:
         return {
@@ -255,12 +268,10 @@ class StreamingDeduper(_Shard):
             event_type=np.asarray(self.etype_names, dtype=object)[codes]
         )
 
-    def _apply(self, df) -> None:
-        self._emit(self.ingest(df))
-
-    def ingest(self, df: pd.DataFrame) -> pd.DataFrame:
-        """One arrival-order micro-batch slice (this shard's keys only) →
-        the rows whose key is seen for the FIRST time, in arrival order.
+    def _apply(self, df: pd.DataFrame) -> None:
+        """One arrival-order micro-batch slice (this shard's keys only):
+        emits the rows whose key is seen for the FIRST time, in arrival
+        order.
 
         Seen-key state is a big SORTED array plus a small recent tier
         (merged in when it passes 64k): membership is two searchsorted
@@ -281,7 +292,7 @@ class StreamingDeduper(_Shard):
                 )
                 self._recent = self._recent[:0]
         self.n_dropped += int(len(df) - len(out))
-        return out
+        self._emit(out)
 
     def _member(self, arr: np.ndarray) -> np.ndarray:
         mask = np.zeros(len(arr), dtype=bool)
@@ -402,14 +413,6 @@ def run_sharded(
     return paths, stats
 
 
-def _int_frame(*columns: str) -> pd.DataFrame:
-    return pd.DataFrame({c: np.empty(0, np.int64) for c in columns})
-
-
-def _epoch_us(ts: pd.Series) -> np.ndarray:
-    return ts.values.astype("datetime64[us]").astype(np.int64)
-
-
 def _collected(parts: list[pd.DataFrame], columns: list[str], order: list[str]) -> pd.DataFrame:
     """Collect-mode output: the shards' rows as one frame in ``columns``
     order, sorted by ``order``."""
@@ -433,7 +436,7 @@ def stream_window(
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
-            {"event_type": df.event_type, "ts_us": _epoch_us(df.ts), "value": df.value}
+            {"event_type": df.event_type, "e": epoch_us(df.ts), "value": df.value}
         )
 
     parts, stats = run_sharded(
@@ -445,29 +448,14 @@ def stream_window(
         n_shards=n_shards,
         batch_size=batch_size,
     )
-    emitted = [r for rows in parts for r in rows]
-    df = pd.DataFrame(emitted, columns=["event_type", "window_start", "n", "sum_value"])
-    if len(df):
-        df["window_start"] = (df.window_start // 1_000_000).astype(np.int64)  # epoch s
-        df["n"] = df.n.astype(np.int64)
-        df["sum_value"] = df.sum_value.round(4)
-    return df.sort_values(["event_type", "window_start"]).reset_index(drop=True), stats
+    df = _collected(parts, WINDOW_KEYS + ["n", "sum_value"], WINDOW_KEYS)
+    df["window_start"] = (df.window_start // 1_000_000).astype(np.int64)  # epoch s
+    df["n"] = df.n.astype(np.int64)
+    df["sum_value"] = df.sum_value.round(4)
+    return df, stats
 
 
-def stream_window_hourly(
-    sf_dir: str,
-    width_us: int = 3_600_000_000,
-    allowed_lateness_us: int = 86_400_000_000,
-    batch_size: int = 8192,
-    n_shards: int = 4,
-) -> tuple[pd.DataFrame, dict]:
-    """`stream_window` over the driver events table of ``sf_dir``."""
-    from .relational import _t
-
-    return stream_window(_t(sf_dir, "events"), width_us, allowed_lateness_us, batch_size, n_shards)
-
-
-from .relational import query  # noqa: E402
+from .relational import _t, query  # noqa: E402
 
 
 @query(
@@ -486,17 +474,7 @@ def q_stream_window_hourly(sf_dir: str) -> pd.DataFrame:
     to exactly the batch tumbling-window answer when allowed_lateness
     covers the stream's disorder — the DuckDB twin is the batch window
     SQL."""
-    return stream_window_hourly(sf_dir)[0]
-
-
-def stream_dedup_first(
-    sf_dir: str, n_shards: int = 4, batch_size: int = 8192, collect: bool = True
-):
-    """Streaming exact dedup of the driver events table on
-    (user_id, event_type) — see ``stream_dedup_path``."""
-    from .relational import _t
-
-    return stream_dedup_path(_t(sf_dir, "events"), n_shards, batch_size, collect)
+    return stream_window(_t(sf_dir, "events"))[0]
 
 
 def stream_dedup_path(
@@ -576,7 +554,7 @@ def q_stream_dedup(sf_dir: str) -> pd.DataFrame:
     order, which for the events table is event_id order — so the SQL twin
     anchors ROW_NUMBER on event_id (deterministic under any DuckDB scan
     parallelism)."""
-    return stream_dedup_first(sf_dir)[0]
+    return stream_dedup_path(_t(sf_dir, "events"))[0]
 
 
 class _WatermarkShard(_Shard):
@@ -614,6 +592,35 @@ class _WatermarkShard(_Shard):
         self._finalize_ready()
 
 
+SESSION_COLUMNS = ["user_id", "session_id", "n_events", "session_start", "session_end"]
+
+
+def session_runs(df: pd.DataFrame, gap_us: int) -> tuple[pd.DataFrame, np.ndarray, pd.DataFrame]:
+    """The session kernel: rows of (user_id, event_id, e), ``e`` in epoch
+    µs, sorted by (user_id, e, event_id); a new run starts at each user
+    change and at each gap over ``gap_us``. Returns the sorted rows, each
+    row's 0-based run id, and one (user_id, n_events, session_start,
+    session_end) row per run in run order. ``q_sessionize``'s group merge
+    and the session shard's finalize pass are this call."""
+    g = df.sort_values(["user_id", "e", "event_id"], kind="stable").reset_index(drop=True)
+    u = g.user_id.to_numpy()
+    e = g.e.to_numpy()
+    new_s = np.ones(len(g), dtype=bool)
+    new_s[1:] = (u[1:] != u[:-1]) | (np.diff(e) > gap_us)
+    starts = np.flatnonzero(new_s)
+    # sliced to len(starts) so that no rows give no runs
+    ends = np.append(starts[1:], len(g))[: len(starts)]
+    runs = pd.DataFrame(
+        {
+            "user_id": u[starts],
+            "n_events": (ends - starts).astype(np.int64),
+            "session_start": e[starts],
+            "session_end": e[ends - 1],
+        }
+    )
+    return g, np.cumsum(new_s) - 1, runs
+
+
 @ray.remote(num_cpus=0)
 class StreamingSessionizer(_WatermarkShard):
     """Shard actor for streaming SESSION windows (30-min inactivity gap):
@@ -641,50 +648,20 @@ class StreamingSessionizer(_WatermarkShard):
         self._pending_df = pd.concat([self._pending_df, live], ignore_index=True)
 
     def _finalize_ready(self) -> None:
-        g = self._pending_df
-        if not len(g):
-            return
-        g = g.sort_values(["user_id", "e", "event_id"], kind="stable").reset_index(drop=True)
-        u = g.user_id.to_numpy()
-        e = g.e.to_numpy()
-        new_user = np.concatenate([[True], u[1:] != u[:-1]])
-        new_s = new_user | np.concatenate([[True], np.diff(e) > self.gap])
-        run_id = np.cumsum(new_s) - 1  # 0-based maximal-run index
+        g, run_id, runs = session_runs(self._pending_df, self.gap)
         # a run is final iff no in-lateness event can still extend it:
-        # watermark > run_end + gap (run_end = max e of the run)
-        run_end = np.zeros(run_id[-1] + 1, dtype=np.int64)
-        np.maximum.at(run_end, run_id, e)
-        final_run = run_end + self.gap < self.watermark
-        fin_mask = final_run[run_id]
-        fin = g[fin_mask]
-        self._pending_df = g[~fin_mask]
-        if not len(fin):
-            return
-        rid = run_id[fin_mask]
-        starts = np.flatnonzero(np.concatenate([[True], rid[1:] != rid[:-1]]))
-        fu = fin.user_id.to_numpy()[starts]
-        fe = fin.e.to_numpy()
-        counts = np.diff(np.concatenate([starts, [len(fin)]]))
-        ends = fe[np.concatenate([starts[1:] - 1, [len(fin) - 1]])]
+        # watermark > session_end + gap
+        final = runs.session_end.to_numpy() + self.gap < self.watermark
+        self._pending_df = g[~final[run_id]]
+        fin = runs[final]
         # per-user session numbering continues across finalizations; runs
         # of one user finalize in time order by construction (a later run
         # can only finalize at a later-or-equal watermark)
-        sid = np.empty(len(starts), dtype=np.int64)
-        for j, user in enumerate(fu):
-            nxt = self._sess_count.get(user, 0) + 1
-            self._sess_count[user] = nxt
-            sid[j] = nxt
-        self._emit(
-            pd.DataFrame(
-                {
-                    "user_id": fu,
-                    "session_id": sid,
-                    "n_events": counts.astype(np.int64),
-                    "session_start": fe[starts].astype(np.int64),
-                    "session_end": ends.astype(np.int64),
-                }
-            )
-        )
+        sid = np.empty(len(fin), dtype=np.int64)
+        for j, user in enumerate(fin.user_id.to_numpy()):
+            sid[j] = self._sess_count[user] = self._sess_count.get(user, 0) + 1
+        fin.insert(1, "session_id", sid)
+        self._emit(fin)
 
     def stats(self) -> dict:
         return {
@@ -711,7 +688,7 @@ def stream_sessionize_path(
     output is corpus-scale."""
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"user_id": df.user_id, "event_id": df.event_id, "e": _epoch_us(df.ts)})
+        return pd.DataFrame({"user_id": df.user_id, "event_id": df.event_id, "e": epoch_us(df.ts)})
 
     parts, stats = run_sharded(
         events_path,
@@ -725,27 +702,8 @@ def stream_sessionize_path(
     )
     if not collect:
         return parts, stats
-    df = _collected(
-        parts,
-        ["user_id", "session_id", "n_events", "session_start", "session_end"],
-        ["user_id", "session_id"],
-    )
+    df = _collected(parts, SESSION_COLUMNS, ["user_id", "session_id"])
     return df.astype({c: np.int64 for c in df.columns[1:]}), stats
-
-
-def stream_sessionize(
-    sf_dir: str,
-    gap_us: int = 1_800_000_000,
-    allowed_lateness_us: int = 86_400_000_000,
-    batch_size: int = 8192,
-    n_shards: int = 4,
-) -> tuple[pd.DataFrame, dict]:
-    """`stream_sessionize_path` over the driver events table of ``sf_dir``."""
-    from .relational import _t
-
-    return stream_sessionize_path(
-        _t(sf_dir, "events"), gap_us, allowed_lateness_us, batch_size, n_shards
-    )
 
 
 @query(
@@ -768,7 +726,28 @@ def q_stream_sessionize(sf_dir: str) -> pd.DataFrame:
     sessions, exactly-once emission) must finalize to exactly the batch
     sessionization when allowed_lateness covers the stream's disorder —
     the DuckDB twin is q_sessionize's batch SQL."""
-    return stream_sessionize(sf_dir)[0]
+    return stream_sessionize_path(_t(sf_dir, "events"))[0]
+
+
+def interval_counts(clicks: pd.DataFrame, purchases: pd.DataFrame, window_us: int) -> pd.DataFrame:
+    """The interval-count kernel: for each purchase (user_id, event_id,
+    e), the clicks (user_id, e) of its user with e in [e - window_us, e],
+    as (purchase_id, n_recent_clicks) in purchase-time order. Two backward
+    ``merge_asof`` lookups against the per-user click cumcount give
+    cum(<= e) - cum(<= e - window_us - 1): O((C + P) log), no pair
+    expansion. ``q_interval_join``'s group merge and the interval shard's
+    finalize pass are this call."""
+    ck = clicks[["user_id", "e"]].sort_values(["e", "user_id"], kind="stable")
+    ck = ck.assign(cum=ck.groupby("user_id", sort=False).cumcount().to_numpy() + 1)
+    hi = purchases[["user_id", "event_id", "e"]].sort_values("e", kind="stable")
+    # the shifted purchases stay sorted by e, so both lookups align by row
+    c_hi, c_lo = (
+        pd.merge_asof(p, ck, on="e", by="user_id", direction="backward").cum.fillna(0).to_numpy()
+        for p in (hi, hi.assign(e=hi.e - window_us - 1))
+    )
+    return pd.DataFrame(
+        {"purchase_id": hi.event_id.to_numpy(np.int64), "n_recent_clicks": (c_hi - c_lo).astype(np.int64)}
+    )
 
 
 @ray.remote(num_cpus=0)
@@ -786,10 +765,8 @@ class StreamingIntervalJoiner(_WatermarkShard):
       that could still count them has finalized or will look later;
     - events below the watermark at arrival drop and count (both streams).
 
-    Counting inside a finalize pass is the same double backward
-    ``merge_asof`` against the per-user click cumcount as the batch
-    operator (O((C+P) log), no pair expansion), run once per watermark
-    quantum. With lateness >= the stream's disorder nothing drops and the
+    Counting inside a finalize pass is ``interval_counts``, the batch
+    operator's kernel, run once per watermark quantum. With lateness >= the stream's disorder nothing drops and the
     emitted rows EQUAL the batch interval join — q_interval_join's SQL
     twin checks the streaming path for free."""
 
@@ -811,28 +788,8 @@ class StreamingIntervalJoiner(_WatermarkShard):
         fin_mask = pur.e.to_numpy() < self.watermark
         self._purchases = pur[~fin_mask]
         if fin_mask.any():
-            self._emit(self._count_window(pur[fin_mask]))
-        self._prune_clicks()
-
-    def _count_window(self, pur: pd.DataFrame) -> pd.DataFrame:
-        ck = self._clicks.sort_values(["e", "user_id"], kind="stable")
-        ck = ck.assign(cum=ck.groupby("user_id", sort=False).cumcount().to_numpy() + 1)
-        hi = pur.sort_values("e", kind="stable")
-        a1 = pd.merge_asof(hi, ck, on="e", by="user_id", direction="backward")
-        lo = hi.assign(e=hi.e - self.window - 1)
-        a2 = pd.merge_asof(
-            lo.sort_values("e", kind="stable"), ck, on="e", by="user_id", direction="backward"
-        )
-        c_hi = a1.set_index("event_id").cum.fillna(0)
-        c_lo = a2.set_index("event_id").cum.fillna(0)
-        n = (c_hi - c_lo.reindex(c_hi.index).fillna(0)).astype(np.int64)
-        return pd.DataFrame(
-            {"purchase_id": n.index.to_numpy(np.int64), "n_recent_clicks": n.to_numpy()}
-        )
-
-    def _prune_clicks(self) -> None:
-        keep = self._clicks.e.to_numpy() >= self.watermark - self.window
-        self._clicks = self._clicks[keep]
+            self._emit(interval_counts(self._clicks, pur[fin_mask], self.window))
+        self._clicks = self._clicks[self._clicks.e.to_numpy() >= self.watermark - self.window]
 
     def stats(self) -> dict:
         return {
@@ -840,22 +797,6 @@ class StreamingIntervalJoiner(_WatermarkShard):
             "n_processed": self.n_processed,
             "clicks_buffered": len(self._clicks),
         }
-
-
-def stream_interval_join(
-    sf_dir: str,
-    window_us: int = 1_800_000_000,
-    allowed_lateness_us: int = 86_400_000_000,
-    batch_size: int = 8192,
-    n_shards: int = 4,
-) -> tuple[pd.DataFrame, dict]:
-    """Sharded streaming interval join over the driver events table — see
-    ``stream_interval_join_path``."""
-    from .relational import _t
-
-    return stream_interval_join_path(
-        _t(sf_dir, "events"), window_us, allowed_lateness_us, batch_size, n_shards
-    )
 
 
 def stream_interval_join_path(
@@ -879,7 +820,7 @@ def stream_interval_join_path(
                 "user_id": df.user_id,
                 "event_id": df.event_id,
                 "event_type": df.event_type,
-                "e": _epoch_us(df.ts),
+                "e": epoch_us(df.ts),
             }
         )
 
@@ -918,7 +859,7 @@ def q_stream_interval_join(sf_dir: str) -> pd.DataFrame:
     emission) must equal the batch interval join when allowed_lateness
     covers the stream's disorder — the DuckDB twin is q_interval_join's
     batch SQL."""
-    return stream_interval_join(sf_dir)[0]
+    return stream_interval_join_path(_t(sf_dir, "events"))[0]
 
 
 def synth_events(

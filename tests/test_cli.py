@@ -108,6 +108,41 @@ class TestCLI:
             _run(["-i", str(gml_dir), "-o", str(out), "-tCw", "1"])
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["-t", "-tC", "-tCw"])
+    def test_translate_modes_parse_each_document_once(self, ray_session, tmp_path, monkeypatch, flag):
+        """-t, -tC and -tCw read one parse: a counting map over the surfaces
+        Dataset sees every row of every document once, though the
+        translation and the conversion both read the surfaces."""
+        from collections import Counter
+
+        import pyarrow as pa
+
+        from citygml2objv2_ray import synth
+        from citygml2objv2_ray.sources import citygml
+
+        src = tmp_path / "in"
+        src.mkdir()
+        for seed in (1, 2):
+            surfaces, _ = synth.make_city(3, seed=seed, corruption=0.0)
+            (src / f"city{seed}.gml").write_bytes(citygml.surfaces_to_gml(surfaces))
+        log = tmp_path / "parsed.log"
+        read = citygml.read_citygml
+
+        def counting_read(paths):
+            def count(b: pa.Table) -> pa.Table:
+                with open(log, "a") as f:
+                    f.write("".join(f"{d}\n" for d in b["doc_id"].to_pylist()))
+                return b
+
+            return read(paths).map_batches(count, batch_format="pyarrow")
+
+        monkeypatch.setattr(citygml, "read_citygml", counting_read)
+        _run(["-i", str(src), "-o", str(tmp_path / "out"), flag, "1"])
+        rows = Counter(read(sorted(map(str, src.iterdir()))).to_pandas().doc_id)
+        seen = Counter(log.read_text().split())
+        assert len(rows) == 2
+        assert {d: seen[d] / n for d, n in rows.items()} == {d: 1.0 for d in rows}
+
     def test_separate_components(self, gml_dir, tmp_path):
         import pandas as pd
 

@@ -104,6 +104,60 @@ class TestPublish:
         assert sorted(os.listdir(tmp_path)) == ["ix", "ix.centers.npy"]
 
 
+class FailPartway:
+    """A file whose write stores half of its data, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+@pytest.mark.parametrize("writer", ["mtl", "colorbar", "query_result"])
+def test_failed_write_publishes_nothing(ray_session, sf_dir, tmp_path, monkeypatch, writer):
+    """A write-once output whose write fails partway leaves no file under
+    its final name and no temp file (a truncated ``colormap.mtl``,
+    ``colorbar.png`` or ``<query>.parquet`` would look complete)."""
+    import builtins
+    import functools
+
+    from citygml2objv2_ray import job
+    from citygml2objv2_ray.sinks import colorbar, obj
+
+    out = tmp_path / "out"
+    out.mkdir()
+    if writer == "query_result":
+
+        def to_parquet(df, path, *a, **k):
+            with builtins.open(path, "wb") as f:
+                FailPartway(f).write(b"PAR1" * 64)
+
+        monkeypatch.setattr(pd.DataFrame, "to_parquet", to_parquet)
+        monkeypatch.setenv("PYTHONPATH", os.environ.get("PYTHONPATH", ""))
+        argv = ["--pipeline", "q_distinct_event_types", "--sf-dir", sf_dir]
+        write = functools.partial(job.run_job, job.build_parser().parse_args([*argv, "--out", str(out)]))
+    else:
+        module, fn, name = {
+            "mtl": (obj, obj.write_mtl, "colormap.mtl"),
+            "colorbar": (colorbar, colorbar.write_colorbar, "colorbar.png"),
+        }[writer]
+        monkeypatch.setattr(
+            module, "open", lambda *a, **k: FailPartway(builtins.open(*a, **k)), raising=False
+        )
+        write = functools.partial(fn, str(out / name))
+    with pytest.raises(OSError, match="disk full"):
+        write()
+    assert list(out.iterdir()) == []
+
+
 def _renames(tree: ast.AST):
     """(enclosing function, line) of every ``os.rename`` / ``os.replace``
     call, ``import os as x`` and ``from os import rename`` included."""

@@ -4,11 +4,16 @@ tests/test_oracle.py and the driver gate)."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pytest
 
+PACKAGE = Path(__file__).resolve().parents[1] / "citygml2objv2_ray"
 SF = "/root/testdata/sf0.001"
+EVENTS = f"{SF}/events.parquet"
 
 
 def _alive(class_name: str) -> set:
@@ -44,9 +49,9 @@ class TestStreamWindow:
     def test_equals_batch_window(self, ray_session):
         from citygml2objv2_ray.relational import REGISTRY
         from citygml2objv2_ray import streaming  # noqa: F401
-        from citygml2objv2_ray.streaming import stream_window_hourly
+        from citygml2objv2_ray.streaming import stream_window
 
-        got, stats = stream_window_hourly(SF)
+        got, stats = stream_window(EVENTS)
         want = REGISTRY["q_window_hourly"](SF)
         assert stats["late_dropped"] == 0
         assert stats["open_windows"] == 0
@@ -62,15 +67,15 @@ class TestStreamWindow:
         from citygml2objv2_ray.streaming import WindowedStreamAggregator
 
         W = 100
-        agg = WindowedStreamAggregator.remote(W, allowed_lateness_us=0)
-        b1 = pd.DataFrame({"event_type": ["a", "a"], "ts_us": [10, 150], "value": [1.0, 2.0]})
-        out1 = ray.get(agg.ingest.remote(b1))  # watermark 150 → window [0,100) final
-        assert [(r["window_start"], r["n"]) for r in out1] == [(0, 1)]
-        b2 = pd.DataFrame({"event_type": ["a"], "ts_us": [320], "value": [3.0]})
-        out2 = ray.get(agg.ingest.remote(b2))  # watermark 320 → [100,200) and [200,300) (empty) → only open ones emit
-        assert [(r["window_start"], r["n"]) for r in out2] == [(100, 1)]
-        rest = ray.get(agg.flush.remote())
-        assert [(r["window_start"], r["n"]) for r in rest] == [(300, 1)]
+        agg = WindowedStreamAggregator.remote(W, allowed_lateness_us=0, start_seq=0)
+        b1 = pd.DataFrame({"event_type": ["a", "a"], "e": [10, 150], "value": [1.0, 2.0]})
+        ray.get(agg.ingest_range.remote(0, 1, b1))  # watermark 150 → window [0,100) final
+        assert ray.get(agg.stats.remote())["open_windows"] == 1  # only [100,200) open
+        b2 = pd.DataFrame({"event_type": ["a"], "e": [320], "value": [3.0]})
+        ray.get(agg.ingest_range.remote(2, 2, b2))  # watermark 320 → [100,200) and [200,300) (empty) → only open ones emit
+        assert ray.get(agg.stats.remote())["open_windows"] == 1  # only [300,400) open
+        rows = ray.get(agg.drain.remote())["rows"]
+        assert list(zip(rows.window_start, rows.n)) == [(0, 1), (100, 1), (300, 1)]
         ray.kill(agg)
 
     def test_late_event_dropped_not_mutating(self, ray_session):
@@ -81,31 +86,32 @@ class TestStreamWindow:
         from citygml2objv2_ray.streaming import WindowedStreamAggregator
 
         W = 100
-        agg = WindowedStreamAggregator.remote(W, allowed_lateness_us=0)
-        out = ray.get(
-            agg.ingest.remote(
-                pd.DataFrame({"event_type": ["a"], "ts_us": [250], "value": [1.0]})
+        agg = WindowedStreamAggregator.remote(W, allowed_lateness_us=0, start_seq=0)
+        ray.get(
+            agg.ingest_range.remote(
+                0, 0, pd.DataFrame({"event_type": ["a"], "e": [250], "value": [1.0]})
             )
         )
-        assert out == []  # [200,300) still open
-        out = ray.get(
-            agg.ingest.remote(
-                pd.DataFrame({"event_type": ["a"], "ts_us": [400], "value": [1.0]})
+        assert ray.get(agg.stats.remote())["open_windows"] == 1  # [200,300) still open
+        ray.get(
+            agg.ingest_range.remote(
+                1, 1, pd.DataFrame({"event_type": ["a"], "e": [400], "value": [1.0]})
             )
         )  # watermark 400 finalizes [200,300)
-        assert [(r["window_start"], r["n"]) for r in out] == [(200, 1)]
+        assert ray.get(agg.stats.remote())["open_windows"] == 1  # only [400,500) open
         # a straggler for the finalized window
-        out = ray.get(
-            agg.ingest.remote(
-                pd.DataFrame({"event_type": ["a"], "ts_us": [210], "value": [9.0]})
+        ray.get(
+            agg.ingest_range.remote(
+                2, 2, pd.DataFrame({"event_type": ["a"], "e": [210], "value": [9.0]})
             )
         )
-        assert out == []
         stats = ray.get(agg.stats.remote())
         assert stats["late_dropped"] == 1
-        rest = ray.get(agg.flush.remote())
-        # only the [400,500) window remains; the finalized [200,300) is untouched
-        assert [(r["window_start"], r["n"]) for r in rest] == [(400, 1)]
+        assert stats["open_windows"] == 1  # the straggler opened nothing
+        rows = ray.get(agg.drain.remote())["rows"]
+        # [200,300) was emitted once with its one event; then only the
+        # [400,500) window remains — the finalized [200,300) is untouched
+        assert list(zip(rows.window_start, rows.n, rows.sum_value)) == [(200, 1, 1.0), (400, 1, 1.0)]
         ray.kill(agg)
 
 
@@ -117,22 +123,25 @@ class TestStreamingDedup:
 
         from citygml2objv2_ray.streaming import StreamingDeduper
 
-        d = StreamingDeduper.remote()
+        d = StreamingDeduper.remote(start_seq=0)
         b1 = pd.DataFrame({"key": ["a", "b", "a"], "v": [1, 2, 3]})
-        out1 = _ray.get(d.ingest.remote(b1))
-        assert out1.key.tolist() == ["a", "b"] and out1.v.tolist() == [1, 2]
+        _ray.get(d.ingest_range.remote(0, 2, b1))
+        assert _ray.get(d.stats.remote()) == {"n_seen": 2, "n_dropped": 1}
         b2 = pd.DataFrame({"key": ["b", "c"], "v": [4, 5]})
-        out2 = _ray.get(d.ingest.remote(b2))
-        assert out2.key.tolist() == ["c"] and out2.v.tolist() == [5]
+        _ray.get(d.ingest_range.remote(3, 4, b2))
         stats = _ray.get(d.stats.remote())
         assert stats == {"n_seen": 3, "n_dropped": 2}
+        # emitted in slice order: "a", "b" from the first slice, "c" from
+        # the second, each with the value of its first arrival
+        out = _ray.get(d.drain.remote())["rows"]
+        assert out.key.tolist() == ["a", "b", "c"] and out.v.tolist() == [1, 2, 5]
         _ray.kill(d)
 
     def test_stream_equals_batch_dedup(self, ray_session):
         """Sharded pool union == single-pass keep-first over arrival order."""
-        from citygml2objv2_ray.streaming import stream_dedup_first
+        from citygml2objv2_ray.streaming import stream_dedup_path
 
-        df, stats = stream_dedup_first("/root/testdata/sf0.001", n_shards=3)
+        df, stats = stream_dedup_path(EVENTS, n_shards=3)
         import duckdb
 
         want = duckdb.sql(
@@ -158,14 +167,14 @@ class TestOrderedRouting:
         W = 100
         agg = WindowedStreamAggregator.remote(W, allowed_lateness_us=0, start_seq=0)
         # stream: seq 0-1 has ts 10,150; seq 2 has ts 320 — delivered 2 first
-        b2 = pd.DataFrame({"event_type": ["a"], "ts_us": [320], "value": [3.0]})
-        b1 = pd.DataFrame({"event_type": ["a", "a"], "ts_us": [10, 150], "value": [1.0, 2.0]})
+        b2 = pd.DataFrame({"event_type": ["a"], "e": [320], "value": [3.0]})
+        b1 = pd.DataFrame({"event_type": ["a", "a"], "e": [10, 150], "value": [1.0, 2.0]})
         ray.get(agg.ingest_range.remote(2, 2, b2))  # buffered, NOT applied
         st = ray.get(agg.stats.remote())
         assert st["n_processed"] == 0  # nothing applied until seq 0 arrives
         ray.get(agg.ingest_range.remote(0, 1, b1))  # applies 0-1 then 2
         out = ray.get(agg.drain.remote())
-        got = [(r["window_start"], r["n"]) for r in out["rows"]]
+        got = list(zip(out["rows"].window_start, out["rows"].n))
         assert got == [(0, 1), (100, 1), (300, 1)]
         assert out["stats"]["late_dropped"] == 0
         ray.kill(agg)
@@ -191,9 +200,9 @@ class TestStreamSessionize:
     def test_equals_batch_sessionize(self, ray_session):
         from citygml2objv2_ray import relational_ext  # noqa: F401 - registers q_sessionize
         from citygml2objv2_ray.relational import REGISTRY
-        from citygml2objv2_ray.streaming import stream_sessionize
+        from citygml2objv2_ray.streaming import stream_sessionize_path
 
-        got, stats = stream_sessionize(SF, n_shards=3)
+        got, stats = stream_sessionize_path(EVENTS, n_shards=3)
         want = REGISTRY["q_sessionize"](SF)
         assert stats["late_dropped"] == 0
         pd.testing.assert_frame_equal(
@@ -225,6 +234,36 @@ class TestStreamSessionize:
         assert rows.session_end.tolist() == [50, 500]  # late 60 NOT merged
         assert out["stats"]["late_dropped"] == 1
         ray.kill(s)
+
+    def test_shard_without_rows_drains_empty(self, ray_session):
+        import ray
+
+        from citygml2objv2_ray.streaming import StreamingSessionizer
+
+        s = StreamingSessionizer.remote(100, allowed_lateness_us=0, start_seq=0)
+        out = ray.get(s.drain.remote())
+        assert out["rows"] is None
+        assert out["stats"] == {"late_dropped": 0, "n_processed": 0, "pending": 0}
+        ray.kill(s)
+
+    def test_one_user_stream_leaves_shards_empty(self, ray_session, tmp_path):
+        """One user hashes to one of four shards; the three shards that
+        get no rows must drain cleanly and the stream still equals the
+        batch sessionization."""
+        import pyarrow.parquet as pq
+
+        from citygml2objv2_ray import relational_ext  # noqa: F401 - registers q_sessionize
+        from citygml2objv2_ray.relational import REGISTRY
+        from citygml2objv2_ray.streaming import stream_sessionize_path
+
+        ev = pq.read_table(EVENTS).to_pandas()
+        one = ev[ev.user_id == ev.user_id.iloc[0]].reset_index(drop=True)
+        one["event_id"] = np.arange(len(one), dtype=np.int64)
+        one.to_parquet(tmp_path / "events.parquet", index=False)
+        got, stats = stream_sessionize_path(str(tmp_path / "events.parquet"), n_shards=4)
+        want = REGISTRY["q_sessionize"](str(tmp_path))
+        assert stats["n_processed"] == len(one) and len(want) > 0
+        pd.testing.assert_frame_equal(got.reset_index(drop=True), want.reset_index(drop=True))
 
 
 class TestRouteStreamInputShapes:
@@ -353,7 +392,7 @@ class TestShardedRunnerFailure:
         # handles) so the check sees the runner's own cleanup, not GC
         with pytest.raises(Exception, match="injected shard failure") as failed:
             run_sharded(
-                f"{SF}/events.parquet",
+                EVENTS,
                 ["event_id", "user_id"],
                 lambda **kw: FailingShard.remote(**kw),
                 None,
@@ -399,7 +438,7 @@ class TestShardedRunnerFailure:
         before = {"DyingShard": _alive("DyingShard")}
         with pytest.raises(Exception) as failed:
             run_sharded(
-                f"{SF}/events.parquet",
+                EVENTS,
                 ["event_id", "user_id"],
                 lambda **kw: DyingShard.remote(**kw),
                 None,
@@ -428,7 +467,7 @@ class TestSpillEqualsCollect:
         )
 
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        ev = f"{SF}/events.parquet"
+        ev = EVENTS
         for fn, order in (
             (stream_dedup_path, ["event_id"]),
             (stream_sessionize_path, ["user_id", "session_id"]),
@@ -452,9 +491,9 @@ class TestStreamIntervalJoin:
     def test_equals_batch_interval_join(self, ray_session):
         from citygml2objv2_ray import relational_ext  # noqa: F401 - registers q_interval_join
         from citygml2objv2_ray.relational import REGISTRY
-        from citygml2objv2_ray.streaming import stream_interval_join
+        from citygml2objv2_ray.streaming import stream_interval_join_path
 
-        got, stats = stream_interval_join(SF, n_shards=3)
+        got, stats = stream_interval_join_path(EVENTS, n_shards=3)
         want = REGISTRY["q_interval_join"](SF)
         assert stats["late_dropped"] == 0
         pd.testing.assert_frame_equal(
@@ -508,17 +547,17 @@ class TestShardCountInvariance:
         split across shards; per-shard watermarks only ever DELAY
         finalization, never change it when nothing drops)."""
         from citygml2objv2_ray.streaming import (
-            stream_dedup_first,
-            stream_interval_join,
-            stream_sessionize,
-            stream_window_hourly,
+            stream_dedup_path,
+            stream_interval_join_path,
+            stream_sessionize_path,
+            stream_window,
         )
 
-        for fn in (stream_window_hourly, stream_dedup_first, stream_sessionize,
-                   stream_interval_join):
+        for fn in (stream_window, stream_dedup_path, stream_sessionize_path,
+                   stream_interval_join_path):
             ref = None
             for ns in (1, 2, 5):
-                df, stats = fn(SF, n_shards=ns)
+                df, stats = fn(EVENTS, n_shards=ns)
                 assert stats.get("late_dropped", 0) == 0, fn.__name__
                 if ref is None:
                     ref = df
@@ -582,3 +621,36 @@ class TestShardCountInvarianceAtScale:
         pd.testing.assert_frame_equal(got, ref.reset_index(drop=True))
         if paths:
             shutil.rmtree(os.path.dirname(paths[0]), ignore_errors=True)
+
+
+def _epoch_conversions(tree: ast.AST):
+    """Lines that cast to microsecond datetimes, the first half of the
+    ``.astype("datetime64[us]").astype(np.int64)`` epoch conversion."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "astype"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and str(node.args[0].value).replace("M8", "datetime64") == "datetime64[us]"
+        ):
+            yield node.lineno
+
+
+def test_epoch_us_is_the_only_epoch_conversion():
+    found = [
+        f"{p.relative_to(PACKAGE)}:{line}"
+        for p in sorted(PACKAGE.rglob("*.py"))
+        for line in _epoch_conversions(ast.parse(p.read_text(), str(p)))
+    ]
+    assert len(found) == 1 and found[0].startswith("ops.py:"), found
+
+
+def test_epoch_lint_sees_each_pattern():
+    src = (
+        "a = df.ts.values.astype('datetime64[us]').astype(np.int64)\n"
+        "b = df.ts.astype('M8[us]')\n"
+        "c = df.ts.astype('datetime64[ns]')\n"
+    )
+    assert sorted(_epoch_conversions(ast.parse(src))) == [1, 2]
