@@ -5,15 +5,12 @@ path).
 - ``cosine_topk`` lives in :mod:`.dedup` (normalized matmul per batch
   against a broadcast query matrix) — the exact baseline, used by
   ``q_ann_topk`` with a DuckDB oracle.
-- ``IVFIndex``: seeded Lloyd k-means (pure numpy) → inverted lists per
-  centroid; queries probe the ``nprobe`` nearest centroids and run exact
-  cosine inside the probed lists only — the in-memory small-scale form.
-- Scale path (``ivf_build_partitioned`` / ``ivf_search_partitioned``):
-  centroids are trained on a bounded sample, every corpus row is assigned
-  to its centroid once inside ``map_batches``, and the corpus is written
-  hive-partitioned by ``list_id``; a search reads ONLY the probed
-  partitions (path-level ``partition_filter``), so I/O and compute scale
-  with nprobe/n_lists, not corpus size.
+- IVF (``ivf_build_partitioned`` / ``ivf_search_partitioned``): seeded
+  Lloyd k-means centroids are trained on a bounded sample, every corpus
+  row is assigned to its centroid once inside ``map_batches``, and the
+  corpus is written hive-partitioned by ``list_id``; a search reads ONLY
+  the probed partitions (path-level ``partition_filter``), so I/O and
+  compute scale with nprobe/n_lists, not corpus size.
 """
 
 from __future__ import annotations
@@ -48,43 +45,6 @@ def kmeans(
                 if n > 0:
                     centers[c] = m / n
     return centers, assign
-
-
-class IVFIndex:
-    """Inverted-file ANN index (broadcastable: plain numpy arrays)."""
-
-    def __init__(self, ids: np.ndarray, vecs: np.ndarray, n_lists: int = 16, seed: int = 13):
-        self.ids = np.asarray(ids)
-        self.vecs = normalize_rows(np.asarray(vecs, dtype=np.float64))
-        self.centers, assign = kmeans(self.vecs, n_lists, seed=seed)
-        self.lists = {
-            c: np.flatnonzero(assign == c) for c in range(len(self.centers))
-        }
-
-    def search(
-        self, queries: np.ndarray, k: int = 5, nprobe: int = 4, exclude_ids=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k by cosine among the ``nprobe`` nearest lists. Returns
-        (ids (Q,k) — object dtype padded with None, scores (Q,k))."""
-        Q = normalize_rows(np.asarray(queries, dtype=np.float64))
-        cent_sims = Q @ self.centers.T
-        probe = np.argsort(-cent_sims, axis=1)[:, :nprobe]
-        out_ids = np.full((len(Q), k), None, dtype=object)
-        out_sc = np.full((len(Q), k), -np.inf)
-        for qi in range(len(Q)):
-            cand = np.concatenate([self.lists[c] for c in probe[qi] if len(self.lists[c])])
-            if exclude_ids is not None:
-                cand = cand[self.ids[cand] != exclude_ids[qi]]
-            if not len(cand):
-                continue
-            sims = self.vecs[cand] @ Q[qi]
-            kk = min(k, len(cand))
-            top = np.argpartition(-sims, kk - 1)[:kk]
-            order = np.lexsort((self.ids[cand[top]], -sims[top]))
-            top = top[order]
-            out_ids[qi, :kk] = self.ids[cand[top]]
-            out_sc[qi, :kk] = sims[top]
-        return out_ids, out_sc
 
 
 def sample_train_centroids(

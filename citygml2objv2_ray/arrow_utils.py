@@ -25,33 +25,19 @@ def ring_column(col) -> tuple[np.ndarray, np.ndarray]:
     """``list<fixed_size_list<double,3>>`` column → (points (N,3), offsets).
 
     ``offsets`` has len rows+1; row i's ring is ``points[offsets[i]:offsets[i+1]]``.
-    Handles sliced arrays and nulls (null rows get empty ranges).
+    Handles sliced arrays and nulls (null rows get empty ranges); points of
+    any other type are refused, as ``map_points`` refuses them.
     """
     arr = _as_array(col)
-    if isinstance(arr, pa.ListArray):
-        raw_off = arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        base = raw_off[0]
-        offsets = raw_off - base
-        values = arr.values  # FixedSizeListArray or ListArray of doubles
-    else:
+    if not isinstance(arr, pa.ListArray):
         raise TypeError(f"expected ListArray, got {type(arr)}")
-    if isinstance(values, pa.FixedSizeListArray):
-        flat = values.flatten().to_numpy(zero_copy_only=False)
-        pts = flat.reshape(-1, 3)[base : base + offsets[-1]]
-    else:
-        # list<list<double>> (untyped inner): rows are variable-length [x,y,z]
-        inner = values
-        inner_flat = inner.flatten().to_numpy(zero_copy_only=False)
-        inner_off = inner.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        # require uniform xyz triplets
-        pts_all = np.empty((len(inner), 3), dtype=np.float64)
-        lens = np.diff(inner_off)
-        if not np.all(lens == 3):
-            raise ValueError("inner point lists must be [x,y,z]")
-        pts_all[:, 0] = inner_flat[inner_off[:-1]]
-        pts_all[:, 1] = inner_flat[inner_off[:-1] + 1]
-        pts_all[:, 2] = inner_flat[inner_off[:-1] + 2]
-        pts = pts_all[base : base + offsets[-1]]
+    if arr.type.value_type != POINT:
+        raise TypeError(f"points must be {POINT}, got {arr.type.value_type}")
+    raw_off = arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    base = raw_off[0]
+    offsets = raw_off - base
+    flat = arr.values.flatten().to_numpy(zero_copy_only=False)
+    pts = flat.reshape(-1, 3)[base : base + offsets[-1]]
     return np.ascontiguousarray(pts, dtype=np.float64), offsets
 
 

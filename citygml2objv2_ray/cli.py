@@ -22,8 +22,8 @@ consumes. Flag mapping (reference file:line → engine behaviour):
 - ``-tC/-tCw``         (:219,:223) dataset translation pre-pass: exact
   decimal-stable translation to a local CRS (int64 µm fixed point,
   ``exact.py`` — B21), holes included; every mode converts the translated
-  surfaces. ``-tCw`` also writes ``<name>_local_.gml`` next to the output
-  (E6) plus a translation-params record (E7).
+  surfaces. ``-tCw`` also writes one ``<input stem>_local_.gml`` per input
+  document next to the output (E6) plus a translation-params record (E7).
 - ``-sepC``            (:227) component separation: one OBJ per component
   + index/bbox sidecar parquet (``pipelines.components``).
 - ``-appW``            (:231) approximate opening hulls inside -sepC.
@@ -54,6 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> dict:
+    import contextlib
+
     import pyarrow as pa
 
     from .exact import translate_exact, translation_params
@@ -62,9 +64,20 @@ def run(args) -> dict:
     from .sources.citygml import read_citygml, surfaces_to_gml
     from .state.checkpoint import publish
 
+    paths = input_paths(args.directory)
+    # E6: each document's translation lands in <its stem>_local_.gml
+    # (CityGMLTranslation.py:309)
+    gml_of = {
+        p: os.path.join(args.results, os.path.splitext(os.path.basename(p))[0] + "_local_.gml")
+        for p in paths
+    }
+    if args.translateCityGMLwrite and len(set(gml_of.values())) < len(paths):
+        raise ValueError(
+            f"two inputs under {args.directory!r} share a file stem, and -tCw "
+            "writes one <stem>_local_.gml per input"
+        )
     os.makedirs(args.results, exist_ok=True)
     outputs: dict = {}
-    paths = input_paths(args.directory)
     surfaces = read_citygml(paths)
 
     if args.translateCityGML or args.translateCityGMLwrite:
@@ -80,15 +93,21 @@ def run(args) -> dict:
         surfaces = translate_exact(surfaces, delta)
         outputs["translation_params"] = delta.tolist()
         if args.translateCityGMLwrite:
+            # the GML and the conversion read one translation
+            surfaces = surfaces.materialize()
             tab = pa.concat_tables(surfaces.iter_batches(batch_format="pyarrow", batch_size=None))
-            gml_path = os.path.join(args.results, "model_local_.gml")
+            docs = tab["doc_id"].to_pandas()
+            rows_of = docs.groupby(docs, sort=False).indices
             params_path = os.path.join(args.results, "translation_params.txt")
-            with publish(gml_path) as gml_tmp, publish(params_path) as params_tmp:
-                with open(gml_tmp, "wb") as f:
-                    f.write(surfaces_to_gml(tab))
-                with open(params_tmp, "w") as f:
+            # every file lands, or none does
+            with contextlib.ExitStack() as published:
+                for doc, gml_path in gml_of.items():
+                    rows = pa.array(rows_of.get(doc, []), pa.int64())
+                    with open(published.enter_context(publish(gml_path)), "wb") as f:
+                        f.write(surfaces_to_gml(tab.take(rows)))
+                with open(published.enter_context(publish(params_path)), "w") as f:
                     f.write(" ".join(repr(float(x)) for x in delta) + "\n")
-            outputs["translated_gml"] = gml_path
+            outputs["translated_gml"] = list(gml_of.values())
 
     if args.separateComponents:
         comps = separate_components(

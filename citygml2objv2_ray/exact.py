@@ -17,12 +17,10 @@ surfaces table.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-import pyarrow as pa
 
 import ray.data as rd
 
-from .arrow_utils import map_points, ring_column
+from .arrow_utils import map_points
 
 SCALE = 10**6  # micrometre fixed point: exact for <= 6 decimals
 
@@ -54,38 +52,20 @@ def from_fixed(fixed: np.ndarray) -> np.ndarray:
 def translation_params(surfaces: rd.Dataset) -> np.ndarray:
     """Dataset translation parameters (D6): mean of per-building minimum
     vertices (the envelope lowerCorner analog), negated, truncated toward
-    zero to whole units (CityGMLTranslation.py:171-197). Raises
-    ``ValueError`` on surfaces without an exterior ring."""
+    zero to whole units (CityGMLTranslation.py:171-197). A building is
+    named by its document (``pipelines.geometry.dataset_extents`` with no
+    buffer), so documents that share building ids do not merge; buildings
+    with no exterior point stay out of the mean. Raises ``ValueError`` on
+    surfaces without an exterior ring."""
+    from .pipelines.geometry import dataset_extents
 
-    def batch_mins(batch: pa.Table) -> pd.DataFrame:
-        pts, off = ring_column(batch["exterior"])
-        code, bids = pd.factorize(batch["building_id"].to_pandas(), use_na_sentinel=False)
-        pcode = np.repeat(code, np.diff(off))
-        lo = np.full((len(bids), 3), np.inf)
-        np.minimum.at(lo, pcode, pts)
-        # a building whose rings of this batch are all empty has no minimum
-        keep = np.bincount(pcode, minlength=len(bids)) > 0
-        return pd.DataFrame(
-            {"building_id": bids[keep], "x": lo[keep, 0], "y": lo[keep, 1], "z": lo[keep, 2]}
-        )
-
-    from .ops import supergroup_agg
-
-    def lowest(df: pd.DataFrame) -> pd.DataFrame:
-        # a batch without rings, or no batch at all, names no columns
-        df = df.reindex(columns=["building_id", "x", "y", "z"])
-        return df.groupby("building_id", sort=False, as_index=False)[["x", "y", "z"]].min()
-
-    mins = supergroup_agg(
-        "translation_params", surfaces.map_batches(batch_mins, batch_format="pyarrow"),
-        ["building_id"], lowest, lowest,
-    )
-    if mins.empty:
+    lows = dataset_extents("translation_params", surfaces, 0.0)
+    if lows.empty:
         raise ValueError(
             "translation_params: the surfaces are empty (no exterior ring), "
             "and a mean over no buildings has no value"
         )
-    mean = mins[["x", "y"]].mean().to_numpy()
+    mean = lows[["xmin", "ymin"]].mean().to_numpy()
     return np.array([-int(mean[0]), -int(mean[1]), 0], dtype=np.int64)
 
 

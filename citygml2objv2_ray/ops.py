@@ -332,18 +332,28 @@ def shuffle_groups(site: str, sides: list[rd.Dataset], keys: list[str], fn, rows
 
 
 def broadcast_semi_anti_filter(
-    ds: rd.Dataset, col: str, keys, anti: bool = False
+    ds: rd.Dataset, col: str | list[str], keys, anti: bool = False
 ) -> rd.Dataset:
     """Semi/anti join against a small key set (SURVEY.md D4 — reference
     excludes opening polygons by identity scan, CityGML2OBJs.py:755-765):
-    ``keys`` (a set or array) becomes one Arrow value set, broadcast once."""
+    ``keys`` (a set or array) becomes one Arrow value set, broadcast once.
+    A list ``col`` names string columns that key together: ``keys`` is then
+    a table of them, and a row's key is its values joined by NUL, which no
+    XML id or file path holds."""
     import pyarrow.compute as pc
 
-    value_set = Broadcast("semi_anti_filter", pa.array(list(keys)))
+    def key(t: pa.Table):
+        if isinstance(col, str):
+            return t[col]
+        return pc.binary_join_element_wise(*(t[c] for c in col), "\x00")
+
+    values = key(keys).combine_chunks() if isinstance(keys, pa.Table) else pa.array(list(keys))
+    value_set = Broadcast("semi_anti_filter", values)
 
     def flt(batch: pa.Table) -> pa.Table:
+        k = key(batch)
         # an empty key set has Arrow type null, which is_in rejects
-        mask = pc.is_in(batch[col], value_set=value_set.get().cast(batch[col].type))
+        mask = pc.is_in(k, value_set=value_set.get().cast(k.type))
         if anti:
             mask = pc.invert(mask)
         return batch.filter(mask)

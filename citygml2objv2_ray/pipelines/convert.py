@@ -4,7 +4,8 @@
 becomes ``convert(in_dir, out_dir, semantics=True, translate=True, ...)``.
 
     read_citygml(*.gml)               # A1-A12 (exploded per-polygon rows)
-    → [opening anti-join]             # D4 when semantics off: drop openings
+    → [opening anti-join]             # D4 when semantics off: drop each
+                                      #   document's openings
     → [global min / translate]        # -t: B20/D5, exact fixed point
     → Triangulator                    # B1/B2/C1: flat-ring kernel + fan/ear clip
       (-p: flat-ring kernel → valid)  #   B1/B2 only, polygons stay n-gons
@@ -78,16 +79,17 @@ def convert_surfaces(
     """A surfaces Dataset → per-class OBJ files under ``out_dir``. Returns
     {semantic_class: path}.
 
-    semantics=False mirrors the reference's default mode: openings
-    (Window/Door) are folded away via the anti-join and everything lands in
-    per-class files anyway (the reference concatenates all classes when
-    ``-s 0``; keeping per-class files is a superset — ``cat`` them for the
-    single-file equivalent)."""
+    semantics=False mirrors the reference's default mode: each document's
+    openings (Window/Door) are folded away via the anti-join and everything
+    lands in per-class files anyway (the reference concatenates all classes
+    when ``-s 0``; keeping per-class files is a superset — ``cat`` them for
+    the single-file equivalent)."""
+    if translate or not semantics:
+        # the dataset-level pre-passes and the conversion read one parse
+        surfaces = surfaces.materialize()
     if not semantics:
         surfaces = opening_anti_join(surfaces, cfg)
     if translate:
-        # the global min and the conversion read one parse
-        surfaces = surfaces.materialize()
         surfaces = translate_surfaces(surfaces, global_min_vertex(surfaces))
     if preserve:
         # -p / SKIPTRI (CityGML2OBJs.py:137-141): keep the valid polygons

@@ -7,13 +7,15 @@ stage (clean → validate → triangulate over the flat-ring kernel of
 ``sinks.obj.write_obj_per_class`` fans out per semantic class
 (CityGML2OBJs.py:544-580,807-822).
 
-``opening_anti_join`` is D4: exclude Window/Door polygons from wall/roof
-processing via a broadcast key-set filter instead of the reference's
-identity scan (CityGML2OBJs.py:755-765).
+``opening_anti_join`` is D4: exclude each document's Window/Door polygons
+from its wall/roof processing via a broadcast key-set filter on
+(``doc_id``, ``poly_id``) instead of the reference's identity scan
+(CityGML2OBJs.py:755-765).
 
 ``building_extents`` is C3/D7, the per-building buffered bbox +
-translation params of a batch in one array pass; ``building_bboxes``
-aggregates it over a dataset, and ``pipelines.components`` translates
+translation params of a batch in one array pass; ``dataset_extents``
+aggregates it over a dataset (for ``building_bboxes`` and
+``exact.translation_params``), and ``pipelines.components`` translates
 each building by it.
 """
 
@@ -28,6 +30,7 @@ import ray.data as rd
 from ..arrow_utils import map_points, ring_column
 from ..config import DEFAULT_CONFIG, OPENING_CLASSES, EngineConfig
 from ..ops import broadcast_semi_anti_filter, supergroup_agg
+from ..schemas import SURFACES_SCHEMA
 from ..stages.geometry import Triangulator
 
 
@@ -48,28 +51,35 @@ def triangulate_surfaces(surfaces: rd.Dataset, cfg: EngineConfig = DEFAULT_CONFI
     )
 
 
+# a polygon: ``poly_id`` names it inside its document
+DOC_POLY = ["doc_id", "poly_id"]
+
+
 def opening_anti_join(
     surfaces: rd.Dataset, cfg: EngineConfig = DEFAULT_CONFIG
 ) -> rd.Dataset:
-    """Drop polygons that are openings (Window/Door) from the non-opening
-    stream by broadcast anti-filter on poly_id (small side = opening ids).
-    The opening-id collection is a vectorized batch filter (is_in + bool
-    column), not a per-row Python predicate."""
+    """D4 per document: drop every polygon whose (``doc_id``, ``poly_id``)
+    is an opening's (Window/Door) of its own document, as the reference
+    drops one document's openings from that document's walls by identity
+    (CityGML2OBJs.py:755-765). The opening keys are collected as Arrow (a
+    vectorized batch filter) and broadcast as one value set. ``surfaces``
+    is read twice, keys then filter: pass a materialized Dataset, as
+    ``convert_surfaces`` does, so the document is parsed once."""
     import pyarrow.compute as pc
 
-    def opening_ids_in_batch(batch: pa.Table) -> pa.Table:
+    def openings(batch: pa.Table) -> pa.Table:
         mask = pc.or_(
             pc.is_in(batch["semantic"], value_set=pa.array(list(OPENING_CLASSES))),
             batch["is_opening"].combine_chunks(),
         )
-        return batch.filter(mask).select(["poly_id"])
+        return batch.filter(mask).select(DOC_POLY)
 
-    opening_ids = set(
-        surfaces.map_batches(opening_ids_in_batch, batch_format="pyarrow")
-        .to_pandas()["poly_id"]
-        .tolist()
+    keys = surfaces.map_batches(openings, batch_format="pyarrow")
+    keys = pa.concat_tables(
+        [SURFACES_SCHEMA.empty_table().select(DOC_POLY)]
+        + list(keys.iter_batches(batch_format="pyarrow", batch_size=None))
     )
-    return broadcast_semi_anti_filter(surfaces, "poly_id", opening_ids, anti=True)
+    return broadcast_semi_anti_filter(surfaces, DOC_POLY, keys, anti=True)
 
 
 # a building: ``building_seq`` restarts in every parsed document
@@ -100,21 +110,22 @@ def building_extents(df: pd.DataFrame, pts: np.ndarray, off: np.ndarray, buffer:
     return code, out
 
 
-def building_bboxes(
-    surfaces: rd.Dataset, cfg: EngineConfig = DEFAULT_CONFIG
-) -> pd.DataFrame:
-    """Per-building buffered bbox (C3) + translation params (D7): a
-    grouped aggregate on (doc_id, building_seq) whose partial and merge
-    are both ``building_extents``, over each batch's rings buffered by
-    ``cfg.bbox_buffer``, then over the partials' corners with no buffer
-    (subtracting the buffer commutes with the min, so no bit changes).
-    One row per building, sorted by ``building_id``; no surfaces give a
-    zero-row frame with the same columns."""
+def dataset_extents(site: str, surfaces: rd.Dataset, buffer: float) -> pd.DataFrame:
+    """``building_extents`` over a Dataset: a grouped aggregate on
+    ``BUILDING`` whose partial and merge are both ``building_extents``,
+    over each batch's rings buffered by ``buffer``, then over the
+    partials' corners with no buffer (subtracting the buffer commutes with
+    the min, so no bit changes). A building with no exterior point has no
+    extent and no row. One row per building, sorted by ``building_id``
+    then ``BUILDING``; no surfaces give a zero-row frame with the same
+    columns."""
+    import pyarrow.compute as pc
 
     def batch_extents(batch: pa.Table) -> pd.DataFrame:
+        batch = batch.filter(pc.greater(pc.list_value_length(batch["exterior"]), 0))
         pts, off = ring_column(batch["exterior"])
         keys = batch.select(BUILDING + ["building_id"]).to_pandas()
-        return building_extents(keys, pts, off, cfg.bbox_buffer)[1]
+        return building_extents(keys, pts, off, buffer)[1]
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         # a batch without rings, or no batch at all, names no columns
@@ -123,8 +134,17 @@ def building_bboxes(
         return building_extents(df, corners, np.arange(0, len(corners) + 1, 2), 0.0)[1]
 
     ext = surfaces.map_batches(batch_extents, batch_format="pyarrow")
-    df = supergroup_agg("building_bboxes", ext, BUILDING, merge, merge)
-    return df.sort_values(["building_id"] + BUILDING)[["building_id"] + BBOX].reset_index(drop=True)
+    df = supergroup_agg(site, ext, BUILDING, merge, merge)
+    return df.sort_values(["building_id"] + BUILDING).reset_index(drop=True)
+
+
+def building_bboxes(
+    surfaces: rd.Dataset, cfg: EngineConfig = DEFAULT_CONFIG
+) -> pd.DataFrame:
+    """Per-building buffered bbox (C3) + translation params (D7): the
+    extents of each (doc_id, building_seq) buffered by ``cfg.bbox_buffer``.
+    One row per building, sorted by ``building_id``."""
+    return dataset_extents("building_bboxes", surfaces, cfg.bbox_buffer)[["building_id"] + BBOX]
 
 
 def roof_tri2d(surfaces: pa.Table, cfg: EngineConfig = DEFAULT_CONFIG) -> dict[str, np.ndarray]:

@@ -121,11 +121,32 @@ def parse_citygml_document(data: bytes, doc_id: str) -> list[dict]:
     Walks cityObjectMember (A4) → Building / other split (A5/A6) → semantic
     features + openings (§3.2) → polygons → rings. Polygons directly under
     a building that belong to no semantic feature get semantic='Other'.
+    A polygon element has ONE ``poly_id`` however many features reach it
+    (an opening nested in its wall is emitted under both), so the D4
+    exclusion drops every copy of an opening.
     """
     root = ET.fromstring(data)
     rows: list[dict] = []
-    bseq = 0
+    bseq = pseq = 0
     fallback_counter = 0
+    pids: dict[int, str] = {}  # polygon element → its poly_id, per object
+
+    def emit(poly: ET.Element, oid: str, fid: str, semantic: str, attr=None) -> None:
+        nonlocal pseq
+        pid = pids.setdefault(id(poly), _gml_id(poly) or f"{oid}_p{pseq}")
+        ext, ints = _polygon_rings(poly)
+        if ext is None:
+            return
+        rows.append(
+            dict(
+                doc_id=doc_id, building_id=oid, building_seq=bseq, feature_id=fid,
+                semantic=semantic, is_opening=semantic in OPENING_CLASSES,
+                poly_id=pid, poly_seq=pseq,
+                exterior=ext.tolist(), interiors=[r.tolist() for r in ints],
+                attr_irradiation=attr, truth_valid=None, truth_area=None,
+            )
+        )
+        pseq += 1
 
     members = [e for e in root.iter() if _local(e.tag) == "cityObjectMember"]
     for member in members:
@@ -136,8 +157,7 @@ def parse_citygml_document(data: bytes, doc_id: str) -> list[dict]:
                 if bid is None:  # counter fallback (CityGML2OBJs.py:643-647)
                     bid = f"building_{fallback_counter}"
                     fallback_counter += 1
-                pseq = 0
-                claimed: set[int] = set()
+                pseq, pids = 0, {}
                 # semantic features first (document order)
                 for feat in obj.iter():
                     ftag = _local(feat.tag)
@@ -153,71 +173,18 @@ def parse_citygml_document(data: bytes, doc_id: str) -> list[dict]:
                                 pass
                             break
                     for poly in _find_polygons(feat):
-                        claimed.add(id(poly))
-                        ext, ints = _polygon_rings(poly)
-                        if ext is None:
-                            continue
-                        rows.append(
-                            dict(
-                                doc_id=doc_id,
-                                building_id=bid,
-                                building_seq=bseq,
-                                feature_id=fid,
-                                semantic=ftag,
-                                is_opening=ftag in OPENING_CLASSES,
-                                poly_id=_gml_id(poly) or f"{bid}_p{pseq}",
-                                poly_seq=pseq,
-                                exterior=ext.tolist(),
-                                interiors=[r.tolist() for r in ints],
-                                attr_irradiation=attr,
-                                truth_valid=None,
-                                truth_area=None,
-                            )
-                        )
-                        pseq += 1
+                        emit(poly, bid, fid, ftag, attr)
                 # unclaimed polygons → class 'Other' within the building
                 for poly in _find_polygons(obj):
-                    if id(poly) in claimed:
-                        continue
-                    ext, ints = _polygon_rings(poly)
-                    if ext is None:
-                        continue
-                    rows.append(
-                        dict(
-                            doc_id=doc_id, building_id=bid, building_seq=bseq,
-                            feature_id=f"{bid}_other", semantic="Other",
-                            is_opening=False,
-                            poly_id=_gml_id(poly) or f"{bid}_p{pseq}",
-                            poly_seq=pseq,
-                            exterior=ext.tolist(),
-                            interiors=[r.tolist() for r in ints],
-                            attr_irradiation=None,
-                            truth_valid=None, truth_area=None,
-                        )
-                    )
-                    pseq += 1
+                    if id(poly) not in pids:
+                        emit(poly, bid, f"{bid}_other", "Other")
                 bseq += 1
             elif tag in _OTHER_TAGS:
                 oid = _gml_id(obj) or f"other_{fallback_counter}"
                 fallback_counter += 1
-                pseq = 0
+                pseq, pids = 0, {}
                 for poly in _find_polygons(obj):
-                    ext, ints = _polygon_rings(poly)
-                    if ext is None:
-                        continue
-                    rows.append(
-                        dict(
-                            doc_id=doc_id, building_id=oid, building_seq=bseq,
-                            feature_id=oid, semantic="Other", is_opening=False,
-                            poly_id=_gml_id(poly) or f"{oid}_p{pseq}",
-                            poly_seq=pseq,
-                            exterior=ext.tolist(),
-                            interiors=[r.tolist() for r in ints],
-                            attr_irradiation=None,
-                            truth_valid=None, truth_area=None,
-                        )
-                    )
-                    pseq += 1
+                    emit(poly, oid, oid, "Other")
                 bseq += 1
     return rows
 

@@ -368,6 +368,32 @@ class TestExactTranslation:
         mean = np.mean(lows, axis=0)
         assert p.tolist() == [-int(mean[0]), -int(mean[1]), 0]
 
+    def test_translation_params_name_buildings_by_document(self, ray_session):
+        """Two documents that share building ids, the second 1000 m away:
+        each (document, building) has its own minimum in the mean, where
+        keying on ``building_id`` alone would merge each pair first."""
+        import pyarrow as pa
+
+        from citygml2objv2_ray import synth
+        from citygml2objv2_ray.arrow_utils import map_points
+        from citygml2objv2_ray.exact import translation_params
+
+        docs = []
+        for doc, seed, shift in (("a.gml", 1, 0.0), ("b.gml", 2, 1000.0)):
+            t, _ = synth.make_city(3, seed=seed, corruption=0.0)
+            t = map_points(t, lambda p, d=shift: p + [d, d, 0.0])
+            docs.append(t.set_column(0, "doc_id", pa.array([doc] * t.num_rows)))
+        both = pa.concat_tables(docs)
+        df = both.to_pandas()
+        assert set(df[df.doc_id == "a.gml"].building_id) == set(df[df.doc_id == "b.gml"].building_id)
+        lows = [
+            np.vstack([np.stack(r) for r in g.exterior if len(r)]).min(axis=0)
+            for _, g in df.groupby(["doc_id", "building_id"])
+        ]
+        mean = np.mean(lows, axis=0)
+        p = translation_params(rd.from_arrow(both).repartition(3))
+        assert p.tolist() == [-int(mean[0]), -int(mean[1]), 0]
+
     def test_translation_params_of_no_surfaces(self, ray_session):
         """A mean over no buildings has no value: zero surfaces raise an
         error that says so, not an AttributeError from inside the

@@ -5,6 +5,7 @@ corresponding artifacts."""
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pytest
 
 
@@ -47,19 +48,20 @@ class TestCLI:
 
     def test_translate_gml_write(self, gml_dir, tmp_path):
         out = _run(["-i", str(gml_dir), "-o", str(tmp_path), "-tCw", "1"])
-        assert (tmp_path / "model_local_.gml").exists()
+        # the translated city.gml is city_local_.gml (CityGMLTranslation.py:309)
+        assert out["translated_gml"] == [str(tmp_path / "city_local_.gml")]
         assert (tmp_path / "translation_params.txt").exists()
         assert len(out["translation_params"]) == 3
         # translated file re-parses
         from citygml2objv2_ray.sources.citygml import parse_citygml_document
 
-        rows = parse_citygml_document((tmp_path / "model_local_.gml").read_bytes(), "d")
+        rows = parse_citygml_document((tmp_path / "city_local_.gml").read_bytes(), "d")
         assert len(rows) > 0
 
     def test_translated_obj_equals_convert_of_written_gml(self, ray_session, tmp_path):
         """-tCw converts the translated surfaces it writes, holes included:
         its OBJ files equal, byte for byte, a plain convert of the
-        ``model_local_.gml`` it wrote, and -tC alone writes the same OBJ."""
+        ``city_local_.gml`` it wrote, and -tC alone writes the same OBJ."""
         from citygml2objv2_ray import synth
         from citygml2objv2_ray.pipelines.convert import convert
         from citygml2objv2_ray.sources.citygml import surfaces_to_gml
@@ -71,7 +73,7 @@ class TestCLI:
         tcw = _run(["-i", str(src), "-o", str(tmp_path / "tcw"), "-tCw", "1"])
         tc = _run(["-i", str(src), "-o", str(tmp_path / "tc"), "-tC", "1"])
         assert tc["translation_params"] == tcw["translation_params"] != [0, 0, 0]
-        # model_local_.gml is the only GML of the -tCw output dir
+        # city_local_.gml is the only GML of the -tCw output dir
         want = convert(str(tmp_path / "tcw"), str(tmp_path / "want"))
         assert set(tcw["obj"]) == set(tc["obj"]) == set(want)
         for sem, path in want.items():
@@ -108,11 +110,16 @@ class TestCLI:
             _run(["-i", str(gml_dir), "-o", str(out), "-tCw", "1"])
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("flag", ["-t", "-tC", "-tCw"])
-    def test_translate_modes_parse_each_document_once(self, ray_session, tmp_path, monkeypatch, flag):
-        """-t, -tC and -tCw read one parse: a counting map over the surfaces
-        Dataset sees every row of every document once, though the
-        translation and the conversion both read the surfaces."""
+    @pytest.mark.parametrize(
+        "flags",
+        ["-t 1", "-tC 1", "-tCw 1", "-s 0", "-s 0 -t 1", "-s 0 -tCw 1"],
+        ids=["-t", "-tC", "-tCw", "-s 0", "-s 0 -t", "-s 0 -tCw"],
+    )
+    def test_translate_modes_parse_each_document_once(self, ray_session, tmp_path, monkeypatch, flags):
+        """-t, -tC, -tCw and -s 0 read one parse: a counting map over the
+        surfaces Dataset sees every row of every document once, though the
+        translation or the opening exclusion and the conversion all read
+        the surfaces."""
         from collections import Counter
 
         import pyarrow as pa
@@ -137,11 +144,52 @@ class TestCLI:
             return read(paths).map_batches(count, batch_format="pyarrow")
 
         monkeypatch.setattr(citygml, "read_citygml", counting_read)
-        _run(["-i", str(src), "-o", str(tmp_path / "out"), flag, "1"])
+        _run(["-i", str(src), "-o", str(tmp_path / "out"), *flags.split()])
         rows = Counter(read(sorted(map(str, src.iterdir()))).to_pandas().doc_id)
         seen = Counter(log.read_text().split())
         assert len(rows) == 2
         assert {d: seen[d] / n for d, n in rows.items()} == {d: 1.0 for d in rows}
+
+    def test_tcw_writes_one_gml_per_document(self, ray_session, tmp_path):
+        """Two documents that share building ids: -tCw writes each one's
+        translation to its own <stem>_local_.gml, 3 buildings each, and
+        the two hold the same buildings moved by the one params vector."""
+        from citygml2objv2_ray import synth
+        from citygml2objv2_ray.sources.citygml import parse_citygml_document, surfaces_to_gml
+
+        src = tmp_path / "in"
+        src.mkdir()
+        for seed in (1, 2):
+            surfaces, _ = synth.make_city(3, seed=seed, corruption=0.0)
+            (src / f"city{seed}.gml").write_bytes(surfaces_to_gml(surfaces))
+        out_dir = tmp_path / "out"
+        out = _run(["-i", str(src), "-o", str(out_dir), "-tCw", "1"])
+        want = [str(out_dir / "city1_local_.gml"), str(out_dir / "city2_local_.gml")]
+        assert out["translated_gml"] == want
+        assert sorted(p.name for p in out_dir.glob("*.gml")) == ["city1_local_.gml", "city2_local_.gml"]
+        d = np.array(out["translation_params"], np.float64)
+        for seed, path in zip((1, 2), want):
+            got = pd.DataFrame(parse_citygml_document(open(path, "rb").read(), path))
+            src_rows = pd.DataFrame(
+                parse_citygml_document((src / f"city{seed}.gml").read_bytes(), path)
+            )
+            assert got.building_id.nunique() == got.building_seq.nunique() == 3
+            assert got.poly_id.tolist() == src_rows.poly_id.tolist()
+            for g, s in zip(got.exterior, src_rows.exterior):
+                assert np.allclose(np.stack(g), np.stack(s) + d)
+
+    def test_tcw_refuses_inputs_that_share_a_stem(self, gml_dir, tmp_path):
+        """a.gml and a.xml would both translate to a_local_.gml: -tCw
+        raises before it writes anything."""
+        src = tmp_path / "in"
+        src.mkdir()
+        body = (gml_dir / "city.gml").read_bytes()
+        (src / "a.gml").write_bytes(body)
+        (src / "a.xml").write_bytes(body)
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match="share a file stem"):
+            _run(["-i", str(src), "-o", str(out_dir), "-tCw", "1"])
+        assert not out_dir.exists()
 
     def test_separate_components(self, gml_dir, tmp_path):
         import pandas as pd

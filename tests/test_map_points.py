@@ -42,7 +42,7 @@ def _assert_moved(src: pa.Table, got: pa.Table, d: np.ndarray) -> None:
 
 
 def test_map_points_keeps_types_offsets_and_chunks(holed_city):
-    from citygml2objv2_ray.arrow_utils import map_points
+    from citygml2objv2_ray.arrow_utils import map_points, ring_column
 
     d = np.array([12.5, -3.25, 7.0])
     # sliced chunks: the slice offsets of both list levels are kept
@@ -51,13 +51,15 @@ def test_map_points_keeps_types_offsets_and_chunks(holed_city):
     assert got.column("exterior").num_chunks == 2
     _assert_moved(src, got, d)
     assert map_points(holed_city.schema.empty_table(), lambda p: p - d).num_rows == 0
-    # a point list of another type is refused, not misread
+    # a point list of another type is refused, not misread, by both
     untyped = pa.table({
         "exterior": pa.array([[[1.0, 2.0, 3.0]]], pa.list_(pa.list_(pa.float64()))),
         "interiors": pa.array([[]], src["interiors"].type),
     })
     with pytest.raises(TypeError, match="points must be"):
         map_points(untyped, lambda p: p)
+    with pytest.raises(TypeError, match="points must be"):
+        ring_column(untyped["exterior"])
 
 
 def test_translate_surfaces_moves_holes(ray_session, holed_city):

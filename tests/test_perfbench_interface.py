@@ -70,3 +70,20 @@ def test_every_perfbench_config_read_is_a_field():
     assert {"write_batch_size", "vertex_round_decimals"} <= {n for _, n in found}, found
     missing = sorted({f"{f}: CFG.{n}" for f, n in found if n not in fields})
     assert not missing, missing
+
+
+def test_benchmark_smoke_runs():
+    """The benchmark's own smoke, ``perfbench/smoke.py convert flagship``:
+    each workload once untraced and once traced at a tiny size. The traced
+    passes call package functions (the parse, the triangulator, the vertex
+    intern, the join and decode stages) with fixed signatures and return
+    shapes, so a change that keeps the names but breaks a call fails here
+    and not only in a benchmark run."""
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "smoke.py"), "convert", "flagship"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=1500,
+    )
+    assert proc.returncode == 0, (proc.stdout + proc.stderr)[-3000:]

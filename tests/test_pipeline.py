@@ -4,6 +4,8 @@ parallelism (SURVEY.md §5.2)."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -61,6 +63,55 @@ class TestGeometryPipeline:
         sdf = surfaces.to_pandas()
         assert len(res) == (~sdf.is_opening).sum()
 
+    def test_opening_anti_join_is_per_document(self, ray_session, tmp_path):
+        """Two documents that share polygon ids: each keeps exactly its rows
+        whose ``poly_id`` is not one of its own openings, whatever the
+        other document's openings are named."""
+        from citygml2objv2_ray import synth
+        from citygml2objv2_ray.pipelines.geometry import opening_anti_join
+        from citygml2objv2_ray.sources.citygml import read_citygml, surfaces_to_gml
+
+        for seed in (1, 2):
+            surfaces, _ = synth.make_city(3, seed=seed, corruption=0.0)
+            (tmp_path / f"city{seed}.gml").write_bytes(surfaces_to_gml(surfaces))
+        parsed = read_citygml(sorted(map(str, tmp_path.iterdir()))).materialize()
+        df = parsed.to_pandas()
+        res = opening_anti_join(parsed).to_pandas()
+        sizes = {}
+        for doc, g in df.groupby("doc_id"):
+            kept = g[~g.poly_id.isin(g[g.is_opening].poly_id)]
+            sizes[Path(doc).name] = len(g), len(kept)
+            assert sorted(res[res.doc_id == doc].poly_id) == sorted(kept.poly_id), doc
+        assert sizes == {"city1.gml": (25, 20), "city2.gml": (24, 19)}
+
+    def test_opening_anti_join_drops_every_copy_of_an_opening(self, ray_session):
+        """A Window with no gml:id nested in its WallSurface is reached by
+        both features: both copies carry one poly_id, so the exclusion
+        drops both and keeps the wall's own polygon."""
+        from citygml2objv2_ray.pipelines.geometry import opening_anti_join
+        from citygml2objv2_ray.schemas import SURFACES_SCHEMA
+        from citygml2objv2_ray.sources.citygml import parse_citygml_document
+
+        ring = "<gml:LinearRing><gml:posList>0 0 0 1 0 0 1 0 1 0 0 0</gml:posList></gml:LinearRing>"
+        gml = f"""<core:CityModel xmlns:core="http://www.opengis.net/citygml/2.0"
+            xmlns:bldg="http://www.opengis.net/citygml/building/2.0"
+            xmlns:gml="http://www.opengis.net/gml">
+          <core:cityObjectMember><bldg:Building gml:id="B1"><bldg:boundedBy>
+            <bldg:WallSurface gml:id="W1">
+              <gml:Polygon gml:id="P1"><gml:exterior>{ring}</gml:exterior></gml:Polygon>
+              <bldg:opening><bldg:Window>
+                <gml:Polygon><gml:exterior>{ring}</gml:exterior></gml:Polygon>
+              </bldg:Window></bldg:opening>
+            </bldg:WallSurface>
+          </bldg:boundedBy></bldg:Building></core:cityObjectMember>
+        </core:CityModel>""".encode()
+        rows = parse_citygml_document(gml, "d.gml")
+        assert [(r["semantic"], r["poly_id"], r["poly_seq"]) for r in rows] == [
+            ("WallSurface", "P1", 0), ("WallSurface", "B1_p1", 1), ("Window", "B1_p1", 2),
+        ]
+        tab = pa.Table.from_pylist(rows, schema=SURFACES_SCHEMA)
+        assert opening_anti_join(rd.from_arrow(tab)).to_pandas().poly_id.tolist() == ["P1"]
+
     def test_building_bboxes(self, city):
         from citygml2objv2_ray.pipelines.geometry import building_bboxes
 
@@ -71,6 +122,19 @@ class TestGeometryPipeline:
         allpts = np.concatenate([np.vstack(list(r)) for r in one.exterior])
         assert df.xmin.iloc[0] == pytest.approx(allpts[:, 0].min() - 3.0)
         assert df.zmax.iloc[0] == pytest.approx(allpts[:, 2].max() + 3.0)
+
+    def test_building_bboxes_skip_empty_rings(self, city):
+        """A batch whose only row of a building has an empty exterior adds
+        nothing to that building's bbox (its partial has no corners), as
+        the twin's ``unnest`` adds no point."""
+        from citygml2objv2_ray.pipelines.geometry import building_bboxes
+
+        surfaces, _ = city
+        empty = surfaces.slice(0, 1).to_pylist()[0] | {"exterior": [], "interiors": []}
+        extra = pa.Table.from_pylist([empty], schema=surfaces.schema)
+        want = building_bboxes(rd.from_arrow(surfaces))
+        got = building_bboxes(rd.from_arrow([surfaces, extra]))
+        pd.testing.assert_frame_equal(got, want)
 
     def test_building_bboxes_of_no_surfaces(self, ray_session):
         """Zero surfaces give zero rows with the same columns (Ray runs no
