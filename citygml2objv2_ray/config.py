@@ -60,15 +60,13 @@ class EngineConfig:
     knn_k: int = 3                       # kNN neighbours per image
     knn_max_ring: int = 4                # max grid rings searched for neighbours
 
-    # batching. write_batch_size is the most rows a flagship process +
-    # write task takes (on average, in the fused plan). The flagship
-    # reads, processes and writes in ONE fused operator, one task per CPU
-    # or per write_batch_size footer rows when that is more
-    # (ops.fused_read_tasks); input files holding more than
-    # write_batch_size rows each are split by Ray instead, and process +
-    # write then take join_batch_size / write_batch_size row bundles.
-    # join_batch_size is the slice a task joins and decodes at a time,
-    # which bounds its decoded tiles.
+    # batching. write_batch_size is the most rows a flagship read +
+    # process + write task takes. The flagship reads, processes and
+    # writes in ONE fused operator, one task per CPU or per
+    # write_batch_size footer rows when that is more, each over an equal
+    # row range (ops.fused_read_tasks); Lance inputs take join_batch_size
+    # / write_batch_size row bundles instead. join_batch_size is the slice
+    # a task joins and decodes at a time, which bounds its decoded tiles.
     geometry_batch_size: int = 2048
     join_batch_size: int = 1024          # small is fine: per-cell kNN sets cached
     write_batch_size: int = 8192         # most rows per flagship process+write task

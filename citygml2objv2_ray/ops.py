@@ -10,20 +10,29 @@
   their keys onto coarse super-groups and each group runs one vectorized
   function over all its keys.
 - ``Broadcast``: the one way a map task reads a small side.
+- ``ParquetRowRanges``: the flagship's read, the pending parquet files'
+  footer rows cut into equal row ranges, one read task each
+  (``parquet_footers`` lists them, ``fused_read_tasks`` sizes the plan).
 - ``epoch_us``: the one timestamp → int64 epoch-µs conversion, shared by
   the batch queries and the streaming shards.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import logging
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.dataset as pads
 
 import ray
 import ray.data as rd
+from ray.data.block import BlockMetadata
+from ray.data.context import DEFAULT_TARGET_MAX_BLOCK_SIZE
 
 log = logging.getLogger(__name__)
 
@@ -86,16 +95,13 @@ def parquet_col_min(path: str, col: str) -> int | None:
     no data read at any scale. Used to seed the streaming shards'
     reorder buffers with the stream's first arrival-sequence value.
     Falls back to a single-column scan if any footer lacks stats."""
-    try:
-        import pyarrow.compute as pc
-        import pyarrow.dataset as pads
+    import pyarrow.compute as pc
 
-        d = pads.dataset(path, format="parquet")
+    try:
         mins: list[int] = []
-        for frag in d.get_fragments():
+        for frag in pads.dataset(path, format="parquet").get_fragments():
             md = frag.metadata
-            names = [md.row_group(0).column(j).path_in_schema for j in range(md.num_columns)]
-            j = names.index(col)
+            j = md.schema.names.index(col)
             for rg in range(md.num_row_groups):
                 st = md.row_group(rg).column(j).statistics
                 if st is None or st.min is None:
@@ -104,11 +110,7 @@ def parquet_col_min(path: str, col: str) -> int | None:
         return min(mins) if mins else None
     except Exception:
         try:
-            import pyarrow.compute as pc
-            import pyarrow.dataset as pads
-
-            t = pads.dataset(path, format="parquet").to_table(columns=[col])
-            return int(pc.min(t[col]).as_py())
+            return int(pc.min(pads.dataset(path, format="parquet").to_table(columns=[col])[col]).as_py())
         except Exception:
             return None
 
@@ -117,8 +119,6 @@ def parquet_num_rows(path: str) -> int | None:
     """Row count of a parquet file/dir from footer metadata only — free at
     any scale (no data read, no Dataset execution)."""
     try:
-        import pyarrow.dataset as pads
-
         return pads.dataset(path, format="parquet").count_rows()
     except Exception:
         return None
@@ -149,36 +149,114 @@ def derive_num_blocks(n_rows: int | None, target_rows: int = 8192, lo: int = 32,
     return int(min(hi, max(lo, n_rows // target_rows)))
 
 
-def fused_read_tasks(roots: list[str], target_rows: int, pruned: list[str]) -> int | None:
+def parquet_footers(root: str) -> dict[str, list[tuple[int, int]]]:
+    """Every parquet file under ``root`` (a file or a hive directory), in
+    listing order, with its row groups' (rows, uncompressed bytes): the
+    flagship's one footer pass, read from the footers only."""
+    return {
+        f.path: [(md.row_group(i).num_rows, md.row_group(i).total_byte_size) for i in range(md.num_row_groups)]
+        for f in pads.dataset(root, format="parquet").get_fragments()
+        for md in [f.metadata]
+    }
+
+
+# rows a row-range read decodes at a time
+READ_BATCH_ROWS = 1024
+
+
+def _read_pieces(pieces: list[tuple], columns: list[str]):
+    """One block per piece (path, row groups, skip, rows, bytes): the
+    ``rows`` rows that start ``skip`` rows into the piece's row groups.
+    Batches are decoded ``READ_BATCH_ROWS`` at a time and the stream stops
+    after the piece, so no row group is decoded whole and then sliced, and
+    the file is read through a 1 MiB buffer, so a large column chunk is
+    streamed instead of read whole (one 50,704-row row group cut into 7
+    tasks on 4 CPUs: peak RSS 2.9 → 2.4 GB)."""
+    import pyarrow.parquet as pq
+
+    for path, groups, skip, rows, _ in pieces:
+        kept, at = [], -skip  # at: first row of the batch, from the piece's start
+        with pq.ParquetFile(path, buffer_size=1 << 20) as f:
+            for b in f.iter_batches(READ_BATCH_ROWS, groups, columns):
+                if at + b.num_rows > 0:
+                    kept.append(b.slice(max(-at, 0), rows - max(at, 0)))
+                at += b.num_rows
+                if at >= rows:
+                    break
+        yield pa.Table.from_batches(kept)
+
+
+class ParquetRowRanges(rd.Datasource):
+    """The flagship's read: the rows of the ``footers`` files
+    (``parquet_footers``), in listing order, cut into one equal row range
+    per read task. A range may start or end inside a row group and cover
+    parts of several files; its task streams just its own rows of each
+    (``_read_pieces``). Ray fuses such a read into the maps after it, as
+    each task is one input bundle of whole rows."""
+
+    def __init__(self, footers: dict[str, list[tuple[int, int]]], columns: list[str]):
+        self.footers, self.columns = footers, columns
+        self.rows = sum(r for groups in footers.values() for r, _ in groups)
+
+    def pieces(self, n: int) -> list[list[tuple[str, list[int], int, int, int]]]:
+        """Per task of ``n``, its pieces: (path, row groups, rows to skip
+        in them, rows, uncompressed bytes pro rata)."""
+        bounds = [k * self.rows // n for k in range(n + 1)]
+        out: list[list] = [[] for _ in range(n)]
+        start = 0  # the file's first row, over all files
+        for path, groups in self.footers.items():
+            first = list(itertools.accumulate((r for r, _ in groups), initial=0))  # row group starts
+            for k in range(bisect.bisect_right(bounds, start) - 1, n):
+                lo, hi = max(bounds[k] - start, 0), min(bounds[k + 1] - start, first[-1])
+                if lo >= first[-1]:
+                    break
+                if hi > lo:  # else an empty range: more tasks than rows
+                    g0, g1 = bisect.bisect_right(first, lo) - 1, bisect.bisect_left(first, hi)
+                    size = sum(b for _, b in groups[g0:g1]) * (hi - lo) // (first[g1] - first[g0])
+                    out[k].append((path, list(range(g0, g1)), lo - first[g0], hi - lo, size))
+            start += first[-1]
+        return out
+
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(b for groups in self.footers.values() for _, b in groups)
+
+    def get_read_tasks(self, parallelism: int) -> list[rd.ReadTask]:
+        return [
+            rd.ReadTask(functools.partial(_read_pieces, task, self.columns), BlockMetadata(
+                num_rows=sum(p[3] for p in task), size_bytes=sum(p[4] for p in task),
+                exec_stats=None, input_files=[p[0] for p in task],
+            ))
+            for task in self.pieces(parallelism)
+        ]
+
+
+def fused_read_tasks(source: ParquetRowRanges, target_rows: int, pruned: list[str]) -> tuple[int, int]:
     """Read tasks of the flagship's read -> process -> write operator over
-    the parquet files under ``roots``, or None to split the files instead.
+    ``source`` (the pending files), and its target block size.
 
-    Ray fuses the read into the maps when each read task takes whole files:
-    one task per cluster CPU, or one per ``target_rows`` footer rows when
-    that is more, never more than the files (above one task per file Ray
-    adds ``SplitBlocks``, whose split factor stops the fusion). More tasks
-    than CPUs at small scale start idle workers (+9-11% peak memory with
-    one task per file on the 16-file flagship benchmark); more tasks than
-    CPUs at scale spread the hot cell's rows (48-file sf0.1 world, 4 CPUs:
-    13 tasks ran 9.6-10.6 s, one per CPU 10.8-12.2 s). When the files hold
-    more than ``target_rows`` rows each on average, whole files would make
-    fewer and longer tasks than that (one 51k-row file ran on one CPU), so
-    the answer is None: Ray splits them, and the read stays its own
-    operator. Logs the plan, the sizes it rests on and the partitions
-    ``pruned`` from the read."""
-    import pyarrow.dataset as pads
+    One task per cluster CPU, or one per ``target_rows`` footer rows when
+    that is more. Each task takes an equal range of rows, whatever the
+    files hold, so a hot partition's file or one large file is shared by
+    several tasks. More tasks than CPUs at small scale start idle
+    workers; more at scale spread the rows of a hot cell.
 
-    parts = [pads.dataset(r, format="parquet") for r in roots]
-    files = sum(len(d.files) for d in parts)
-    rows = sum(d.count_rows() for d in parts)
+    The block size is the uncompressed bytes of the largest piece, at
+    most Ray's default: before a task has output, Ray counts twice the
+    target as each running task's pending output, and with the default
+    (128 MiB) a 512 MiB object store admits one task and then waits for
+    it. Logs the plan, the sizes it rests on, the rows per task, the
+    block size and the partitions ``pruned`` from the read."""
     cpus = int(ray.cluster_resources().get("CPU", 1))
-    tasks = None if rows > files * target_rows else max(1, min(files, max(cpus, -(-rows // target_rows))))
+    tasks = max(cpus, -(-source.rows // target_rows))
+    largest = max((p[4] for task in source.pieces(tasks) for p in task), default=1)
+    cap = min(largest, DEFAULT_TARGET_MAX_BLOCK_SIZE)
     log.info(
-        "flagship read: %d pending files, %d footer rows, %d CPUs, %d pruned partitions %s -> %s",
-        files, rows, cpus, len(pruned), pruned,
-        f"fused, {tasks} read tasks" if tasks else "split",
+        "flagship read: %d pending files, %d footer rows, %d CPUs, %d pruned partitions %s -> "
+        "%d read tasks of %d-%d rows, block cap %d bytes",
+        len(source.footers), source.rows, cpus, len(pruned), pruned,
+        tasks, source.rows // tasks, -(-source.rows // tasks), cap,
     )
-    return tasks
+    return tasks, cap
 
 
 def store_cap(share: float) -> int:

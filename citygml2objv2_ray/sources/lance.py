@@ -36,15 +36,15 @@ def is_lance_dataset(path: str) -> bool:
     return os.path.isdir(os.path.join(path, "_versions"))
 
 
-def read_images(path: str, columns: list[str] | None = None, **parquet_kwargs) -> rd.Dataset:
+def read_images(path: str, columns: list[str] | None = None) -> rd.Dataset:
     """Images fact table → Dataset, Lance-first with parquet fallback.
 
     - Lance dataset + ``lance`` importable → ``rd.read_lance`` (pruned
-      columns; ``parquet_kwargs`` such as hive partition filters do not
-      apply and must be empty).
+      columns).
     - Lance dataset without the package → explicit ImportError (never a
       silent empty read).
-    - anything else → ``rd.read_parquet`` (pruned columns + kwargs).
+    - anything else → ``rd.read_parquet`` (pruned columns). The flagship
+      reads parquet through ``ops.ParquetRowRanges`` instead.
     """
     if is_lance_dataset(path):
         if not lance_available():
@@ -52,10 +52,5 @@ def read_images(path: str, columns: list[str] | None = None, **parquet_kwargs) -
                 f"{path} is a Lance dataset but the 'lance' package is not "
                 "installed; install pylance or provide parquet input"
             )
-        if parquet_kwargs:
-            raise ValueError(
-                f"parquet-only reader options {sorted(parquet_kwargs)} are not "
-                "supported for Lance input"
-            )
         return rd.read_lance(path, columns=columns)
-    return rd.read_parquet(path, columns=columns, **parquet_kwargs)
+    return rd.read_parquet(path, columns=columns)

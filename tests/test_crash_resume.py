@@ -1,7 +1,12 @@
-"""Failure-injection resume at sf0.4 (VERDICT r3 item 8): a mid-run
-SIGKILL of a `job.py` flagship run must lose nothing — the resumed run
-skips committed partitions, re-processes uncommitted ones from scratch
-(partials wiped), and the final output equals a clean run row-for-row.
+"""Failure-injection resume (VERDICT r3 item 8): a mid-run SIGKILL of a
+`job.py` flagship run must lose nothing — the resumed run skips committed
+partitions, re-processes uncommitted ones from scratch (partials wiped),
+and the final output equals a clean run row-for-row.
+
+The world is sf0.1 (100k images, 13 row-range read tasks on 4 CPUs):
+generating an sf0.4 world spills about 5 GB to Ray's object-store spill
+directory, which fails with ``OutOfDiskError`` on a host with under
+~20 GB free disk.
 
 Marked `slow` (excluded from the default suite by pytest.ini); run with
 
@@ -25,7 +30,7 @@ import pytest
 pytestmark = pytest.mark.slow
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SF = 0.4
+SF = 0.1
 
 
 def _job_cmd(out: str) -> list[str]:
@@ -83,7 +88,7 @@ def _output_ids(out: str):
     return d.to_table(columns=["image_id"])["image_id"].to_pylist()
 
 
-class TestCrashResumeSf04:
+class TestCrashResume:
     def test_midrun_kill_then_resume_equals_clean(self, tmp_path):
         clean_out = str(tmp_path / "clean")
         crash_out = str(tmp_path / "crash")
@@ -99,11 +104,12 @@ class TestCrashResumeSf04:
         ids_clean = sorted(_output_ids(clean_out))
 
         sys.path.insert(0, REPO)
+        from citygml2objv2_ray.ops import parquet_footers
         from citygml2objv2_ray.pipelines.flagship import _hive_expected_rows
         from citygml2objv2_ray.worlds import world_dir
 
         images_path = os.path.join(world_dir(SF), "images")
-        expected = _hive_expected_rows(images_path)
+        expected = _hive_expected_rows(parquet_footers(images_path))
         assert expected and sum(expected.values()) == rows_clean
 
         # crashed run(s): SIGKILL the whole process group (driver + its

@@ -26,17 +26,24 @@ def world(ray_session, tmp_path_factory):
 
 class TestRunDeterminism:
     def test_flagship_two_runs_identical(self, world, tmp_path):
+        import glob
+        import os
+
         import pyarrow.parquet as pq
 
         from citygml2objv2_ray.config import EngineConfig
-        from citygml2objv2_ray.pipelines.flagship import run_flagship
+        from citygml2objv2_ray.ops import parquet_footers
+        from citygml2objv2_ray.pipelines.flagship import _hive_expected_rows, run_flagship
 
+        rows = _hive_expected_rows(parquet_footers(world["images"]))
+        hot = max(rows, key=rows.get)
         surfaces = pq.read_table(world["surfaces"])
         footprints = pq.read_table(world["footprints"])
         outs = []
-        # the read plan on each of its sides over the 500-row, 16-file
-        # world: one fused task per CPU (the default), one per 64 footer
-        # rows, and the split plan (the files hold more than 16 rows each)
+        # the row-range read over the 500-row, 16-file world: one task per
+        # CPU (the default), one per 64 footer rows and one per 16 (more
+        # tasks than files); the hot partition's file is cut across tasks
+        # in each
         for i, cfg in enumerate(
             [
                 EngineConfig(), EngineConfig(join_batch_size=256),
@@ -47,6 +54,8 @@ class TestRunDeterminism:
                 world["images"], surfaces, footprints, str(tmp_path / f"o{i}"),
                 cfg=cfg, resume=False,
             )
+            files = glob.glob(os.path.join(tmp_path, f"o{i}", "data", f"part={hot}", "*.parquet"))
+            assert len(files) >= 2, res.ray_stats
             df = res.assignments().to_pandas().sort_values("image_id").reset_index(drop=True)
             df["nn_ids"] = df.nn_ids.map(tuple)
             df["nn_dist"] = df.nn_dist.map(tuple)

@@ -38,13 +38,3 @@ class TestLanceShim:
         d = tmp_path / "tbl"
         (d / "_versions").mkdir(parents=True)
         assert is_lance_dataset(str(d))
-
-    def test_parquet_kwargs_rejected_for_lance(self, tmp_path):
-        from citygml2objv2_ray.sources import lance as shim
-
-        if not shim.lance_available():
-            pytest.skip("needs lance to reach the kwargs check")
-        d = tmp_path / "ds.lance"
-        d.mkdir()
-        with pytest.raises(ValueError):
-            shim.read_images(str(d), partition_filter=object())

@@ -166,10 +166,22 @@ class TestGeometryPipeline:
         assert np.array_equal(orig_pts, back_pts)  # exactly invertible
 
 
-# the flagship's Ray operators, as Ray's stats name them: read, process and
-# write fused into one, or (split plan) process and write after the read
-FUSED = "ReadParquet->MapBatches(process)->MapBatches(PartitionedWriter)"
-SPLIT = "MapBatches(process)->MapBatches(PartitionedWriter)"
+# the flagship's one Ray operator, as Ray's stats name it: the row-range
+# read, process and write fused
+FUSED = "ReadParquetRowRanges->MapBatches(process)->MapBatches(PartitionedWriter)"
+
+
+def _frame(res) -> pd.DataFrame:
+    """A flagship run's written rows, comparable across runs."""
+    df = res.assignments().to_pandas().sort_values("image_id").reset_index(drop=True)
+    df["nn_ids"] = df.nn_ids.map(tuple)
+    df["nn_dist"] = df.nn_dist.map(tuple)
+    return df[sorted(df.columns)]
+
+
+def _hot_partition(res) -> str:
+    """The partition a flagship run wrote the most rows to."""
+    return str(int(res.assignments().to_pandas().part.value_counts().idxmax()))
 
 
 class TestFlagship:
@@ -247,25 +259,27 @@ class TestFlagship:
             part_of_cell(adf.cell.to_numpy(np.int64), DEFAULT_CONFIG.n_output_parts),
         )
 
-    # the 500-row, 16-file test world on the session's 4 CPUs: one fused
-    # task per CPU (8192), one per 64 footer rows (8), and the split plan
-    # once the files hold more than write_batch_size rows each (16)
-    @pytest.mark.parametrize("write_batch_size,plan", [(8192, 4), (64, 8), (16, None)])
-    def test_read_plan(self, world, tmp_path, caplog, write_batch_size, plan):
+    # the 500-row, 16-file test world on the session's 4 CPUs: one task per
+    # CPU (8192), one per 64 footer rows (8), and one per 16 rows (32, more
+    # tasks than files)
+    @pytest.mark.parametrize("write_batch_size,tasks", [(8192, 4), (64, 8), (16, 32)])
+    def test_read_plan(self, world, tmp_path, caplog, write_batch_size, tasks):
         """Read, process and write run as ONE Ray operator, one task per
-        read task, while whole files give the rule's task count; past that
-        Ray sizes the read itself and it is its own operator. The plan is
-        logged with its sizes."""
+        equal row range, however many files there are. The plan is logged
+        with its sizes, and the block-size cap it sets stays on the run's
+        datasets."""
         import logging
         import re
 
         import pyarrow.parquet as pq
         import ray
+        from ray.data import DataContext
 
         from citygml2objv2_ray.config import EngineConfig
         from citygml2objv2_ray.pipelines.flagship import run_flagship
 
         assert int(ray.cluster_resources()["CPU"]) == 4
+        block_size = DataContext.get_current().target_max_block_size
         caplog.set_level(logging.INFO, logger="citygml2objv2_ray.ops")
         res = run_flagship(
             world["images"], pq.read_table(world["surfaces"]), pq.read_table(world["footprints"]),
@@ -274,14 +288,17 @@ class TestFlagship:
         )
         assert res.rows_written == 500
         operators = re.findall(r"^Operator \d+ (\S+): (\d+) tasks executed", res.ray_stats, re.M)
-        sizes = "flagship read: 16 pending files, 500 footer rows, 4 CPUs, 0 pruned partitions [] -> "
-        if plan:
-            assert operators == [(FUSED, str(plan))], res.ray_stats
-            assert f"{sizes}fused, {plan} read tasks" in caplog.text
-        else:
-            assert [op for op, _ in operators][1:] == [SPLIT], res.ray_stats
-            assert operators[0][0].startswith("ReadParquet"), res.ray_stats
-            assert f"{sizes}split" in caplog.text
+        assert operators == [(FUSED, str(tasks))], res.ray_stats
+        assert "SplitBlocks" not in res.ray_stats
+        lo, hi = 500 // tasks, -(-500 // tasks)
+        line = re.search(
+            r"flagship read: 16 pending files, 500 footer rows, 4 CPUs, 0 pruned partitions \[\] -> "
+            rf"{tasks} read tasks of {lo}-{hi} rows, block cap (\d+) bytes",
+            caplog.text,
+        )
+        assert line, caplog.text
+        assert 0 < int(line[1]) < block_size
+        assert DataContext.get_current().target_max_block_size == block_size
 
     @pytest.mark.parametrize(
         "layout,write_batch_size", [("single_file", 8192), ("single_file", 64), ("hive", 8192)]
@@ -291,10 +308,10 @@ class TestFlagship:
     ):
         """A rerun after some partitions committed writes exactly the
         others and ends equal to a clean run, with no image twice. One
-        500-row input file is read whole by one fused task (8192) or split
-        (64), and filtered per block in ``process``; a hive input skips
-        the committed partitions at the read, and its read tasks count
-        only the pending files."""
+        500-row input file is cut into 4 (8192) or 8 (64) row ranges and
+        filtered per block in ``process``; a hive input does not list the
+        committed partitions' files, and its ranges cut the pending rows.
+        Either way the hot partition is written by several tasks."""
         import glob
         import logging
         import os
@@ -343,18 +360,15 @@ class TestFlagship:
         written = set(lin[(lin.run_id == r2.run_id) & (lin.stage == "assign")].partition_id)
         assert written == {p.split("=", 1)[1] for p in parts} - done
         assert r1.rows_written + r2.rows_written == want.rows_written
-
-        def frame(res):
-            df = res.assignments().to_pandas().sort_values("image_id").reset_index(drop=True)
-            df["nn_ids"] = df.nn_ids.map(tuple)
-            df["nn_dist"] = df.nn_dist.map(tuple)
-            return df[sorted(df.columns)]
+        hot = _hot_partition(want)
+        assert hot not in done
+        assert len(glob.glob(os.path.join(out, "data", f"part={hot}", "*.parquet"))) >= 2
 
         operators = re.findall(r"^Operator \d+ (\S+):", r2.ray_stats, re.M)
-        assert operators[-1:] == [FUSED if write_batch_size == 8192 else SPLIT], r2.ray_stats
-        got = frame(r2)
+        assert operators == [FUSED], r2.ray_stats
+        got = _frame(r2)
         assert got.image_id.is_unique
-        pd.testing.assert_frame_equal(got, frame(want))
+        pd.testing.assert_frame_equal(got, _frame(want))
         if layout == "hive":
             pending = len(glob.glob(os.path.join(images, "part=*", "*.parquet"))) - len(
                 glob.glob(os.path.join(first, "part=*", "*.parquet"))
@@ -364,8 +378,45 @@ class TestFlagship:
         else:
             assert (
                 "1 pending files, 500 footer rows, 4 CPUs, 0 pruned partitions [] -> "
-                + ("fused, 1 read tasks" if write_batch_size == 8192 else "split")
+                + ("4 read tasks of 125-125 rows" if write_batch_size == 8192 else "8 read tasks of 62-63 rows")
             ) in caplog.text
+
+    def test_midrun_resume_redoes_a_partition_cut_across_tasks(self, world, tmp_path):
+        """A crash before the commit pass, after one task wrote its share
+        of the hot partition and before another did: the partition's
+        on-disk rows fall short of its footer rows, so the rerun wipes and
+        rewrites it, and takes every other partition as complete."""
+        import glob
+        import os
+
+        import pyarrow.parquet as pq
+
+        from citygml2objv2_ray.pipelines.flagship import run_flagship
+        from citygml2objv2_ray.state.checkpoint import CheckpointLog
+
+        surfaces = pq.read_table(world["surfaces"])
+        footprints = pq.read_table(world["footprints"])
+        out = str(tmp_path / "out")
+        r1 = run_flagship(world["images"], surfaces, footprints, out, decode=False)
+        want = _frame(r1)
+        log = CheckpointLog(out)
+        # the crash: no commit rows, and one task's file of the hot partition
+        # never published
+        for f in glob.glob(os.path.join(log.lineage_dir, "*.parquet")):
+            if "assign:commit" in pq.read_table(f, columns=["stage"])["stage"].to_pylist():
+                os.remove(f)
+        hot = _hot_partition(r1)
+        files = sorted(glob.glob(os.path.join(log.data_dir, f"part={hot}", "*.parquet")))
+        assert len(files) >= 2
+        os.remove(files[0])
+
+        r2 = run_flagship(world["images"], surfaces, footprints, out, decode=False)
+        lin = log.read_lineage().to_pandas()
+        assert set(lin[(lin.run_id == r2.run_id) & (lin.stage == "assign")].partition_id) == {hot}
+        assert r2.rows_written == int((want.part == int(hot)).sum())
+        got = _frame(r2)
+        assert got.image_id.is_unique
+        pd.testing.assert_frame_equal(got, want)
 
     def test_resume_skips_completed(self, world, tmp_path):
         import pyarrow.parquet as pq
