@@ -2,9 +2,10 @@
 brief: brute-force cosine top-k baseline + an IVF variant as the scale
 path).
 
-- ``cosine_topk`` lives in :mod:`.dedup` (normalized matmul per batch
-  against a broadcast query matrix) — the exact baseline, used by
-  ``q_ann_topk`` with a DuckDB oracle.
+- ``topk_search`` is the one exact distributed cosine top-k: the queries
+  (``query_vectors``) broadcast, one GEMM and an exact per-query partial
+  per batch, ``ops.topk`` as the merge. ``q_ann_topk`` (with a DuckDB
+  twin), ``brute_search_distributed`` and the IVF search call it.
 - IVF (``ivf_build_partitioned`` / ``ivf_search_partitioned``): seeded
   Lloyd k-means centroids are trained on a bounded sample, every corpus
   row is assigned to its centroid once inside ``map_batches``, and the
@@ -14,6 +15,8 @@ path).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -136,55 +139,43 @@ def ivf_build_partitioned(
     return centers
 
 
+def _probed(centers: np.ndarray, probe: np.ndarray, Cn: np.ndarray) -> np.ndarray:
+    """IVF's ``allowed`` mask: (Q, rows) whether each query probes each
+    row's list, re-derived as at build (nearest of the same centers)."""
+    return probe[:, np.argmax(Cn @ centers.T, axis=1)]
+
+
 def ivf_search_partitioned(
     index_dir: str,
     query_vec_ids,
     k: int = 5,
     nprobe: int = 6,
-    centers: np.ndarray | None = None,
     return_stats: bool = False,
     query_source: str | None = None,
 ):
     """IVF ANN search over a centroid-partitioned index: per-query probe
     lists are computed driver-side against the tiny centers matrix, then
     ONLY the probed ``list_id=`` partitions are read (path-level
-    ``partition_filter`` — unprobed partitions never leave storage). Each
-    batch emits per-query partial top-k; the driver merges k-bounded
-    partials. Returns (query_id, rank, neighbor_id, score); with
+    ``partition_filter`` — unprobed partitions never leave storage) and
+    searched by ``topk_search`` with each query's probe mask as
+    ``allowed``. The query vectors come from ``query_source`` when given:
+    the ORIGINAL vec_id-sorted table has tight row-group stats, so its
+    filtered read prunes, while each index partition spans the whole id
+    range. Returns (query_id, rank, neighbor_id, score); with
     ``return_stats`` also a dict with partitions_read / partitions_total /
     rows_scanned so pruning is observable."""
     import pandas as pd
-    import pyarrow.compute as pc
     import ray.data as rd
     from ray.data.datasource.partitioning import PathPartitionFilter
 
-    from .ops import Broadcast
-
-    if centers is None:
-        centers = np.load(index_dir.rstrip("/") + ".centers.npy")
-    qset = sorted(int(q) for q in query_vec_ids)
-
-    # query vectors: row-filter pushed down to the parquet scan (vec_id
-    # column statistics prune row groups); result bounded by #queries.
-    # Prefer the ORIGINAL source (vec_id-sorted → tight row-group stats →
-    # real pruning) over the centroid-partitioned index, whose partitions
-    # each span the whole id range.
-    qtab = (
-        rd.read_parquet(
-            query_source or index_dir,
-            columns=["vec_id", "embedding"],
-            filter=pc.field("vec_id").isin(qset),
-        )
-        .to_pandas()
-        .sort_values("vec_id")
-        .reset_index(drop=True)
-    )
-    if not len(qtab):
+    centers = np.load(index_dir.rstrip("/") + ".centers.npy")
+    qids, Qn = query_vectors(query_source or index_dir, query_vec_ids)
+    if not len(qids):
         empty = pd.DataFrame({"query_id": [], "rank": [], "neighbor_id": [], "score": []})
         return (empty, {"partitions_read": 0, "partitions_total": len(centers), "rows_scanned": 0}) if return_stats else empty
-    Qn = normalize_rows(np.vstack(qtab.embedding.to_numpy()).astype(np.float64))
-    probe = np.argsort(-(Qn @ centers.T), axis=1)[:, :nprobe]
-    probed = {int(c) for c in np.unique(probe)}
+    probe = np.zeros((len(qids), len(centers)), dtype=bool)
+    np.put_along_axis(probe, np.argsort(-(Qn @ centers.T), axis=1)[:, :nprobe], True, axis=1)
+    probed = set(np.flatnonzero(probe.any(axis=0)).tolist())
 
     corpus = rd.read_parquet(
         index_dir,
@@ -193,50 +184,7 @@ def ivf_search_partitioned(
             lambda kv: int(kv["list_id"]) in probed
         ),
     )
-    bcast = Broadcast("ivf_search", (qtab.vec_id.to_numpy(), Qn, probe, centers))
-
-    def partial_topk(batch) -> pd.DataFrame:
-        qids, Qm, prb, cent = bcast.get()
-        # zero-copy flat-buffer reshape — never a per-row vstack
-        Cn = normalize_rows(_list_col_matrix(batch, "embedding"))
-        # rows here are ONLY probed partitions; re-derive each row's list
-        # (same centers, same argmax as at build) to mask per query
-        assign = np.argmax(Cn @ cent.T, axis=1)
-        vids = batch.column("vec_id").to_numpy()
-        sims = Qm @ Cn.T  # (Q, probed rows)
-        out = []
-        for i, qid in enumerate(qids):
-            mask = np.isin(assign, prb[i]) & (vids != qid)
-            if not mask.any():
-                continue
-            s = sims[i][mask]
-            v = vids[mask]
-            kk = min(k, len(s))
-            top = np.argpartition(-s, kk - 1)[:kk]
-            out.append(
-                pd.DataFrame({"query_id": int(qid), "neighbor_id": v[top], "score": s[top]})
-            )
-        if not out:
-            return pd.DataFrame({"query_id": [], "neighbor_id": [], "score": []})
-        return pd.concat(out)
-
-    mapped = corpus.map_batches(partial_topk, batch_format="pyarrow")
-    partials = mapped.to_pandas()
-    rows = []
-    for qid, g in partials.groupby("query_id"):
-        g = g.sort_values(["score", "neighbor_id"], ascending=[False, True]).head(k)
-        g = g.assign(rank=np.arange(len(g), dtype=np.int64))
-        rows.append(g)
-    if not rows:
-        df = pd.DataFrame({"query_id": [], "rank": [], "neighbor_id": [], "score": []})
-    else:
-        df = pd.concat(rows).reset_index(drop=True)
-        df["query_id"] = df.query_id.astype(np.int64)
-        df["neighbor_id"] = df.neighbor_id.astype(np.int64)
-        df["score"] = df.score.round(4)
-        df = df[["query_id", "rank", "neighbor_id", "score"]].sort_values(
-            ["query_id", "rank"]
-        ).reset_index(drop=True)
+    df = topk_search("ivf_search", corpus, qids, Qn, k, functools.partial(_probed, centers, probe))
     if return_stats:
         stats = {
             "partitions_read": len(probed),
@@ -281,69 +229,77 @@ def ivf_query_cached(
     )
 
 
-def _merge_partials(partials, k: int):
-    """Driver-side merge of k-bounded per-batch partial top-k frames."""
-    import pandas as pd
+def query_vectors(path: str, query_vec_ids) -> tuple[np.ndarray, np.ndarray]:
+    """The query ids found in ``path``, sorted, and their L2-normalized
+    vectors: one Ray read with the ``vec_id`` filter pushed down to the
+    parquet scan (row-group statistics prune), so only the query rows
+    leave storage and the driver holds only them. None found gives zero
+    ids and a (0, 0) matrix."""
+    import pyarrow.compute as pc
+    import ray.data as rd
 
-    rows = []
-    for qid, g in partials.groupby("query_id"):
-        g = g.sort_values(["score", "neighbor_id"], ascending=[False, True]).head(k)
-        g = g.assign(rank=np.arange(len(g), dtype=np.int64))
-        rows.append(g)
-    if not rows:
-        return pd.DataFrame({"query_id": [], "rank": [], "neighbor_id": [], "score": []})
-    df = pd.concat(rows).reset_index(drop=True)
-    df["query_id"] = df.query_id.astype(np.int64)
-    df["neighbor_id"] = df.neighbor_id.astype(np.int64)
+    q = rd.read_parquet(
+        path, columns=["vec_id", "embedding"], filter=pc.field("vec_id").isin(sorted(int(v) for v in query_vec_ids))
+    ).to_pandas()
+    if not len(q):  # Ray gives a frame without columns
+        return np.empty(0, dtype=np.int64), np.empty((0, 0))
+    q = q.sort_values("vec_id")
+    return q.vec_id.to_numpy(np.int64), normalize_rows(np.vstack(q.embedding.to_numpy()))
+
+
+def topk_search(site: str, corpus, qids: np.ndarray, Qn: np.ndarray, k: int, allowed=None):
+    """The one exact cosine top-k: for each query ``qids[i]`` (normalized
+    vector ``Qn[i]``), the ``k`` corpus rows (``vec_id``, ``embedding``)
+    other than itself with the highest cosine, ties by ``vec_id``, as the
+    SQL twins' ``ORDER BY cos DESC, neighbor_id``. ``allowed(Cn)``, when
+    given, masks (Q, rows) the rows each query may return (IVF's probe
+    lists).
+
+    The queries are broadcast; each batch runs one GEMM and keeps each
+    query's first ``k`` by (score desc, vec_id asc) from one
+    ``np.lexsort`` over the rows that score at least the query's k-th
+    best; ``ops.topk`` merges the partials. Returns (query_id, rank,
+    neighbor_id, score), ``rank`` from 0 and ``score`` rounded to 4
+    places, sorted by (query_id, rank)."""
+    import pandas as pd
+    import pyarrow as pa
+
+    from .ops import Broadcast, topk
+
+    bcast = Broadcast(site, (qids, Qn, allowed))
+
+    def partial(batch: pa.Table) -> pd.DataFrame:
+        qids, Qm, allowed = bcast.get()
+        Cn = normalize_rows(_list_col_matrix(batch, "embedding"))
+        vids = batch.column("vec_id").to_numpy()
+        ok = vids != qids[:, None]
+        if allowed is not None:
+            ok &= allowed(Cn)
+        sims = np.where(ok, Qm @ Cn.T, -np.inf)
+        kk = min(k, len(vids))
+        if kk:  # no row below a query's k-th best score can be in its top k
+            ok &= sims >= np.partition(sims, -kk, axis=1)[:, -kk, None]
+        qi, j = np.nonzero(ok)
+        s, v = sims[qi, j], vids[j]
+        order = np.lexsort((v, -s, qi))
+        qi, s, v = qi[order], s[order], v[order]
+        first = np.arange(len(qi)) - np.searchsorted(qi, qi) < k
+        return pd.DataFrame({"query_id": qids[qi[first]], "neighbor_id": v[first], "score": s[first]})
+
+    hits = corpus.map_batches(partial, batch_format="pyarrow")
+    df = topk(site, hits, k, ["score", "neighbor_id"], [True, False], by=["query_id"])
+    df.insert(1, "rank", df.groupby("query_id").cumcount().to_numpy(np.int64))
     df["score"] = df.score.round(4)
-    return df[["query_id", "rank", "neighbor_id", "score"]].sort_values(
-        ["query_id", "rank"]
-    ).reset_index(drop=True)
+    return df
 
 
 def brute_search_distributed(path: str, query_vec_ids, k: int = 5):
     """Exact distributed top-k baseline (what IVF's pruning is measured
-    against): broadcast the normalized query matrix, full corpus scan with
-    one GEMM + partial top-k per batch, k-bounded driver merge."""
-    import pandas as pd
-    import pyarrow.compute as pc
+    against): ``topk_search`` over a full corpus scan."""
     import ray.data as rd
 
-    from .ops import Broadcast
-
-    qset = sorted(int(q) for q in query_vec_ids)
-    qdf = (
-        rd.read_parquet(path, columns=["vec_id", "embedding"], filter=pc.field("vec_id").isin(qset))
-        .to_pandas()
-        .sort_values("vec_id")
-        .reset_index(drop=True)
-    )
-    Qn = normalize_rows(np.vstack(qdf.embedding.to_numpy()).astype(np.float64))
-    bcast = Broadcast("brute_search", (qdf.vec_id.to_numpy(), Qn))
-
-    def partial_topk(batch) -> pd.DataFrame:
-        qids, Qm = bcast.get()
-        Cn = normalize_rows(_list_col_matrix(batch, "embedding"))
-        vids = batch.column("vec_id").to_numpy()
-        sims = Qm @ Cn.T
-        out = []
-        for i, qid in enumerate(qids):
-            mask = vids != qid
-            s = sims[i][mask]
-            v = vids[mask]
-            if not len(s):
-                continue
-            kk = min(k, len(s))
-            top = np.argpartition(-s, kk - 1)[:kk]
-            out.append(
-                pd.DataFrame({"query_id": int(qid), "neighbor_id": v[top], "score": s[top]})
-            )
-        if not out:
-            return pd.DataFrame({"query_id": [], "neighbor_id": [], "score": []})
-        return pd.concat(out)
-
-    corpus = rd.read_parquet(path, columns=["vec_id", "embedding"])
-    return _merge_partials(corpus.map_batches(partial_topk, batch_format="pyarrow").to_pandas(), k)
+    qids, Qn = query_vectors(path, query_vec_ids)
+    return topk_search("brute_search", rd.read_parquet(path, columns=["vec_id", "embedding"]), qids, Qn, k)
 
 
 def synth_embeddings(

@@ -9,6 +9,8 @@
   partitioned join included. Rows of one or more sides are hashed on
   their keys onto coarse super-groups and each group runs one vectorized
   function over all its keys.
+- ``topk``: every ``ORDER BY … LIMIT k [PARTITION BY …]``, one stable
+  per-batch partial that is also the merge.
 - ``Broadcast``: the one way a map task reads a small side.
 - ``ParquetRowRanges``: the flagship's read, the pending parquet files'
   footer rows cut into equal row ranges, one read task each
@@ -342,6 +344,34 @@ def supergroup_agg(site: str, ds: rd.Dataset, keys: list[str], partial, merge) -
         return merge(parts.to_pandas().sort_values(keys, kind="stable", ignore_index=True))
     out = shuffle_groups(site, [parts], keys, merge, parts.count()).to_pandas()
     return out if len(out.columns) else merge(_empty_batch(parts))
+
+
+def topk(site: str, ds: rd.Dataset, k: int, order_by: list[str], descending: list[bool], by=()) -> pd.DataFrame:
+    """The one distributed ``ORDER BY … LIMIT k``: the rows of SQL's
+    ``ROW_NUMBER() OVER (PARTITION BY by ORDER BY order_by) <= k``, sorted
+    by (``by``, ``order_by``), ``descending`` giving each ``order_by``
+    column's direction.
+
+    Each pandas batch keeps its first ``k`` rows of each group by a stable
+    sort, and the merge does the same over the partials: per-group
+    partials go through ``supergroup_agg`` (gathered or shuffled on their
+    measured size), a global top-k's partials (``k`` per block) are
+    gathered. Ties: when ``order_by`` ends in a unique column (the twins'
+    ``ORDER BY score DESC, id``) the answer does not depend on the
+    partitioning. A zero-row input gives the typed empty frame."""
+    by, cols = list(by), [*by, *order_by]
+    ascending = [True] * len(by) + [not d for d in descending]
+
+    def first_k(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.sort_values(cols, ascending=ascending, kind="stable")
+        return df.groupby(by, sort=False, dropna=False).head(k) if by else df.head(k)
+
+    if by:
+        out = supergroup_agg(site, ds, by, first_k, first_k)
+    else:
+        parts = ds.map_batches(first_k, batch_format="pandas").to_pandas()
+        out = first_k(parts if len(parts) else _empty_batch(ds))
+    return out.sort_values(cols, ascending=ascending, kind="stable", ignore_index=True)
 
 
 def _plan_blocks(ds: rd.Dataset) -> int | None:

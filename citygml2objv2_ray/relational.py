@@ -37,6 +37,7 @@ from .ops import (
     shuffle_groups,
     sum_by,
     supergroup_agg,
+    topk,
 )
 
 REGISTRY: dict[str, Callable[[str], Any]] = {}
@@ -342,18 +343,11 @@ def q_revenue_by_nation(sf_dir: str) -> pd.DataFrame:
     """,
 )
 def q_dedup_first_event(sf_dir: str) -> pd.DataFrame:
-    """D1 (first-occurrence interning): per-batch keep-first pre-reduction
-    then a cardinality-robust super-group merge (``ops.supergroup_agg`` —
+    """D1 (first-occurrence interning): each user's first event, a
+    per-user top-1 (``ops.topk``, merged through ``supergroup_agg`` —
     per-user map_groups pays per-key overhead at 10^6+ users)."""
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-
-    def first_in_batch(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"], kind="stable")
-        return df.groupby("user_id", sort=False).head(1)
-
-    df = supergroup_agg("q_dedup_first_event", ds, ["user_id"], first_in_batch, first_in_batch)
-    df = df.sort_values("user_id").reset_index(drop=True)
+    df = topk("q_dedup_first_event", ds, 1, ["ts", "event_id"], [False, False], by=["user_id"])
     df["ts_epoch"] = epoch_us(df.ts)
     return df[["user_id", "event_id", "event_type", "ts_epoch"]]
 
@@ -396,17 +390,12 @@ def q_global_stats(sf_dir: str) -> pd.DataFrame:
     """,
 )
 def q_topk_orders(sf_dir: str) -> pd.DataFrame:
-    """D9 sort/limit — per-batch local top-k then a tiny driver merge (no
-    all-to-all global sort for a bounded k)."""
+    """D9 sort/limit — ``ops.topk``: per-batch local top-k then a tiny
+    driver merge (no all-to-all global sort for a bounded k)."""
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-
-    def local_topk(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True]).head(10)
-
-    partials = ds.map_batches(local_topk, batch_format="pandas").to_pandas()
-    out = partials.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True]).head(10)
+    out = topk("q_topk_orders", ds, 10, ["o_totalprice", "o_orderkey"], [True, False])
     out["o_totalprice"] = out["o_totalprice"].round(4)
-    return out.reset_index(drop=True)
+    return out
 
 
 @query(

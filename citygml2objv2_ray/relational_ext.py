@@ -12,7 +12,7 @@ import ray.data as rd
 
 from . import dedup as dd
 from . import text as tx
-from .ops import epoch_us, shuffle_groups, sum_by, supergroup_agg
+from .ops import epoch_us, shuffle_groups, sum_by, supergroup_agg, topk
 from .relational import _nrows, _read, query
 
 
@@ -471,8 +471,8 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
        ``ops.shuffle_groups``, merged vectorized in-group (pandas merge
        per ~uniform hash bucket; no broadcast — at 100 TB the vocabulary
        doesn't fit a driver-side dict).
-    4. top-3: one doc-keyed ``ops.shuffle_groups``, vectorized
-       sort + groupby.head(3) across all docs in the group.
+    4. top-3: ``ops.topk`` per doc, whose per-batch partials keep at most
+       3 rows per doc and are gathered or shuffled on their measured size.
 
     Ties rank by term asc; scores round(6) in both engines AFTER ranking.
     """
@@ -542,19 +542,11 @@ def q_tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    def topk_group(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["doc_id", "raw", "term"], ascending=[True, False, True],
-                          kind="mergesort")
-        g = g.groupby("doc_id", sort=False).head(3).copy()
-        g["rk"] = g.groupby("doc_id", sort=False).cumcount().to_numpy() + 1
-        g["score"] = g.raw.round(6)
-        return g[["doc_id", "rk", "term", "score"]]
-
     sides = [tf.map_batches(pad_tf, batch_format="pandas"), dfreq.map_batches(pad_df, batch_format="pandas")]
     scored = shuffle_groups("q_tfidf_top_terms.score", sides, ["term"], score_group, n_docs)
-    top = shuffle_groups("q_tfidf_top_terms.top3", [scored], ["doc_id"], topk_group, n_docs)
-    out = top.to_pandas().sort_values(["doc_id", "rk"]).reset_index(drop=True)
-    out["rk"] = out.rk.astype(np.int64)
+    out = topk("q_tfidf_top_terms.top3", scored, 3, ["raw", "term"], [True, False], by=["doc_id"])
+    out["rk"] = out.groupby("doc_id").cumcount().to_numpy(np.int64) + 1
+    out["score"] = out.raw.round(6)
     return out[["doc_id", "rk", "term", "score"]]
 
 
@@ -939,30 +931,25 @@ def q_weighted_sample(sf_dir: str) -> pd.DataFrame:
     """Weighted sample WITHOUT replacement (k=100, weight = order value) via
     Efraimidis–Spirakis A-ES exponential keys, made DETERMINISTIC and
     partition-invariant by deriving the uniform from md5(o_orderkey) instead
-    of an RNG: key = -ln(u)/w, keep the k smallest. Distributed as per-batch
-    partial top-k (each batch ships at most k rows) + a k-bounded driver
-    merge — the same selection pattern as the ANN top-k, O(k) driver state
+    of an RNG: key = -ln(u)/w, keep the k smallest. Distributed as
+    ``ops.topk`` (each batch ships at most k rows, a k-bounded driver
+    merge) — the same selection as the ANN top-k, O(k) driver state
     at any corpus size. The SQL twin recomputes the identical md5-anchored
     keys, so the sample is exactly reproducible."""
     import hashlib
 
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-    K = 100
 
-    def partial_topk(df: pd.DataFrame) -> pd.DataFrame:
+    def keyed(df: pd.DataFrame) -> pd.DataFrame:
         u = np.array(
             [int(hashlib.md5(str(k).encode()).hexdigest()[:8], 16) for k in df.o_orderkey],
             dtype=np.float64,
         )
         key = -np.log((u + 1.0) / 4294967297.0) / df.o_totalprice.to_numpy(np.float64)
-        out = pd.DataFrame(
-            {"o_orderkey": df.o_orderkey, "weight": df.o_totalprice, "k": key}
-        )
-        return out.nsmallest(K, "k", keep="all").sort_values(["k", "o_orderkey"]).head(K)
+        return pd.DataFrame({"o_orderkey": df.o_orderkey, "weight": df.o_totalprice, "k": key})
 
-    parts = ds.map_batches(partial_topk, batch_format="pandas").to_pandas()
-    top = parts.sort_values(["k", "o_orderkey"], kind="stable").head(K)
-    top = top.sort_values(["k", "o_orderkey"]).reset_index(drop=True)
+    keys = ds.map_batches(keyed, batch_format="pandas")
+    top = topk("q_weighted_sample", keys, 100, ["k", "o_orderkey"], [False, False])
     top["weight"] = top.weight.round(2)
     return top[["o_orderkey", "weight"]]
 

@@ -6,8 +6,6 @@ same REGISTRY/ORACLE as ``relational``.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -17,7 +15,7 @@ import ray.data as rd
 
 from . import dedup as dd
 from . import text as tx
-from .ops import Broadcast
+from .ops import Broadcast, topk
 from .relational import ORACLE, REGISTRY, _nrows, _read, _t, query
 
 # ---------------------------------------------------------------------------
@@ -783,7 +781,7 @@ def ngram_jaccard_pairs_ds(
     return verify_pairs(pairs, docs, nd, threshold, dd.word_ngram_ids_batch), nd
 
 
-_NGRAM_PAIRS_CACHE: dict[tuple, tuple[pd.DataFrame, int]] = {}
+_NGRAM_PAIRS_CACHE: dict[str, tuple[pd.DataFrame, int]] = {}
 
 
 def ngram_jaccard_pairs_cached(
@@ -795,14 +793,12 @@ def ngram_jaccard_pairs_cached(
     one distributed computation instead of re-running the full
     explode/index/verify pipeline each. Caching the COLLECTED pairs is
     scale-safe because kept near-dup pairs are output-sparse (bounded by
-    the true dup count, not the corpus); the key includes the documents
-    file mtime so a changed table invalidates."""
-    path = _t(sf_dir, "documents")
-    try:
-        mtime = os.path.getmtime(path)
-    except OSError:
-        mtime = 0.0
-    key = (os.path.abspath(sf_dir), float(threshold), int(df_cap), mtime)
+    the true dup count, not the corpus); the key is the documents table's
+    ``cache_path`` (absolute path, mtime in ns, size, params), so a
+    rewritten table invalidates."""
+    from .state.checkpoint import cache_path
+
+    key = cache_path("ngram_pairs", _t(sf_dir, "documents"), float(threshold), int(df_cap))
     hit = _NGRAM_PAIRS_CACHE.get(key)
     if hit is not None:
         return hit
@@ -898,33 +894,22 @@ def q_bottomk_sample(sf_dir: str, k: int = 100) -> pd.DataFrame:
     regardless of corpus size, is partition-invariant (pure function of
     the key set), and union-mergeable: bottom-k of a union is bottom-k
     of the concatenated per-part bottom-ks, so each batch emits at most
-    k rows and the driver merge holds <= k x num_blocks rows — never
-    the corpus. md5 (not FNV) so the DuckDB twin recomputes the same
-    order; ties are impossible (distinct ids -> distinct digests)."""
+    k rows (``ops.topk``) and the driver merge holds <= k x num_blocks
+    rows — never the corpus. md5 (not FNV) so the DuckDB twin recomputes
+    the same order; ties are impossible (distinct ids -> distinct
+    digests)."""
     import hashlib
 
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
 
-    def partial_bottomk(df: pd.DataFrame) -> pd.DataFrame:
-        hx = np.array(
-            [hashlib.md5(str(int(i)).encode()).hexdigest() for i in df.doc_id.to_numpy()],
-            dtype=object,
-        )
-        if len(hx) > k:
-            idx = np.argsort(hx, kind="stable")[:k]
-        else:
-            idx = np.arange(len(hx))
+    def keyed(df: pd.DataFrame) -> pd.DataFrame:
+        hx = [hashlib.md5(str(int(i)).encode()).hexdigest() for i in df.doc_id.to_numpy()]
         return pd.DataFrame(
-            {
-                "doc_id": df.doc_id.to_numpy()[idx].astype(np.int64),
-                "n_chars": df.n_chars.to_numpy()[idx].astype(np.int64),
-                "_h": hx[idx],
-            }
+            {"doc_id": df.doc_id.to_numpy(np.int64), "n_chars": df.n_chars.to_numpy(np.int64), "_h": hx}
         )
 
-    parts = ds.map_batches(partial_bottomk, batch_format="pandas").to_pandas()
-    out = parts.sort_values("_h", kind="stable").head(k).drop(columns="_h")
-    return out.sort_values("doc_id").reset_index(drop=True)
+    out = topk("q_bottomk_sample", ds.map_batches(keyed, batch_format="pandas"), k, ["_h"], [False])
+    return out.drop(columns="_h").sort_values("doc_id", ignore_index=True)
 
 
 @query(
@@ -985,50 +970,15 @@ def q_simhash(sf_dir: str) -> pd.DataFrame:
     """,
 )
 def q_ann_topk(sf_dir: str) -> pd.DataFrame:
-    """Brute-force cosine top-k (the ANN baseline): the 10 query vectors are
-    broadcast; each batch computes a partial top-k against its rows; driver
-    merges partials (k-bounded, no global sort)."""
-    import pyarrow.parquet as pq
+    """Brute-force cosine top-5 of the 10 query vectors (the ANN baseline,
+    ``ann.topk_search``), ordered as the twin orders the rounded scores."""
+    from . import ann
 
-    qtab = pq.read_table(_t(sf_dir, "embeddings"), columns=["vec_id", "embedding"])
-    qdf = qtab.to_pandas()
-    qdf = qdf[qdf.vec_id < 10]
-    Q = np.vstack(qdf.embedding.to_numpy()).astype(np.float64)
-    qids = qdf.vec_id.to_numpy()
-    queries = Broadcast("ann_topk", (qids, dd.normalize_rows(Q)))
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-
-    def partial_topk(df: pd.DataFrame) -> pd.DataFrame:
-        qi, qn = queries.get()
-        C = np.vstack(df.embedding.to_numpy()).astype(np.float64)
-        cn = dd.normalize_rows(C)
-        sims = qn @ cn.T  # (Q, rows)
-        vids = df.vec_id.to_numpy()
-        rows = []
-        for i, qid in enumerate(qi):
-            mask = vids != qid
-            s = sims[i][mask]
-            v = vids[mask]
-            k = min(5, len(s))
-            if k == 0:
-                continue
-            part = np.argpartition(-s, k - 1)[:k]
-            for j in part:
-                rows.append((qid, int(v[j]), float(s[j])))
-        return pd.DataFrame(rows, columns=["query_id", "neighbor_id", "cos"])
-
-    partials = ds.map_batches(partial_topk, batch_format="pandas").to_pandas()
-    out = []
-    for qid, g in partials.groupby("query_id"):
-        g = g.sort_values(["cos", "neighbor_id"], ascending=[False, True]).head(5)
-        out.append(g)
-    df = pd.concat(out).reset_index(drop=True)
-    df["score"] = df.cos.round(4)
-    df = df.drop(columns=["cos"])
-    df["query_id"] = df["query_id"].astype(np.int64)
-    df["neighbor_id"] = df["neighbor_id"].astype(np.int64)
-    return df.sort_values(["query_id", "score", "neighbor_id"], ascending=[True, False, True]).reset_index(drop=True)
+    qids, Qn = ann.query_vectors(_t(sf_dir, "embeddings"), range(10))
+    df = ann.topk_search("q_ann_topk", _read(sf_dir, "embeddings", ["vec_id", "embedding"]), qids, Qn, 5)
+    return df.drop(columns="rank").sort_values(
+        ["query_id", "score", "neighbor_id"], ascending=[True, False, True], ignore_index=True
+    )
 
 
 @query(
@@ -1103,15 +1053,14 @@ def q_model_score(sf_dir: str) -> pd.DataFrame:
     """Top-20 vectors under a broadcast linear model — the batched-
     inference pattern as a first-class query: weights broadcast once,
     ``map_batches(LinearScorer, concurrency=4)`` actor pool (init-once
-    model load), per-batch partial top-k so only k rows per batch reach
-    the driver. The SQL twin embeds the identical seeded weight constants
+    model load), ``ops.topk`` so only k rows per batch reach the driver.
+    The SQL twin embeds the identical seeded weight constants
     and recomputes the dot product in f64 — inference output is
     hash-checked, not just smoke-tested."""
     import ray
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     weights = Broadcast("model_score", _scorer_weights())
-    K = 20
 
     # size the pool BELOW the session's CPU count: an actor pool that
     # reserves every CPU starves the upstream read tasks (measured: a
@@ -1124,13 +1073,7 @@ def q_model_score(sf_dir: str) -> pd.DataFrame:
         batch_format="pandas",
         concurrency=pool,
     )
-
-    def partial_topk(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(["score", "vec_id"], ascending=[False, True]).head(K)
-
-    parts = scored.map_batches(partial_topk, batch_format="pandas").to_pandas()
-    top = parts.sort_values(["score", "vec_id"], ascending=[False, True]).head(K)
-    top = top.reset_index(drop=True)
+    top = topk("q_model_score", scored, 20, ["score", "vec_id"], [True, False])
     top["score"] = top.score.round(6)
     return top[["vec_id", "score"]]
 

@@ -25,7 +25,7 @@ import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from . import text as tx
-from .ops import shuffle_groups, sum_by, supergroup_agg
+from .ops import shuffle_groups, sum_by, supergroup_agg, topk
 from .relational import _read, query
 
 QUANTS = (0.25, 0.5, 0.75)
@@ -197,24 +197,12 @@ def q_sample_split(sf_dir: str) -> pd.DataFrame:
     """,
 )
 def q_topk_per_group(sf_dir: str) -> pd.DataFrame:
-    """Per-group top-k (top-3 orders by price per priority class): local
-    top-k per group inside each batch, then the same top-k as the merge —
-    at most k rows per group per batch reach it."""
+    """Per-group top-k (top-3 orders by price per priority class) through
+    ``ops.topk``: at most k rows per group per batch reach the merge."""
     ds = _read(sf_dir, "orders", ["o_orderpriority", "o_orderkey", "o_totalprice"])
-
-    def local_topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(
-            ["o_orderpriority", "o_totalprice", "o_orderkey"],
-            ascending=[True, False, True],
-            kind="stable",
-        )
-        return df.groupby("o_orderpriority", sort=False).head(3)
-
-    df = supergroup_agg("q_topk_per_group", ds, ["o_orderpriority"], local_topk, local_topk)
+    df = topk("q_topk_per_group", ds, 3, ["o_totalprice", "o_orderkey"], [True, False], by=["o_orderpriority"])
     df["o_totalprice"] = df.o_totalprice.round(4)
-    return df.sort_values(
-        ["o_orderpriority", "o_totalprice", "o_orderkey"], ascending=[True, False, True]
-    ).reset_index(drop=True)
+    return df
 
 
 @query(

@@ -641,7 +641,10 @@ class StreamingSessionizer(_WatermarkShard):
         super().__init__(gap_us, allowed_lateness_us, **shard)
         self.gap = int(gap_us)
         self._pending_df = _int_frame("user_id", "event_id", "e")
-        self._sess_count: dict = {}  # user_id → sessions emitted so far
+        # users that have emitted sessions, sorted, and how many each has
+        # emitted; the int64-max sentinel keeps every search inside the array
+        self._users = np.array([np.iinfo(np.int64).max])
+        self._counts = np.zeros(1, dtype=np.int64)
 
     def _buffer(self, live: pd.DataFrame) -> None:
         # live: (user_id, event_id, e) — e = event-time epoch µs
@@ -654,13 +657,23 @@ class StreamingSessionizer(_WatermarkShard):
         final = runs.session_end.to_numpy() + self.gap < self.watermark
         self._pending_df = g[~final[run_id]]
         fin = runs[final]
-        # per-user session numbering continues across finalizations; runs
+        # per-user session numbering continues across finalizations: runs
         # of one user finalize in time order by construction (a later run
-        # can only finalize at a later-or-equal watermark)
-        sid = np.empty(len(fin), dtype=np.int64)
-        for j, user in enumerate(fin.user_id.to_numpy()):
-            sid[j] = self._sess_count[user] = self._sess_count.get(user, 0) + 1
-        fin.insert(1, "session_id", sid)
+        # can only finalize at a later-or-equal watermark) and sit together
+        # in ``fin``, so a run's id is its user's carried count plus its
+        # rank among the user's runs here
+        u = fin.user_id.to_numpy()
+        new = np.ones(len(u), dtype=bool)
+        new[1:] = u[1:] != u[:-1]
+        starts = np.flatnonzero(new)
+        users, n = u[starts], np.diff(np.append(starts, len(u)))
+        pos = np.searchsorted(self._users, users)
+        known = self._users[pos] == users
+        carried = np.where(known, self._counts[pos], 0)
+        fin.insert(1, "session_id", np.arange(len(u)) - np.repeat(starts - carried, n) + 1)
+        self._counts[pos[known]] += n[known]
+        self._users = np.insert(self._users, pos[~known], users[~known])
+        self._counts = np.insert(self._counts, pos[~known], n[~known])
         self._emit(fin)
 
     def stats(self) -> dict:

@@ -250,6 +250,96 @@ class TestIVFDistributed:
             assert full[full.query_id == ids[qi]].neighbor_id.tolist() == exact, qi
 
 
+def _duplicate_corpus(path, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """400 rows of 12 distinct directions (the 8 axes and 4 vectors of
+    four ones, scaled by 1, 2 or 4) under shuffled vec_ids, written as 8
+    files so Ray reads it as several blocks. Every normalized entry and
+    every cosine between them (0, 0.5, 1) is exact in binary, so equal
+    vectors tie exactly in any GEMM. Returns (vec_ids, vectors) in file
+    order."""
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(seed)
+    dirs = np.vstack([np.eye(8), np.repeat(np.eye(2), 4, axis=1), np.tile(np.eye(2), 4)])
+    V = (dirs[rng.integers(0, 12, 400)] * rng.choice([1.0, 2.0, 4.0], (400, 1))).astype(np.float32)
+    ids = rng.permutation(400).astype(np.int64)
+    path.mkdir()
+    for i in range(8):
+        sl = slice(50 * i, 50 * (i + 1))
+        emb = pa.FixedSizeListArray.from_arrays(pa.array(V[sl].ravel()), 8).cast(pa.list_(pa.float32()))
+        pq.write_table(pa.table({"vec_id": ids[sl], "embedding": emb}), path / f"part-{i}.parquet")
+    return ids, V
+
+
+def _exact_topk(ids: np.ndarray, V: np.ndarray, queries, k: int) -> pd.DataFrame:
+    """(query_id, rank, neighbor_id, score): each query's k other rows by
+    (cosine desc, vec_id asc), as the SQL twins' ROW_NUMBER order."""
+    from citygml2objv2_ray.dedup import normalize_rows
+
+    Vn = normalize_rows(V)
+    rows = []
+    for q in queries:
+        i = int(np.flatnonzero(ids == q)[0])
+        s = Vn @ Vn[i]
+        keep = ids != q
+        order = np.lexsort((ids[keep], -s[keep]))[:k]
+        rows += [(q, r, int(ids[keep][j]), round(float(s[keep][j]), 4)) for r, j in enumerate(order)]
+    return pd.DataFrame(rows, columns=["query_id", "rank", "neighbor_id", "score"]).astype(
+        {"query_id": np.int64, "rank": np.int64, "neighbor_id": np.int64}
+    )
+
+
+class TestExactTies:
+    """A corpus of duplicate vectors: every top-k path keeps (score desc,
+    vec_id asc) however the rows fall into blocks."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_brute_ivf_and_topk_break_ties_by_vec_id(self, ray_session, tmp_path, seed):
+        from citygml2objv2_ray import ann, ops
+
+        ids, V = _duplicate_corpus(tmp_path / "emb", seed)
+        path = str(tmp_path / "emb")
+        queries = sorted(ids[:20].tolist())
+        want = _exact_topk(ids, V, queries, 2)
+        ds = rd.read_parquet(path)
+        assert ds.materialize().num_blocks() > 1
+
+        pd.testing.assert_frame_equal(ann.brute_search_distributed(path, queries, k=2), want)
+
+        index = str(tmp_path / "ivf")
+        ann.ivf_build_partitioned(ds, index, n_lists=4, max_train=400)
+        got = ann.ivf_search_partitioned(index, queries, k=2, nprobe=4, query_source=path)
+        pd.testing.assert_frame_equal(got, want)
+
+        # every (query, row) pair as one candidate row, through the generic operator
+        from citygml2objv2_ray.dedup import normalize_rows
+
+        Vn = normalize_rows(V)
+        qi = np.repeat(np.asarray(queries), len(ids))
+        pairs = pd.DataFrame({
+            "query_id": qi,
+            "neighbor_id": np.tile(ids, len(queries)),
+            "score": np.concatenate([Vn @ Vn[int(np.flatnonzero(ids == q)[0])] for q in queries]),
+        })
+        pairs = pairs[pairs.query_id != pairs.neighbor_id]
+        top = ops.topk("test", rd.from_pandas(pairs).repartition(7), 2, ["score", "neighbor_id"], [True, False],
+                       by=["query_id"])
+        assert top.neighbor_id.tolist() == want.neighbor_id.tolist()
+        assert top.query_id.tolist() == want.query_id.tolist()
+
+    def test_ivf_with_no_query_vector_returns_the_empty_frame(self, ray_session, tmp_path):
+        """A search whose ids are not in the corpus reads no partition and
+        returns the empty 4-column frame and its stats."""
+        from citygml2objv2_ray import ann
+
+        _duplicate_corpus(tmp_path / "emb", 0)
+        index = str(tmp_path / "ivf")
+        ann.ivf_build_partitioned(rd.read_parquet(str(tmp_path / "emb")), index, n_lists=4, max_train=400)
+        df, stats = ann.ivf_search_partitioned(index, [10**6], k=2, nprobe=2, return_stats=True)
+        assert list(df.columns) == ["query_id", "rank", "neighbor_id", "score"] and len(df) == 0
+        assert stats == {"partitions_read": 0, "partitions_total": 4, "rows_scanned": 0}
+
+
 class TestMultimodal:
     def test_audio_plumbing(self, ray_session):
         from citygml2objv2_ray.stages.multimodal import (

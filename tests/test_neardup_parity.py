@@ -16,6 +16,7 @@ import logging
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import reference_oracle as ro
 from test_ops import decisions
@@ -278,6 +279,30 @@ class TestNgramJaccardParity:
         want["doc_a"] = want.doc_a.astype(np.int64)
         want["doc_b"] = want.doc_b.astype(np.int64)
         pd.testing.assert_frame_equal(got.reset_index(drop=True), want)
+
+    def test_pair_cache_sees_a_rewrite_under_the_same_mtime(self, ray_session, tmp_path):
+        """The per-process pair cache is keyed by ``cache_path`` (absolute
+        path, mtime in ns, size, params): a documents table rewritten with
+        other texts and its old mtime restored is not served the old
+        pairs."""
+        import os
+        import shutil
+
+        from citygml2objv2_ray import relational_ml
+
+        path = tmp_path / "documents.parquet"
+        shutil.copy(f"{SF}/documents.parquet", path)
+        first, _ = relational_ml.ngram_jaccard_pairs_cached(str(tmp_path))
+        assert len(first) > 0, "fixture should contain designed near-dups"
+        st = os.stat(path)
+        docs = pq.read_table(path)
+        ids = docs["doc_id"].to_pylist()
+        texts = [f"alpha{i} beta{i} gamma{i} delta{i} epsilon{i}" for i in ids]
+        pq.write_table(docs.set_column(docs.schema.get_field_index("text"), "text", pa.array(texts)), path)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert os.stat(path).st_mtime_ns == st.st_mtime_ns and os.stat(path).st_size != st.st_size
+        again, nd = relational_ml.ngram_jaccard_pairs_cached(str(tmp_path))
+        assert len(again) == 0 and nd == len(ids)
 
     def test_word_ngram_list_semantics(self):
         assert ro.word_ngram_list("one two") == []

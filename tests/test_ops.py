@@ -1,7 +1,8 @@
 """Direct unit tests for the scale-hygiene operators in ops.py, and the
 lints that keep ``ops.supergroup_agg`` the only grouped aggregate,
 ``ops.shuffle_groups`` the only super-group shuffle and partitioned join,
-and the near-dup verify free of a row-count gate."""
+``ops.topk`` the only hand-rolled top-k, and the near-dup verify free of a
+row-count gate."""
 
 from __future__ import annotations
 
@@ -104,6 +105,60 @@ class TestPartialGroupbySum:
         for _ in both_branches(monkeypatch, caplog):
             got = supergroup_agg("test", none, ["event_type"], partial, sum_by(["event_type"]))
             assert len(got) == 0 and list(got.columns) == ["event_type", "n", "s"]
+
+
+class TestTopk:
+    """``ops.topk`` is SQL's ``ROW_NUMBER() OVER (PARTITION BY by ORDER BY
+    order_by) <= k``, sorted by (``by``, ``order_by``)."""
+
+    SQL = """
+        SELECT * EXCLUDE (rn) FROM (
+            SELECT *, ROW_NUMBER() OVER ({part} ORDER BY {order}) AS rn FROM events
+        ) WHERE rn <= {k} ORDER BY {by}{order}
+    """
+
+    @pytest.mark.parametrize(
+        "k, order_by, descending, by",
+        [
+            (7, ["ts", "event_id"], [False, True], []),
+            (2, ["value", "event_id"], [True, False], ["user_id"]),
+            (3, ["ts", "event_id"], [True, True], ["event_type", "user_id"]),
+        ],
+        ids=["global", "per_group", "two_keys"],
+    )
+    def test_matches_row_number_on_both_branches(
+        self, events_ds, sf_dir, monkeypatch, caplog, k, order_by, descending, by
+    ):
+        """Per-group partials are gathered under the cap and shuffled at a
+        cap of 0, a global top-k's are always gathered: every case gives
+        DuckDB's frame, dtypes and row order included."""
+        from test_oracle import duck
+
+        from citygml2objv2_ray import ops
+
+        order = ", ".join(f"{c} DESC" if d else c for c, d in zip(order_by, descending))
+        want = duck(sf_dir).execute(self.SQL.format(
+            part=f"PARTITION BY {', '.join(by)}" if by else "", order=order, k=k,
+            by="".join(f"{c}, " for c in by),
+        )).df()
+        caplog.set_level(logging.INFO, logger="citygml2objv2_ray.ops")
+        for share in (0.0, ops.GATHER_SHARE):
+            monkeypatch.setattr(ops, "GATHER_SHARE", share)
+            caplog.clear()
+            got = ops.topk("test", events_ds, k, order_by, descending, by)
+            pd.testing.assert_frame_equal(got, want)
+            assert [b for *_, b, _, _, _ in decisions(caplog)] == (
+                ["shuffle" if share == 0 else "gather"] if by else []
+            )
+
+    @pytest.mark.parametrize("by", [[], ["user_id"]], ids=["global", "per_group"])
+    def test_zero_rows_give_the_typed_empty_frame(self, events_ds, by):
+        from citygml2objv2_ray import ops
+
+        none = events_ds.filter(expr="value < -1e300")
+        got = ops.topk("test", none, 3, ["ts", "event_id"], [False, False], by)
+        want = events_ds.limit(1).to_pandas().iloc[:0]
+        pd.testing.assert_frame_equal(got, want.reset_index(drop=True))
 
 
 class TestBroadcastFilter:
@@ -648,6 +703,86 @@ def test_shuffle_groups_is_the_only_super_group_shuffle():
 )
 def test_shuffle_lint_sees_each_pattern(src, want):
     assert sorted(_shuffle_idioms(ast.parse(src)), key=str) == sorted(want, key=str)
+
+
+# (file, outermost def) where each hand-rolled top-k idiom may appear; "*"
+# is the whole file. The flagship kNN and the in-process reference top-k
+# keep their argpartition; every other ``ORDER BY … LIMIT k`` is ``ops.topk``
+# (whose partial keeps ties in a stable order) or ``ann.topk_search``.
+TOPK_ALLOWED = {
+    "argpartition": {("citygml2objv2_ray/spatial.py", "*"), ("citygml2objv2_ray/dedup.py", "cosine_topk")},
+    "head_chain": {("citygml2objv2_ray/ops.py", "topk")},
+}
+
+
+def _topk_idioms(tree: ast.Module):
+    """(kind, outermost def or class, line) of every ``argpartition`` name
+    and every ``.head(`` called on a chain that holds a ``.sort_values(``,
+    ``.groupby(`` or ``.nsmallest(`` call."""
+    for top in tree.body:
+        scope = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if "argpartition" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                yield "argpartition", scope, node.lineno
+            if isinstance(node, ast.Call) and _call_name(node.func) == "head" and isinstance(node.func, ast.Attribute):
+                link = node.func.value
+                while isinstance(link, (ast.Call, ast.Attribute, ast.Subscript)):
+                    if isinstance(link, ast.Call) and _call_name(link.func) in ("sort_values", "groupby", "nsmallest"):
+                        yield "head_chain", scope, node.lineno
+                        break
+                    link = link.func if isinstance(link, ast.Call) else link.value
+
+
+def test_topk_is_the_only_hand_rolled_top_k():
+    """Every distributed ``ORDER BY … LIMIT k [PARTITION BY …]`` in the
+    package goes through ``ops.topk``: no ``argpartition`` outside the
+    flagship kNN and ``dedup.cosine_topk``, and no ``.head(`` on a sorted,
+    grouped or ``nsmallest`` chain outside ``ops.topk``."""
+    paths = sorted((REPO / "citygml2objv2_ray").rglob("*.py"))
+    found = [
+        (str(p.relative_to(REPO)), kind, scope, line)
+        for p in paths
+        for kind, scope, line in _topk_idioms(ast.parse(p.read_text(), str(p)))
+    ]
+    assert {k for _, k, _, _ in found} == {"argpartition", "head_chain"}, "the parse saw no top-k"
+    stray = [
+        f"{p}:{line} {kind} in {scope}"
+        for p, kind, scope, line in found
+        if not {(p, scope), (p, "*")} & TOPK_ALLOWED[kind]
+    ]
+    assert not stray, stray
+
+
+@pytest.mark.parametrize(
+    "src, want",
+    [
+        ("def f(s, k):\n    return np.argpartition(-s, k - 1)[:k]\n", [("argpartition", "f", 2)]),
+        ("from numpy import argpartition as ap\n", [("argpartition", None, 1)]),
+        ("import numpy as np\npart = np.argpartition(d, 3, axis=1)\n", [("argpartition", None, 2)]),
+        ("def f(s):\n    return np.partition(s, 3), np.argsort(s)[:3]\n", []),
+    ],
+    ids=["attribute", "imported_alias", "module_level", "partition_and_argsort"],
+)
+def test_argpartition_lint_sees_each_pattern(src, want):
+    assert sorted(_topk_idioms(ast.parse(src)), key=str) == sorted(want, key=str)
+
+
+@pytest.mark.parametrize(
+    "src, want",
+    [
+        ("def f(df):\n    return df.sort_values(['a', 'b'], ascending=[False, True]).head(10)\n",
+         [("head_chain", "f", 2)]),
+        ("def f(df):\n    return df.groupby('u', sort=False).head(1)\n", [("head_chain", "f", 2)]),
+        ("out = df.nsmallest(9, 'k', keep='all').sort_values(['k']).head(9)\n", [("head_chain", None, 1)]),
+        ("top = parts.sort_values('_h', kind='stable').head(k).drop(columns='_h')\n", [("head_chain", None, 1)]),
+        ("g = df[df.x > 0].groupby('k')['v'].head(3)\n", [("head_chain", None, 1)]),
+        ("def f(df):\n    df = df.sort_values('a')\n    return df.head(3)\n", []),
+        ("print(df.head())\n", []),
+    ],
+    ids=["sorted", "grouped", "nsmallest", "chained_after", "subscripted_group", "two_statements", "plain_head"],
+)
+def test_head_chain_lint_sees_each_pattern(src, want):
+    assert sorted(_topk_idioms(ast.parse(src)), key=str) == sorted(want, key=str)
 
 
 # the near-dup verify's old row-count gate and its per-call override

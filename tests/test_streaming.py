@@ -235,6 +235,31 @@ class TestStreamSessionize:
         assert out["stats"]["late_dropped"] == 1
         ray.kill(s)
 
+    def test_numbering_continues_across_finalize_passes(self, ray_session):
+        """40 users whose sessions finalize over 20 passes, several users
+        and several runs of one user per pass: the shard's session ids
+        equal the batch numbering (per-user cumcount over ``session_runs``
+        of the whole stream)."""
+        import ray
+
+        from citygml2objv2_ray.streaming import StreamingSessionizer, session_runs
+
+        rng = np.random.default_rng(5)
+        ev = pd.DataFrame({
+            "user_id": rng.integers(0, 40, 3000),
+            "event_id": np.arange(3000),
+            "e": np.sort(rng.integers(0, 200_000, 3000)),
+        })
+        s = StreamingSessionizer.remote(500, allowed_lateness_us=0, start_seq=0)
+        for lo in range(0, 3000, 150):
+            ray.get(s.ingest_range.remote(lo, lo + 149, ev.iloc[lo : lo + 150]))
+        got = ray.get(s.drain.remote())["rows"].sort_values(["user_id", "session_id"], ignore_index=True)
+        ray.kill(s)
+        _, _, want = session_runs(ev, 500)
+        want.insert(1, "session_id", want.groupby("user_id").cumcount().to_numpy() + 1)
+        assert want.session_id.max() > 20 and want.n_events.max() > 1
+        pd.testing.assert_frame_equal(got, want)
+
     def test_shard_without_rows_drains_empty(self, ray_session):
         import ray
 
